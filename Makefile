@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json bench bench-json bench-large bench-online-large bench-throughput bench-crossphase bench-smoke perf-diff tables micro examples clean
+.PHONY: all build test lint lint-json bench bench-json bench-large bench-online-large bench-throughput bench-smoke perf-diff tables micro examples clean
 
 all: build
 
@@ -37,8 +37,8 @@ bench-output:
 bench-json:
 	dune exec bench/main.exe -- micro --json BENCH_3.json
 
-# Large-n scaling rows (dense vs interval-tree-compressed round networks
-# on heavy n=500/1000/2000, m=8 instances); regenerates BENCH_4.json.
+# Large-n scaling rows (dense round networks vs the sweep oracle on heavy
+# n=500/1000/2000, m=8 instances); regenerates BENCH_4.json.
 bench-large:
 	dune exec bench/main.exe -- large --json BENCH_4.json
 
@@ -53,13 +53,6 @@ bench-online-large:
 # with 75% canonical duplicates); regenerates BENCH_6.json.
 bench-throughput:
 	dune exec bench/main.exe -- throughput --json BENCH_6.json
-
-# Cross-phase flow reuse (persistent drained/rescaled network vs legacy
-# per-phase rebuilds on a multi-phase heavy n=1000, m=8 instance);
-# regenerates BENCH_7.json.  A tiny variant rides the bench-smoke JSON
-# below, so `dune runtest` exercises the same pipeline.
-bench-crossphase:
-	dune exec bench/main.exe -- crossphase --json BENCH_7.json
 
 # Tiny-quota run of the same pipeline (also wired into `dune runtest`).
 bench-smoke:

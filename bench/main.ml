@@ -6,23 +6,18 @@
      dune exec bench/main.exe -- <id>     — one experiment (e.g. e3)
      dune exec bench/main.exe -- micro    — micro-benchmarks only
      dune exec bench/main.exe -- smoke    — tiny-quota subset (CI alias)
-     dune exec bench/main.exe -- large    — dense-vs-compressed scaling rows
+     dune exec bench/main.exe -- large    — dense-vs-sweep scaling rows
                                             (n=500/1000/2000; BENCH_4.json)
      dune exec bench/main.exe -- online-large
                                           — streaming vs legacy online
                                             simulation on stream workloads
                                             (n=1e4/1e5/1e6; BENCH_5.json)
-     dune exec bench/main.exe -- crossphase
-                                          — cross-phase flow reuse vs legacy
-                                            per-phase rebuilds on a multi-phase
-                                            heavy n=1000, m=8 instance
-                                            (BENCH_7.json)
      dune exec bench/main.exe -- tables   — tables only
 
    Appending [--json FILE] to the micro/smoke modes additionally writes a
    machine-readable report (per-benchmark ns/run plus offline-solver round
    and resume counters) so the perf trajectory can be tracked across PRs:
-   `make bench-json` produces BENCH_1.json this way.
+   `make bench-json` produces BENCH_3.json this way.
 
    The experiment implementations live in lib/experiments (shared with the
    speedscale CLI); this executable is the entry point that regenerates
@@ -111,10 +106,9 @@ let smoke_tests () =
       Test.make ~name:"oa/n=15,m=4" (Staged.stage (fun () -> Ss_online.Oa.run online15));
     ]
 
-(* Offline-solver round/resume counters (and incremental-vs-scratch
-   timings) on the representative micro instances: the part of the JSON
-   report that tracks the solver's algorithmic trajectory, not just wall
-   time. *)
+(* Offline-solver round/resume counters on the representative micro
+   instances: the part of the JSON report that tracks the solver's
+   algorithmic trajectory, not just wall time. *)
 let solver_counters ~smoke =
   let specs =
     if smoke then [ ("offline/n=30,m=4", 2, 4, 30, 50.) ]
@@ -125,16 +119,7 @@ let solver_counters ~smoke =
       let inst =
         Ss_workload.Generators.uniform ~seed ~machines ~jobs ~horizon ~max_work:5. ()
       in
-      let t_scratch =
-        Ss_experiments.Common.time_median (fun () ->
-            ignore (Ss_core.Offline.run ~incremental:false inst))
-      in
-      let t_inc =
-        Ss_experiments.Common.time_median (fun () ->
-            ignore (Ss_core.Offline.run ~incremental:true inst))
-      in
-      let r = Ss_core.Offline.run inst in
-      (name, r.stats, t_scratch, t_inc))
+      (name, (Ss_core.Offline.run inst).stats))
     specs
 
 (* End-to-end OA(m) replanning: the scratch path (fresh solver and full
@@ -251,10 +236,10 @@ let online_large_specs =
     ("stream/n=1e6,m=8", 41, 8, 1_000_000, 4., 2., 6., false);
   ]
 
-(* Dense vs interval-tree-compressed round networks on heavy instances
+(* Dense round networks vs the sweep oracle on heavy instances
    (overlapping windows, so the grid has Theta(n) intervals and the dense
-   Fig. 1 network Theta(n k) edges) — timings, edge counts and the
-   flow-work counters behind the PR 6 perf_opt acceptance criterion. *)
+   Fig. 1 network Theta(n k) edges) — timings plus the dense network's
+   edge and flow-work counters (the sweep builds no network). *)
 let compressed_counters specs =
   List.map
     (fun (name, seed, machines, jobs, horizon) ->
@@ -270,8 +255,8 @@ let compressed_counters specs =
         | None -> assert false
       in
       let dense, t_dense = measure false in
-      let comp, t_comp = measure true in
-      (name, dense, comp, t_dense, t_comp))
+      let _, t_comp = measure true in
+      (name, dense, t_dense, t_comp))
     specs
 
 let compressed_specs ~smoke =
@@ -339,50 +324,8 @@ let throughput_counters ~smoke =
       (name, count, stats, t_seq, t_batch, identical))
     specs
 
-(* Parametric cross-phase flow reuse: one persistent network per
-   component, drained of the accepted class's flow and rescaled to the
-   next conjectured speed at every phase boundary, against the legacy
-   per-phase rebuild — timings, the new phase counters, and the full
-   bitwise-identity check (breakpoints, members, speeds, reservations,
-   allocations) behind the PR 9 perf_opt acceptance criterion
-   (BENCH_7.json). *)
-let crossphase_specs ~smoke =
-  if smoke then [ ("heavy/n=120,m=8", 7, 1.1, 8, 120, 60.) ]
-  else [ ("heavy/n=1000,m=8", 7, 1.1, 8, 1000, 500.) ]
-
-let crossphase_counters specs =
-  let same_run (a : Ss_core.Offline.F.run) (b : Ss_core.Offline.F.run) =
-    a.breakpoints = b.breakpoints
-    && List.length a.schedule_phases = List.length b.schedule_phases
-    && List.for_all2
-         (fun (p : Ss_core.Offline.F.phase) (q : Ss_core.Offline.F.phase) ->
-           p.members = q.members && p.speed = q.speed && p.procs = q.procs
-           && p.alloc = q.alloc)
-         a.schedule_phases b.schedule_phases
-  in
-  List.map
-    (fun (name, seed, shape, machines, jobs, horizon) ->
-      let inst =
-        Ss_workload.Generators.heavy ~shape ~seed ~machines ~jobs ~horizon ()
-      in
-      let repeats = if jobs >= 500 then 1 else 3 in
-      let measure cross_phase =
-        let last = ref None in
-        let ms =
-          Ss_experiments.Common.time_median ~repeats (fun () ->
-              last := Some (Ss_core.Offline.run ~cross_phase inst))
-        in
-        match !last with
-        | Some (r : Ss_core.Offline.F.run) -> (r, ms)
-        | None -> assert false
-      in
-      let legacy, t_legacy = measure false in
-      let cross, t_cross = measure true in
-      (name, cross.stats, t_legacy, t_cross, same_run cross legacy))
-    specs
-
 let emit_json ~file ~mode rows counters online decomposition compressed online_engine
-    throughput crossphase =
+    throughput =
   let open Ss_numeric.Json in
   let num x = if Float.is_finite x then Num x else Null in
   let benchmarks =
@@ -394,7 +337,7 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
   let solver =
     Arr
       (List.map
-         (fun (name, (s : Ss_core.Offline.F.stats), t_scratch, t_inc) ->
+         (fun (name, (s : Ss_core.Offline.F.stats)) ->
            Obj
              [
                ("instance", Str name);
@@ -402,22 +345,11 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
                ("rounds", Num (float_of_int s.rounds));
                ("resumes", Num (float_of_int s.resumes));
                ("removals", Num (float_of_int s.removals));
+               ("grouped", Num (float_of_int s.grouped));
                ("edges", Num (float_of_int s.net_edges));
                ("pushes", Num (float_of_int s.net_pushes));
                ("bfs_waves", Num (float_of_int s.net_bfs_waves));
                ("phase_resumes", Num (float_of_int s.phase_resumes));
-               ("phase_drain_edges", Num (float_of_int s.phase_drain_edges));
-               ( "phase_edges",
-                 Arr
-                   (Array.to_list
-                      (Array.map (fun e -> Num (float_of_int e)) s.phase_edges)) );
-               ( "phase_bfs_waves",
-                 Arr
-                   (Array.to_list
-                      (Array.map (fun w -> Num (float_of_int w)) s.phase_bfs_waves)) );
-               ("scratch_ms", num t_scratch);
-               ("incremental_ms", num t_inc);
-               ("speedup", num (t_scratch /. Float.max 1e-9 t_inc));
              ])
          counters)
   in
@@ -461,20 +393,15 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
   let compressed_section =
     Arr
       (List.map
-         (fun (name, (d : Ss_core.Offline.F.stats), (c : Ss_core.Offline.F.stats),
-               t_dense, t_comp) ->
+         (fun (name, (d : Ss_core.Offline.F.stats), t_dense, t_comp) ->
            Obj
              [
                ("instance", Str name);
                ("phases", Num (float_of_int d.phases));
                ("rounds", Num (float_of_int d.rounds));
                ("dense_edges", Num (float_of_int d.net_edges));
-               ("compressed_edges", Num (float_of_int c.net_edges));
-               ("edge_ratio", num (float_of_int d.net_edges /. Float.max 1. (float_of_int c.net_edges)));
                ("dense_pushes", Num (float_of_int d.net_pushes));
-               ("compressed_pushes", Num (float_of_int c.net_pushes));
                ("dense_bfs_waves", Num (float_of_int d.net_bfs_waves));
-               ("compressed_bfs_waves", Num (float_of_int c.net_bfs_waves));
                ("dense_ms", num t_dense);
                ("compressed_ms", num t_comp);
                ("speedup", num (t_dense /. Float.max 1e-9 t_comp));
@@ -529,32 +456,6 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
              ])
          throughput)
   in
-  let cross_phase_section =
-    Arr
-      (List.map
-         (fun (name, (s : Ss_core.Offline.F.stats), t_legacy, t_cross, identical) ->
-           Obj
-             [
-               ("instance", Str name);
-               ("phases", Num (float_of_int s.phases));
-               ("phase_resumes", Num (float_of_int s.phase_resumes));
-               ("phase_drain_edges", Num (float_of_int s.phase_drain_edges));
-               ("peak_edges", Num (float_of_int s.net_edges));
-               ( "phase_edges",
-                 Arr
-                   (Array.to_list
-                      (Array.map (fun e -> Num (float_of_int e)) s.phase_edges)) );
-               ( "phase_bfs_waves",
-                 Arr
-                   (Array.to_list
-                      (Array.map (fun w -> Num (float_of_int w)) s.phase_bfs_waves)) );
-               ("legacy_ms", num t_legacy);
-               ("cross_ms", num t_cross);
-               ("speedup", num (t_legacy /. Float.max 1e-9 t_cross));
-               ("bit_identical", Bool identical);
-             ])
-         crossphase)
-  in
   let doc =
     Obj
       [
@@ -567,7 +468,6 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
         ("compressed", compressed_section);
         ("online_engine", online_engine_section);
         ("throughput", throughput_section);
-        ("cross_phase", cross_phase_section);
       ]
   in
   Out_channel.with_open_text file (fun oc ->
@@ -625,23 +525,20 @@ let run_micro ?json_file ?(smoke = false) () =
       (compressed_counters (compressed_specs ~smoke))
       (online_engine_counters (online_engine_specs ~smoke))
       (throughput_counters ~smoke)
-      (crossphase_counters (crossphase_specs ~smoke:true))
 
 (* `main.exe large [--json BENCH_4.json]`: the end-to-end scaling table for
-   interval-tree compression (dense vs compressed round networks on the
+   the sweep oracle (dense round networks vs the sweep on the
    n=500/1000/2000 heavy rows).  Each timing also lands in the
    [benchmarks] section so perf_diff can gate BENCH_4-to-BENCH_4 drift. *)
 let run_large ?json_file () =
-  print_endline "== large-n offline solves: dense vs compressed round networks ==";
+  print_endline "== large-n offline solves: dense round networks vs the sweep oracle ==";
   let counters = compressed_counters large_specs in
   let printable =
     List.map
-      (fun (name, (d : Ss_core.Offline.F.stats), (c : Ss_core.Offline.F.stats),
-            t_dense, t_comp) ->
+      (fun (name, (d : Ss_core.Offline.F.stats), t_dense, t_comp) ->
         [
           name;
           string_of_int d.net_edges;
-          string_of_int c.net_edges;
           Printf.sprintf "%.1f ms" t_dense;
           Printf.sprintf "%.1f ms" t_comp;
           Printf.sprintf "%.2fx" (t_dense /. Float.max 1e-9 t_comp);
@@ -650,7 +547,7 @@ let run_large ?json_file () =
   in
   Ss_numeric.Table.print
     (Ss_numeric.Table.make ~title:""
-       ~headers:[ "instance"; "dense edges"; "compressed edges"; "dense"; "compressed"; "speedup" ]
+       ~headers:[ "instance"; "dense edges"; "dense"; "sweep"; "speedup" ]
        printable);
   print_newline ();
   match json_file with
@@ -658,14 +555,14 @@ let run_large ?json_file () =
   | Some file ->
     let rows =
       List.concat_map
-        (fun (name, _, _, t_dense, t_comp) ->
+        (fun (name, _, t_dense, t_comp) ->
           [
             ("offline-dense/" ^ name, t_dense *. 1e6);
             ("offline-compressed/" ^ name, t_comp *. 1e6);
           ])
         counters
     in
-    emit_json ~file ~mode:"large" rows [] [] [] counters [] [] []
+    emit_json ~file ~mode:"large" rows [] [] [] counters [] []
 
 (* `main.exe online-large [--json BENCH_5.json]`: the end-to-end scaling
    table for the streaming event loop (calendar + incremental active set +
@@ -716,7 +613,7 @@ let run_online_large ?json_file () =
           | None -> []))
         counters
     in
-    emit_json ~file ~mode:"online-large" rows [] [] [] [] counters [] []
+    emit_json ~file ~mode:"online-large" rows [] [] [] [] counters []
 
 (* `main.exe throughput [--json BENCH_6.json]`: batch-dispatch throughput
    against sequential per-query scratch solves on a ≥500-query clustered
@@ -763,56 +660,11 @@ let run_throughput ?json_file ?(smoke = false) () =
           ])
         counters
     in
-    emit_json ~file ~mode:"throughput" rows [] [] [] [] [] counters []
-
-(* `main.exe crossphase [--json BENCH_7.json]`: parametric cross-phase
-   flow reuse against the legacy per-phase rebuild on a multi-phase heavy
-   n=1000, m=8 instance.  Both timings also land in [benchmarks] so
-   perf_diff can gate BENCH_7-to-BENCH_7 drift. *)
-let run_crossphase ?json_file ?(smoke = false) () =
-  print_endline "== cross-phase flow reuse: persistent network vs per-phase rebuilds ==";
-  let counters = crossphase_counters (crossphase_specs ~smoke) in
-  let printable =
-    List.map
-      (fun (name, (s : Ss_core.Offline.F.stats), t_legacy, t_cross, identical) ->
-        [
-          name;
-          string_of_int s.phases;
-          string_of_int s.phase_resumes;
-          string_of_int s.phase_drain_edges;
-          Printf.sprintf "%.1f ms" t_legacy;
-          Printf.sprintf "%.1f ms" t_cross;
-          Printf.sprintf "%.2fx" (t_legacy /. Float.max 1e-9 t_cross);
-          (if identical then "yes" else "NO");
-        ])
-      counters
-  in
-  Ss_numeric.Table.print
-    (Ss_numeric.Table.make ~title:""
-       ~headers:
-         [
-           "instance"; "phases"; "resumes"; "drained edges"; "legacy"; "cross-phase";
-           "speedup"; "bit-identical";
-         ]
-       printable);
-  print_newline ();
-  match json_file with
-  | None -> ()
-  | Some file ->
-    let rows =
-      List.concat_map
-        (fun (name, _, t_legacy, t_cross, _) ->
-          [
-            ("offline-legacy/" ^ name, t_legacy *. 1e6);
-            ("offline-crossphase/" ^ name, t_cross *. 1e6);
-          ])
-        counters
-    in
-    emit_json ~file ~mode:"crossphase" rows [] [] [] [] [] [] counters
+    emit_json ~file ~mode:"throughput" rows [] [] [] [] [] counters
 
 let usage () =
   Printf.printf
-    "usage: main.exe [tables | micro | smoke | large | online-large | throughput | crossphase | <experiment id>] [--json FILE]\n";
+    "usage: main.exe [tables | micro | smoke | large | online-large | throughput | <experiment id>] [--json FILE]\n";
   Printf.printf "experiment ids: %s\n" (String.concat " " (Ss_experiments.Registry.ids ()))
 
 let () =
@@ -835,7 +687,6 @@ let () =
   | [ "large" ] -> run_large ?json_file ()
   | [ "online-large" ] -> run_online_large ?json_file ()
   | [ "throughput" ] -> run_throughput ?json_file ()
-  | [ "crossphase" ] -> run_crossphase ?json_file ()
   | [ id ] ->
     if not (Ss_experiments.Registry.run_one (String.lowercase_ascii id)) then begin
       Printf.printf "unknown experiment id: %s\n" id;

@@ -29,18 +29,13 @@ module MakeWith
     (Flow_impl : module type of Ss_flow.Maxflow.Make (F)) =
 struct
   module Flow = Flow_impl
-  module Itree = Ss_flow.Interval_tree
 
   type job = { release : F.t; deadline : F.t; work : F.t }
 
-  (* Ablation knobs (defaults reproduce the paper's presentation).
-     [flow_algorithm]: which max-flow routine answers the per-round
-     feasibility question — the answer is identical, only speed differs.
-     [victim_rule]: which provably-removable job to discard on a failed
-     round; Lemma 4 shows any unsaturated choice is sound, so this only
-     affects the round count. *)
+  (* Ablation knob (the default reproduces the paper's presentation): which
+     max-flow routine answers a dense round's feasibility question.  The
+     answer is identical, only speed differs. *)
   type flow_algorithm = Dinic | Edmonds_karp | Push_relabel
-  type victim_rule = Least_flow | First_found
 
   type phase = {
     members : int list;             (* job ids of this speed class *)
@@ -51,17 +46,15 @@ struct
 
   type stats = {
     phases : int;
-    rounds : int;                   (* max-flow computations *)
-    resumes : int;                  (* rounds answered by a warm-started resume *)
+    rounds : int;                   (* oracle answers: dense max flows or sweeps *)
+    resumes : int;                  (* failed dense rounds answered by a rewind *)
     removals : int;
     grouped : int;                  (* failed rounds that removed > 1 victim *)
-    net_edges : int;                (* peak forward-edge count of a round network *)
-    net_pushes : int;               (* edge-flow updates across the whole solve *)
-    net_bfs_waves : int;            (* max-flow BFS passes across the whole solve *)
-    phase_resumes : int;            (* phase boundaries answered by drain/rescale/resume *)
-    phase_drain_edges : int;        (* flow-carrying edges drained at those boundaries *)
-    phase_edges : int array;        (* per phase: peak forward-edge count of its networks *)
-    phase_bfs_waves : int array;    (* per phase: BFS passes spent in its rounds *)
+    largest_group : int;            (* most victims one failed round removed *)
+    net_edges : int;                (* forward edges of the dense round network *)
+    net_pushes : int;               (* dense edge-flow updates across the whole solve *)
+    net_bfs_waves : int;            (* dense max-flow BFS passes across the whole solve *)
+    phase_resumes : int;            (* dense phase boundaries answered in place *)
   }
 
   type run = {
@@ -83,14 +76,32 @@ struct
     in
     Array.of_list all
 
+  (* Position of time [t] in the sorted breakpoint array. *)
+  let index_of breakpoints t =
+    let lo = ref 0 and hi = ref (Array.length breakpoints - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if F.compare breakpoints.(mid) t < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let validate ~machines jobs =
+    if machines <= 0 then invalid_arg "Offline.solve: machines <= 0";
+    Array.iter
+      (fun j ->
+        if F.compare j.release j.deadline >= 0 then
+          invalid_arg "Offline.solve: release >= deadline";
+        if F.sign j.work <= 0 then invalid_arg "Offline.solve: work <= 0")
+      jobs
+
   (* --- reusable solver workspace ---------------------------------------
      Everything a solve allocates per call — the Lemma 3 reservation state,
-     the vertex/edge id tables and the flow arena — hoisted into a grow-only
-     workspace so cross-arrival sessions reuse one backing store across
-     successive solves.  All arrays are addressed on prefixes [0..n-1] /
-     [0..k-1] and re-initialized by each solve, so reuse never leaks state
-     between solves (and a fresh workspace per call reproduces the
-     non-session behaviour exactly). *)
+     the vertex/edge id tables, the flow arena and the sweep oracle's
+     scratch — hoisted into a grow-only workspace so cross-arrival sessions
+     reuse one backing store across successive solves.  All arrays are
+     addressed on prefixes [0..n-1] / [0..k-1] and re-initialized by each
+     solve, so reuse never leaks state between solves (and a fresh
+     workspace per call reproduces the session behaviour exactly). *)
   type workspace = {
     g : Flow.t;
     mutable nslots : int;           (* job-indexed array capacity *)
@@ -104,33 +115,32 @@ struct
     mutable victim_mark : bool array;
     mutable nj : int array;
     mutable procs : int array;
+    mutable unsat_next : int array; (* certify: first unsaturated interval >= j *)
     mutable job_vertex : int array;
     mutable ivl_vertex : int array;
     mutable source_edge : int array;
     mutable sink_edge : int array;
     mutable job_edge : int array;   (* flat [i * k + j] edge ids, -1 = absent *)
     mutable grows : int;            (* solves that had to grow the arena *)
-    (* Compressed-network state (the [compress] path): the interval tree,
-       its per-node width sums, the flat canonical-cover table, and the
-       EDF-sweep oracle's scratch arrays.  Only touched by compressed
-       solves; the dense path never reads them. *)
-    mutable tree : Itree.t;
-    mutable tree_k : int;           (* leaves of [tree]; 0 = not built *)
-    mutable node_wsum : F.t array;  (* per tree node: width sum of its span *)
-    mutable cover_off : int array;  (* n+1 prefix offsets into cover_node *)
-    mutable cover_node : int array; (* canonical-cover node ids, all jobs *)
+    (* Sweep-oracle state, touched only by solves on the sweep substrate. *)
     mutable sweep_order : int array;(* jobs sorted by (first_ivl, index) *)
     mutable sweep_bucket : int array;(* counting-sort scratch, k+1 *)
     mutable sweep_rem : F.t array;  (* per job: unrouted demand *)
     mutable sweep_sink : F.t array; (* per interval: routed time *)
-    mutable sweep_flow : F.t array; (* flat [i * k + j] sweep allocations *)
-    mutable sweep_touch : int array;(* flat indices written by the last sweep *)
-    mutable sweep_touched : int;    (* live prefix of sweep_touch *)
     mutable sweep_heap : int array; (* active-job min-heap on (deadline, id) *)
     mutable sweep_tmp : int array;  (* jobs to re-push after an interval *)
-    mutable sup_head : int array;   (* per interval: head of supporter list, -1 *)
-    mutable sup_next : int array;   (* next links over sweep_touch entries *)
-    mutable aug_parent : int array; (* BFS tree over n job + k interval nodes *)
+    (* The pair store: one slot per positive (job, interval) pair of the
+       sweep's flow, threaded into its interval's supporter list and found
+       through an open-addressed index on [i * k + j]. *)
+    mutable pair_key : int array;   (* per slot: i * k + j *)
+    mutable pair_flow : F.t array;  (* per slot: routed time *)
+    mutable pair_next : int array;  (* per slot: next supporter of its interval *)
+    mutable pairs : int;            (* slots in use *)
+    mutable sup_head : int array;   (* per interval: newest supporter slot, -1 *)
+    mutable index_slot : int array; (* power-of-two cells: a slot id *)
+    mutable index_stamp : int array;(* a cell is live iff stamped [index_gen] *)
+    mutable index_gen : int;
+    mutable aug_level : int array;  (* BFS levels over n job + k interval nodes *)
     mutable aug_visited : bool array;
     mutable aug_queue : int array;
     mutable aug_next : int array;   (* jump pointers: next unvisited interval *)
@@ -150,42 +160,38 @@ struct
       victim_mark = [||];
       nj = [||];
       procs = [||];
+      unsat_next = [||];
       job_vertex = [||];
       ivl_vertex = [||];
       source_edge = [||];
       sink_edge = [||];
       job_edge = [||];
       grows = 0;
-      tree = Itree.create ~k:1;
-      tree_k = 0;
-      node_wsum = [||];
-      cover_off = [||];
-      cover_node = [||];
       sweep_order = [||];
       sweep_bucket = [||];
       sweep_rem = [||];
       sweep_sink = [||];
-      sweep_flow = [||];
-      sweep_touch = [||];
-      sweep_touched = 0;
       sweep_heap = [||];
       sweep_tmp = [||];
+      pair_key = [||];
+      pair_flow = [||];
+      pair_next = [||];
+      pairs = 0;
       sup_head = [||];
-      sup_next = [||];
-      aug_parent = [||];
+      index_slot = [||];
+      index_stamp = [||];
+      index_gen = 0;
+      aug_level = [||];
       aug_visited = [||];
       aug_queue = [||];
       aug_next = [||];
     }
 
   (* Grow (never shrink) the workspace to fit an [n]-job, [k]-interval
-     solve, pre-sizing the flow arena for the worst-case Fig. 1 network so
-     the round loop triggers no allocation.  Compressed solves skip the
-     two O(n k) dense tables (the job-edge ids and the dense arena
-     reservation): their round network and sparse oracle state are sized
-     by the compressed-path precomputation instead, keeping a large-n
-     compressed solve's footprint at O(n k) floats (the lazy-cleared
-     oracle allocation table) plus O((n + k) log k) everything else. *)
+     solve.  Dense solves also pre-size the job-edge table and the flow
+     arena for the worst-case Fig. 1 network, so the round loop triggers no
+     allocation; sweep solves build no network at all and size their
+     O(n + m k) oracle state in [sweep_fit] instead. *)
   let ws_fit ws ~n ~k ~dense =
     let grew = ref false in
     if n > ws.nslots then begin
@@ -206,6 +212,7 @@ struct
       ws.used <- Array.make k' 0;
       ws.nj <- Array.make k' 0;
       ws.procs <- Array.make k' 0;
+      ws.unsat_next <- Array.make (k' + 1) 0;
       ws.ivl_vertex <- Array.make k' (-1);
       ws.sink_edge <- Array.make k' (-1);
       ws.kslots <- k';
@@ -221,220 +228,643 @@ struct
     end;
     if !grew then ws.grows <- ws.grows + 1
 
-  (* Above this dense edge-table size (n * k) a solve defaults to the
-     compressed round network; below it the dense Fig. 1 build is faster
-     and stays the reference path. *)
+  (* Above this dense edge-table size (n * k) a solve defaults to the sweep
+     oracle; below it the dense Fig. 1 build is faster. *)
   let compress_threshold = 20_000
 
-  (* The round loop.
+  (* --- the pair store ----------------------------------------------------
+     The sweep's flow is sparse: at most n + (m + 1) k pairs are positive
+     after the earliest-deadline pass, and the augmenting stage adds few.
+     Each positive pair owns one slot; a cleared index (a new stamp
+     generation) empties the store in O(1) at the start of every sweep. *)
 
-     From-scratch mode ([incremental:false]) reproduces the paper's
-     presentation literally: every round rebuilds the Fig. 1 network for
-     the current candidate set and recomputes max-flow from zero flow.
+  let pair_hash key mask =
+    let h = key * 0x1E3779B97F4A7C15 in
+    (h lxor (h lsr 32)) land mask
 
-     Incremental mode (the default) exploits that a failed round changes
-     very little: removing the Lemma 4 victim only (a) deletes the
-     victim's own flow, (b) shrinks the Lemma 3 reservations m_ij — and
-     hence the sink capacities — on the victim's active intervals (n_j
-     drops by one there and nowhere else, and m - used_j is fixed within a
-     phase, so reservations can only shrink), and (c) moves the uniform
-     conjectured speed, rescaling the source capacities.  So the network
-     is built once per phase in a reusable arena; a failed round drains
-     the victim's flow, zeroes its source capacity, repairs the affected
-     sink/source capacities (cancelling excess flow where a capacity
-     shrank below the installed flow), and resumes the max-flow from the
-     repaired feasible flow instead of from zero.  Push-relabel starts
-     from a preflow rather than a feasible flow, so with that backend the
-     repair keeps the arena and capacity updates but recomputes the flow
-     from zero.
+  (* The slot holding [key], or -1. *)
+  let pair_find ws key =
+    let mask = Array.length ws.index_slot - 1 in
+    let rec probe c =
+      if ws.index_stamp.(c) <> ws.index_gen then -1
+      else
+        let t = ws.index_slot.(c) in
+        if ws.pair_key.(t) = key then t else probe ((c + 1) land mask)
+    in
+    probe (pair_hash key mask)
 
-     A third strategy, [Rewind] (what sessions use), keeps the phase's
-     network topology but answers each failed round from zero flow: zero
-     the victims' source capacities, refresh the sink/source capacities
-     that moved, reset all flows and rerun the max-flow.  A zero-capacity
-     edge has zero residual, so no traversal ever takes it: BFS levels,
-     the DFS augmenting sequence over live edges, and hence every edge
-     flow are bit-for-bit what a rebuild without the victims would
-     produce.  Rewound rounds are therefore canonical already and need no
-     acceptance re-extraction, while still skipping the per-round rebuild
-     cost.  At replanning scale (small Fig. 1 networks) this beats the
-     repair-and-resume path, whose per-victim path cancellations cost
-     more than a fresh Dinic run.
+  let pair_flow ws key =
+    let t = pair_find ws key in
+    if t < 0 then F.zero else ws.pair_flow.(t)
 
-     All strategies visit candidate sets with identical reservations and
-     speeds; the max-flow *value* per round is unique, so accept/reject
-     decisions agree and the final phase partition, speeds and energy are
-     identical.  Warm-started flow *distributions* may differ mid-phase
-     (affecting victim order and round counts, all sound by Lemma 4), but
-     on the dense path the accepted flow is re-extracted canonically —
-     rebuilt and solved from zero, once per phase-with-removals — so the
-     t_kj a dense-path run exposes are bit-identical between the
-     strategies.
+  (* Point [key]'s index cell at slot [t], claiming a cell for a new key. *)
+  let index_set ws key t =
+    let mask = Array.length ws.index_slot - 1 in
+    let rec probe c =
+      if ws.index_stamp.(c) <> ws.index_gen then begin
+        ws.index_stamp.(c) <- ws.index_gen;
+        ws.index_slot.(c) <- t
+      end
+      else if ws.pair_key.(ws.index_slot.(c)) = key then ws.index_slot.(c) <- t
+      else probe ((c + 1) land mask)
+    in
+    probe (pair_hash key mask)
 
-     Compressed mode ([compress], default above [compress_threshold])
-     swaps the round substrate: the per-phase network routes each job
-     through the O(log k) canonical cover of an interval tree instead of
-     one edge per active interval — O((n + k) log k) edges instead of
-     O(n k).  The compressed network is a relaxation (aggregated covers
-     drop the per-(job, interval) width caps, so its value can exceed the
-     dense value); the accept test and the Lemma 4 certificates therefore
-     come from an exact oracle — an earliest-deadline sweep finished by
-     implicit-residual blocking flows — that computes a dense maximum
-     flow, value plus sparse allocation, without ever materializing the
-     dense graph.  Victim order may differ from the dense path's (both
-     sound by Lemma 4, same fixed point), and accepted phases read their
-     t_kj straight from the oracle's flow: partitions, speeds, procs,
-     busy times and energies are bit-identical to dense mode, while the
-     split of t_kj among equal-speed members may differ (both splits are
-     maximum flows of the same accepting network).  See DESIGN.md,
-     "Interval-tree network compression".
+  (* Size the index for [slots] slots at load factor <= 1/2; re-indexes the
+     live slots (later slots win, as in [pair_add]) when it has to grow. *)
+  let index_fit ws slots =
+    if 2 * slots > Array.length ws.index_slot then begin
+      let cells = ref 16 in
+      while !cells < 2 * slots do
+        cells := 2 * !cells
+      done;
+      ws.index_slot <- Array.make !cells 0;
+      ws.index_stamp <- Array.make !cells 0;
+      ws.index_gen <- 1;
+      for t = 0 to ws.pairs - 1 do
+        index_set ws ws.pair_key.(t) t
+      done
+    end
 
-     Cross-phase mode ([cross_phase], default on except in from-scratch
-     [Rebuild] runs and under an [on_flow] hook) extends the reuse across
-     *phase* boundaries: the network is built once for the whole solve.
-     When phase i is accepted, its flow is supported entirely on the
-     accepted members (victims were drained at their removal), so draining
-     the accepted jobs' flow leaves exactly zero; the boundary counts the
-     drained flow-carrying edges, zeroes the flows, rescales the surviving
-     source capacities from s_i to the next conjectured speed s_{i+1} (the
-     phase speeds strictly decrease, so w/s only grows — the installed
-     zero flow trivially stays feasible under the monotone capacity
-     increase) and resumes Dinic on the warm topology.  Phase i+1's
-     reservations satisfy m_ij <= phase i's (n_j shrinks, used_j grows),
-     so the phase-1 topology is a superset of every later phase's: the
-     retired edges keep capacity 0 and flow 0, are never traversable, and
-     the padded network's runs are bit-for-bit the compact rebuild's (the
-     [Rewind] argument, applied across phases).  On the dense path the
-     canonical re-extraction of a repaired accepted phase becomes an
-     in-place rewind of the same persistent network; on the compressed
-     path the relaxation network is resumed once per phase and the
-     per-round repairs are skipped entirely — the sweep oracle answers
-     every round's accept test and victim certificate, so the relaxation
-     flow is only an upper-bound witness, and re-repairing it each round
-     was pure overhead.  See DESIGN.md, "Parametric cross-phase reuse". *)
-  type round_strategy = Resume | Rebuild | Rewind
+  let grow_pairs ws cap =
+    if cap > Array.length ws.pair_key then begin
+      let grow a fill =
+        let b = Array.make cap fill in
+        Array.blit a 0 b 0 ws.pairs;
+        b
+      in
+      ws.pair_key <- grow ws.pair_key 0;
+      ws.pair_flow <- grow ws.pair_flow F.zero;
+      ws.pair_next <- grow ws.pair_next (-1)
+    end;
+    index_fit ws cap
 
-  let solve_in ?(flow_algorithm = Dinic) ?(victim_rule = Least_flow)
-      ?(strategy = Resume) ?(group_removal = false) ?compress ?cross_phase
-      ?on_flow ?on_phase ~ws ~machines (jobs : job array) =
-    if machines <= 0 then invalid_arg "Offline.solve: machines <= 0";
-    Array.iter
-      (fun j ->
-        if F.compare j.release j.deadline >= 0 then
-          invalid_arg "Offline.solve: release >= deadline";
-        if F.sign j.work <= 0 then invalid_arg "Offline.solve: work <= 0")
-      jobs;
+  (* A new slot for pair [key] (in interval [ivl]) carrying [flow], at the
+     head of the interval's supporter list. *)
+  let pair_add ws ~key ~ivl flow =
+    if ws.pairs >= Array.length ws.pair_key then grow_pairs ws (max 16 (2 * ws.pairs));
+    let t = ws.pairs in
+    ws.pair_key.(t) <- key;
+    ws.pair_flow.(t) <- flow;
+    ws.pair_next.(t) <- ws.sup_head.(ivl);
+    ws.sup_head.(ivl) <- t;
+    ws.pairs <- t + 1;
+    index_set ws key t
+
+  (* Augment pair [key] by [b].  A pair at zero (absent, or drained by an
+     earlier augmentation) is refilled in a fresh slot at the head of its
+     supporter list, its old slot left at zero: supporter lists stay
+     ordered newest-filled first, which fixes the traversal order and so
+     the flow the oracle returns. *)
+  let pair_push ws ~key ~ivl b =
+    let t = pair_find ws key in
+    if t >= 0 && F.sign ws.pair_flow.(t) <> 0 then
+      ws.pair_flow.(t) <- F.add ws.pair_flow.(t) b
+    else begin
+      let f = F.add (if t < 0 then F.zero else ws.pair_flow.(t)) b in
+      if t >= 0 then ws.pair_flow.(t) <- F.zero;
+      pair_add ws ~key ~ivl f
+    end
+
+  (* Per-solve sweep precomputation: array sizing and the sweep's job order
+     (counting sort by first interval, stable, so ties stay in index order
+     and the sweep is deterministic). *)
+  let sweep_fit ws ~n ~k ~machines =
+    if Array.length ws.sweep_order < n then ws.sweep_order <- Array.make n 0;
+    if Array.length ws.sweep_bucket < k + 1 then ws.sweep_bucket <- Array.make (k + 1) 0;
+    if Array.length ws.sweep_rem < n then ws.sweep_rem <- Array.make n F.zero;
+    if Array.length ws.sweep_sink < k then ws.sweep_sink <- Array.make k F.zero;
+    if Array.length ws.sweep_heap < n then ws.sweep_heap <- Array.make n 0;
+    if Array.length ws.sweep_tmp < n then ws.sweep_tmp <- Array.make n 0;
+    if Array.length ws.sup_head < k then ws.sup_head <- Array.make k (-1);
+    ws.pairs <- 0;
+    grow_pairs ws (n + ((machines + 1) * k) + 8);
+    if Array.length ws.aug_level < n + k then begin
+      ws.aug_level <- Array.make (n + k) (-1);
+      ws.aug_visited <- Array.make (n + k) false;
+      ws.aug_queue <- Array.make (n + k) 0
+    end;
+    if Array.length ws.aug_next < k + 1 then ws.aug_next <- Array.make (k + 1) 0;
+    let bucket = ws.sweep_bucket and first_ivl = ws.first_ivl in
+    Array.fill bucket 0 (k + 1) 0;
+    for i = 0 to n - 1 do
+      bucket.(first_ivl.(i) + 1) <- bucket.(first_ivl.(i) + 1) + 1
+    done;
+    for b = 1 to k do
+      bucket.(b) <- bucket.(b) + bucket.(b - 1)
+    done;
+    for i = 0 to n - 1 do
+      let b = first_ivl.(i) in
+      ws.sweep_order.(bucket.(b)) <- i;
+      bucket.(b) <- bucket.(b) + 1
+    done
+
+  (* --- the sweep oracle --------------------------------------------------
+     An exact maximum flow of the dense Fig. 1 network for the current
+     candidates and conjectured [speed], in two stages, neither of which
+     materializes the O(n k) graph.  Returns the flow value; the flow
+     itself is left in the pair store, the per-interval sink totals in
+     [sweep_sink].
+
+     Stage 1 — earliest-deadline sweep: per interval, serve active
+     candidates in (deadline, index) order, each taking min(pair cap
+     |I_j|, remaining demand, remaining sink capacity).  This yields a
+     feasible dense flow that is usually maximum but provably not always:
+     interval capacities admit procs_j *distinct* jobs (each pair-capped at
+     |I_j|), so a far-deadline job can be the only admissible supplier of a
+     late interval yet have its demand spent on early leftovers — EDF has
+     no lookahead to reserve it.  Allocations per interval are bounded by
+     procs_j + exhausted + 1, so a sweep costs O((n + m k) log n).
+
+     Stage 2 — shortest augmenting paths on the *implicit* dense residual
+     graph: BFS alternates job and interval nodes, where a job's forward
+     arcs are the unvisited intervals of its contiguous window with pair
+     slack (enumerated through path-compressed jump pointers, so each BFS
+     costs O((n + k + live pairs) alpha)) and an interval's backward arcs
+     come from its supporter list.  Augmenting along shortest paths until
+     the sink is unreachable makes the flow maximum — Edmonds–Karp
+     termination needs no integrality — so the oracle's value answers the
+     accept test exactly and its sparse (job, interval) allocation is a
+     valid Lemma 4 certificate.  The sweep leaves few mistakes to repair:
+     across the test matrix the completion averages under one augmentation
+     per round. *)
+  let sweep ws ~n ~k (jobs : job array) speed =
+    let candidate = ws.candidate
+    and procs = ws.procs
+    and widths = ws.widths
+    and first_ivl = ws.first_ivl
+    and last_ivl = ws.last_ivl
+    and order = ws.sweep_order
+    and rem = ws.sweep_rem
+    and ssink = ws.sweep_sink
+    and heap = ws.sweep_heap
+    and tmp = ws.sweep_tmp in
+    ws.pairs <- 0;
+    ws.index_gen <- ws.index_gen + 1;
+    Array.fill ws.sup_head 0 k (-1);
+    Array.fill ssink 0 k F.zero;
+    for i = 0 to n - 1 do
+      if candidate.(i) then rem.(i) <- F.div jobs.(i).work speed
+    done;
+    let hsize = ref 0 in
+    let before a b =
+      last_ivl.(a) < last_ivl.(b) || (last_ivl.(a) = last_ivl.(b) && a < b)
+    in
+    let hpush i =
+      let c = ref !hsize in
+      incr hsize;
+      heap.(!c) <- i;
+      let sifting = ref true in
+      while !sifting && !c > 0 do
+        let p = (!c - 1) / 2 in
+        if before heap.(!c) heap.(p) then begin
+          let t = heap.(!c) in
+          heap.(!c) <- heap.(p);
+          heap.(p) <- t;
+          c := p
+        end
+        else sifting := false
+      done
+    in
+    let hpop () =
+      let top = heap.(0) in
+      decr hsize;
+      heap.(0) <- heap.(!hsize);
+      let c = ref 0 in
+      let sifting = ref true in
+      while !sifting do
+        let l = (2 * !c) + 1 in
+        if l >= !hsize then sifting := false
+        else begin
+          let r = l + 1 in
+          let s = if r < !hsize && before heap.(r) heap.(l) then r else l in
+          if before heap.(s) heap.(!c) then begin
+            let t = heap.(!c) in
+            heap.(!c) <- heap.(s);
+            heap.(s) <- t;
+            c := s
+          end
+          else sifting := false
+        end
+      done;
+      top
+    in
+    let ptr = ref 0 in
+    let value = ref F.zero in
+    for j = 0 to k - 1 do
+      while !ptr < n && first_ivl.(order.(!ptr)) <= j do
+        let i = order.(!ptr) in
+        incr ptr;
+        if candidate.(i) then hpush i
+      done;
+      while !hsize > 0 && last_ivl.(heap.(0)) < j do
+        ignore (hpop ())
+      done;
+      if procs.(j) > 0 && !hsize > 0 then begin
+        let residual = ref (F.mul (F.of_int procs.(j)) widths.(j)) in
+        let parked = ref 0 in
+        let serving = ref true in
+        while !serving && !hsize > 0 do
+          if F.sign !residual <= 0 then serving := false
+          else begin
+            let i = hpop () in
+            let x = F.min (F.min widths.(j) rem.(i)) !residual in
+            pair_add ws ~key:((i * k) + j) ~ivl:j x;
+            ssink.(j) <- F.add ssink.(j) x;
+            rem.(i) <- F.sub rem.(i) x;
+            residual := F.sub !residual x;
+            value := F.add !value x;
+            if F.sign rem.(i) > 0 then begin
+              tmp.(!parked) <- i;
+              incr parked
+            end
+          end
+        done;
+        for t = 0 to !parked - 1 do
+          hpush tmp.(t)
+        done
+      end
+    done;
+    (* Stage 2: finish to a maximum flow with Dinic-style blocking flows on
+       the implicit residual graph.  Node ids: job i -> i, interval j ->
+       n + j.  Each pass levels the residual by BFS (path-compressed jump
+       pointers enumerate a job's unvisited window intervals, supporter
+       lists give an interval's backward arcs), then a depth-first blocking
+       flow with current-arc pointers sends every shortest augmenting path
+       of that length at once.  The loop exits only when BFS proves the
+       sink unreachable, so the result is maximum whatever the pass count;
+       tolerance-gated arcs make every bottleneck positive beyond
+       tolerance, so passes terminate. *)
+    let level = ws.aug_level
+    and visited = ws.aug_visited
+    and queue = ws.aug_queue
+    and nextiv = ws.aug_next
+    and cur_job = ws.sweep_heap (* free after the sweep: current arc *)
+    and cur_sup = ws.sweep_bucket (* free after the sort: current arc *) in
+    let iv j = n + j in
+    let slack u j = F.sign (F.sub widths.(j) (pair_flow ws ((u * k) + j))) > 0 in
+    (* Path-compressed "next possibly-unvisited interval >= j". *)
+    let rec find_next j =
+      if j >= k || not visited.(iv j) then j
+      else begin
+        let r = find_next nextiv.(j) in
+        nextiv.(j) <- r;
+        r
+      end
+    in
+    let exhausted = ref false in
+    while not !exhausted do
+      Array.fill visited 0 (n + k) false;
+      for j = 0 to k - 1 do
+        (* A procs-free interval carries no arc at all. *)
+        if procs.(j) = 0 then visited.(iv j) <- true;
+        nextiv.(j) <- j + 1
+      done;
+      nextiv.(k) <- k;
+      let head = ref 0 and tail = ref 0 in
+      for i = 0 to n - 1 do
+        if candidate.(i) && F.sign rem.(i) > 0 then begin
+          visited.(i) <- true;
+          level.(i) <- 0;
+          queue.(!tail) <- i;
+          incr tail
+        end
+      done;
+      (* [dist] = length of a shortest augmenting path: the level of the
+         nearest interval with sink slack, plus its sink arc.  BFS
+         discovers in level order, so the first exit found fixes it;
+         deeper nodes are not expanded. *)
+      let dist = ref max_int in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        if level.(u) + 1 < !dist then
+          if u < n then begin
+            let j = ref (find_next first_ivl.(u)) in
+            while !j <= last_ivl.(u) do
+              let jj = !j in
+              if slack u jj then begin
+                visited.(iv jj) <- true;
+                level.(iv jj) <- level.(u) + 1;
+                let cap = F.mul (F.of_int procs.(jj)) widths.(jj) in
+                if F.sign (F.sub cap ssink.(jj)) > 0 then begin
+                  if level.(iv jj) + 1 < !dist then dist := level.(iv jj) + 1
+                end
+                else begin
+                  queue.(!tail) <- iv jj;
+                  incr tail
+                end
+              end;
+              j := find_next (jj + 1)
+            done
+          end
+          else begin
+            let t = ref ws.sup_head.(u - n) in
+            while !t >= 0 do
+              let i = ws.pair_key.(!t) / k in
+              if (not visited.(i)) && F.sign ws.pair_flow.(!t) > 0 then begin
+                visited.(i) <- true;
+                level.(i) <- level.(u) + 1;
+                queue.(!tail) <- i;
+                incr tail
+              end;
+              t := ws.pair_next.(!t)
+            done
+          end
+      done;
+      if !dist = max_int then exhausted := true
+      else begin
+        let exit_level = !dist - 1 in
+        for i = 0 to n - 1 do
+          cur_job.(i) <- first_ivl.(i)
+        done;
+        for j = 0 to k - 1 do
+          cur_sup.(j) <- ws.sup_head.(j)
+        done;
+        (* The BFS queue is spent; reuse it as the DFS path stack
+           (alternating job, interval, job, ... nodes). *)
+        let stack = queue in
+        for src = 0 to n - 1 do
+          if candidate.(src) && visited.(src) && level.(src) = 0 then begin
+            let depth = ref 0 in
+            stack.(0) <- src;
+            let active = ref (F.sign rem.(src) > 0) in
+            while !active do
+              let u = stack.(!depth) in
+              if u >= n && level.(u) = exit_level then begin
+                let j0 = u - n in
+                let sink_res =
+                  F.sub (F.mul (F.of_int procs.(j0)) widths.(j0)) ssink.(j0)
+                in
+                if F.sign sink_res > 0 then begin
+                  (* Complete shortest path: augment by the bottleneck
+                     (positive beyond tolerance by the arc gating); in exact
+                     float arithmetic the tight constraint drops to zero,
+                     closing at least one arc per path. *)
+                  let bot = ref (F.min sink_res rem.(src)) in
+                  for d = 0 to !depth - 1 do
+                    let a = stack.(d) and b = stack.(d + 1) in
+                    if a < n then
+                      bot := F.min !bot (F.sub widths.(b - n) (pair_flow ws ((a * k) + (b - n))))
+                    else bot := F.min !bot (pair_flow ws ((b * k) + (a - n)))
+                  done;
+                  let b = !bot in
+                  ssink.(j0) <- F.add ssink.(j0) b;
+                  rem.(src) <- F.sub rem.(src) b;
+                  value := F.add !value b;
+                  for d = 0 to !depth - 1 do
+                    let a = stack.(d) and dst = stack.(d + 1) in
+                    if a < n then pair_push ws ~key:((a * k) + (dst - n)) ~ivl:(dst - n) b
+                    else begin
+                      let t = pair_find ws ((dst * k) + (a - n)) in
+                      ws.pair_flow.(t) <- F.sub ws.pair_flow.(t) b
+                    end
+                  done;
+                  (* Restart from the source: saturated arcs now fail their
+                     residual checks and advance the pointers. *)
+                  depth := 0;
+                  if F.sign rem.(src) <= 0 then active := false
+                end
+                else begin
+                  (* Drained exit: paths through it would be longer than
+                     [dist], so retreat. *)
+                  decr depth;
+                  let p = stack.(!depth) in
+                  cur_job.(p) <- cur_job.(p) + 1
+                end
+              end
+              else if u < n then begin
+                let lj = last_ivl.(u) in
+                let nl = level.(u) + 1 in
+                let j = ref cur_job.(u) in
+                let stop = ref false in
+                while (not !stop) && !j <= lj do
+                  let jj = !j in
+                  if visited.(iv jj) && level.(iv jj) = nl && slack u jj then stop := true
+                  else incr j
+                done;
+                cur_job.(u) <- !j;
+                if !stop then begin
+                  incr depth;
+                  stack.(!depth) <- iv !j
+                end
+                else if !depth = 0 then active := false
+                else begin
+                  decr depth;
+                  let p = stack.(!depth) in
+                  cur_sup.(p - n) <- ws.pair_next.(cur_sup.(p - n))
+                end
+              end
+              else begin
+                let j = u - n in
+                let nl = level.(u) + 1 in
+                let t = ref cur_sup.(j) in
+                let stop = ref false in
+                while (not !stop) && !t >= 0 do
+                  let i = ws.pair_key.(!t) / k in
+                  if visited.(i) && level.(i) = nl && F.sign ws.pair_flow.(!t) > 0 then
+                    stop := true
+                  else t := ws.pair_next.(!t)
+                done;
+                cur_sup.(j) <- !t;
+                if !stop then begin
+                  incr depth;
+                  stack.(!depth) <- ws.pair_key.(!t) / k
+                end
+                else begin
+                  decr depth;
+                  let p = stack.(!depth) in
+                  cur_job.(p) <- cur_job.(p) + 1
+                end
+              end
+            done
+          end
+        done
+      end
+    done;
+    !value
+
+  (* The sweep's positive pairs as (job, interval, time), in ascending
+     (job, interval) order. *)
+  let sweep_alloc ws ~k =
+    let live = ref 0 in
+    for t = 0 to ws.pairs - 1 do
+      if F.sign ws.pair_flow.(t) > 0 then incr live
+    done;
+    let slots = Array.make !live 0 in
+    let next = ref 0 in
+    for t = 0 to ws.pairs - 1 do
+      if F.sign ws.pair_flow.(t) > 0 then begin
+        slots.(!next) <- t;
+        incr next
+      end
+    done;
+    Array.sort (fun a b -> Int.compare ws.pair_key.(a) ws.pair_key.(b)) slots;
+    Array.fold_right
+      (fun t acc ->
+        let key = ws.pair_key.(t) in
+        (key / k, key mod k, ws.pair_flow.(t)) :: acc)
+      slots []
+
+  (* --- the dense substrate -----------------------------------------------
+     The Fig. 1 network is built once per solve, in the first phase: 0 =
+     source, 1 = sink, then the jobs, then the intervals with procs > 0.
+     Every later round of every phase reuses that topology: it zeroes the
+     flows, installs the current capacities (0 for jobs no longer
+     candidates, the shrunk reservations m_j |I_j| on the sinks, w / s on
+     the candidates' sources) and solves from zero flow.  Reservations only
+     shrink within a solve (n_j drops, used_j grows), so no edge ever needs
+     adding; a zero-capacity edge has zero residual, so no traversal ever
+     takes it, and the max-flow's BFS levels, augmenting sequence and
+     every edge flow are bit for bit those of a fresh build of the
+     candidates' network. *)
+  let build_dense ws ~n ~k (jobs : job array) speed =
+    let g = ws.g and candidate = ws.candidate and procs = ws.procs
+    and widths = ws.widths in
+    Array.fill ws.job_vertex 0 n (-1);
+    Array.fill ws.ivl_vertex 0 k (-1);
+    Array.fill ws.source_edge 0 n (-1);
+    Array.fill ws.sink_edge 0 k (-1);
+    (* Only candidate rows of the flat edge table are ever read (and only
+       on the job's active span), so only those need resetting. *)
+    for i = 0 to n - 1 do
+      if candidate.(i) then
+        Array.fill ws.job_edge ((i * k) + ws.first_ivl.(i))
+          (ws.last_ivl.(i) - ws.first_ivl.(i) + 1)
+          (-1)
+    done;
+    let next = ref 2 in
+    for i = 0 to n - 1 do
+      if candidate.(i) then begin
+        ws.job_vertex.(i) <- !next;
+        incr next
+      end
+    done;
+    for j = 0 to k - 1 do
+      if procs.(j) > 0 then begin
+        ws.ivl_vertex.(j) <- !next;
+        incr next
+      end
+    done;
+    Flow.clear g ~n:!next;
+    for i = 0 to n - 1 do
+      if candidate.(i) then
+        ws.source_edge.(i) <-
+          Flow.add_edge g ~src:0 ~dst:ws.job_vertex.(i) ~cap:(F.div jobs.(i).work speed)
+    done;
+    for i = 0 to n - 1 do
+      if candidate.(i) then
+        for j = ws.first_ivl.(i) to ws.last_ivl.(i) do
+          if procs.(j) > 0 then
+            ws.job_edge.((i * k) + j) <-
+              Flow.add_edge g ~src:ws.job_vertex.(i) ~dst:ws.ivl_vertex.(j) ~cap:widths.(j)
+        done
+    done;
+    for j = 0 to k - 1 do
+      if procs.(j) > 0 then
+        ws.sink_edge.(j) <-
+          Flow.add_edge g ~src:ws.ivl_vertex.(j) ~dst:1
+            ~cap:(F.mul (F.of_int procs.(j)) widths.(j))
+    done
+
+  let rewind_dense ws ~n ~k (jobs : job array) speed =
+    let g = ws.g in
+    Flow.reset_flows g;
+    for i = 0 to n - 1 do
+      if ws.source_edge.(i) >= 0 then
+        Flow.set_capacity g ws.source_edge.(i)
+          ~cap:(if ws.candidate.(i) then F.div jobs.(i).work speed else F.zero)
+    done;
+    for j = 0 to k - 1 do
+      if ws.sink_edge.(j) >= 0 then
+        Flow.set_capacity g ws.sink_edge.(j)
+          ~cap:(F.mul (F.of_int ws.procs.(j)) ws.widths.(j))
+    done
+
+  (* --- Lemma 4 certificates ----------------------------------------------
+     Mark every candidate with a non-full pair into an unsaturated interval:
+     each certificate refers to the same maximum flow, so every marked job
+     is individually removable by Lemma 4, and removing them together
+     reaches the same phase partition (the unique fixed point) in fewer
+     rounds than one victim per max flow.  Returns the number marked. *)
+  let certify ws ~n ~k ~sink_flow_at ~pair_flow_at =
+    let procs = ws.procs and widths = ws.widths and unsat = ws.unsat_next in
+    unsat.(k) <- k;
+    for j = k - 1 downto 0 do
+      unsat.(j) <-
+        (if
+           procs.(j) > 0
+           && not (F.equal_approx (sink_flow_at j) (F.mul (F.of_int procs.(j)) widths.(j)))
+         then j
+         else unsat.(j + 1))
+    done;
+    if unsat.(0) = k then
+      failwith "Offline.solve: flow deficit without unsaturated sink edge";
+    let mark = ws.victim_mark in
+    Array.fill mark 0 n false;
+    let marked = ref 0 in
+    for i = 0 to n - 1 do
+      if ws.candidate.(i) then begin
+        let j = ref unsat.(ws.first_ivl.(i)) in
+        while !j <= ws.last_ivl.(i) do
+          if F.equal_approx (pair_flow_at i !j) widths.(!j) then j := unsat.(!j + 1)
+          else begin
+            mark.(i) <- true;
+            incr marked;
+            j := k
+          end
+        done
+      end
+    done;
+    if !marked = 0 then
+      failwith "Offline.solve: unsaturated interval without removable job";
+    !marked
+
+  (* The round loop.  Each phase conjectures the remaining jobs as the next
+     speed class; each round asks the oracle for a maximum flow of the
+     Fig. 1 network of the current candidates at their conjectured speed.
+     A saturating flow accepts the phase and its pair flows are the t_kj; a
+     deficit removes every job the flow certifies (Lemma 4) and conjectures
+     again.  Phases, removals, speeds and reservations are fixed by the
+     instance, and for a given oracle so are the t_kj; grouping the
+     removals only cuts the round count.
+
+     Two oracles answer a round, chosen per solve by size ([compress],
+     default: [n * k >= compress_threshold]):
+     - dense: the Fig. 1 network, built once per solve and rewound in place
+       for every later round (see [build_dense]);
+     - sweep: the earliest-deadline sweep finished by implicit-residual
+       augmentation (see [sweep]), which computes a maximum flow of the same
+       network without materializing it.  It builds no flow network at
+       all, so the network counters read 0.
+     Both return maximum flows of the same network: accept decisions,
+     certificates, phase partitions, speeds, reservations and energies
+     agree, while the t_kj split among a phase's equal-speed members may
+     differ between the two (every member's total is its demand either
+     way).  [on_flow] sees the dense network after each of its rounds. *)
+  let solve_in ?(flow_algorithm = Dinic) ?compress ?on_flow ~ws ~machines
+      (jobs : job array) =
+    validate ~machines jobs;
     let n = Array.length jobs in
     let breakpoints = sort_uniq_times jobs in
     let k = Array.length breakpoints - 1 in
-    let use_compress =
+    let use_sweep =
       n > 0 && k > 0
       && (match compress with Some b -> b | None -> n * k >= compress_threshold)
     in
-    ws_fit ws ~n ~k ~dense:(not use_compress);
+    ws_fit ws ~n ~k ~dense:(not use_sweep);
     let widths = ws.widths in
     for j = 0 to k - 1 do
       widths.(j) <- F.sub breakpoints.(j + 1) breakpoints.(j)
     done;
     (* Every release and deadline is a breakpoint, so job i is active on
-       the contiguous interval range [index(release), index(deadline) - 1]:
-       computed once by binary search, replacing the per-round O(n k)
-       window scans. *)
-    let index_of t =
-      let lo = ref 0 and hi = ref (Array.length breakpoints - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if F.compare breakpoints.(mid) t < 0 then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
+       the contiguous interval range [index(release), index(deadline) - 1]. *)
     let first_ivl = ws.first_ivl and last_ivl = ws.last_ivl in
     for i = 0 to n - 1 do
-      first_ivl.(i) <- index_of jobs.(i).release;
-      last_ivl.(i) <- index_of jobs.(i).deadline - 1
+      first_ivl.(i) <- index_of breakpoints jobs.(i).release;
+      last_ivl.(i) <- index_of breakpoints jobs.(i).deadline - 1
     done;
-    let is_active i j = first_ivl.(i) <= j && j <= last_ivl.(i) in
-    (* Per-solve compressed-path precomputation: the interval tree (reused
-       across solves with the same grid size), per-node width sums, the
-       flat canonical-cover table, the sweep's job order, and array/arena
-       sizing.  All deterministic functions of the instance, computed once
-       — the round loop allocates nothing. *)
-    if use_compress then begin
-      if ws.tree_k <> k then begin
-        ws.tree <- Itree.create ~k;
-        ws.tree_k <- k
-      end;
-      let tree = ws.tree in
-      let nodes = Itree.node_count tree in
-      if Array.length ws.node_wsum < nodes then
-        ws.node_wsum <- Array.make (max nodes (2 * Array.length ws.node_wsum)) F.zero;
-      (* Preorder ids put children after their parent, so a reverse id
-         sweep sees both children before each internal node. *)
-      for v = nodes - 1 downto 0 do
-        if Itree.is_leaf tree v then
-          ws.node_wsum.(v) <- widths.(fst (Itree.span tree v))
-        else
-          ws.node_wsum.(v) <-
-            F.add ws.node_wsum.(Itree.left tree v) ws.node_wsum.(Itree.right tree v)
-      done;
-      if Array.length ws.cover_off < n + 1 then
-        ws.cover_off <- Array.make (max (n + 1) (2 * Array.length ws.cover_off)) 0;
-      let total = ref 0 in
-      for i = 0 to n - 1 do
-        ws.cover_off.(i) <- !total;
-        total := !total + Itree.cover_count tree ~lo:first_ivl.(i) ~hi:(last_ivl.(i) + 1)
-      done;
-      ws.cover_off.(n) <- !total;
-      if Array.length ws.cover_node < !total then
-        ws.cover_node <- Array.make (max !total (2 * Array.length ws.cover_node)) 0;
-      let cur = ref 0 in
-      for i = 0 to n - 1 do
-        Itree.cover tree ~lo:first_ivl.(i) ~hi:(last_ivl.(i) + 1) (fun v ->
-            ws.cover_node.(!cur) <- v;
-            incr cur)
-      done;
-      (* Sweep job order: counting sort by first interval (stable, so ties
-         stay in index order — the sweep is deterministic). *)
-      if Array.length ws.sweep_order < n then ws.sweep_order <- Array.make n 0;
-      if Array.length ws.sweep_bucket < k + 1 then ws.sweep_bucket <- Array.make (k + 1) 0;
-      if Array.length ws.sweep_rem < n then ws.sweep_rem <- Array.make n F.zero;
-      if Array.length ws.sweep_sink < k then ws.sweep_sink <- Array.make k F.zero;
-      if Array.length ws.sweep_flow < n * k then begin
-        ws.sweep_flow <- Array.make (n * k) F.zero;
-        ws.sweep_touched <- 0
-      end;
-      let touch_cap = n + ((machines + 1) * k) + 8 in
-      if Array.length ws.sweep_touch < touch_cap then begin
-        ws.sweep_touch <- Array.make touch_cap 0;
-        ws.sup_next <- Array.make touch_cap (-1)
-      end;
-      if Array.length ws.sweep_heap < n then ws.sweep_heap <- Array.make n 0;
-      if Array.length ws.sweep_tmp < n then ws.sweep_tmp <- Array.make n 0;
-      if Array.length ws.sup_head < k then ws.sup_head <- Array.make k (-1);
-      if Array.length ws.aug_parent < n + k then begin
-        ws.aug_parent <- Array.make (n + k) (-1);
-        ws.aug_visited <- Array.make (n + k) false;
-        ws.aug_queue <- Array.make (n + k) 0
-      end;
-      if Array.length ws.aug_next < k + 1 then ws.aug_next <- Array.make (k + 1) 0;
-      let bucket = ws.sweep_bucket in
-      Array.fill bucket 0 (k + 1) 0;
-      for i = 0 to n - 1 do
-        bucket.(first_ivl.(i) + 1) <- bucket.(first_ivl.(i) + 1) + 1
-      done;
-      for b = 1 to k do
-        bucket.(b) <- bucket.(b) + bucket.(b - 1)
-      done;
-      for i = 0 to n - 1 do
-        let b = first_ivl.(i) in
-        ws.sweep_order.(bucket.(b)) <- i;
-        bucket.(b) <- bucket.(b) + 1
-      done;
-      (* Compressed network bound: n source + cover + 2(k-1) down + k leaf
-         edges on 2 + n + (2k - 1) vertices. *)
-      ignore
-        (Flow.reserve ws.g ~vertices:(n + (2 * k) + 1) ~edges:(n + !total + (3 * k)))
-    end;
+    if use_sweep then sweep_fit ws ~n ~k ~machines;
     (* Processors already reserved by earlier (faster) phases. *)
     let used = ws.used in
     Array.fill used 0 k 0;
@@ -442,48 +872,23 @@ struct
     Array.fill remaining 0 n true;
     let remaining_count = ref n in
     let phases = ref [] in
+    let phase_count = ref 0 in
     let rounds = ref 0 in
     let resumes = ref 0 in
     let removals = ref 0 in
     let grouped = ref 0 in
-    let net_edges = ref 0 in
-    let phase_count = ref 0 in
-    (* Cross-phase reuse: build the network once, carry the flow arena
-       across phase boundaries (drain / rescale / resume).  [Rebuild] runs
-       stay fully from-scratch — they are the paper-literal reference — and
-       an [on_flow] observer sees per-phase compact networks unless the
-       caller opts in explicitly. *)
-    let cross_phase =
-      (match cross_phase with Some b -> b | None -> on_flow = None)
-      && strategy <> Rebuild
-    in
+    let largest_group = ref 0 in
     let phase_resumes = ref 0 in
-    let phase_drain_edges = ref 0 in
-    let phase_edges = ref [] in      (* per-phase peaks, reversed *)
-    let phase_waves = ref [] in      (* per-phase BFS-wave deltas, reversed *)
-    let waves_mark = ref 0 in
-    let phase_peak = ref 0 in        (* edge peak of the current phase's rounds *)
-    (* One arena for every round of every phase; [Flow.clear] keeps the
-       allocations.  [job_edge] is a flat [i * k + j] edge-id table
-       (-1 = absent): no hashing in the inner loop, and extraction walks it
-       in deterministic index order. *)
+    let net_edges = ref 0 in
     let g = ws.g in
     Flow.reset_counters g;
-    let job_vertex = ws.job_vertex in
-    let ivl_vertex = ws.ivl_vertex in
-    let source_edge = ws.source_edge in
-    let sink_edge = ws.sink_edge in
-    let job_edge = ws.job_edge in
+    let candidate = ws.candidate and nj = ws.nj and procs = ws.procs in
     while !remaining_count > 0 do
       incr phase_count;
-      (* Candidate set for this phase; shrinks by the removed victims of
-         each failed round. *)
-      let candidate = ws.candidate in
       Array.blit remaining 0 candidate 0 n;
       let cand_count = ref !remaining_count in
       (* Lemma 3 reservation state, maintained incrementally: n_j only
          changes on a removed victim's active range. *)
-      let nj = ws.nj in
       Array.fill nj 0 k 0;
       for i = 0 to n - 1 do
         if candidate.(i) then
@@ -491,27 +896,22 @@ struct
             nj.(j) <- nj.(j) + 1
           done
       done;
-      let procs = ws.procs in
       for j = 0 to k - 1 do
         procs.(j) <- min nj.(j) (machines - used.(j))
       done;
       (* Full resummation each round (not delta updates) keeps the float
-         rounding identical between incremental and from-scratch runs. *)
-      let current_totals () =
+         rounding independent of the removal history. *)
+      let total_time = ref F.zero and speed = ref F.zero in
+      let conjecture () =
         let time = ref F.zero in
         for j = 0 to k - 1 do
           time := F.add !time (F.mul (F.of_int procs.(j)) widths.(j))
         done;
-        let time = !time in
         let work = ref F.zero in
         for i = 0 to n - 1 do
           if candidate.(i) then work := F.add !work jobs.(i).work
         done;
-        (time, !work)
-      in
-      let conjecture () =
-        let total_time, total_work = current_totals () in
-        if F.sign total_time <= 0 then begin
+        if F.sign !time <= 0 then begin
           (* Some candidate job has zero reservable time everywhere. *)
           let offender = ref (-1) in
           for i = n - 1 downto 0 do
@@ -519,623 +919,42 @@ struct
           done;
           raise (Stranded_job !offender)
         end;
-        (total_time, F.div total_work total_time)
+        total_time := !time;
+        speed := F.div !work !time
       in
-      let total_time = ref F.zero in
-      let speed = ref F.zero in
-      let refresh_conjecture () =
-        let t, s = conjecture () in
-        total_time := t;
-        speed := s
-      in
-      refresh_conjecture ();
-      (* Build the Fig. 1 network: 0 = source, 1 = sink, then candidate
-         jobs, then intervals with procs > 0.  In incremental mode this
-         happens once per phase (reservations only shrink afterwards, so
-         no interval ever needs to be added later). *)
-      let build () =
-        Array.fill job_vertex 0 n (-1);
-        Array.fill ivl_vertex 0 k (-1);
-        Array.fill source_edge 0 n (-1);
-        Array.fill sink_edge 0 k (-1);
-        (* Only candidate rows of the flat edge table are ever read (and
-           only on the job's active span), so only those need resetting. *)
-        for i = 0 to n - 1 do
-          if candidate.(i) then
-            Array.fill job_edge ((i * k) + first_ivl.(i))
-              (last_ivl.(i) - first_ivl.(i) + 1)
-              (-1)
-        done;
-        let next = ref 2 in
-        for i = 0 to n - 1 do
-          if candidate.(i) then begin
-            job_vertex.(i) <- !next;
-            incr next
-          end
-        done;
-        for j = 0 to k - 1 do
-          if procs.(j) > 0 then begin
-            ivl_vertex.(j) <- !next;
-            incr next
-          end
-        done;
-        Flow.clear g ~n:!next;
-        for i = 0 to n - 1 do
-          if candidate.(i) then
-            source_edge.(i) <-
-              Flow.add_edge g ~src:0 ~dst:job_vertex.(i) ~cap:(F.div jobs.(i).work !speed)
-        done;
-        for i = 0 to n - 1 do
-          if candidate.(i) then
-            for j = first_ivl.(i) to last_ivl.(i) do
-              if procs.(j) > 0 then
-                job_edge.((i * k) + j) <-
-                  Flow.add_edge g ~src:job_vertex.(i) ~dst:ivl_vertex.(j) ~cap:widths.(j)
-            done
-        done;
-        for j = 0 to k - 1 do
-          if procs.(j) > 0 then
-            sink_edge.(j) <-
-              Flow.add_edge g ~src:ivl_vertex.(j) ~dst:1
-                ~cap:(F.mul (F.of_int procs.(j)) widths.(j))
-        done
-      in
-      (* Compressed round network: source and sink as in [build], candidate
-         job vertices in index order, then the interval tree in preorder.
-         Each job reaches the O(log k) canonical cover of its window
-         (capacity: the node's width sum — the aggregate of the dense
-         per-interval caps); internal nodes fan out to their children with
-         never-binding capacity m * width-sum; every leaf carries the real
-         m_j |I_j| sink capacity into [sink_edge], with zero-capacity
-         leaves kept so removals repair sink capacities in place exactly
-         as on the dense network.  [job_vertex]/[source_edge] are populated
-         identically to [build], so [repair_and_resume] and the [Rewind]
-         refresh run unchanged on either substrate. *)
-      let build_compressed () =
-        let tree = ws.tree in
-        let nodes = Itree.node_count tree in
-        Array.fill job_vertex 0 n (-1);
-        Array.fill ivl_vertex 0 k (-1);
-        Array.fill source_edge 0 n (-1);
-        Array.fill sink_edge 0 k (-1);
-        let next = ref 2 in
-        for i = 0 to n - 1 do
-          if candidate.(i) then begin
-            job_vertex.(i) <- !next;
-            incr next
-          end
-        done;
-        let base = !next in
-        Flow.clear g ~n:(base + nodes);
-        for i = 0 to n - 1 do
-          if candidate.(i) then
-            source_edge.(i) <-
-              Flow.add_edge g ~src:0 ~dst:job_vertex.(i) ~cap:(F.div jobs.(i).work !speed)
-        done;
-        for i = 0 to n - 1 do
-          if candidate.(i) then
-            for c = ws.cover_off.(i) to ws.cover_off.(i + 1) - 1 do
-              let v = ws.cover_node.(c) in
-              ignore
-                (Flow.add_edge g ~src:job_vertex.(i) ~dst:(base + v)
-                   ~cap:ws.node_wsum.(v))
-            done
-        done;
-        let mf = F.of_int machines in
-        for v = 0 to nodes - 1 do
-          if not (Itree.is_leaf tree v) then begin
-            let l = Itree.left tree v and r = Itree.right tree v in
-            ignore
-              (Flow.add_edge g ~src:(base + v) ~dst:(base + l)
-                 ~cap:(F.mul mf ws.node_wsum.(l)));
-            ignore
-              (Flow.add_edge g ~src:(base + v) ~dst:(base + r)
-                 ~cap:(F.mul mf ws.node_wsum.(r)))
-          end
-        done;
-        for j = 0 to k - 1 do
-          sink_edge.(j) <-
-            Flow.add_edge g ~src:(base + Itree.leaf tree j) ~dst:1
-              ~cap:(F.mul (F.of_int procs.(j)) widths.(j))
-        done
-      in
-      let build_net () = if use_compress then build_compressed () else build () in
-      (* Exact dense max-flow oracle for the compressed path, in two
-         stages, neither of which materializes the O(n k) graph.
-
-         Stage 1 — earliest-deadline sweep: per interval, serve active
-         candidates in (deadline, index) order, each taking min(pair cap
-         |I_j|, remaining demand, remaining sink capacity).  This yields
-         a feasible dense flow that is usually maximum but provably not
-         always: interval capacities admit procs_j *distinct* jobs (each
-         pair-capped at |I_j|), so a far-deadline job can be the only
-         admissible supplier of a late interval yet have its demand spent
-         on early leftovers — EDF has no lookahead to reserve it.
-         Allocations per interval are bounded by procs_j + exhausted + 1,
-         so a sweep costs O((n + m k) log n).
-
-         Stage 2 — shortest augmenting paths on the *implicit* dense
-         residual graph: BFS alternates job and interval nodes, where a
-         job's forward arcs are the unvisited intervals of its contiguous
-         window with pair slack (enumerated through path-compressed jump
-         pointers, so each BFS costs O((n + k + live pairs) alpha)) and
-         an interval's backward arcs come from its supporter list (jobs
-         with positive sweep flow, threaded through the touch entries).
-         Augmenting along shortest paths until the sink is unreachable
-         makes the flow maximum — Edmonds–Karp termination needs no
-         integrality — so the oracle's value answers the accept test
-         exactly and its sparse (job, interval) allocation is a valid
-         Lemma 4 certificate.  The sweep leaves few mistakes to repair:
-         across the test matrix the completion averages under one
-         augmentation per round.
-
-         [sweep_flow] entries are zeroed lazily via the touch list, so
-         consecutive rounds (and solves sharing a workspace) never pay
-         O(n k) clears. *)
-      let sweep () =
-        let order = ws.sweep_order
-        and rem = ws.sweep_rem
-        and sflow = ws.sweep_flow
-        and ssink = ws.sweep_sink
-        and heap = ws.sweep_heap
-        and tmp = ws.sweep_tmp in
-        for t = 0 to ws.sweep_touched - 1 do
-          sflow.(ws.sweep_touch.(t)) <- F.zero
-        done;
-        ws.sweep_touched <- 0;
-        Array.fill ws.sup_head 0 k (-1);
-        (* Record a (job, interval) pair going positive: lazy-clear list
-           entry plus supporter-list link for the interval's backward
-           arcs.  Grows the shared arrays when stage 2 activates more
-           pairs than the sweep bound. *)
-        let touch_pair idx j =
-          if ws.sweep_touched >= Array.length ws.sweep_touch then begin
-            let cap' = 2 * Array.length ws.sweep_touch in
-            let touch' = Array.make cap' 0 in
-            Array.blit ws.sweep_touch 0 touch' 0 ws.sweep_touched;
-            ws.sweep_touch <- touch';
-            let next' = Array.make cap' (-1) in
-            Array.blit ws.sup_next 0 next' 0 ws.sweep_touched;
-            ws.sup_next <- next'
-          end;
-          let t = ws.sweep_touched in
-          ws.sweep_touch.(t) <- idx;
-          ws.sup_next.(t) <- ws.sup_head.(j);
-          ws.sup_head.(j) <- t;
-          ws.sweep_touched <- t + 1
-        in
-        Array.fill ssink 0 k F.zero;
-        for i = 0 to n - 1 do
-          if candidate.(i) then rem.(i) <- F.div jobs.(i).work !speed
-        done;
-        let hsize = ref 0 in
-        let before a b =
-          last_ivl.(a) < last_ivl.(b) || (last_ivl.(a) = last_ivl.(b) && a < b)
-        in
-        let hpush i =
-          let c = ref !hsize in
-          incr hsize;
-          heap.(!c) <- i;
-          let sifting = ref true in
-          while !sifting && !c > 0 do
-            let p = (!c - 1) / 2 in
-            if before heap.(!c) heap.(p) then begin
-              let t = heap.(!c) in
-              heap.(!c) <- heap.(p);
-              heap.(p) <- t;
-              c := p
-            end
-            else sifting := false
-          done
-        in
-        let hpop () =
-          let top = heap.(0) in
-          decr hsize;
-          heap.(0) <- heap.(!hsize);
-          let c = ref 0 in
-          let sifting = ref true in
-          while !sifting do
-            let l = (2 * !c) + 1 in
-            if l >= !hsize then sifting := false
-            else begin
-              let r = l + 1 in
-              let s = if r < !hsize && before heap.(r) heap.(l) then r else l in
-              if before heap.(s) heap.(!c) then begin
-                let t = heap.(!c) in
-                heap.(!c) <- heap.(s);
-                heap.(s) <- t;
-                c := s
-              end
-              else sifting := false
-            end
-          done;
-          top
-        in
-        let ptr = ref 0 in
-        let value = ref F.zero in
-        for j = 0 to k - 1 do
-          while !ptr < n && first_ivl.(order.(!ptr)) <= j do
-            let i = order.(!ptr) in
-            incr ptr;
-            if candidate.(i) then hpush i
-          done;
-          while !hsize > 0 && last_ivl.(heap.(0)) < j do
-            ignore (hpop ())
-          done;
-          if procs.(j) > 0 && !hsize > 0 then begin
-            let residual = ref (F.mul (F.of_int procs.(j)) widths.(j)) in
-            let parked = ref 0 in
-            let serving = ref true in
-            while !serving && !hsize > 0 do
-              if F.sign !residual <= 0 then serving := false
-              else begin
-                let i = hpop () in
-                let x = F.min (F.min widths.(j) rem.(i)) !residual in
-                sflow.((i * k) + j) <- x;
-                touch_pair ((i * k) + j) j;
-                ssink.(j) <- F.add ssink.(j) x;
-                rem.(i) <- F.sub rem.(i) x;
-                residual := F.sub !residual x;
-                value := F.add !value x;
-                if F.sign rem.(i) > 0 then begin
-                  tmp.(!parked) <- i;
-                  incr parked
-                end
-              end
-            done;
-            for t = 0 to !parked - 1 do
-              hpush tmp.(t)
-            done
-          end
-        done;
-        (* Stage 2: finish to a maximum flow with Dinic-style blocking
-           flows on the implicit residual graph.  Node ids: job i -> i,
-           interval j -> n + j.  Each pass levels the residual by BFS
-           (path-compressed jump pointers enumerate a job's unvisited
-           window intervals, supporter lists give an interval's backward
-           arcs), then a depth-first blocking flow with current-arc
-           pointers sends every shortest augmenting path of that length
-           at once.  The loop exits only when BFS proves the sink
-           unreachable, so the result is maximum whatever the pass
-           count; tolerance-gated arcs make every bottleneck positive
-           beyond tolerance, so passes terminate. *)
-        let level = ws.aug_parent
-        and visited = ws.aug_visited
-        and queue = ws.aug_queue
-        and nextiv = ws.aug_next
-        and cur_job = ws.sweep_heap (* free after the sweep: current arc *)
-        and cur_sup = ws.sweep_bucket (* free after the sort: current arc *) in
-        let iv j = n + j in
-        (* Path-compressed "next possibly-unvisited interval >= j". *)
-        let rec find_next j =
-          if j >= k || not visited.(iv j) then j
-          else begin
-            let r = find_next nextiv.(j) in
-            nextiv.(j) <- r;
-            r
-          end
-        in
-        let exhausted = ref false in
-        while not !exhausted do
-          Array.fill visited 0 (n + k) false;
-          for j = 0 to k - 1 do
-            (* A procs-free interval carries no arc at all. *)
-            if procs.(j) = 0 then visited.(iv j) <- true;
-            nextiv.(j) <- j + 1
-          done;
-          nextiv.(k) <- k;
-          let head = ref 0 and tail = ref 0 in
-          for i = 0 to n - 1 do
-            if candidate.(i) && F.sign rem.(i) > 0 then begin
-              visited.(i) <- true;
-              level.(i) <- 0;
-              queue.(!tail) <- i;
-              incr tail
-            end
-          done;
-          (* [dist] = length of a shortest augmenting path: the level of
-             the nearest interval with sink slack, plus its sink arc.
-             BFS discovers in level order, so the first exit found fixes
-             it; deeper nodes are not expanded. *)
-          let dist = ref max_int in
-          while !head < !tail do
-            let u = queue.(!head) in
-            incr head;
-            if level.(u) + 1 < !dist then
-              if u < n then begin
-                let j = ref (find_next first_ivl.(u)) in
-                while !j <= last_ivl.(u) do
-                  let jj = !j in
-                  if F.sign (F.sub widths.(jj) sflow.((u * k) + jj)) > 0 then begin
-                    visited.(iv jj) <- true;
-                    level.(iv jj) <- level.(u) + 1;
-                    let cap = F.mul (F.of_int procs.(jj)) widths.(jj) in
-                    if F.sign (F.sub cap ssink.(jj)) > 0 then begin
-                      if level.(iv jj) + 1 < !dist then dist := level.(iv jj) + 1
-                    end
-                    else begin
-                      queue.(!tail) <- iv jj;
-                      incr tail
-                    end
-                  end;
-                  j := find_next (jj + 1)
-                done
-              end
-              else begin
-                let j = u - n in
-                let t = ref ws.sup_head.(j) in
-                while !t >= 0 do
-                  let idx = ws.sweep_touch.(!t) in
-                  let i = idx / k in
-                  if (not visited.(i)) && F.sign sflow.(idx) > 0 then begin
-                    visited.(i) <- true;
-                    level.(i) <- level.(u) + 1;
-                    queue.(!tail) <- i;
-                    incr tail
-                  end;
-                  t := ws.sup_next.(!t)
-                done
-              end
-          done;
-          if !dist = max_int then exhausted := true
-          else begin
-            let exit_level = !dist - 1 in
-            for i = 0 to n - 1 do
-              cur_job.(i) <- first_ivl.(i)
-            done;
-            for j = 0 to k - 1 do
-              cur_sup.(j) <- ws.sup_head.(j)
-            done;
-            (* The BFS queue is spent; reuse it as the DFS path stack
-               (alternating job, interval, job, ... nodes). *)
-            let stack = queue in
-            for src = 0 to n - 1 do
-              if candidate.(src) && visited.(src) && level.(src) = 0 then begin
-                let depth = ref 0 in
-                stack.(0) <- src;
-                let active = ref (F.sign rem.(src) > 0) in
-                while !active do
-                  let u = stack.(!depth) in
-                  if u >= n && level.(u) = exit_level then begin
-                    let j0 = u - n in
-                    let sink_res =
-                      F.sub (F.mul (F.of_int procs.(j0)) widths.(j0)) ssink.(j0)
-                    in
-                    if F.sign sink_res > 0 then begin
-                      (* Complete shortest path: augment by the bottleneck
-                         (positive beyond tolerance by the arc gating), in
-                         exact float arithmetic the tight constraint drops
-                         to zero, closing at least one arc per path. *)
-                      let bot = ref (F.min sink_res rem.(src)) in
-                      for d = 0 to !depth - 1 do
-                        let a = stack.(d) and b = stack.(d + 1) in
-                        if a < n then
-                          bot :=
-                            F.min !bot (F.sub widths.(b - n) sflow.((a * k) + (b - n)))
-                        else bot := F.min !bot sflow.((b * k) + (a - n))
-                      done;
-                      let b = !bot in
-                      ssink.(j0) <- F.add ssink.(j0) b;
-                      rem.(src) <- F.sub rem.(src) b;
-                      value := F.add !value b;
-                      for d = 0 to !depth - 1 do
-                        let a = stack.(d) and dst = stack.(d + 1) in
-                        if a < n then begin
-                          let idx = (a * k) + (dst - n) in
-                          if F.sign sflow.(idx) = 0 then touch_pair idx (dst - n);
-                          sflow.(idx) <- F.add sflow.(idx) b
-                        end
-                        else begin
-                          let idx = (dst * k) + (a - n) in
-                          sflow.(idx) <- F.sub sflow.(idx) b
-                        end
-                      done;
-                      (* Restart from the source: saturated arcs now fail
-                         their residual checks and advance the pointers. *)
-                      depth := 0;
-                      if F.sign rem.(src) <= 0 then active := false
-                    end
-                    else begin
-                      (* Drained exit: paths through it would be longer
-                         than [dist], so retreat. *)
-                      decr depth;
-                      let p = stack.(!depth) in
-                      cur_job.(p) <- cur_job.(p) + 1
-                    end
-                  end
-                  else if u < n then begin
-                    let lj = last_ivl.(u) in
-                    let nl = level.(u) + 1 in
-                    let j = ref cur_job.(u) in
-                    let stop = ref false in
-                    while (not !stop) && !j <= lj do
-                      let jj = !j in
-                      if
-                        visited.(iv jj)
-                        && level.(iv jj) = nl
-                        && F.sign (F.sub widths.(jj) sflow.((u * k) + jj)) > 0
-                      then stop := true
-                      else incr j
-                    done;
-                    cur_job.(u) <- !j;
-                    if !stop then begin
-                      incr depth;
-                      stack.(!depth) <- iv !j
-                    end
-                    else if !depth = 0 then active := false
-                    else begin
-                      decr depth;
-                      let p = stack.(!depth) in
-                      cur_sup.(p - n) <- ws.sup_next.(cur_sup.(p - n))
-                    end
-                  end
-                  else begin
-                    let j = u - n in
-                    let nl = level.(u) + 1 in
-                    let t = ref cur_sup.(j) in
-                    let stop = ref false in
-                    while (not !stop) && !t >= 0 do
-                      let idx = ws.sweep_touch.(!t) in
-                      let i = idx / k in
-                      if visited.(i) && level.(i) = nl && F.sign sflow.(idx) > 0 then
-                        stop := true
-                      else t := ws.sup_next.(!t)
-                    done;
-                    cur_sup.(j) <- !t;
-                    if !stop then begin
-                      incr depth;
-                      stack.(!depth) <- ws.sweep_touch.(!t) / k
-                    end
-                    else begin
-                      decr depth;
-                      let p = stack.(!depth) in
-                      cur_job.(p) <- cur_job.(p) + 1
-                    end
-                  end
-                done
-              end
-            done
-          end
-        done;
-        !value
-      in
-      let run_from_zero () =
-        ignore
-          (match flow_algorithm with
-          | Dinic -> Flow.dinic g ~source:0 ~sink:1
-          | Edmonds_karp -> Flow.edmonds_karp g ~source:0 ~sink:1
-          | Push_relabel -> Flow.push_relabel g ~source:0 ~sink:1)
-      in
-      (* Lemma 4 removal repair: drain the victims, shrink the capacities
-         that moved, cancel any flow a shrink stranded above its capacity,
-         and continue the max-flow from the repaired feasible flow.  The
-         reservation state ([procs]) must already reflect the removals. *)
-      let repair_and_resume victims =
-        List.iter
-          (fun victim ->
-            ignore (Flow.cancel_through g ~source:0 ~sink:1 ~vertex:job_vertex.(victim));
-            Flow.set_capacity g source_edge.(victim) ~cap:F.zero)
-          victims;
-        List.iter
-          (fun victim ->
-            for j = first_ivl.(victim) to last_ivl.(victim) do
-              if sink_edge.(j) >= 0 then begin
-                Flow.set_capacity g sink_edge.(j)
-                  ~cap:(F.mul (F.of_int procs.(j)) widths.(j));
-                ignore (Flow.reduce_to_capacity g ~source:0 ~sink:1 sink_edge.(j))
-              end
-            done)
-          victims;
-        for i = 0 to n - 1 do
-          if candidate.(i) then begin
-            Flow.set_capacity g source_edge.(i) ~cap:(F.div jobs.(i).work !speed);
-            ignore (Flow.reduce_to_capacity g ~source:0 ~sink:1 source_edge.(i))
-          end
-        done;
-        match flow_algorithm with
-        | Dinic ->
-          incr resumes;
-          ignore (Flow.dinic_resume g ~source:0 ~sink:1)
-        | Edmonds_karp ->
-          (* Edmonds–Karp augments the residual graph, so it warm-starts
-             for free. *)
-          incr resumes;
-          ignore (Flow.edmonds_karp g ~source:0 ~sink:1)
-        | Push_relabel ->
-          Flow.reset_flows g;
-          ignore (Flow.push_relabel g ~source:0 ~sink:1)
-      in
-      (* Install this phase's initial flow: phase 1 (and every phase of a
-         legacy run) builds the network and solves from zero; a cross-phase
-         boundary instead drains the accepted flow (counting the edges it
-         occupied), rescales the surviving source capacities from the old
-         speed to the new conjecture and the sink capacities to the shrunk
-         reservations, and resumes Dinic over the warm topology. *)
-      waves_mark := (Flow.counters g).Flow.bfs_waves;
-      phase_peak := 0;
-      if (not cross_phase) || !phase_count = 1 then begin
-        build_net ();
-        run_from_zero ()
-      end
-      else begin
-        let drained = ref 0 in
-        Flow.iter_edges g (fun ~id:_ ~src:_ ~dst:_ ~cap:_ ~flow ->
-            if F.sign flow > 0 then incr drained);
-        phase_drain_edges := !phase_drain_edges + !drained;
-        Flow.reset_flows g;
-        for i = 0 to n - 1 do
-          if source_edge.(i) >= 0 then
-            Flow.set_capacity g source_edge.(i)
-              ~cap:(if candidate.(i) then F.div jobs.(i).work !speed else F.zero)
-        done;
-        for j = 0 to k - 1 do
-          if sink_edge.(j) >= 0 then
-            Flow.set_capacity g sink_edge.(j)
-              ~cap:(F.mul (F.of_int procs.(j)) widths.(j))
-        done;
-        incr phase_resumes;
-        run_from_zero ()
-      end;
-      (match on_phase with Some f -> f !phase_count !speed g | None -> ());
-      let accepted = ref None in
-      let repaired = ref false in
+      conjecture ();
+      let accepted = ref None and first_round = ref true in
       while !accepted = None do
         incr rounds;
-        (match on_flow with Some f -> f g | None -> ());
-        if Flow.num_edges g > !net_edges then net_edges := Flow.num_edges g;
-        if Flow.num_edges g > !phase_peak then phase_peak := Flow.num_edges g;
-        (* The accept test: on the dense network the installed flow value
-           itself; in compressed mode the installed flow only bounds the
-           dense value from above (the network is a relaxation), so the
-           decision comes from the sweep oracle's exact dense value. *)
-        let accept =
-          if use_compress then F.equal_approx (sweep ()) !total_time
-          else F.equal_approx (Flow.flow_value g ~source:0) !total_time
-        in
-        if accept then begin
-          (* Conjecture accepted.  The t_kj we expose feed schedule
-             materialization, so they must come from a deterministic
-             maximum flow of the accepting dense network.  On the dense
-             path a warm-started flow has the right (unique) value but
-             possibly a different distribution than a from-scratch run, so
-             repaired rounds rebuild and recompute once from zero.  A
-             compressed round already holds such a flow — the oracle's
-             sweep arrays — and reads t_kj straight out of them: no dense
-             network is ever built, which is where the compressed path's
-             end-to-end win comes from.  (Phase members, speeds, procs,
-             busy times and energies are identical either way; only the
-             split of t_kj among equal-speed members may differ, both
-             splits being maximum flows of the same network.) *)
-          if (not use_compress) && !repaired then
-            if cross_phase then begin
-              (* In-place canonical re-extraction: the repairs kept every
-                 capacity current, and dead (zero-capacity) edges are never
-                 traversable, so zeroing the flows and re-running over the
-                 persistent topology is bit-identical to the compact
-                 rebuild-and-recompute — without paying the rebuild. *)
-              Flow.reset_flows g;
-              run_from_zero ()
+        let value =
+          if use_sweep then sweep ws ~n ~k jobs !speed
+          else begin
+            if !phase_count = 1 && !first_round then begin
+              build_dense ws ~n ~k jobs !speed;
+              net_edges := Flow.num_edges g
             end
             else begin
-              build ();
-              run_from_zero ()
+              rewind_dense ws ~n ~k jobs !speed;
+              if !first_round then incr phase_resumes else incr resumes
             end;
-          (* Extract t_kj from the edge flows (dense) or the oracle's
-             sparse allocation (compressed). *)
+            ignore
+              (match flow_algorithm with
+              | Dinic -> Flow.dinic g ~source:0 ~sink:1
+              | Edmonds_karp -> Flow.edmonds_karp g ~source:0 ~sink:1
+              | Push_relabel -> Flow.push_relabel g ~source:0 ~sink:1);
+            (match on_flow with Some f -> f g | None -> ());
+            Flow.flow_value g ~source:0
+          end
+        in
+        first_round := false;
+        if F.equal_approx value !total_time then begin
           let alloc = ref [] in
-          if use_compress then
-            for i = n - 1 downto 0 do
-              if candidate.(i) then
-                for j = last_ivl.(i) downto first_ivl.(i) do
-                  let t = ws.sweep_flow.((i * k) + j) in
-                  if F.sign t > 0 then alloc := (i, j, t) :: !alloc
-                done
-            done
+          if use_sweep then alloc := sweep_alloc ws ~k
           else
             for i = n - 1 downto 0 do
               if candidate.(i) then
                 for j = last_ivl.(i) downto first_ivl.(i) do
-                  let e = job_edge.((i * k) + j) in
+                  let e = ws.job_edge.((i * k) + j) in
                   if e >= 0 then begin
                     let t = Flow.flow_on g e in
                     if F.sign t > 0 then alloc := (i, j, t) :: !alloc
@@ -1151,157 +970,36 @@ struct
               { members = !members; speed = !speed; procs = Array.sub procs 0 k; alloc = !alloc }
         end
         else begin
-          (* Find an unsaturated sink edge, then the least-filled incoming
-             job edge: that job is not in J_i (Lemma 4).  Both certificate
-             reads refer to a maximum flow of the dense network: the
-             installed edge flows on the dense path, the sweep oracle's
-             arrays in compressed mode (the sweep *is* a dense maximum
-             flow, so Lemma 4 applies verbatim). *)
-          let sink_flow_at =
-            if use_compress then fun j -> ws.sweep_sink.(j)
-            else fun j -> Flow.flow_on g sink_edge.(j)
-          in
-          let pair_flow_at =
-            if use_compress then fun i j -> ws.sweep_flow.((i * k) + j)
+          let marked =
+            if use_sweep then
+              certify ws ~n ~k
+                ~sink_flow_at:(fun j -> ws.sweep_sink.(j))
+                ~pair_flow_at:(fun i j -> pair_flow ws ((i * k) + j))
             else
-              fun i j ->
-                let e = job_edge.((i * k) + j) in
-                if e >= 0 then Flow.flow_on g e else F.zero
+              certify ws ~n ~k
+                ~sink_flow_at:(fun j -> Flow.flow_on g ws.sink_edge.(j))
+                ~pair_flow_at:(fun i j ->
+                  let e = ws.job_edge.((i * k) + j) in
+                  if e >= 0 then Flow.flow_on g e else F.zero)
           in
-          let bad_interval = ref (-1) in
-          (try
-             for j = 0 to k - 1 do
-               if procs.(j) > 0 then begin
-                 let cap = F.mul (F.of_int procs.(j)) widths.(j) in
-                 let f = sink_flow_at j in
-                 if not (F.equal_approx f cap) then begin
-                   bad_interval := j;
-                   raise Exit
-                 end
-               end
-             done
-           with Exit -> ());
-          if !bad_interval < 0 then
-            failwith "Offline.solve: flow deficit without unsaturated sink edge";
-          let victims =
-            if not group_removal then begin
-              let j0 = !bad_interval in
-              let victim = ref (-1) in
-              let victim_flow = ref F.zero in
-              (try
-                 for i = 0 to n - 1 do
-                   if candidate.(i) && is_active i j0 then begin
-                     let f = pair_flow_at i j0 in
-                     if not (F.equal_approx f widths.(j0)) then begin
-                       match victim_rule with
-                       | First_found ->
-                         victim := i;
-                         raise Exit
-                       | Least_flow ->
-                         if !victim < 0 || F.compare f !victim_flow < 0 then begin
-                           victim := i;
-                           victim_flow := f
-                         end
-                     end
-                   end
-                 done
-               with Exit -> ());
-              if !victim < 0 then
-                failwith "Offline.solve: unsaturated interval without removable job";
-              [ !victim ]
-            end
-            else begin
-              (* Grouped removal (session mode): collect every job this
-                 round's maximum flow certifies — a non-full edge into any
-                 unsaturated interval.  Each certificate refers to the same
-                 maximum flow, so all removals are individually sound by
-                 Lemma 4; taking them together only skips re-certifying one
-                 at a time, and the accepted class (the fixed point) is the
-                 same either way. *)
-              let victim_mark = ws.victim_mark in
-              Array.fill victim_mark 0 n false;
-              let marked = ref 0 in
-              for j = !bad_interval to k - 1 do
-                if procs.(j) > 0 then begin
-                  let cap = F.mul (F.of_int procs.(j)) widths.(j) in
-                  if not (F.equal_approx (sink_flow_at j) cap) then
-                    for i = 0 to n - 1 do
-                      if candidate.(i) && (not victim_mark.(i)) && is_active i j then begin
-                        let f = pair_flow_at i j in
-                        if not (F.equal_approx f widths.(j)) then begin
-                          victim_mark.(i) <- true;
-                          incr marked
-                        end
-                      end
-                    done
-                end
-              done;
-              if !marked = 0 then
-                failwith "Offline.solve: unsaturated interval without removable job";
-              if !marked > 1 then incr grouped;
-              let vs = ref [] in
-              for i = n - 1 downto 0 do
-                if victim_mark.(i) then vs := i :: !vs
-              done;
-              !vs
-            end
-          in
-          List.iter
-            (fun victim ->
-              candidate.(victim) <- false;
+          if marked > 1 then incr grouped;
+          largest_group := max !largest_group marked;
+          for i = 0 to n - 1 do
+            if ws.victim_mark.(i) then begin
+              candidate.(i) <- false;
               decr cand_count;
               incr removals;
-              (* Lemma 3 state changes only on the victim's active range. *)
-              for j = first_ivl.(victim) to last_ivl.(victim) do
+              for j = first_ivl.(i) to last_ivl.(i) do
                 nj.(j) <- nj.(j) - 1;
                 procs.(j) <- min nj.(j) (machines - used.(j))
-              done)
-            victims;
-          if !cand_count = 0 then
-            failwith "Offline.solve: candidate set exhausted";
-          refresh_conjecture ();
-          if cross_phase && use_compress then
-            (* The sweep oracle answers every compressed round's accept
-               test and victim certificate; the relaxation network's flow
-               is consulted by nobody mid-phase, so cross-phase mode skips
-               its per-round repair entirely and resumes it only at the
-               next phase boundary. *)
-            ()
-          else
-          match strategy with
-          | Resume ->
-            repaired := true;
-            repair_and_resume victims
-          | Rebuild ->
-            build_net ();
-            run_from_zero ()
-          | Rewind ->
-            (* In-place rewind: dead (zero-capacity) edges are never
-               traversable, so recomputing from zero on the updated
-               capacities is bit-identical to a rebuild without the
-               victims — no re-extraction debt. *)
-            Flow.reset_flows g;
-            List.iter
-              (fun victim ->
-                Flow.set_capacity g source_edge.(victim) ~cap:F.zero;
-                for j = first_ivl.(victim) to last_ivl.(victim) do
-                  if sink_edge.(j) >= 0 then
-                    Flow.set_capacity g sink_edge.(j)
-                      ~cap:(F.mul (F.of_int procs.(j)) widths.(j))
-                done)
-              victims;
-            for i = 0 to n - 1 do
-              if candidate.(i) then
-                Flow.set_capacity g source_edge.(i)
-                  ~cap:(F.div jobs.(i).work !speed)
-            done;
-            incr resumes;
-            run_from_zero ()
+              done
+            end
+          done;
+          if !cand_count = 0 then failwith "Offline.solve: candidate set exhausted";
+          conjecture ()
         end
       done;
-      phase_edges := !phase_peak :: !phase_edges;
-      phase_waves := ((Flow.counters g).Flow.bfs_waves - !waves_mark) :: !phase_waves;
-      (match !accepted with
+      match !accepted with
       | None -> assert false
       | Some phase ->
         phases := phase :: !phases;
@@ -1309,13 +1007,9 @@ struct
         remaining_count := !remaining_count - List.length phase.members;
         for j = 0 to k - 1 do
           used.(j) <- used.(j) + phase.procs.(j)
-        done)
+        done
     done;
     let fc = Flow.counters g in
-    let phase_edges = Array.of_list (List.rev !phase_edges) in
-    (* The peak is taken over the recorded per-phase maxima — robust even
-       when a later phase's network is smaller than an earlier one's. *)
-    let net_edges = Array.fold_left Int.max !net_edges phase_edges in
     {
       breakpoints;
       schedule_phases = List.rev !phases;
@@ -1326,13 +1020,11 @@ struct
           resumes = !resumes;
           removals = !removals;
           grouped = !grouped;
-          net_edges;
+          largest_group = !largest_group;
+          net_edges = !net_edges;
           net_pushes = fc.Flow.pushes;
           net_bfs_waves = fc.Flow.bfs_waves;
           phase_resumes = !phase_resumes;
-          phase_drain_edges = !phase_drain_edges;
-          phase_edges;
-          phase_bfs_waves = Array.of_list (List.rev !phase_waves);
         };
     }
 
@@ -1416,35 +1108,19 @@ struct
   (* Threshold below which domain dispatch is not worth the spawn cost. *)
   let parallel_threshold = 24
 
-  let solve_split ?flow_algorithm ?victim_rule ?(strategy = Resume)
-      ?(group_removal = false) ?compress ?cross_phase ?on_flow ?on_phase
-      ?parallel ~ws_for ~machines (jobs : job array) =
+  let solve_split ?flow_algorithm ?compress ?on_flow ?parallel ~ws_for ~machines
+      (jobs : job array) =
     (* Validate up front (as [solve_in] would) so malformed inputs are
        rejected before any component dispatch. *)
-    if machines <= 0 then invalid_arg "Offline.solve: machines <= 0";
-    Array.iter
-      (fun j ->
-        if F.compare j.release j.deadline >= 0 then
-          invalid_arg "Offline.solve: release >= deadline";
-        if F.sign j.work <= 0 then invalid_arg "Offline.solve: work <= 0")
-      jobs;
+    validate ~machines jobs;
     let solve_whole () =
-      solve_in ?flow_algorithm ?victim_rule ~strategy ~group_removal ?compress
-        ?cross_phase ?on_flow ?on_phase ~ws:(ws_for 0) ~machines jobs
+      solve_in ?flow_algorithm ?compress ?on_flow ~ws:(ws_for 0) ~machines jobs
     in
     match components jobs with
     | [] | [ _ ] -> solve_whole ()
     | comps ->
       let breakpoints = sort_uniq_times jobs in
       let k = Array.length breakpoints - 1 in
-      let index_of t =
-        let lo = ref 0 and hi = ref (Array.length breakpoints - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if F.compare breakpoints.(mid) t < 0 then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
       let comps = Array.of_list comps in
       (* A component's event times must be a contiguous slice of the global
          grid (they are, by construction: components are time-disjoint and
@@ -1456,7 +1132,7 @@ struct
           (fun ids ->
             let sub = Array.map (fun i -> jobs.(i)) ids in
             let bp = sort_uniq_times sub in
-            let off = index_of bp.(0) in
+            let off = index_of breakpoints bp.(0) in
             let ok =
               off + Array.length bp <= Array.length breakpoints
               &&
@@ -1478,11 +1154,7 @@ struct
         let wss = Array.init nc ws_for in
         let solve_comp slot =
           let ids, sub, _, _ = sliced.(slot) in
-          match
-            solve_in ?flow_algorithm ?victim_rule ~strategy ~group_removal
-              ?compress ?cross_phase ?on_flow ?on_phase ~ws:wss.(slot)
-              ~machines sub
-          with
+          match solve_in ?flow_algorithm ?compress ?on_flow ~ws:wss.(slot) ~machines sub with
           | r -> r
           | exception Stranded_job local -> raise (Stranded_job ids.(local))
         in
@@ -1490,11 +1162,9 @@ struct
           match parallel with
           | Some b -> b
           | None ->
-            (* [on_flow]/[on_phase] are caller closures observed per round
-               or phase; keep their invocations on the calling domain and
-               in component order. *)
-            on_flow = None && on_phase = None
-            && Array.length jobs >= parallel_threshold
+            (* [on_flow] is a caller closure observed per round; keep its
+               invocations on the calling domain and in component order. *)
+            on_flow = None && Array.length jobs >= parallel_threshold
         in
         let runs =
           if use_parallel then
@@ -1535,8 +1205,9 @@ struct
         in
         let schedule_phases = coalesce sorted in
         (* Counters are summed; [phases] counts accepted conjectures (one
-           accepting flow each), so rounds = phases + removals survives the
-           merge even if a bitwise tie coalesced two classes above. *)
+           accepting round each, and each failed round removes at least one
+           job), so phases <= rounds <= phases + removals survives the merge
+           even if a bitwise tie coalesced two classes above. *)
         let sum f =
           Array.fold_left (fun acc (r : run) -> acc + f r.stats) 0 runs
         in
@@ -1553,50 +1224,31 @@ struct
               resumes = sum (fun s -> s.resumes);
               removals = sum (fun s -> s.removals);
               grouped = sum (fun s -> s.grouped);
+              largest_group = peak (fun s -> s.largest_group);
               net_edges = peak (fun s -> s.net_edges);
               net_pushes = sum (fun s -> s.net_pushes);
               net_bfs_waves = sum (fun s -> s.net_bfs_waves);
               phase_resumes = sum (fun s -> s.phase_resumes);
-              phase_drain_edges = sum (fun s -> s.phase_drain_edges);
-              (* Per-phase arrays concatenate in component (time) order —
-                 the order the runs themselves are listed in. *)
-              phase_edges =
-                Array.concat
-                  (List.map (fun (r : run) -> r.stats.phase_edges)
-                     (Array.to_list runs));
-              phase_bfs_waves =
-                Array.concat
-                  (List.map (fun (r : run) -> r.stats.phase_bfs_waves)
-                     (Array.to_list runs));
             };
         }
       end
 
-  (* The paper-facing entry point: a fresh workspace per call, single-victim
-     Lemma 4 removals — exactly the PR 1 behaviour, now routed through the
-     decomposition layer by default. *)
-  let solve ?flow_algorithm ?victim_rule ?(incremental = true)
-      ?(decompose = true) ?compress ?cross_phase ?parallel ?on_flow ?on_phase
-      ~machines jobs =
-    let strategy = if incremental then Resume else Rebuild in
+  (* The paper-facing entry point: a fresh workspace per call, routed
+     through the decomposition layer by default. *)
+  let solve ?flow_algorithm ?(decompose = true) ?compress ?parallel ?on_flow ~machines
+      jobs =
     if decompose then
-      solve_split ?flow_algorithm ?victim_rule ~strategy ?compress ?cross_phase
-        ?on_flow ?on_phase ?parallel
+      solve_split ?flow_algorithm ?compress ?on_flow ?parallel
         ~ws_for:(fun _ -> make_workspace ())
         ~machines jobs
-    else
-      solve_in ?flow_algorithm ?victim_rule ~strategy ?compress ?cross_phase
-        ?on_flow ?on_phase ~ws:(make_workspace ()) ~machines jobs
+    else solve_in ?flow_algorithm ?compress ?on_flow ~ws:(make_workspace ()) ~machines jobs
 
   (* --- cross-arrival solver sessions (Section 3.1, Lemmas 6–9) ----------
      A session owns a persistent workspace (flow arena, breakpoint-grid
-     scratch, reservation arrays) reused across successive solves, the
-     natural shape for OA(m)-style replanning where every arrival re-solves
-     a slightly different instance.  Sessions run the round loop with
-     grouped Lemma 4 removals — every job certified by a failed round's
-     maximum flow is removed at once — which cuts the round count roughly
-     by the average victims-per-failed-round without changing the accepted
-     classes (the phase partition is the unique fixed point; see A5).
+     scratch, reservation arrays, pair store) reused across successive
+     solves, the natural shape for OA(m)-style replanning where every
+     arrival re-solves a slightly different instance.  A session solve runs
+     the same round loop as [solve]; only the workspace outlives it.
 
      The Lemma 6–9 monotonicity is tracked as a ledger: callers tag jobs
      with stable [keys] across solves, and the session records how many
@@ -1605,8 +1257,8 @@ struct
   module Session = struct
     type stats = {
       solves : int;
-      rounds : int;             (* cumulative max-flow computations *)
-      resumes : int;            (* cumulative warm-started resumes *)
+      rounds : int;             (* cumulative oracle answers *)
+      resumes : int;            (* cumulative dense rewinds *)
       removals : int;           (* cumulative Lemma 4 removals *)
       grouped_rounds : int;     (* failed rounds that removed > 1 victim *)
       carried_jobs : int;       (* keys also planned by an earlier solve *)
@@ -1659,24 +1311,15 @@ struct
             (fun j -> if j < len then t.pool.(j) else make_workspace ());
       t.pool.(i)
 
-    let solve ?keys ?(decompose = true) ?compress ?cross_phase ?parallel t jobs =
+    let solve ?keys ?(decompose = true) ?compress ?parallel t jobs =
       (match keys with
       | Some ks when Array.length ks <> Array.length jobs ->
         invalid_arg "Offline.Session.solve: keys length mismatch"
       | _ -> ());
-      (* Sessions answer failed rounds by in-place rewinds rather than
-         repaired resumes: at replanning scale the Fig. 1 networks are
-         small, so a fresh Dinic run over the warm topology costs less
-         than per-victim path cancellation — and its flow is canonical
-         already, so acceptance needs no re-extraction. *)
       let run =
         if decompose then
-          solve_split ~strategy:Rewind ~group_removal:true ?compress
-            ?cross_phase ?parallel ~ws_for:(ws_slot t) ~machines:t.machines
-            jobs
-        else
-          solve_in ~strategy:Rewind ~group_removal:true ?compress ?cross_phase
-            ~ws:t.pool.(0) ~machines:t.machines jobs
+          solve_split ?compress ?parallel ~ws_for:(ws_slot t) ~machines:t.machines jobs
+        else solve_in ?compress ~ws:t.pool.(0) ~machines:t.machines jobs
       in
       t.solves <- t.solves + 1;
       t.rounds <- t.rounds + run.stats.rounds;
@@ -1884,7 +1527,7 @@ type info = {
   rounds : int;
   resumes : int;
   removals : int;
-  phase_resumes : int;         (* cross-phase drain/rescale/resume boundaries *)
+  phase_resumes : int;         (* dense phase boundaries answered in place *)
   speeds : float array;        (* decreasing phase speeds *)
 }
 
@@ -1977,14 +1620,12 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
 let component_count (inst : Job.instance) =
   List.length (F.components (float_jobs inst))
 
-let solve ?incremental ?decompose ?compress ?cross_phase ?parallel
-    (inst : Job.instance) =
+let solve ?decompose ?compress ?parallel (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Offline.solve: invalid instance");
   let run =
-    F.solve ?incremental ?decompose ?compress ?cross_phase ?parallel
-      ~machines:inst.machines (float_jobs inst)
+    F.solve ?decompose ?compress ?parallel ~machines:inst.machines (float_jobs inst)
   in
   let schedule = schedule_of_run ~machines:inst.machines run in
   let info =
@@ -2013,10 +1654,8 @@ let energy_of_run power (run : F.run) =
          Power.eval power p.speed *. F.phase_busy_time run p)
        run.schedule_phases)
 
-let run ?incremental ?decompose ?compress ?cross_phase ?parallel
-    (inst : Job.instance) =
-  F.solve ?incremental ?decompose ?compress ?cross_phase ?parallel
-    ~machines:inst.machines (float_jobs inst)
+let run ?decompose ?compress ?parallel (inst : Job.instance) =
+  F.solve ?decompose ?compress ?parallel ~machines:inst.machines (float_jobs inst)
 
 (* Exact-rational replay: jobs are embedded exactly (floats are dyadic
    rationals) and the whole algorithm runs in exact arithmetic. *)
@@ -2027,6 +1666,5 @@ let exact_jobs (inst : Job.instance) =
       { Exact.release = r j.release; deadline = r j.deadline; work = r j.work })
     inst.jobs
 
-let solve_exact ?incremental ?compress ?cross_phase (inst : Job.instance) =
-  Exact.solve ?incremental ?compress ?cross_phase ~machines:inst.machines
-    (exact_jobs inst)
+let solve_exact ?compress (inst : Job.instance) =
+  Exact.solve ?compress ~machines:inst.machines (exact_jobs inst)

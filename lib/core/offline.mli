@@ -13,7 +13,7 @@ module MakeWith
     (_ : module type of Ss_flow.Maxflow.Make (F)) : sig
   module Flow : module type of Ss_flow.Maxflow.Make (F)
   (** The flow substrate this instantiation runs on; exposed so tests can
-      audit the warm-started flows via [on_flow]. *)
+      audit the dense round flows via [on_flow]. *)
 
   type job = { release : F.t; deadline : F.t; work : F.t }
 
@@ -28,41 +28,34 @@ module MakeWith
 
   type stats = {
     phases : int;
-    rounds : int;  (** max-flow computations performed *)
+    rounds : int;
+        (** oracle answers: dense max flows or sweeps.  One accepting round
+            per phase, and each failed round removes at least one job, so
+            [phases <= rounds <= phases + removals] *)
     resumes : int;
-        (** rounds answered without rebuilding the network: a warm-started
-            repair-and-resume ([solve]'s incremental path) or an in-place
-            rewind of the arena ({!Session} solves).  0 when
-            [incremental:false] or with the push-relabel backend, which
-            cannot resume a feasible flow. *)
-    removals : int;  (** Lemma 4 job removals *)
+        (** failed dense rounds answered by rewinding the network in place
+            (the network is built once per solve) *)
+    removals : int;  (** Lemma 4 job removals, fixed by the instance *)
     grouped : int;
-        (** failed rounds that removed more than one certified victim at
-            once (always 0 outside {!Session} solves) *)
+        (** failed rounds that removed more than one certified job at once;
+            [grouped <= rounds - phases] *)
+    largest_group : int;
+        (** the most jobs one failed round removed (max across components
+            when decomposed) *)
     net_edges : int;
-        (** peak forward-edge count over all round networks of the solve
-            (max across components when decomposed) — the O(n k) vs
-            O((n + k) log k) size win of [compress], machine-readable *)
-    net_pushes : int;
-        (** total edge-flow updates (augmentations and repair
-            cancellations) across the solve's max-flow work *)
+        (** forward edges of the dense round network (max across components
+            when decomposed) *)
+    net_pushes : int;  (** edge-flow updates across the dense max-flow work *)
     net_bfs_waves : int;
-        (** total BFS passes (Dinic level builds / Edmonds–Karp path
-            searches) across the solve's max-flow work *)
+        (** BFS passes (Dinic level builds / Edmonds–Karp path searches)
+            across the dense max-flow work *)
     phase_resumes : int;
-        (** phase boundaries answered by the parametric drain / rescale /
-            resume instead of a network rebuild (see [cross_phase]); 0 in
-            legacy mode and on single-phase solves *)
-    phase_drain_edges : int;
-        (** flow-carrying forward edges drained across those boundaries —
-            the accepted jobs' flow support, counted before each drain *)
-    phase_edges : int array;
-        (** per phase, in phase order: the peak forward-edge count of its
-            round networks (concatenated in component order when
-            decomposed); {!stats.net_edges} is the maximum entry *)
-    phase_bfs_waves : int array;
-        (** per phase, in phase order: BFS passes spent in its rounds *)
+        (** dense phase boundaries answered by rewinding the solve's one
+            network in place: phases - 1 per dense component *)
   }
+  (** The network counters ([resumes], [net_edges], [net_pushes],
+      [net_bfs_waves], [phase_resumes]) describe the dense substrate and
+      read 0 on solves the sweep oracle answers, which build no network. *)
 
   type run = {
     breakpoints : F.t array;
@@ -71,12 +64,8 @@ module MakeWith
   }
 
   type flow_algorithm = Dinic | Edmonds_karp | Push_relabel
-  (** Which max-flow routine answers the per-round feasibility question
+  (** Which max-flow routine answers a dense round's feasibility question
       (identical answers; ablation experiment A4 compares speed). *)
-
-  type victim_rule = Least_flow | First_found
-  (** Which provably-removable job a failed round discards; Lemma 4 makes
-      any unsaturated choice sound (ablation experiment A5). *)
 
   exception Stranded_job of int
 
@@ -89,30 +78,26 @@ module MakeWith
 
   val compress_threshold : int
   (** Dense edge-table size ([n * k]) above which a solve defaults to the
-      compressed round network. *)
+      sweep oracle. *)
 
   val solve :
     ?flow_algorithm:flow_algorithm ->
-    ?victim_rule:victim_rule ->
-    ?incremental:bool ->
     ?decompose:bool ->
     ?compress:bool ->
-    ?cross_phase:bool ->
     ?parallel:bool ->
     ?on_flow:(Flow.t -> unit) ->
-    ?on_phase:(int -> F.t -> Flow.t -> unit) ->
     machines:int ->
     job array ->
     run
-  (** [incremental] (default [true]) builds the Fig. 1 network once per
-      phase and answers each failed round by repairing the installed flow
-      (drain the Lemma 4 victim, shrink the affected capacities, resume
-      Dinic) instead of rebuilding and recomputing from zero.  Both paths
-      produce identical phase partitions, speeds, reservations and energy;
-      only the round-internal flow distributions (and hence victim order
-      and round counts) may differ.  [on_flow] is invoked with the network
-      after every round's max-flow answer — a test hook for auditing the
-      warm-started flows.
+  (** Each phase conjectures the remaining jobs as the next speed class;
+      each round asks for a maximum flow of the Fig. 1 network of the
+      current candidates.  A failed round removes {e every} job its flow
+      certifies (Lemma 4) at once.  The phase partition is the unique fixed
+      point of certified removals, so phases, removals, speeds,
+      reservations and energy are fixed by the instance; grouping only cuts
+      the round count.  [on_flow] is invoked with the dense network after
+      every dense round's max-flow answer — a test hook for auditing the
+      rewound flows.
 
       [decompose] (default [true]) first splits the instance at
       zero-coverage grid points (see {!components}), solves the
@@ -131,54 +116,31 @@ module MakeWith
       installed); results are deterministic either way.
 
       [compress] (default: on iff [n * k >= compress_threshold], decided
-      per component) swaps each round's network for an interval-tree
-      compressed one with O((n + k) log k) edges instead of O(n k), and
-      answers the accept test and Lemma 4 victim certificates from an
-      exact oracle — an earliest-deadline sweep finished by blocking
-      flows on the implicit dense residual — that computes a maximum
-      flow of the dense network without building it.  Phase partitions,
-      speeds, reservations, busy times and energies are bit-identical to
-      the dense path; round counts may differ because victim order may,
-      and the [t_kj] split among a phase's equal-speed members may
-      differ (the oracle's and Dinic's flows are different maximum flows
-      of the same accepting network — every member's total is its demand
-      either way).  See DESIGN.md, "Interval-tree network compression".
-
-      [cross_phase] (default: on except in [incremental:false] runs and
-      under an [on_flow] hook) carries one flow arena across the whole
-      solve instead of rebuilding the network at every phase: an accepted
-      phase's flow is drained (it is supported entirely on the accepted
-      members), the surviving source capacities are rescaled from the old
-      speed to the next conjecture — the phase speeds strictly decrease,
-      so every [w/s] only grows and the monotone parametric invariant
-      keeps the installed flow feasible — and Dinic resumes over the warm
-      topology.  Outputs are bit-identical to the legacy per-phase
-      rebuilds on both the dense and compressed substrates; the work
-      saved is auditable through [stats.phase_resumes] /
-      [stats.phase_drain_edges] / [stats.phase_bfs_waves].  See
-      DESIGN.md, "Parametric cross-phase reuse".
-
-      [on_phase phase_idx speed g] fires once per phase (1-based index,
-      the phase's initial conjectured speed) right after the phase's
-      starting flow is installed — after the cross-phase
-      drain/rescale/resume at a phase boundary — a test hook for
-      auditing the persistent flow's feasibility.
+      per component) selects the round oracle.  Off, the dense Fig. 1
+      network answers each round: it is built once per solve and rewound
+      in place (flows zeroed, capacities of removed jobs and shrunk
+      reservations updated) for every later round and phase.  On, an
+      earliest-deadline sweep finished by blocking flows on the implicit
+      dense residual computes a maximum flow of the same network without
+      building it, keeping O(n + m k) state; no flow network exists, so
+      the network counters of {!stats} read 0.  Phase partitions, speeds,
+      reservations, busy times and energies are the same either way; the
+      [t_kj] split among a phase's equal-speed members may differ (the two
+      flows are different maximum flows of the same accepting network —
+      every member's total is its demand either way).  See DESIGN.md,
+      "The sweep oracle".
       @raise Invalid_argument on malformed jobs.
       @raise Stranded_job only on internal failure (valid instances are
       always schedulable). *)
 
   (** Cross-arrival solver sessions (Section 3.1, Lemmas 6–9).
 
-      A session owns a persistent flow arena, breakpoint-grid scratch and
-      reservation arrays, reused and repaired across successive solves —
-      the natural shape for OA(m) replanning, which re-solves a slightly
-      different instance at every arrival.  Session solves run the round
-      loop with {e grouped} Lemma 4 removals: every job certified by a
-      failed round's maximum flow is removed at once, cutting the round
-      count without changing the accepted speed classes (the phase
-      partition is the unique fixed point of certified removals, so the
-      returned runs are identical to {!solve}'s up to round/resume
-      counters).
+      A session owns a persistent flow arena, breakpoint-grid scratch,
+      reservation arrays and sweep pair store, reused across successive
+      solves — the natural shape for OA(m) replanning, which re-solves a
+      slightly different instance at every arrival.  Session solves run
+      {!solve}'s round loop, so the returned runs are identical to
+      {!solve}'s, counters included.
 
       The Lemma 6–9 monotonicity across OA replans is tracked as a ledger:
       tag jobs with stable [keys] and the session counts how many carried
@@ -189,10 +151,10 @@ module MakeWith
 
     type stats = {
       solves : int;
-      rounds : int;  (** cumulative max-flow computations *)
+      rounds : int;  (** cumulative oracle answers *)
       resumes : int;
-          (** cumulative in-place arena rewinds (failed rounds answered
-              without rebuilding the network topology) *)
+          (** cumulative in-place rewinds of dense networks (failed rounds
+              answered without rebuilding the network topology) *)
       removals : int;  (** cumulative Lemma 4 removals *)
       grouped_rounds : int;  (** failed rounds that removed > 1 victim *)
       carried_jobs : int;  (** keys also planned by an earlier solve *)
@@ -211,7 +173,6 @@ module MakeWith
       ?keys:int array ->
       ?decompose:bool ->
       ?compress:bool ->
-      ?cross_phase:bool ->
       ?parallel:bool ->
       t ->
       job array ->
@@ -265,8 +226,7 @@ type info = {
   rounds : int;
   resumes : int;
   removals : int;
-  phase_resumes : int;
-      (** phase boundaries answered by the cross-phase drain/rescale/resume *)
+  phase_resumes : int;  (** dense phase boundaries answered in place *)
   speeds : float array;
 }
 
@@ -275,10 +235,8 @@ val component_count : Ss_model.Job.instance -> int
     instance into (1 = nothing to gain from decomposition). *)
 
 val solve :
-  ?incremental:bool ->
   ?decompose:bool ->
   ?compress:bool ->
-  ?cross_phase:bool ->
   ?parallel:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
@@ -292,10 +250,8 @@ val optimal_schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 val optimal_energy : Ss_model.Power.t -> Ss_model.Job.instance -> float
 
 val run :
-  ?incremental:bool ->
   ?decompose:bool ->
   ?compress:bool ->
-  ?cross_phase:bool ->
   ?parallel:bool ->
   Ss_model.Job.instance ->
   F.run
@@ -316,9 +272,7 @@ val slice_of_run :
     until the next arrival. *)
 
 val solve_exact :
-  ?incremental:bool ->
   ?compress:bool ->
-  ?cross_phase:bool ->
   Ss_model.Job.instance ->
   Exact.run
 (** Exact-rational replay of the entire algorithm (floats embed exactly). *)

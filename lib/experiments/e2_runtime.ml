@@ -3,40 +3,10 @@
    Bingham & Greenstreet note their LP's complexity "is too high for most
    practical applications"; the paper's combinatorial algorithm is the fix.
    We time both routes on growing instances: the flow-based algorithm and
-   the PWL-LP baseline (whose size per instance is also reported).
-
-   A second table pushes the practicality claim further: the round loop
-   itself is incremental (one network per phase, Lemma 4 removals repaired
-   and resumed instead of recomputed — see lib/core/offline.ml), and we
-   measure that against the literal from-scratch presentation. *)
+   the PWL-LP baseline (whose size per instance is also reported). *)
 
 module Table = Ss_numeric.Table
 module Power = Ss_model.Power
-
-let incremental_rows () =
-  List.map
-    (fun (n, machines, horizon, seed) ->
-      let inst =
-        Ss_workload.Generators.uniform ~seed ~machines ~jobs:n ~horizon ~max_work:5. ()
-      in
-      let t_scratch =
-        Common.time_median (fun () -> ignore (Ss_core.Offline.run ~incremental:false inst))
-      in
-      let t_inc =
-        Common.time_median (fun () -> ignore (Ss_core.Offline.run ~incremental:true inst))
-      in
-      let r = Ss_core.Offline.run ~incremental:true inst in
-      [
-        Table.cell_int n;
-        Table.cell_int machines;
-        Table.cell_fixed ~digits:2 t_scratch;
-        Table.cell_fixed ~digits:2 t_inc;
-        Table.cell_fixed ~digits:2 (t_scratch /. Float.max 1e-6 t_inc);
-        Table.cell_int r.stats.phases;
-        Table.cell_int r.stats.rounds;
-        Table.cell_int r.stats.resumes;
-      ])
-    [ (20, 4, 35., 1); (30, 4, 50., 2); (60, 4, 90., 3) ]
 
 (* E2d: the decomposition layer (PR 4).  A fixed 72-job workload is split
    into k release-separated clusters; the splitter cuts the instance at
@@ -100,15 +70,6 @@ let run () =
         [ "n"; "comb ms"; "LP ms"; "LP/comb"; "LP vars"; "LP rows"; "LP gap" ]
       rows
   in
-  let inc_table =
-    Table.make
-      ~title:
-        "E2b: incremental round loop vs from-scratch rebuild (uniform, same results)\n\
-         expected: speedup grows with the removals/phases ratio (resumed rounds are cheap)"
-      ~headers:
-        [ "n"; "m"; "scratch ms"; "incr ms"; "speedup"; "phases"; "rounds"; "resumes" ]
-      (incremental_rows ())
-  in
   let dec_table =
     Table.make
       ~title:
@@ -122,12 +83,10 @@ let run () =
       [
         "'LP gap' = (E_comb - LP lower bound)/E_comb: the LP relaxation also \
          under-approximates energy at 6 tangents, so it is both slower and coarser.";
-        "E2b: both paths return identical phases/speeds/energy (the accepted flow \
-         is re-extracted canonically); only failed rounds are warm-started.";
         "E2d: the decomposed run is bit-identical to the undecomposed one \
          (test/test_decomposition.ml); the k=1 row is the pass-through overhead check.";
       ]
-    [ table; inc_table; dec_table ]
+    [ table; dec_table ]
 
 let exp : Common.t =
   {

@@ -24,7 +24,7 @@ let all : Common.t list =
     A2_sleep.exp;
     A3_parallel.exp;
     A4_flow_ablation.exp;
-    A5_victim_ablation.exp;
+    A5_grouped_removal.exp;
     X1_bkp.exp;
   ]
 

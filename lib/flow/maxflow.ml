@@ -18,12 +18,11 @@
 
    The arena is reusable: [clear] rewinds the edge count without freeing the
    flat arrays or the adjacency rows, [reserve] pre-sizes everything for a
-   known network shape, and the warm-start primitives ([set_capacity],
-   [cancel_through], [reduce_to_capacity], [dinic_resume]) let the offline
-   solver repair an installed flow after a small capacity perturbation
-   instead of recomputing from zero (see lib/core/offline.ml).  The BFS/DFS
-   scratch arrays of Dinic live in the arena too, so a round loop triggers
-   no allocation at all. *)
+   known network shape, and [set_capacity] plus [reset_flows] let the
+   offline solver rewind one network in place between rounds instead of
+   rebuilding it (see lib/core/offline.ml).  The BFS/DFS scratch arrays of
+   Dinic live in the arena too, so a round loop triggers no allocation at
+   all. *)
 
 (* The graph record lives outside the functor, parameterized by the field
    element, so that [Float] below can shadow the hot path with
@@ -45,7 +44,7 @@ type 'a graph = {
   mutable queue : int array;
   (* Work counters, accumulated across runs on this arena and cleared only
      by [reset_counters] — so a round loop can report per-solve totals. *)
-  mutable pushes : int;     (* flow updates: augmentations + cancellations *)
+  mutable pushes : int;     (* edge-flow updates *)
   mutable bfs_waves : int;  (* level-graph / augmenting-path BFS passes *)
 }
 
@@ -126,9 +125,6 @@ module Make (F : Ss_numeric.Field.S) = struct
     end;
     !grew
 
-  (* Current allocation limits: (vertex slots, forward-edge slots). *)
-  let arena_capacity g = (Array.length g.head, Array.length g.cap / 2)
-
   (* Append arc [e] to [v]'s chain — tail append keeps the chain in
      insertion order. *)
   let attach g v e =
@@ -186,98 +182,13 @@ module Make (F : Ss_numeric.Field.S) = struct
     done
 
   (* Change the capacity of an existing forward edge without touching the
-     adjacency.  The installed flow is left as-is: if it now exceeds the
-     new capacity the caller must repair it, e.g. with
-     [reduce_to_capacity]. *)
+     adjacency.  The installed flow is left as-is: the caller resets or
+     re-solves it. *)
   let set_capacity g e ~cap =
     if e < 0 || e >= g.m || e land 1 <> 0 then
       invalid_arg "Maxflow.set_capacity: not a forward edge id";
     if F.sign cap < 0 then invalid_arg "Maxflow.set_capacity: negative capacity";
     g.cap.(e) <- cap
-
-  (* --- warm-start repair primitives ----------------------------------
-     Both walkers follow edges currently carrying flow.  They assume the
-     installed flow is acyclic — true for every network the offline solver
-     builds (source -> job -> interval -> sink is a layered DAG) — and fail
-     loudly after n steps otherwise instead of looping. *)
-
-  (* Forward edges of a flow-carrying path source -> v, in path order. *)
-  let backward_path g ~source v =
-    let rec go v acc steps =
-      if v = source then acc
-      else begin
-        if steps > g.n then failwith "Maxflow: cyclic flow in backward walk";
-        let found = ref (-1) in
-        iter_adj g v
-          (fun e -> if !found < 0 && e land 1 = 1 && F.sign g.flow.(e lxor 1) > 0 then found := e);
-        if !found < 0 then failwith "Maxflow: no flow-carrying edge into vertex";
-        go g.dst.(!found) (!found lxor 1 :: acc) (steps + 1)
-      end
-    in
-    go v [] 0
-
-  (* Forward edges of a flow-carrying path v -> sink, in path order. *)
-  let forward_path g ~sink v =
-    let rec go v acc steps =
-      if v = sink then List.rev acc
-      else begin
-        if steps > g.n then failwith "Maxflow: cyclic flow in forward walk";
-        let found = ref (-1) in
-        iter_adj g v
-          (fun e -> if !found < 0 && e land 1 = 0 && F.sign g.flow.(e) > 0 then found := e);
-        if !found < 0 then failwith "Maxflow: no flow-carrying edge out of vertex";
-        go g.dst.(!found) (!found :: acc) (steps + 1)
-      end
-    in
-    go v [] 0
-
-  let cancel_along g path amount =
-    List.iter (fun e -> push g e (F.neg amount)) path
-
-  (* Drain every unit of flow passing through [vertex] by repeated
-     source->vertex->sink path decomposition; conservation everywhere else
-     is preserved.  Returns the total amount drained. *)
-  let cancel_through g ~source ~sink ~vertex =
-    if vertex = source || vertex = sink then
-      invalid_arg "Maxflow.cancel_through: vertex is source or sink";
-    let drained = ref F.zero in
-    let continue = ref true in
-    while !continue do
-      let out = ref (-1) in
-      iter_adj g vertex
-        (fun e -> if !out < 0 && e land 1 = 0 && F.sign g.flow.(e) > 0 then out := e);
-      if !out < 0 then continue := false
-      else begin
-        let path =
-          backward_path g ~source vertex @ (!out :: forward_path g ~sink g.dst.(!out))
-        in
-        let b = List.fold_left (fun m e -> F.min m g.flow.(e)) g.flow.(!out) path in
-        cancel_along g path b;
-        drained := F.add !drained b
-      end
-    done;
-    !drained
-
-  (* After a capacity shrink, cancel just enough source->sink paths through
-     edge [e] to restore flow.(e) <= cap.(e).  Returns the amount
-     cancelled.  Each iteration zeroes a path edge or clears the excess, so
-     it terminates in at most m rounds. *)
-  let reduce_to_capacity g ~source ~sink e =
-    if e < 0 || e >= g.m || e land 1 <> 0 then
-      invalid_arg "Maxflow.reduce_to_capacity: not a forward edge id";
-    let removed = ref F.zero in
-    while F.sign (F.sub g.flow.(e) g.cap.(e)) > 0 do
-      let excess = F.sub g.flow.(e) g.cap.(e) in
-      let tail = g.dst.(e lxor 1) and head = g.dst.(e) in
-      let up = if tail = source then [] else backward_path g ~source tail in
-      let down = if head = sink then [] else forward_path g ~sink head in
-      let path = up @ (e :: down) in
-      let b = List.fold_left (fun m e' -> F.min m g.flow.(e')) excess path in
-      if F.sign b <= 0 then failwith "Maxflow.reduce_to_capacity: stuck";
-      cancel_along g path b;
-      removed := F.add !removed b
-    done;
-    !removed
 
   let fit_scratch g =
     if Array.length g.level < g.n then begin
@@ -288,10 +199,9 @@ module Make (F : Ss_numeric.Field.S) = struct
     end
 
   (* Dinic: BFS level graph, then DFS blocking flow with arc pointers.
-     Augments the *installed* flow (which is zero on a fresh network): run
-     via [dinic_resume] after a repair to continue from a feasible flow
-     rather than from scratch.  Returns the amount added. *)
-  let dinic_resume g ~source ~sink =
+     Augments the *installed* flow (which is zero on a fresh network) and
+     returns the amount added. *)
+  let dinic g ~source ~sink =
     if source = sink then invalid_arg "Maxflow.dinic: source = sink";
     fit_scratch g;
     let level = g.level and iter = g.iter_ and queue = g.queue in
@@ -360,8 +270,6 @@ module Make (F : Ss_numeric.Field.S) = struct
       drain ()
     done;
     !total
-
-  let dinic = dinic_resume
 
   (* Edmonds–Karp: BFS shortest augmenting paths.  Slower; used only to
      cross-check Dinic in tests. *)
@@ -645,11 +553,6 @@ module Make (F : Ss_numeric.Field.S) = struct
 
   let num_vertices g = g.n
   let num_edges g = g.m / 2
-
-  let iter_edges g f =
-    for e = 0 to g.m - 1 do
-      if e land 1 = 0 then f ~id:e ~src:g.dst.(e lxor 1) ~dst:g.dst.(e) ~cap:g.cap.(e) ~flow:g.flow.(e)
-    done
 end
 
 module Float = struct
@@ -694,7 +597,7 @@ module Float = struct
 
   let reset_flows (g : t) = Array.fill g.flow 0 g.m 0.
 
-  let dinic_resume (g : t) ~source ~sink =
+  let dinic (g : t) ~source ~sink =
     if source = sink then invalid_arg "Maxflow.dinic: source = sink";
     fit_scratch g;
     let level = g.level and iter = g.iter_ and queue = g.queue in
@@ -770,8 +673,6 @@ module Float = struct
       drain ()
     done;
     !total
-
-  let dinic = dinic_resume
 
   let flow_value (g : t) ~source =
     let acc = ref 0. in

@@ -24,10 +24,6 @@ module Make (F : Ss_numeric.Field.S) : sig
       solver sessions use this to pre-size before a rebuild and to count
       arena churn. *)
 
-  val arena_capacity : t -> int * int
-  (** Current allocation limits as [(vertex_slots, forward_edge_slots)] —
-      how big a network fits before {!reserve}/{!add_edge} must grow. *)
-
   val add_edge : t -> src:int -> dst:int -> cap:F.t -> int
   (** Adds a directed edge and returns its id.
       @raise Invalid_argument on out-of-range vertices or negative
@@ -36,7 +32,7 @@ module Make (F : Ss_numeric.Field.S) : sig
   val set_capacity : t -> int -> cap:F.t -> unit
   (** Change the capacity of an existing forward edge in place, keeping the
       frozen adjacency.  Does not touch the installed flow: shrink below
-      the current flow only in tandem with {!reduce_to_capacity}.
+      the current flow only before {!reset_flows}.
       @raise Invalid_argument on a non-forward edge id or negative
       capacity. *)
 
@@ -44,23 +40,6 @@ module Make (F : Ss_numeric.Field.S) : sig
   (** Maximum flow via blocking flows; flows are left installed on the
       edges.  Augments from the installed flow (zero on a fresh network)
       and returns the amount added. *)
-
-  val dinic_resume : t -> source:int -> sink:int -> F.t
-  (** Alias of {!dinic} that makes warm starts explicit at call sites:
-      continue from the currently installed (feasible) flow after a repair
-      and return only the {e additional} flow pushed.  Use {!flow_value}
-      for the resulting total. *)
-
-  val cancel_through : t -> source:int -> sink:int -> vertex:int -> F.t
-  (** Drain all flow passing through [vertex] by cancelling source→sink
-      path decompositions; returns the amount drained.  Requires the
-      installed flow to be acyclic (always true on the layered scheduling
-      networks); conservation at all other vertices is preserved. *)
-
-  val reduce_to_capacity : t -> source:int -> sink:int -> int -> F.t
-  (** After a capacity shrink on edge [e], cancel just enough source→sink
-      flow through [e] to restore [flow <= cap]; returns the amount
-      cancelled (zero if the edge was already within capacity). *)
 
   val edmonds_karp : t -> source:int -> sink:int -> F.t
   (** Independent max-flow implementation (shortest augmenting paths);
@@ -100,8 +79,7 @@ module Make (F : Ss_numeric.Field.S) : sig
 
   type counters = { pushes : int; bfs_waves : int }
   (** Work counters accumulated across every run on this arena: [pushes]
-      counts individual edge-flow updates (augmentations and repair
-      cancellations alike), [bfs_waves] counts BFS passes (Dinic
+      counts individual edge-flow updates, [bfs_waves] counts BFS passes (Dinic
       level-graph builds / Edmonds–Karp path searches).  Together with
       {!num_edges} they make graph-size wins machine-readable in the
       bench harness. *)
@@ -114,9 +92,6 @@ module Make (F : Ss_numeric.Field.S) : sig
 
   val num_vertices : t -> int
   val num_edges : t -> int
-
-  val iter_edges :
-    t -> (id:int -> src:int -> dst:int -> cap:F.t -> flow:F.t -> unit) -> unit
 end
 
 module Float : module type of Make (Ss_numeric.Field.Float)

@@ -52,9 +52,9 @@ val run_detailed :
     {!Engine.counters} in place.  [decompose] is forwarded to the offline
     solver's decomposition layer; replanning sub-instances share one
     release time, hence form a single component, so it never changes
-    results here.  [compress] is forwarded to the solver's interval-tree
-    network compression (default: size-triggered per replan); plans and
-    schedules are identical either way. *)
+    results here.  [compress] is forwarded to the solver's choice of
+    round oracle, dense network or sweep (default: size-triggered per
+    replan); plans are identical either way. *)
 
 val run :
   ?tol:float ->

@@ -214,26 +214,29 @@ let answer t w (q : query) =
   in
   let check = algo_tag q.algo ^ Canon.encode canon in
   let key = Digest.string check in
-  Mutex.lock t.lock;
-  t.queries <- t.queries + 1;
-  let cached = Lru.find t.cache ~key ~check in
-  (match cached with
-  | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
-  Mutex.unlock t.lock;
+  (* [Mutex.protect] releases the lock even if the cache raises, so one
+     failed query cannot block every later one. *)
+  let cached =
+    Mutex.protect t.lock (fun () ->
+        t.queries <- t.queries + 1;
+        let cached = Lru.find t.cache ~key ~check in
+        (match cached with
+        | Some _ -> t.hits <- t.hits + 1
+        | None -> t.misses <- t.misses + 1);
+        cached)
+  in
   match cached with
   | Some out -> inverse tf out
   | None ->
     let shape = Canon.shape_digest canon in
     let out = compute t w q canon in
-    Mutex.lock t.lock;
-    if Hashtbl.mem t.shapes shape then t.near_hits <- t.near_hits + 1
-    else begin
-      if Hashtbl.length t.shapes >= t.shape_cap then Hashtbl.reset t.shapes;
-      Hashtbl.add t.shapes shape ()
-    end;
-    Lru.add t.cache ~key ~check out;
-    Mutex.unlock t.lock;
+    Mutex.protect t.lock (fun () ->
+        if Hashtbl.mem t.shapes shape then t.near_hits <- t.near_hits + 1
+        else begin
+          if Hashtbl.length t.shapes >= t.shape_cap then Hashtbl.reset t.shapes;
+          Hashtbl.add t.shapes shape ()
+        end;
+        Lru.add t.cache ~key ~check out);
     inverse tf out
 
 let batch t queries = Pool.Crew.mapw t.crew (fun w q -> answer t w q) queries
@@ -250,21 +253,17 @@ let solve_batch t instances =
     (batch t (Array.map (fun instance -> { algo = Solve; instance }) instances))
 
 let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      queries = t.queries;
-      hits = t.hits;
-      near_hits = t.near_hits;
-      misses = t.misses;
-      evictions = t.cache.Lru.evictions;
-      resident = Lru.resident t.cache;
-      steals = Pool.Crew.steals t.crew;
-      domains = Pool.Crew.size t.crew;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+  Mutex.protect t.lock (fun () ->
+      {
+        queries = t.queries;
+        hits = t.hits;
+        near_hits = t.near_hits;
+        misses = t.misses;
+        evictions = t.cache.Lru.evictions;
+        resident = Lru.resident t.cache;
+        steals = Pool.Crew.steals t.crew;
+        domains = Pool.Crew.size t.crew;
+      })
 
 let hit_rate (s : stats) =
   if s.queries = 0 then 0. else float_of_int s.hits /. float_of_int s.queries

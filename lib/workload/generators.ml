@@ -101,11 +101,11 @@ let heavy_tailed ?(integral = true) ~seed ~machines ~jobs:n ~horizon ~shape () =
   in
   finalize ~machines ~integral (List.init n mk)
 
-(* Large-n stress regime for the compressed flow networks: every window
-   covers at least a third of the horizon, so windows overlap heavily, no
-   zero-coverage cut exists (nothing for the decomposition layer to
-   split), and the dense Fig. 1 network carries Theta(n k) edges — the
-   worst case interval-tree compression is built for.  Works are Pareto
+(* Large-n stress regime for the offline solver's sweep oracle: every
+   window covers at least a third of the horizon, so windows overlap
+   heavily, no zero-coverage cut exists (nothing for the decomposition
+   layer to split), and the dense Fig. 1 network carries Theta(n k) edges
+   — the case the sweep avoids building.  Works are Pareto
    so a few dominant jobs keep the phase structure non-trivial. *)
 let heavy ?(integral = true) ?(shape = 1.8) ~seed ~machines:m ~jobs:n ~horizon () =
   if n <= 0 || horizon < 6. then invalid_arg "Generators.heavy: bad parameters";

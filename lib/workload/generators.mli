@@ -49,7 +49,7 @@ val heavy :
 (** Heavily overlapping windows (each spans ≥ a third of the horizon, so
     the instance never decomposes) with Pareto([shape], default 1.8)
     works — the large-n regime where the dense Fig. 1 network has
-    [Theta(n k)] edges and interval-tree compression pays off. *)
+    [Theta(n k)] edges and the solver's sweep oracle pays off. *)
 
 val staircase : machines:int -> levels:int -> copies:int -> unit -> Ss_model.Job.instance
 (** Nested equal-density windows sharing one deadline (AVR adversary;

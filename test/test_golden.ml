@@ -40,9 +40,9 @@ let test_offline_fingerprint () =
      conjectures of the global round loop, so the decomposed and
      undecomposed round counts are pinned separately; every output value
      above is shared by both paths. *)
-  Alcotest.(check int) "rounds" 23 info.rounds;
+  Alcotest.(check int) "rounds" 19 info.rounds;
   let _, undec = Ss_core.Offline.solve ~decompose:false inst in
-  Alcotest.(check int) "undecomposed rounds" 39 undec.rounds;
+  Alcotest.(check int) "undecomposed rounds" 25 undec.rounds;
   Alcotest.(check int) "undecomposed phases" 6 undec.phases;
   Alcotest.(check int) "components" 2 (Ss_core.Offline.component_count inst);
   close "peak speed" 0.835800461016282 info.speeds.(0)
@@ -82,6 +82,84 @@ let test_exact_replay_fingerprint () =
       close "phase speed float-vs-exact" (Ss_numeric.Rational.to_float b.speed) a.speed)
     run.schedule_phases exact.schedule_phases
 
+(* Whole-run digests: the float bits of the breakpoints and of every
+   phase's members, speed, reservations and (job, interval, time)
+   allocation, pinned by value.  One set of instances per round substrate:
+   below [compress_threshold] the dense Fig. 1 network answers each round,
+   above it the earliest-deadline sweep does. *)
+let run_digest (r : Ss_core.Offline.F.run) =
+  let b = Buffer.create 4096 in
+  let add_int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let add_float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  add_int (Array.length r.breakpoints);
+  Array.iter add_float r.breakpoints;
+  List.iter
+    (fun (p : Ss_core.Offline.F.phase) ->
+      add_int (List.length p.members);
+      List.iter add_int p.members;
+      add_float p.speed;
+      Array.iter add_int p.procs;
+      add_int (List.length p.alloc);
+      List.iter
+        (fun (i, j, t) ->
+          add_int i;
+          add_int j;
+          add_float t)
+        p.alloc)
+    r.schedule_phases;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+module G = Ss_workload.Generators
+
+let dense_digest_cases =
+  [
+    ( "uniform s=3 m=2",
+      (fun () -> G.uniform ~seed:3 ~machines:2 ~jobs:12 ~horizon:18. ~max_work:4. ()),
+      "770e4455f4b38bfe66e1da7b39373262" );
+    ( "uniform s=4 m=4",
+      (fun () -> G.uniform ~seed:4 ~machines:4 ~jobs:14 ~horizon:18. ~max_work:4. ()),
+      "f695b75aed9e633c8fce904bdc0a0a89" );
+    ( "poisson s=5 m=3",
+      (fun () -> G.poisson ~seed:5 ~machines:3 ~jobs:14 ~rate:1.2 ~mean_work:2.5 ~slack:2.2 ()),
+      "ad5ce4bc0966cba54a662ccd50eef511" );
+    ( "clustered s=6 m=2",
+      (fun () ->
+        G.clustered ~seed:6 ~machines:2 ~clusters:3 ~jobs_per_cluster:6 ~cluster_span:10. ~gap:3.
+          ~max_work:4. ()),
+      "4735a1090968a05f7725dde0c8d16e41" );
+  ]
+
+let sweep_digest_cases =
+  [
+    ( "heavy s=1 n=120 m=4",
+      (fun () -> G.heavy ~integral:false ~seed:1 ~machines:4 ~jobs:120 ~horizon:40. ()),
+      "fbd5840ea0cfa199dee733e16d299aa1" );
+    ( "heavy s=2 n=150 m=8",
+      (fun () ->
+        G.heavy ~integral:false ~shape:1.1 ~seed:2 ~machines:8 ~jobs:150 ~horizon:500. ()),
+      "7bcc65136790c2c8e80d9e904e9c4cf9" );
+    ( "stream s=3 n=120 m=8",
+      (fun () ->
+        G.stream ~integral:false ~seed:3 ~machines:8 ~jobs:120 ~rate:4. ~mean_work:2.
+          ~max_laxity:8. ()),
+      "e1d50daf5fc121cfa614a3b9d6f2b655" );
+  ]
+
+let test_run_digests ~sweep cases () =
+  List.iter
+    (fun (name, make, expected) ->
+      let inst = make () in
+      let run = Ss_core.Offline.run inst in
+      (* The instance must exercise the substrate it stands for. *)
+      let n = Job.num_jobs inst and k = Array.length run.breakpoints - 1 in
+      Alcotest.(check bool)
+        (name ^ ": substrate")
+        sweep
+        (Ss_core.Offline.component_count inst = 1
+        && n * k >= Ss_core.Offline.F.compress_threshold);
+      Alcotest.(check string) (name ^ ": run digest") expected (run_digest run))
+    cases
+
 let () =
   Alcotest.run "golden"
     [
@@ -94,5 +172,12 @@ let () =
           Alcotest.test_case "staircase" `Quick test_staircase_fingerprint;
           Alcotest.test_case "video" `Quick test_video_fingerprint;
           Alcotest.test_case "exact replay" `Quick test_exact_replay_fingerprint;
+        ] );
+      ( "run digests",
+        [
+          Alcotest.test_case "dense substrate" `Quick
+            (test_run_digests ~sweep:false dense_digest_cases);
+          Alcotest.test_case "sweep substrate" `Quick
+            (test_run_digests ~sweep:true sweep_digest_cases);
         ] );
     ]

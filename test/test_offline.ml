@@ -382,10 +382,45 @@ let prop_stats_polynomial =
       let inst = random_instance (seed + 300) in
       let run = Offline.run inst in
       let n = Array.length inst.jobs in
-      (* One accepting flow per phase plus one per removal. *)
-      run.stats.rounds = run.stats.phases + run.stats.removals
+      (* One accepting round per phase plus at most one per removal. *)
+      run.stats.phases <= run.stats.rounds
+      && run.stats.rounds <= run.stats.phases + run.stats.removals
+      && run.stats.grouped <= run.stats.rounds - run.stats.phases
       && run.stats.removals <= n * run.stats.phases
       && run.stats.phases <= n)
+
+(* --- audit -------------------------------------------------------------- *)
+
+(* Every dense round leaves a feasible flow on the network the round loop
+   rewinds in place (checked through the [on_flow] hook). *)
+let test_audit_after_rewind () =
+  List.iter
+    (fun (name, (inst : Job.instance)) ->
+      let jobs =
+        Array.map
+          (fun (j : Job.t) ->
+            { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
+          inst.jobs
+      in
+      let audited = ref 0 in
+      let run =
+        Offline.F.solve ~machines:inst.machines
+          ~on_flow:(fun g ->
+            incr audited;
+            match Offline.F.Flow.audit g ~source:0 ~sink:1 with
+            | [] -> ()
+            | violations ->
+              Alcotest.failf "%s: %d flow violations after round %d" name
+                (List.length violations) !audited)
+          jobs
+      in
+      Alcotest.(check int) (name ^ ": hook fired once per round") run.stats.rounds !audited;
+      check_bool (name ^ ": rewinds actually exercised") true (run.stats.resumes > 0))
+    [
+      ("uniform n=20 m=4", G.uniform ~seed:41 ~machines:4 ~jobs:20 ~horizon:30. ~max_work:5. ());
+      ( "poisson n=16 m=2",
+        G.poisson ~seed:42 ~machines:2 ~jobs:16 ~rate:1.3 ~mean_work:2. ~slack:2.5 () );
+    ]
 
 let () =
   Alcotest.run "offline"
@@ -425,4 +460,6 @@ let () =
             prop_split_relaxes;
             prop_stats_polynomial;
           ] );
+      ( "audit",
+        [ Alcotest.test_case "feasible flow after every resume" `Quick test_audit_after_rewind ] );
     ]

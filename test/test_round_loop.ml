@@ -1,0 +1,253 @@
+(* The offline round loop (lib/core/offline.ml): grouped Lemma 4 removal
+   over one dense network per solve, rewound in place between rounds and
+   phases.
+
+   (a) Agreement: the three max-flow backends reach the same partition;
+       the float run agrees with the exact-rational replay, whose
+       schedule passes a zero-tolerance audit; the pipeline's schedule
+       energy is the run's.
+   (b) Sessions: a warm session workspace reproduces one-shot solves bit
+       for bit, counters included, decomposed or not.
+   (c) The parametric invariant, as a QCheck property: accepted phase
+       speeds strictly decrease and every round's flow audits clean.
+   (d) Counters: the rewind and phase-boundary counts of the dense
+       substrate, zero network counters on the sweep.
+   (e) The exact-rational replay certifies a float run's partition,
+       reservations and speeds.
+
+   The per-round flow audit on fixed instances lives in test_offline.ml
+   (group "audit"). *)
+
+module Offline = Ss_core.Offline
+module Job = Ss_model.Job
+module Power = Ss_model.Power
+module Rational = Ss_numeric.Rational
+module G = Ss_workload.Generators
+
+let close ?(tol = 1e-9) msg expected actual =
+  let t = tol *. (1. +. Float.abs expected) in
+  if Float.abs (expected -. actual) > t then
+    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+
+let float_jobs (inst : Job.instance) =
+  Array.map
+    (fun (j : Job.t) -> { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
+    inst.jobs
+
+let exact_jobs (inst : Job.instance) =
+  Array.map
+    (fun (j : Job.t) ->
+      {
+        Offline.Exact.release = Rational.of_float j.release;
+        deadline = Rational.of_float j.deadline;
+        work = Rational.of_float j.work;
+      })
+    inst.jobs
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Float-bits equality of everything a run exposes except its counters. *)
+let check_bitwise name (a : Offline.F.run) (b : Offline.F.run) =
+  Alcotest.(check bool)
+    (name ^ ": breakpoints") true
+    (Array.length a.breakpoints = Array.length b.breakpoints
+    && Array.for_all2 same_bits a.breakpoints b.breakpoints);
+  Alcotest.(check int)
+    (name ^ ": phase count")
+    (List.length a.schedule_phases)
+    (List.length b.schedule_phases);
+  List.iteri
+    (fun idx ((p : Offline.F.phase), (q : Offline.F.phase)) ->
+      let tag = Printf.sprintf "%s: phase %d" name idx in
+      Alcotest.(check (list int)) (tag ^ " members") p.members q.members;
+      Alcotest.(check bool) (tag ^ " speed bitwise") true (same_bits p.speed q.speed);
+      Alcotest.(check (array int)) (tag ^ " procs") p.procs q.procs;
+      Alcotest.(check bool)
+        (tag ^ " alloc bitwise") true
+        (List.length p.alloc = List.length q.alloc
+        && List.for_all2
+             (fun (i, j, t) (i', j', t') -> i = i' && j = j' && same_bits t t')
+             p.alloc q.alloc))
+    (List.combine a.schedule_phases b.schedule_phases)
+
+(* --- (a) agreement ------------------------------------------------------ *)
+
+(* Different max-flow backends return different maximum flows, so the t_kj
+   split and the certified groups (hence round counts) may differ; the
+   partition, the speeds and the removal count are fixed by the instance. *)
+let test_flow_algorithm_grid () =
+  let inst = G.uniform ~seed:21 ~machines:4 ~jobs:14 ~horizon:20. ~max_work:4. () in
+  let jobs = float_jobs inst in
+  let solve flow_algorithm = Offline.F.solve ~flow_algorithm ~machines:inst.machines jobs in
+  let dinic = solve Offline.F.Dinic in
+  let energy r = Offline.energy_of_run (Power.alpha 3.) r in
+  List.iter
+    (fun (name, algo) ->
+      let r = solve algo in
+      Alcotest.(check int) (name ^ ": phase count") dinic.stats.phases r.stats.phases;
+      Alcotest.(check int) (name ^ ": removals") dinic.stats.removals r.stats.removals;
+      List.iter2
+        (fun (a : Offline.F.phase) (b : Offline.F.phase) ->
+          Alcotest.(check (list int)) (name ^ ": members") a.members b.members;
+          Alcotest.(check bool) (name ^ ": speed bitwise") true (same_bits a.speed b.speed);
+          Alcotest.(check (array int)) (name ^ ": procs") a.procs b.procs)
+        dinic.schedule_phases r.schedule_phases;
+      close (name ^ ": energy") ~tol:0. (energy dinic) (energy r))
+    [ ("edmonds-karp", Offline.F.Edmonds_karp); ("push-relabel", Offline.F.Push_relabel) ]
+
+(* The float run against the exact-rational replay, whose materialized
+   schedule must pass the zero-tolerance feasibility audit. *)
+let test_exact_agree () =
+  List.iter
+    (fun (machines, seed) ->
+      let inst = G.uniform ~seed ~machines ~jobs:8 ~horizon:12. ~max_work:4. () in
+      let jobs = exact_jobs inst in
+      let exact = Offline.Exact.solve ~machines jobs in
+      Alcotest.(check int) "exact: schedule violations" 0
+        (List.length
+           (Offline.Exact.check_segments ~machines jobs (Offline.Exact.schedule_segments exact)));
+      let f = Offline.run inst in
+      Alcotest.(check int) "exact: phase count"
+        (List.length exact.schedule_phases)
+        (List.length f.schedule_phases);
+      List.iter2
+        (fun (a : Offline.F.phase) (b : Offline.Exact.phase) ->
+          Alcotest.(check (list int)) "exact: members" b.members a.members;
+          Alcotest.(check (array int)) "exact: procs" b.procs a.procs;
+          close "float-vs-exact speed" (Rational.to_float b.speed) a.speed)
+        f.schedule_phases exact.schedule_phases)
+    [ (1, 31); (2, 32); (2, 33); (4, 34) ]
+
+(* The top-level pipeline materializes the run it reports (schedule energy
+   is what users see). *)
+let test_pipeline_energy_agrees () =
+  let p3 = Power.alpha 3. in
+  List.iter
+    (fun seed ->
+      let inst = G.uniform ~seed ~machines:4 ~jobs:15 ~horizon:22. ~max_work:4. () in
+      let sched, info = Offline.solve inst in
+      let run = Offline.run inst in
+      close "pipeline energy" (Offline.energy_of_run p3 run) (Ss_model.Schedule.energy p3 sched);
+      Alcotest.(check int) "pipeline phases" run.stats.phases info.phases;
+      Alcotest.(check int) "pipeline rounds" run.stats.rounds info.rounds)
+    [ 51; 52; 53 ]
+
+(* --- (b) sessions ------------------------------------------------------- *)
+
+let test_session_and_split () =
+  let machines = 4 in
+  let session = Offline.F.Session.create ~machines in
+  List.iter
+    (fun seed ->
+      let inst =
+        G.clustered ~seed ~machines ~clusters:4 ~jobs_per_cluster:8 ~cluster_span:12. ~gap:3.
+          ~max_work:4. ()
+      in
+      let jobs = float_jobs inst in
+      let tag = Printf.sprintf "split s=%d" seed in
+      List.iter
+        (fun decompose ->
+          let tag = Printf.sprintf "%s decompose=%b" tag decompose in
+          let fresh = Offline.F.solve ~decompose ~machines jobs in
+          (* Twice on the warm workspace: reuse leaks nothing. *)
+          for _ = 1 to 2 do
+            let warm = Offline.F.Session.solve ~decompose session jobs in
+            check_bitwise (tag ^ " session") fresh warm;
+            Alcotest.(check bool) (tag ^ " session stats") true (fresh.stats = warm.stats)
+          done)
+        [ true; false ])
+    [ 41; 42; 43 ]
+
+(* --- (c) the parametric invariant as a QCheck property ---------------- *)
+
+let prop_invariant =
+  QCheck.Test.make ~count:40
+    ~name:"phase speeds strictly decrease; persistent flow audits clean"
+    QCheck.(pair (int_range 1 4) small_nat)
+    (fun (machines, seed) ->
+      let inst =
+        G.uniform ~seed:(seed + 7) ~machines ~jobs:(8 + (seed mod 9)) ~horizon:16. ~max_work:4. ()
+      in
+      let audits = ref 0 in
+      let on_flow g =
+        (match Offline.F.Flow.audit g ~source:0 ~sink:1 with
+        | [] -> ()
+        | vs ->
+          QCheck.Test.fail_reportf "persistent flow violates feasibility: %d problems"
+            (List.length vs));
+        incr audits
+      in
+      let run =
+        Offline.F.solve ~decompose:false ~on_flow ~machines:inst.machines (float_jobs inst)
+      in
+      if !audits <> run.stats.rounds then
+        QCheck.Test.fail_reportf "on_flow fired %d times for %d rounds" !audits run.stats.rounds;
+      let rec strictly_decreasing = function
+        | a :: (b :: _ as rest) -> a > b && strictly_decreasing rest
+        | _ -> true
+      in
+      strictly_decreasing (List.map (fun (p : Offline.F.phase) -> p.speed) run.schedule_phases))
+
+(* --- (d) counters ------------------------------------------------------- *)
+
+let test_counters () =
+  let inst = G.uniform ~seed:55 ~machines:4 ~jobs:40 ~horizon:20. ~max_work:5. () in
+  let jobs = float_jobs inst in
+  let dense = Offline.F.solve ~compress:false ~decompose:false ~machines:4 jobs in
+  let sweep = Offline.F.solve ~compress:true ~decompose:false ~machines:4 jobs in
+  let d = dense.stats and s = sweep.stats in
+  Alcotest.(check bool) "instance has several phases and removals" true
+    (d.phases > 1 && d.removals > 0);
+  Alcotest.(check int) "dense: phase_resumes = phases - 1" (d.phases - 1) d.phase_resumes;
+  Alcotest.(check int) "dense: one rewind per failed round" (d.rounds - d.phases) d.resumes;
+  Alcotest.(check bool) "dense: network counted" true
+    (d.net_edges > 0 && d.net_pushes > 0 && d.net_bfs_waves > 0);
+  List.iter
+    (fun (tag, (r : Offline.F.stats)) ->
+      Alcotest.(check bool)
+        (tag ^ ": phases <= rounds <= phases + removals")
+        true
+        (r.phases <= r.rounds && r.rounds <= r.phases + r.removals);
+      Alcotest.(check bool)
+        (tag ^ ": grouped <= rounds - phases") true
+        (r.grouped <= r.rounds - r.phases))
+    [ ("dense", d); ("sweep", s) ];
+  Alcotest.(check (list int)) "sweep: no network counters" [ 0; 0; 0; 0; 0 ]
+    [ s.resumes; s.net_edges; s.net_pushes; s.net_bfs_waves; s.phase_resumes ];
+  Alcotest.(check int) "same phases" d.phases s.phases;
+  Alcotest.(check int) "same removals" d.removals s.removals
+
+(* --- (e) exact-rational replay certifies a float run ------------------- *)
+
+let test_exact_replay () =
+  let inst = G.heavy ~seed:17 ~machines:4 ~jobs:14 ~horizon:12. () in
+  let float_run = Offline.run inst in
+  let exact_run = Offline.solve_exact inst in
+  Alcotest.(check int) "exact replay: phase count"
+    (List.length float_run.schedule_phases)
+    (List.length exact_run.schedule_phases);
+  Alcotest.(check int) "exact replay: removals" float_run.stats.removals
+    exact_run.stats.removals;
+  List.iter2
+    (fun (p : Offline.F.phase) (q : Offline.Exact.phase) ->
+      Alcotest.(check (list int)) "exact replay: members" p.members q.members;
+      Alcotest.(check (array int)) "exact replay: procs" p.procs q.procs;
+      close "exact replay: speed" (Rational.to_float q.speed) p.speed)
+    float_run.schedule_phases exact_run.schedule_phases
+
+let () =
+  Alcotest.run "round loop"
+    [
+      ( "agreement",
+        [
+          Alcotest.test_case "flow-algorithm grid" `Quick test_flow_algorithm_grid;
+          Alcotest.test_case "exact-rational replay" `Slow test_exact_agree;
+          Alcotest.test_case "pipeline energy" `Quick test_pipeline_energy_agrees;
+        ] );
+      ( "bitwise agreement",
+        [ Alcotest.test_case "solve_split + sessions" `Quick test_session_and_split ] );
+      ("parametric invariant", [ QCheck_alcotest.to_alcotest prop_invariant ]);
+      ("counters", [ Alcotest.test_case "phase counters" `Quick test_counters ]);
+      ( "exact replay",
+        [ Alcotest.test_case "rational certification" `Quick test_exact_replay ] );
+    ]

@@ -148,15 +148,13 @@ let () =
               print_newline ())
           old_s)
       [
-        ("solver", [ "rounds"; "resumes"; "edges"; "pushes"; "speedup" ]);
+        ("solver", [ "rounds"; "resumes"; "grouped"; "edges"; "pushes" ]);
         ("online", [ "replans"; "rounds"; "resumes"; "carried_jobs"; "speedup" ]);
         ("decomposition", [ "components"; "seq_speedup"; "speedup" ]);
-        ("compressed", [ "rounds"; "dense_edges"; "compressed_edges"; "edge_ratio"; "speedup" ]);
+        ("compressed", [ "rounds"; "dense_edges"; "speedup" ]);
         ("online_engine", [ "events"; "set_ops"; "segments"; "events_per_sec"; "speedup" ]);
         ( "throughput",
           [ "queries"; "hits"; "near_hits"; "hit_rate"; "steals"; "batch_qps"; "speedup" ] );
-        ( "cross_phase",
-          [ "phases"; "phase_resumes"; "phase_drain_edges"; "peak_edges"; "speedup" ] );
       ];
     if !regressions > 0 then begin
       Printf.printf "\n%d benchmark(s) regressed by more than %.0f%%\n" !regressions
