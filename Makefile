@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json bench bench-json bench-large bench-online-large bench-throughput bench-smoke perf-diff tables micro examples clean
+.PHONY: all build test lint lint-json bench bench-large bench-throughput bench-smoke tables micro examples clean
 
 all: build
 
@@ -30,40 +30,20 @@ bench:
 bench-output:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
-# Machine-readable perf snapshot (per-benchmark ns/run + solver round and
-# resume counters + the online scratch-vs-session section + the
-# decomposition speedup section); regenerates BENCH_3.json for the perf
-# trajectory.
-bench-json:
-	dune exec bench/main.exe -- micro --json BENCH_3.json
-
 # Large-n scaling rows (dense round networks vs the sweep oracle on heavy
-# n=500/1000/2000, m=8 instances); regenerates BENCH_4.json.
+# n=500/1000/2000, m=8 instances).
 bench-large:
-	dune exec bench/main.exe -- large --json BENCH_4.json
-
-# Large-trace online simulation (streaming calendar/arena event loop vs
-# the legacy per-interval rescan on stream workloads at n=1e4/1e5/1e6);
-# regenerates BENCH_5.json.
-bench-online-large:
-	dune exec bench/main.exe -- online-large --json BENCH_5.json
+	dune exec bench/main.exe -- large
 
 # Batch-dispatch throughput (work-stealing crew + canonical memo cache
 # vs sequential per-query scratch solves on a 600-query clustered batch
-# with 75% canonical duplicates); regenerates BENCH_6.json.
+# with 75% canonical duplicates).
 bench-throughput:
-	dune exec bench/main.exe -- throughput --json BENCH_6.json
+	dune exec bench/main.exe -- throughput
 
-# Tiny-quota run of the same pipeline (also wired into `dune runtest`).
+# Tiny-quota run of the micro-benchmarks.
 bench-smoke:
 	dune build @bench-smoke
-
-# Compare two bench snapshots without jq; exits 1 on a >25% regression.
-#   make perf-diff OLD=BENCH_2.json NEW=BENCH_3.json
-OLD ?= BENCH_2.json
-NEW ?= BENCH_3.json
-perf-diff:
-	dune exec tools/perf_diff.exe -- $(OLD) $(NEW)
 
 tables:
 	dune exec bench/main.exe -- tables

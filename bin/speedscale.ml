@@ -326,11 +326,11 @@ let batch path algo alpha domains capacity no_cache verbose =
       (float_of_int (Array.length outcomes) /. Float.max 1e-9 elapsed)
       total alpha;
     Printf.printf
-      "cache: %d hits / %d queries (%.0f%%), %d near hits, %d resident, %d evictions; \
+      "cache: %d hits / %d queries (%.0f%%), %d resident, %d evictions; \
        crew: %d domains, %d steals\n"
       s.hits s.queries
       (100. *. Ss_dispatch.Dispatch.hit_rate s)
-      s.near_hits s.resident s.evictions s.domains s.steals;
+      s.resident s.evictions s.domains s.steals;
     `Ok ()
 
 let batch_cmd =

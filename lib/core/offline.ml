@@ -1536,50 +1536,10 @@ let float_jobs (inst : Job.instance) =
     (fun (j : Job.t) -> { F.release = j.release; deadline = j.deadline; work = j.work })
     inst.jobs
 
-(* Materialize a run into a concrete schedule: inside each interval, stack
-   the phases' wrap-packed blocks onto disjoint processors (Lemma 2). *)
-let schedule_of_run ~machines (run : F.run) =
-  let k = Array.length run.breakpoints - 1 in
-  let segments = ref [] in
-  for j = 0 to k - 1 do
-    let t0 = run.breakpoints.(j) and t1 = run.breakpoints.(j + 1) in
-    let offset = ref 0 in
-    List.iter
-      (fun (phase : F.phase) ->
-        if phase.procs.(j) > 0 then begin
-          let entries =
-            List.filter_map
-              (fun (i, j', t) -> if j' = j then Some (i, t) else None)
-              phase.alloc
-          in
-          if entries <> [] then begin
-            let segs, used_procs =
-              Schedule.wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed entries
-            in
-            if used_procs > phase.procs.(j) then
-              failwith "Offline.schedule_of_run: packing exceeded reservation";
-            segments := segs :: !segments
-          end;
-          offset := !offset + phase.procs.(j)
-        end)
-      run.schedule_phases
-  done;
-  Schedule.make ~machines (List.concat !segments)
-
-(* Same (proc, t0, job) order as Schedule.make installs, so a slice equals
-   the clipped full schedule segment-for-segment, in sequence. *)
-let compare_segment (a : Schedule.segment) (b : Schedule.segment) =
-  match Int.compare a.proc b.proc with
-  | 0 -> (match Float.compare a.t0 b.t0 with 0 -> Int.compare a.job b.job | c -> c)
-  | c -> c
-
-(* Materialize only the part of a run that overlaps [lo, hi): wrap-pack
-   just the grid intervals meeting the window and clip the result.  Equal
-   to clipping the full [schedule_of_run] output to the window — same
-   segments in the same order — but skips packing everything outside,
-   which is the common case in online replanning where a plan is only
-   followed until the next arrival. *)
-let slice_of_run ~machines (run : F.run) ~lo ~hi =
+(* Lemma 2 materialization of the grid intervals that meet [lo, hi):
+   inside each, stack the phases' wrap-packed blocks onto disjoint
+   processors.  Segments come out unclipped, latest interval first. *)
+let pack_intervals ~machines (run : F.run) ~lo ~hi =
   let k = Array.length run.breakpoints - 1 in
   let segments = ref [] in
   for j = 0 to k - 1 do
@@ -1599,17 +1559,35 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
                 Schedule.wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed entries
               in
               if used_procs > phase.procs.(j) then
-                failwith "Offline.slice_of_run: packing exceeded reservation";
+                failwith "Offline: packing exceeded reservation";
               segments := segs :: !segments
             end;
             offset := !offset + phase.procs.(j)
           end)
         run.schedule_phases;
-      if !offset > machines then
-        failwith "Offline.slice_of_run: reservations exceed machines"
+      if !offset > machines then failwith "Offline: reservations exceed machines"
     end
   done;
   List.concat !segments
+
+let schedule_of_run ~machines (run : F.run) =
+  Schedule.make ~machines (pack_intervals ~machines run ~lo:neg_infinity ~hi:infinity)
+
+(* Same (proc, t0, job) order as Schedule.make installs, so a slice equals
+   the clipped full schedule segment-for-segment, in sequence. *)
+let compare_segment (a : Schedule.segment) (b : Schedule.segment) =
+  match Int.compare a.proc b.proc with
+  | 0 -> (match Float.compare a.t0 b.t0 with 0 -> Int.compare a.job b.job | c -> c)
+  | c -> c
+
+(* Materialize only the part of a run that overlaps [lo, hi): wrap-pack
+   just the grid intervals meeting the window and clip the result.  Equal
+   to clipping the full [schedule_of_run] output to the window — same
+   segments in the same order — but skips packing everything outside,
+   which is the common case in online replanning where a plan is only
+   followed until the next arrival. *)
+let slice_of_run ~machines (run : F.run) ~lo ~hi =
+  pack_intervals ~machines run ~lo ~hi
   |> List.filter_map (fun (s : Schedule.segment) ->
          let t0 = Float.max s.t0 lo and t1 = Float.min s.t1 hi in
          if t1 > t0 then Some { s with t0; t1 } else None)

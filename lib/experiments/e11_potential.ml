@@ -32,7 +32,7 @@ let run () =
               Table.cell_int (List.length a.jumps);
               Table.cell_f ~digits:2 a.max_piece_violation;
               Table.cell_f ~digits:2 a.max_jump_violation;
-              Table.cell_bool (Ss_online.Potential.holds a);
+              Table.cell_bool (Ss_online.Potential.holds ~tol:1e-6 a);
               Table.cell_fixed (a.energy_oa /. a.energy_opt);
             ])
           [ 2.; 3. ])

@@ -104,13 +104,3 @@ let encode (inst : Job.instance) =
   Buffer.contents buf
 
 let digest inst = Digest.string (encode inst)
-
-let shape_digest (inst : Job.instance) =
-  let buf = Buffer.create (16 + (16 * Array.length inst.jobs)) in
-  Buffer.add_int64_le buf (Int64.of_int inst.machines);
-  Array.iter
-    (fun (j : Job.t) ->
-      Buffer.add_int64_le buf (Int64.bits_of_float j.release);
-      Buffer.add_int64_le buf (Int64.bits_of_float j.deadline))
-    inst.jobs;
-  Digest.string (Buffer.contents buf)

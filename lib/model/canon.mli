@@ -68,9 +68,3 @@ val encode : Job.instance -> string
 val digest : Job.instance -> string
 (** MD5 of {!encode} — the memo-cache key.  Canonicalize first to make
     shift/scale/permutation variants collide. *)
-
-val shape_digest : Job.instance -> string
-(** MD5 of the machine count and times only (works excluded): two
-    instances with equal shape digests induce the same breakpoint grid
-    and network topology, so a solver arena warmed on one is a seeded
-    start for the other (the dispatcher's near-hit notion). *)

@@ -89,18 +89,23 @@ let run_on_grid (inst : Job.instance) =
   let schedule = Schedule.make ~machines:inst.machines !segments in
   (schedule, { intervals = Ss_model.Interval.length grid; peeled = !peeled_total })
 
-(* The streaming sweep over the unit grid: one pass over the shared event
-   calendar keeps the active set incrementally (enter at the release
-   event, leave at the deadline event), so building all per-interval
-   active lists costs O((n + g) log n) for g unit intervals, against the
-   O(n g) of re-scanning every job per interval ([Engine.active_jobs], the
-   legacy oracle behind [streaming:false]).  Idle stretches — no active
-   job until the next calendar event — are skipped in O(1) instead of
-   walked unit by unit.  The set is materialized ascending — exactly the
-   id order the per-interval rescan produces — so the two paths feed
-   [schedule_interval] identical inputs and yield bitwise-equal
-   schedules. *)
-let run_streaming ?stats ~t_start ~t_end ~density (inst : Job.instance) =
+(* The sweep over the unit grid: one pass over the shared event calendar
+   keeps the active set incrementally (enter at the release event, leave
+   at the deadline event), so building all per-interval active lists costs
+   O((n + g) log n) for g unit intervals, not the O(n g) of re-scanning
+   every job per interval.  Idle stretches — no active job until the next
+   calendar event — are skipped in O(1) instead of walked unit by unit.
+   The set is materialized ascending by id. *)
+let run ?stats (inst : Job.instance) =
+  (match Job.validate inst with
+  | [] -> ()
+  | _ -> invalid_arg "Avr.run: invalid instance");
+  if not (Job.integral_times inst) then
+    invalid_arg "Avr.run: AVR(m) requires integral release times and deadlines";
+  let lo, hi = Job.horizon inst in
+  let t_start = int_of_float lo and t_end = int_of_float hi in
+  let n = Array.length inst.jobs in
+  let density = Array.init n (fun i -> Job.density inst.jobs.(i)) in
   let cal = Engine.Calendar.make inst in
   let num_events = Engine.Calendar.num_events cal in
   let active = Engine.Active.create () in
@@ -138,42 +143,8 @@ let run_streaming ?stats ~t_start ~t_end ~density (inst : Job.instance) =
       c.events <- c.events + !intervals_scheduled;
       c.set_ops <- c.set_ops + Engine.Active.ops active);
   Engine.record_arena stats arena;
-  (Schedule.make ~machines:inst.machines (Engine.Arena.to_list_rev arena), !peeled_total)
-
-let run_legacy ?stats ~t_start ~t_end ~density (inst : Job.instance) =
-  let segments = ref [] in
-  let emitted = ref 0 in
-  let emit s =
-    incr emitted;
-    segments := s :: !segments
-  in
-  let peeled_total = ref 0 in
-  for t = t_start to t_end - 1 do
-    let t0 = float_of_int t and t1 = float_of_int (t + 1) in
-    let active = Engine.active_jobs inst ~lo:t0 ~hi:t1 in
-    peeled_total :=
-      !peeled_total + schedule_interval ~machines:inst.machines ~density ~emit ~t0 ~t1 active
-  done;
-  Engine.record stats (fun c ->
-      c.events <- c.events + (t_end - t_start);
-      c.emitted <- c.emitted + !emitted);
-  (Schedule.make ~machines:inst.machines !segments, !peeled_total)
-
-let run ?(streaming = true) ?stats (inst : Job.instance) =
-  (match Job.validate inst with
-  | [] -> ()
-  | _ -> invalid_arg "Avr.run: invalid instance");
-  if not (Job.integral_times inst) then
-    invalid_arg "Avr.run: AVR(m) requires integral release times and deadlines";
-  let lo, hi = Job.horizon inst in
-  let t_start = int_of_float lo and t_end = int_of_float hi in
-  let n = Array.length inst.jobs in
-  let density = Array.init n (fun i -> Job.density inst.jobs.(i)) in
-  let schedule, peeled =
-    if streaming then run_streaming ?stats ~t_start ~t_end ~density inst
-    else run_legacy ?stats ~t_start ~t_end ~density inst
-  in
-  (schedule, { intervals = t_end - t_start; peeled })
+  let schedule = Schedule.make ~machines:inst.machines (Engine.Arena.to_list_rev arena) in
+  (schedule, { intervals = t_end - t_start; peeled = !peeled_total })
 
 let schedule inst = fst (run inst)
 

@@ -9,18 +9,29 @@ type info = {
   peeled : int;
 }
 
+val schedule_interval :
+  machines:int ->
+  density:float array ->
+  emit:(Ss_model.Schedule.segment -> unit) ->
+  t0:float ->
+  t1:float ->
+  int list ->
+  int
+(** One step of Fig. 3: give every job of the active list (ascending ids)
+    [density.(i) * (t1 - t0)] work inside [\[t0, t1)], peeling over-dense
+    jobs onto dedicated processors and wrap-packing the rest at the
+    balanced speed.  Segments go to [emit]; returns the number of peeled
+    jobs.  Shared by {!run} and {!run_on_grid}. *)
+
 val run :
-  ?streaming:bool ->
   ?stats:Engine.counters ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
-(** [streaming] (default [true]) runs on the shared event calendar and
-    incremental active set ({!Engine.Calendar} / {!Engine.Active}),
-    emitting segments into an arena — O((n + g) log n + output) for g unit
-    intervals, with idle stretches skipped in O(1) — instead of the legacy
-    per-interval job rescan's O(n·g); both paths produce bitwise-equal
-    schedules (the sweep materializes the same ascending id lists).
-    [stats] accumulates {!Engine.counters} in place.
+(** Runs on the shared event calendar and incremental active set
+    ({!Engine.Calendar} / {!Engine.Active}), emitting segments into an
+    arena — O((n + g) log n + output) for g unit intervals, with idle
+    stretches skipped in O(1).  [stats] accumulates {!Engine.counters} in
+    place.
     @raise Invalid_argument on invalid instances or non-integral
     release/deadline times. *)
 

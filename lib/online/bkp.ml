@@ -39,43 +39,24 @@ let window_work (inst : Job.instance) t t1 t2 =
       let j = inst.jobs.(i) in
       if j.release <= t && j.release >= t1 && j.deadline <= t2 then j.work else 0.)
 
-(* v(t) over an explicit candidate list (ascending deadlines > t): the
-   maximum over t' of a ratio of a piecewise-constant numerator and linear
-   denominator is attained at a deadline. *)
-let estimate_over (inst : Job.instance) t candidates =
-  List.fold_left
-    (fun acc t' ->
-      let t1 = (euler *. t) -. ((euler -. 1.) *. t') in
-      let v = window_work inst t t1 t' /. (euler *. (t' -. t)) in
-      Float.max acc v)
-    0. candidates
-
-(* v(t), rebuilding the candidate deadline list from scratch — the legacy
-   per-sample path, O(n log n) before the fold even starts. *)
-let speed_estimate (inst : Job.instance) t =
-  let candidates =
-    Array.to_list inst.jobs
-    |> List.filter_map (fun (j : Job.t) -> if j.deadline > t then Some j.deadline else None)
-    |> List.sort_uniq Float.compare
-  in
-  estimate_over inst t candidates
-
-(* v(t) against a pre-sorted distinct deadline array: binary search for
-   the first deadline > t, fold over the suffix — the same ascending
-   candidate list as [speed_estimate], so the same float result, at
-   O(log n) instead of O(n log n) setup per sample. *)
-let speed_estimate_sorted (inst : Job.instance) deadlines t =
+(* v(t) against the sorted distinct deadlines: binary search for the
+   first deadline > t, then fold over that suffix.  The maximum over t' of
+   a ratio of a piecewise-constant numerator and linear denominator is
+   attained at a deadline, so the suffix is the whole candidate set. *)
+let speed_estimate (inst : Job.instance) deadlines t =
   let len = Array.length deadlines in
   let lo = ref 0 and hi = ref len in
   while !hi > !lo do
     let mid = (!lo + !hi) / 2 in
     if deadlines.(mid) <= t then lo := mid + 1 else hi := mid
   done;
-  let candidates = ref [] in
-  for i = len - 1 downto !lo do
-    candidates := deadlines.(i) :: !candidates
+  let v = ref 0. in
+  for i = !lo to len - 1 do
+    let t' = deadlines.(i) in
+    let t1 = (euler *. t) -. ((euler -. 1.) *. t') in
+    v := Float.max !v (window_work inst t t1 t' /. (euler *. (t' -. t)))
   done;
-  estimate_over inst t !candidates
+  !v
 
 (* Event times (releases and deadlines) refined [steps_per_event]-fold. *)
 let slices ~steps_per_event (inst : Job.instance) =
@@ -93,28 +74,21 @@ let slices ~steps_per_event (inst : Job.instance) =
   in
   List.sort_uniq Float.compare (refine [] base)
 
-let run ?(streaming = true) ?stats ?(steps_per_event = 64) (inst : Job.instance) =
+let run ?stats ?(steps_per_event = 64) (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Bkp.run: invalid instance");
   if inst.machines <> 1 then invalid_arg "Bkp.run: single-processor algorithm";
-  (* Streaming: intern the distinct deadlines once (the calendar's suffix
-     structure) so each of the ~steps_per_event·n speed samples costs a
-     binary search instead of a fresh sort; the candidate lists — and
-     hence every v(t) — are float-identical to the legacy rebuild. *)
-  let speed_at =
-    if streaming then begin
-      let deadlines =
-        Array.to_list inst.jobs
-        |> List.map (fun (j : Job.t) -> j.deadline)
-        |> List.sort_uniq Float.compare
-        |> Array.of_list
-      in
-      fun t -> euler *. speed_estimate_sorted inst deadlines t
-    end
-    else fun t -> euler *. speed_estimate inst t
+  (* The distinct deadlines are interned once, so each of the
+     ~steps_per_event·n speed samples costs a binary search, not a sort. *)
+  let deadlines =
+    Array.to_list inst.jobs
+    |> List.map (fun (j : Job.t) -> j.deadline)
+    |> List.sort_uniq Float.compare
+    |> Array.of_list
   in
-  let out = Edf.run ~streaming ?stats ~slices:(slices ~steps_per_event inst) ~speed_at inst in
+  let speed_at t = euler *. speed_estimate inst deadlines t in
+  let out = Edf.run ?stats ~slices:(slices ~steps_per_event inst) ~speed_at inst in
   let max_residue =
     List.fold_left
       (fun acc (i, residual) -> Float.max acc (residual /. inst.jobs.(i).work))

@@ -10,17 +10,18 @@ type outcome = {
           discretization; shrinks as [steps_per_event] grows *)
 }
 
+val slices : steps_per_event:int -> Ss_model.Job.instance -> float list
+(** The simulation grid: release and deadline times, each inter-event
+    span cut into [steps_per_event] equal slices, ascending. *)
+
 val run :
-  ?streaming:bool ->
   ?stats:Engine.counters ->
   ?steps_per_event:int ->
   Ss_model.Job.instance ->
   outcome
-(** [streaming] (default [true]) interns the distinct deadlines once so
-    each speed sample binary-searches its candidate suffix instead of
-    re-sorting the job array, and runs the EDF executor on the arena
-    path; [false] replays the legacy per-sample rebuild.  Outcomes are
-    float-identical either way.
+(** Speed e·v(t) on each slice of {!slices} (default 64 steps per event),
+    executed by {!Edf.run}.  The distinct deadlines are interned once, so
+    each v(t) sample binary-searches its candidate suffix.
     @raise Invalid_argument unless [machines = 1]. *)
 
 val energy : ?steps_per_event:int -> Ss_model.Power.t -> Ss_model.Job.instance -> float

@@ -22,16 +22,11 @@ type outcome = {
 }
 
 (* [slices]: ascending time points cutting the horizon; [speed_at t] is
-   held constant on each [a, b) slice, sampled at [a].
-
-   The executor is already incremental — a release-sorted feed and a
-   deadline-ordered heap give O(log n) per job transition — so
-   [streaming] (default on) only switches segment accumulation to the
-   shared arena ([Engine.Arena], amortized O(1) emission, high-water
-   tracking) and wires the [stats] counters; the legacy list-prepend path
-   stays as the agreement oracle.  Both paths hand [Schedule.make] the
-   same list, hence bit-identical schedules. *)
-let run ?(streaming = true) ?stats ~slices ~speed_at (inst : Job.instance) =
+   held constant on each [a, b) slice, sampled at [a].  A release-sorted
+   feed and a deadline-ordered heap give O(log n) per job transition;
+   segments go to the shared arena ([Engine.Arena], amortized O(1)
+   emission). *)
+let run ?stats ~slices ~speed_at (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Edf.run: invalid instance");
@@ -39,13 +34,8 @@ let run ?(streaming = true) ?stats ~slices ~speed_at (inst : Job.instance) =
   let n = Array.length inst.jobs in
   let remaining = Array.map (fun (j : Job.t) -> j.work) inst.jobs in
   let unfinished = ref [] in
-  let arena = if streaming then Some (Engine.Arena.create ()) else None in
-  let segments = ref [] in
-  let emit s =
-    match arena with
-    | Some a -> Engine.Arena.emit a s
-    | None -> segments := s :: !segments
-  in
+  let arena = Engine.Arena.create () in
+  let emit s = Engine.Arena.emit arena s in
   let heap_ops = ref 0 in
   let slice_count = ref 0 in
   (* Jobs sorted by release; fed into the live heap as time passes. *)
@@ -124,23 +114,15 @@ let run ?(streaming = true) ?stats ~slices ~speed_at (inst : Job.instance) =
   (* Jobs never expired (heap leftovers past the final slice). *)
   Ss_numeric.Heap.iter_unordered live (fun i ->
       if remaining.(i) > 1e-9 then unfinished := (i, remaining.(i)) :: !unfinished);
-  let all_segments =
-    match arena with Some a -> Engine.Arena.to_list_rev a | None -> !segments
-  in
   Engine.record stats (fun c ->
       c.events <- c.events + !slice_count;
-      c.set_ops <- c.set_ops + !heap_ops;
-      c.emitted <-
-        (c.emitted
-        + match arena with Some a -> Engine.Arena.length a | None -> List.length !segments));
-  (match arena with
-  | Some a ->
-    Engine.record stats (fun c ->
-        c.arena_high_water <- max c.arena_high_water (Engine.Arena.high_water a))
-  | None -> ());
+      c.set_ops <- c.set_ops + !heap_ops);
+  Engine.record_arena stats arena;
   {
     schedule =
       Schedule.make ~machines:1
-        (List.filter (fun (s : Schedule.segment) -> s.t1 > s.t0) all_segments);
+        (List.filter
+           (fun (s : Schedule.segment) -> s.t1 > s.t0)
+           (Engine.Arena.to_list_rev arena));
     unfinished = List.rev !unfinished;
   }

@@ -13,14 +13,11 @@ type outcome = {
 }
 
 val run :
-  ?streaming:bool ->
   ?stats:Engine.counters ->
   slices:float list ->
   speed_at:(float -> float) ->
   Ss_model.Job.instance ->
   outcome
-(** [streaming] (default [true]) emits segments into the shared
-    {!Engine.Arena} (amortized O(1), high-water tracked in [stats]);
-    [false] replays the legacy list accumulation.  Schedules are
-    bit-identical either way.
+(** Segments are emitted into the shared {!Engine.Arena} (amortized
+    O(1)); [stats] accumulates {!Engine.counters} in place.
     @raise Invalid_argument on invalid instances or [machines <> 1]. *)

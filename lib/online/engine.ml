@@ -6,20 +6,15 @@
    appended to the emerging online schedule, and charged against the jobs'
    remaining work.
 
-   Two generations of plumbing coexist here.  The legacy helpers
-   ([arrival_times], [arriving], [event_times], [active_jobs]) re-scan the
-   whole job array per query, so a simulation built on them costs O(n) per
-   event — O(n^2) per trace.  The streaming layer ([Calendar], [Active],
-   [Arena]) builds one sorted event calendar up front and then charges
-   O(log n + output) per event: arrivals and expiries are bucketed by
-   interned event id (no float-equality scans), the active set is
-   maintained incrementally (add on release, remove on deadline or
-   completion), and segments land in a growable arena instead of repeated
-   list concatenation over the emerging schedule.  Every simulator
-   (AVR(m), OA(m), BKP, EDF, the non-migratory baselines) runs on the
-   streaming layer by default and keeps the legacy path behind a
-   [streaming:false] flag as the agreement oracle; the two paths are
-   bit-identical on the float path, which test/test_streaming.ml checks. *)
+   One sorted event calendar ([Calendar]) is built up front; after that a
+   simulation pays O(log n + output) per event: arrivals and expiries are
+   bucketed by interned event id (no float-equality scans), the active set
+   is maintained incrementally ([Active]: add on release, remove on
+   deadline or completion), and segments land in a growable arena
+   ([Arena]) instead of repeated list concatenation over the emerging
+   schedule.  AVR(m), OA(m), BKP and EDF all run on this layer;
+   test/reference.ml re-derives their outputs with naive whole-array
+   rescans and the tests compare the two by float bits. *)
 
 module Job = Ss_model.Job
 module Schedule = Ss_model.Schedule
@@ -76,8 +71,7 @@ module Calendar = struct
     let deadline_event = Array.make n 0 in
     let arrivals = Array.make !distinct [] in
     let expiries = Array.make !distinct [] in
-    (* Descending job order keeps the buckets ascending by id — the same
-       order the legacy whole-array rescans produce. *)
+    (* Descending job order keeps the buckets ascending by id. *)
     for i = n - 1 downto 0 do
       let r =
         match index_of times inst.jobs.(i).release with
@@ -120,10 +114,7 @@ module Iset = Set.Make (Int)
 module Active = struct
   (* Released-and-live job ids: add on release, remove on deadline or
      completion, O(log n) per operation.  [elements] materializes the set
-     ascending — exactly the id order the legacy per-event rescans
-     produce, so the two paths feed the algorithms identical inputs.
-     Promoted here from the PR 4 AVR sweep so AVR/OA/BKP/EDF share one
-     structure; [ops] counts insertions plus removals for the bench. *)
+     ascending by id.  [ops] counts insertions plus removals. *)
   type t = { mutable set : Iset.t; mutable ops : int }
 
   let create () = { set = Iset.empty; ops = 0 }
@@ -146,11 +137,10 @@ end
 
 module Arena = struct
   (* Growable segment store (amortized O(1) emission, doubling growth).
-     Conversions reproduce the two legacy accumulation orders exactly, so
-     arena-built and list-built schedules feed [Schedule.make] the same
-     list: [to_list_rev] matches per-segment prepending
-     ([seg :: !segments]), [to_list_slices] matches per-slice prepending
-     followed by [List.concat] ([slice :: !slices]). *)
+     The two conversions fix the order [Schedule.make] receives:
+     [to_list_rev] matches per-segment prepending ([seg :: !segments]),
+     [to_list_slices] matches per-slice prepending followed by
+     [List.concat] ([slice :: !slices]). *)
   type t = {
     mutable buf : Schedule.segment array;
     mutable len : int;
@@ -226,26 +216,7 @@ let record_arena stats (arena : Arena.t) =
       c.emitted <- c.emitted + Arena.length arena;
       c.arena_high_water <- max c.arena_high_water (Arena.high_water arena))
 
-(* --- legacy whole-array helpers ---------------------------------------- *)
-
-(* Distinct release times, ascending. *)
-let arrival_times (inst : Job.instance) =
-  Array.to_list inst.jobs
-  |> List.map (fun (j : Job.t) -> j.release)
-  |> List.sort_uniq Float.compare
-
-(* Jobs released at exactly time [t], resolved through the interned event
-   calendar: [t] is matched against the calendar's distinct event times
-   (exact binary search) and the arrival bucket of that event id is
-   returned, so releases differing only by float noise occupy distinct
-   events instead of being folded together or dropped.  Streaming
-   simulations never call this — they iterate the buckets by event id
-   directly. *)
-let arriving (inst : Job.instance) t =
-  let cal = Calendar.make inst in
-  match Calendar.find cal t with
-  | Some e -> Calendar.arrivals_at cal e
-  | None -> []
+(* --- shared helpers ----------------------------------------------------- *)
 
 (* Distinct event times (releases and deadlines), ascending: the base grid
    shared by the discretized simulators. *)
@@ -253,24 +224,6 @@ let event_times (inst : Job.instance) =
   Array.to_list inst.jobs
   |> List.concat_map (fun (j : Job.t) -> [ j.release; j.deadline ])
   |> List.sort_uniq Float.compare
-
-(* Jobs whose window covers [lo, hi) entirely, ascending by id — the
-   active set of a grid or unit interval. *)
-let active_jobs (inst : Job.instance) ~lo ~hi =
-  let ids = ref [] in
-  for i = Array.length inst.jobs - 1 downto 0 do
-    let j = inst.jobs.(i) in
-    if j.release <= lo && hi <= j.deadline then ids := i :: !ids
-  done;
-  !ids
-
-(* Clip segments to the window [lo, hi); charges nothing outside. *)
-let clip_segments ~lo ~hi segments =
-  List.filter_map
-    (fun (s : Schedule.segment) ->
-      let t0 = Float.max s.t0 lo and t1 = Float.min s.t1 hi in
-      if t1 > t0 then Some { s with t0; t1 } else None)
-    segments
 
 (* Work performed per job by a list of segments, added into [acc]. *)
 let charge_work acc segments =
@@ -283,60 +236,20 @@ let charge_work acc segments =
 let finished ~tol ~work ~done_ = work -. done_ <= tol *. Float.max 1. work
 
 (* --- the shared replanning loop ---------------------------------------
-   Every replan-at-arrivals algorithm (OA(m) in both its scratch and
-   session forms) advances through the same skeleton: at each distinct
-   release time, gather the live jobs (released, unfinished), ask the
-   planner for the slice of its plan up to the next arrival, charge the
-   slice against remaining work and append it to the emerging schedule.
-   Only the planner differs, so it is the parameter.
+   Every replan-at-arrivals algorithm (OA(m)) advances through the same
+   skeleton: at each distinct release time, gather the live jobs
+   (released, unfinished), ask the planner for the slice of its plan up to
+   the next arrival, charge the slice against remaining work and append it
+   to the emerging schedule.  Only the planner differs, so it is the
+   parameter.
 
-   The streaming path (default) walks the calendar's arrival events once,
-   keeping the live set incrementally: a job enters at its release event
-   and leaves when a charged slice completes it, so an event costs
-   O(|live| + slice) instead of the legacy O(n) whole-array rescan.  Both
-   paths produce bit-identical schedules. *)
+   The loop walks the calendar's arrival events once, keeping the live set
+   incrementally: a job enters at its release event and leaves when a
+   charged slice completes it, so an event costs O(|live| + slice). *)
 
 type live = { id : int; remaining : float; deadline : float }
 
-let drift_failure () = failwith "Engine.replan_fold: job past deadline (drift bug)"
-
-let replan_fold_legacy ?stats ~tol ~plan (inst : Job.instance) =
-  let n = Array.length inst.jobs in
-  let done_work = Array.make n 0. in
-  let events = Array.of_list (arrival_times inst) in
-  let horizon_end = snd (Job.horizon inst) in
-  let segments = ref [] in
-  let emitted = ref 0 in
-  Array.iteri
-    (fun e now ->
-      let upto = if e + 1 < Array.length events then events.(e + 1) else horizon_end in
-      (* Available unfinished work at [now]. *)
-      let live = ref [] in
-      for i = n - 1 downto 0 do
-        let j = inst.jobs.(i) in
-        let remaining = j.work -. done_work.(i) in
-        if j.release <= now && not (finished ~tol ~work:j.work ~done_:done_work.(i))
-        then begin
-          if j.deadline <= now then drift_failure ();
-          live := { id = i; remaining; deadline = j.deadline } :: !live
-        end
-      done;
-      match !live with
-      | [] -> ()
-      | live ->
-        (* The slice comes back in original job ids, clipped to
-           [now, upto). *)
-        let slice = plan ~now ~upto (Array.of_list live) in
-        charge_work done_work slice;
-        emitted := !emitted + List.length slice;
-        segments := slice :: !segments)
-    events;
-  record stats (fun c ->
-      c.events <- c.events + Array.length events;
-      c.emitted <- c.emitted + !emitted);
-  Schedule.make ~machines:inst.machines (List.concat !segments)
-
-let replan_fold_streaming ?stats ~tol ~plan (inst : Job.instance) =
+let replan_fold ?stats ~tol ~plan (inst : Job.instance) =
   let n = Array.length inst.jobs in
   let done_work = Array.make n 0. in
   let cal = Calendar.make inst in
@@ -352,8 +265,8 @@ let replan_fold_streaming ?stats ~tol ~plan (inst : Job.instance) =
       if e + 1 < num_arrivals then Calendar.time cal arrivals.(e + 1) else horizon_end
     in
     List.iter (fun i -> Active.add active i) (Calendar.arrivals_at cal ev);
-    (* Materialize the live array (ascending ids, like the legacy rescan),
-       dropping completed jobs from the set as they are discovered. *)
+    (* Materialize the live array (ascending ids), dropping completed jobs
+       from the set as they are discovered. *)
     let live = ref [] in
     let completed = ref [] in
     List.iter
@@ -361,7 +274,8 @@ let replan_fold_streaming ?stats ~tol ~plan (inst : Job.instance) =
         let j = inst.jobs.(i) in
         if finished ~tol ~work:j.work ~done_:done_work.(i) then completed := i :: !completed
         else begin
-          if j.deadline <= now then drift_failure ();
+          if j.deadline <= now then
+            failwith "Engine.replan_fold: job past deadline (drift bug)";
           live := { id = i; remaining = j.work -. done_work.(i); deadline = j.deadline }
                   :: !live
         end)
@@ -380,7 +294,3 @@ let replan_fold_streaming ?stats ~tol ~plan (inst : Job.instance) =
       c.set_ops <- c.set_ops + Active.ops active);
   record_arena stats arena;
   Schedule.make ~machines:inst.machines (Arena.to_list_slices arena)
-
-let replan_fold ?(streaming = true) ?stats ~tol ~plan (inst : Job.instance) =
-  if streaming then replan_fold_streaming ?stats ~tol ~plan inst
-  else replan_fold_legacy ?stats ~tol ~plan inst

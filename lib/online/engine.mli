@@ -1,9 +1,7 @@
 (** Shared helpers for event-driven online simulation.
 
-    The streaming layer ({!Calendar}, {!Active}, {!Arena}) gives the
-    simulators O(log n + output)-per-event cost on a calendar built once;
-    the legacy whole-array helpers remain as the agreement oracle behind
-    the simulators' [streaming:false] flags. *)
+    {!Calendar}, {!Active} and {!Arena} give the simulators
+    O(log n + output)-per-event cost on a calendar built once. *)
 
 (** One pre-sorted event calendar: distinct releases and deadlines interned
     into dense event ids, with arrival/expiry job buckets per event. *)
@@ -39,8 +37,7 @@ module Calendar : sig
 end
 
 (** Incremental active set: add on release, remove on deadline or
-    completion, O(log n) per operation; [elements] is ascending by id,
-    matching the legacy per-event rescans bit for bit. *)
+    completion, O(log n) per operation; [elements] is ascending by id. *)
 module Active : sig
   type t
 
@@ -99,23 +96,9 @@ val record_arena : counters option -> Arena.t -> unit
 (** Fold an arena's totals (segments emitted, high-water mark) into the
     counters when present. *)
 
-val arrival_times : Ss_model.Job.instance -> float list
-(** Distinct release times, ascending. *)
-
-val arriving : Ss_model.Job.instance -> float -> int list
-(** Jobs released exactly at [t], resolved through the interned event
-    calendar (exact binary search among distinct event times) rather than
-    a float-equality scan over the job array. *)
-
 val event_times : Ss_model.Job.instance -> float list
 (** Distinct releases and deadlines, ascending — the base grid of the
     discretized simulators. *)
-
-val active_jobs : Ss_model.Job.instance -> lo:float -> hi:float -> int list
-(** Jobs whose window covers [\[lo, hi)] entirely, ascending by id. *)
-
-val clip_segments :
-  lo:float -> hi:float -> Ss_model.Schedule.segment list -> Ss_model.Schedule.segment list
 
 val charge_work : float array -> Ss_model.Schedule.segment list -> unit
 
@@ -125,7 +108,6 @@ type live = { id : int; remaining : float; deadline : float }
 (** A released, unfinished job as the replanning loop sees it. *)
 
 val replan_fold :
-  ?streaming:bool ->
   ?stats:counters ->
   tol:float ->
   plan:
@@ -138,9 +120,7 @@ val replan_fold :
 (** The shared replan-at-arrivals skeleton: at every distinct release
     time, collect the live jobs, call [plan] for the schedule slice on
     [\[now, upto)] (in original job ids), charge it against remaining work
-    and append it.  Returns the assembled schedule.
-
-    With [streaming:true] (default) the loop walks the calendar's arrival
-    events with an incremental live set and an arena, O(|live| + slice)
-    per event; with [streaming:false] it replays the legacy O(n)-per-event
-    whole-array rescan.  Both paths return bit-identical schedules. *)
+    and append it.  Returns the assembled schedule.  The loop walks the
+    calendar's arrival events with an incremental live set and an arena,
+    O(|live| + slice) per event.
+    @raise Failure if a live job is still unfinished at its deadline. *)

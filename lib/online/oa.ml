@@ -7,16 +7,15 @@
 
    At m = 1 this is exactly the classical OA of Yao, Demers and Shenker.
 
-   Replanning runs on a cross-arrival solver session by default
-   ([incremental:true]): one persistent flow arena and scratch workspace
-   serve every replan, failed rounds remove all their Lemma 4 victims at
-   once, and only the plan slice up to the next arrival is materialized.
-   The paper's Lemmas 6–9 make the reuse sound — across arrivals the
-   schedule structure is monotone (per-job planned speeds never decrease,
-   Lemma 7), which the session verifies as a ledger.  [incremental:false]
-   replays the PR 1 scratch path (a fresh solver call per arrival); both
-   paths produce identical schedules and plans, which the agreement suite
-   in test/test_oa_session.ml checks.
+   Replanning runs on a cross-arrival solver session: one persistent flow
+   arena and scratch workspace serve every replan, failed rounds remove
+   all their Lemma 4 victims at once, and only the plan slice up to the
+   next arrival is materialized.  The paper's Lemmas 6–9 make the reuse
+   sound — across arrivals the schedule structure is monotone (per-job
+   planned speeds never decrease, Lemma 7), which the session verifies as
+   a ledger.  test/reference.ml replans from scratch per arrival (a fresh
+   solver and a full materialization) and the tests compare the two by
+   float bits.
 
    [run_detailed] additionally records each replanning decision (the
    planned constant speed of every live job), which the test-suite uses to
@@ -37,23 +36,20 @@ type info = {
   replans : int;            (* offline recomputations (one per arrival time) *)
   total_rounds : int;       (* max-flow computations across all replans *)
   resumes : int;            (* rounds answered by warm-started resumes *)
-  grouped_rounds : int;     (* failed rounds clearing > 1 victim (session) *)
+  grouped_rounds : int;     (* failed rounds clearing > 1 victim *)
   carried_jobs : int;       (* live jobs carried over from a prior replan *)
   monotone_carried : int;   (* carried jobs whose planned speed never dropped *)
   arena_grows : int;        (* replans that had to grow the session arena *)
 }
 
-let default_tol = 1e-9
+(* Relative completion tolerance of the replanning loop. *)
+let tol = 1e-9
 
-let run_detailed ?(tol = default_tol) ?(incremental = true) ?streaming ?stats
-    ?decompose ?compress (inst : Job.instance) =
+let run_detailed ?stats ?compress (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Oa.run: invalid instance");
-  let session =
-    if incremental then Some (Offline.F.Session.create ~machines:inst.machines)
-    else None
-  in
+  let session = Offline.F.Session.create ~machines:inst.machines in
   let plans = ref [] in
   let replans = ref 0 in
   let total_rounds = ref 0 in
@@ -67,15 +63,7 @@ let run_detailed ?(tol = default_tol) ?(incremental = true) ?streaming ?stats
         live
     in
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
-    (* Replanning sub-instances share a single release time ([now]), so
-       they are always one component; [decompose] is passed through for
-       interface consistency (and future lookahead variants whose
-       sub-instances do decompose). *)
-    let run =
-      match session with
-      | Some s -> Offline.F.Session.solve ~keys:ids ?decompose ?compress s sub_jobs
-      | None -> Offline.F.solve ?decompose ?compress ~machines:inst.machines sub_jobs
-    in
+    let run = Offline.F.Session.solve ~keys:ids ?compress session sub_jobs in
     total_rounds := !total_rounds + run.stats.rounds;
     resumes := !resumes + run.stats.resumes;
     (* Planned speed of every live job (its class speed). *)
@@ -88,57 +76,35 @@ let run_detailed ?(tol = default_tol) ?(incremental = true) ?streaming ?stats
              match Int.compare i1 i2 with 0 -> Float.compare s1 s2 | c -> c)
     in
     plans := { at = now; upto; job_speeds } :: !plans;
-    (* Follow the plan until the next arrival; remap to original ids. *)
-    let slice =
-      match session with
-      | Some _ ->
-        (* Sessions materialize only the followed slice of the plan. *)
-        Offline.slice_of_run ~machines:inst.machines run ~lo:now ~hi:upto
-      | None ->
-        let sched = Offline.schedule_of_run ~machines:inst.machines run in
-        Engine.clip_segments ~lo:now ~hi:upto (Array.to_list (Schedule.segments sched))
-    in
-    List.map (fun (s : Schedule.segment) -> { s with job = ids.(s.job) }) slice
+    (* Follow the plan until the next arrival: materialize only that
+       slice, then remap to original ids. *)
+    Offline.slice_of_run ~machines:inst.machines run ~lo:now ~hi:upto
+    |> List.map (fun (s : Schedule.segment) -> { s with job = ids.(s.job) })
   in
-  let schedule = Engine.replan_fold ?streaming ?stats ~tol ~plan:planner inst in
+  let schedule = Engine.replan_fold ?stats ~tol ~plan:planner inst in
+  let st = Offline.F.Session.stats session in
   let info =
-    match session with
-    | Some s ->
-      let st = Offline.F.Session.stats s in
-      {
-        replans = !replans;
-        total_rounds = !total_rounds;
-        resumes = !resumes;
-        grouped_rounds = st.grouped_rounds;
-        carried_jobs = st.carried_jobs;
-        monotone_carried = st.monotone_carried;
-        arena_grows = st.arena_grows;
-      }
-    | None ->
-      {
-        replans = !replans;
-        total_rounds = !total_rounds;
-        resumes = !resumes;
-        grouped_rounds = 0;
-        carried_jobs = 0;
-        monotone_carried = 0;
-        arena_grows = 0;
-      }
+    {
+      replans = !replans;
+      total_rounds = !total_rounds;
+      resumes = !resumes;
+      grouped_rounds = st.grouped_rounds;
+      carried_jobs = st.carried_jobs;
+      monotone_carried = st.monotone_carried;
+      arena_grows = st.arena_grows;
+    }
   in
   (schedule, info, List.rev !plans)
 
-let run ?tol ?incremental ?streaming ?stats ?decompose ?compress inst =
-  let schedule, info, _ =
-    run_detailed ?tol ?incremental ?streaming ?stats ?decompose ?compress inst
-  in
+let run ?stats ?compress inst =
+  let schedule, info, _ = run_detailed ?stats ?compress inst in
   (schedule, info)
 
-let schedule ?tol ?incremental ?streaming ?decompose ?compress inst =
-  let s, _, _ = run_detailed ?tol ?incremental ?streaming ?decompose ?compress inst in
+let schedule ?compress inst =
+  let s, _, _ = run_detailed ?compress inst in
   s
 
-let energy ?tol ?incremental ?streaming ?decompose ?compress power inst =
-  Schedule.energy power (schedule ?tol ?incremental ?streaming ?decompose ?compress inst)
+let energy ?compress power inst = Schedule.energy power (schedule ?compress inst)
 
 (* Theorem 2 guarantee. *)
 let competitive_bound ~alpha =

@@ -110,12 +110,12 @@ let phi ~alpha ~plan_speed ~rem_oa ~rem_opt ~last_speed =
   in
   (alpha *. term_live) -. (alpha *. alpha *. term_finished)
 
-let audit ?incremental ?streaming ~alpha (inst : Job.instance) =
+let audit ~alpha (inst : Job.instance) =
   if alpha <= 1. then invalid_arg "Potential.audit: alpha <= 1";
   let power = Power.alpha alpha in
   let n = Array.length inst.jobs in
   let opt_sched = Ss_core.Offline.optimal_schedule inst in
-  let oa_sched, _, plans = Oa.run_detailed ?incremental ?streaming inst in
+  let oa_sched, _, plans = Oa.run_detailed inst in
   let energy_oa = Schedule.energy power oa_sched in
   let energy_opt = Schedule.energy power opt_sched in
   (* Piece boundaries: all segment boundaries of both schedules plus every
@@ -197,5 +197,5 @@ let audit ?incremental ?streaming ~alpha (inst : Job.instance) =
 
 (* The integral consequence of (a) + (b): the drift inequality summed over
    pieces must bound E_OA - a^a E_OPT by the total potential drop. *)
-let holds ?(tol = 1e-6) a =
+let holds ~tol a =
   a.max_piece_violation <= tol && a.max_jump_violation <= tol

@@ -34,11 +34,10 @@ type audit = {
   energy_opt : float;
 }
 
-val audit :
-  ?incremental:bool -> ?streaming:bool -> alpha:float -> Ss_model.Job.instance -> audit
-(** [incremental] selects the OA replanning path to audit (session by
-    default; see {!Oa.run_detailed}); [streaming] selects the simulation
-    loop (calendar/arena by default; see {!Engine.replan_fold}).
+val audit : alpha:float -> Ss_model.Job.instance -> audit
+(** Audits the {!Oa.run_detailed} run and its plan history against
+    {!Ss_core.Offline.optimal_schedule}.
     @raise Invalid_argument when [alpha <= 1]. *)
 
-val holds : ?tol:float -> audit -> bool
+val holds : tol:float -> audit -> bool
+(** Both scaled violations are at most [tol]. *)

@@ -21,7 +21,6 @@ type outcome = Run of O.F.run | Sched of Schedule.t
 type stats = {
   queries : int;
   hits : int;
-  near_hits : int;
   misses : int;
   evictions : int;
   resident : int;
@@ -103,13 +102,10 @@ type t = {
   crew : Pool.Crew.t;
   canonical : bool;
   slots : slot array;
-  lock : Mutex.t;  (* guards cache, shapes and the counters below *)
+  lock : Mutex.t;  (* guards the cache and the counters below *)
   cache : outcome Lru.t;
-  shapes : (string, unit) Hashtbl.t;
-  shape_cap : int;
   mutable queries : int;
   mutable hits : int;
-  mutable near_hits : int;
   mutable misses : int;
 }
 
@@ -123,11 +119,8 @@ let create ?domains ?(capacity = 1024) ?(canonical = true) () =
       Array.init (Pool.Crew.size crew) (fun _ -> { sessions = Hashtbl.create 4 });
     lock = Mutex.create ();
     cache = Lru.create capacity;
-    shapes = Hashtbl.create 256;
-    shape_cap = max 1024 (4 * capacity);
     queries = 0;
     hits = 0;
-    near_hits = 0;
     misses = 0;
   }
 
@@ -228,15 +221,8 @@ let answer t w (q : query) =
   match cached with
   | Some out -> inverse tf out
   | None ->
-    let shape = Canon.shape_digest canon in
     let out = compute t w q canon in
-    Mutex.protect t.lock (fun () ->
-        if Hashtbl.mem t.shapes shape then t.near_hits <- t.near_hits + 1
-        else begin
-          if Hashtbl.length t.shapes >= t.shape_cap then Hashtbl.reset t.shapes;
-          Hashtbl.add t.shapes shape ()
-        end;
-        Lru.add t.cache ~key ~check out);
+    Mutex.protect t.lock (fun () -> Lru.add t.cache ~key ~check out);
     inverse tf out
 
 let batch t queries = Pool.Crew.mapw t.crew (fun w q -> answer t w q) queries
@@ -257,7 +243,6 @@ let stats t =
       {
         queries = t.queries;
         hits = t.hits;
-        near_hits = t.near_hits;
         misses = t.misses;
         evictions = t.cache.Lru.evictions;
         resident = Lru.resident t.cache;

@@ -43,9 +43,6 @@ type outcome =
 type stats = {
   queries : int;  (** queries answered since [create] *)
   hits : int;  (** exact canonical-digest cache hits *)
-  near_hits : int;
-      (** misses whose time structure (shape digest) was seen before —
-          the session arena is already warm for them *)
   misses : int;  (** queries that ran a solver/simulator *)
   evictions : int;  (** LRU entries dropped at capacity *)
   resident : int;  (** entries currently cached *)

@@ -1,20 +1,13 @@
 (* Data-parallel map over OCaml 5 domains.
 
-   Two schedulers live here:
-
-   - [map] and friends: the original one-shot scheduler (spawn domains,
-     pull work, join), now claiming *chunks* of the index space instead of
-     single items so tiny work items stop ping-ponging the shared work
-     counter's cacheline between domains.
-
-   - [Crew]: persistent worker domains for batch-solving layers (the
-     dispatch throughput engine).  Workers are spawned once and parked on
-     a condition variable; each batch partitions the index space into
-     per-worker ranges with a private atomic cursor, and a worker that
-     drains its own range steals chunks from the other ranges.  This keeps
-     domain spawn/join cost out of the per-batch path and keeps work
-     balanced when item costs are skewed (e.g. memo-cache hits next to
-     full solves).
+   [Crew] keeps persistent worker domains for batch-solving layers (the
+   dispatch throughput engine).  Workers are spawned once and parked on a
+   condition variable; each batch partitions the index space into
+   per-worker ranges with a private atomic cursor, and a worker that
+   drains its own range steals chunks from the other ranges.  This keeps
+   domain spawn/join cost out of the per-batch path and keeps work
+   balanced when item costs are skewed (e.g. memo-cache hits next to full
+   solves).  [map] is one batch on a crew made for the call.
 
    Exceptions raised by the worker function are captured and re-raised in
    the caller (first one wins); determinism of results is guaranteed
@@ -30,72 +23,6 @@ let default_domains () =
    claims per domain — enough slack for load balancing, few enough that
    the shared counter stays cold when items are tiny. *)
 let chunk_for ~n ~workers = max 1 (n / (8 * workers))
-
-let map ?domains f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else if n = 1 || domains = Some 1 then
-    (* Inline fast path: a single work item (or an explicitly sequential
-       call) never touches the domain machinery — no spawn, no atomics,
-       not even the recommended-domain-count query.  [f] runs on the
-       calling domain. *)
-    Array.map f arr
-  else begin
-    let wanted = match domains with Some d -> d | None -> default_domains () in
-    let wanted = max 1 (min wanted n) in
-    if wanted = 1 then Array.map f arr
-    else begin
-      let results = Array.make n None in
-      let next = Atomic.make 0 in
-      let error = Atomic.make None in
-      let chunk = chunk_for ~n ~workers:wanted in
-      let worker () =
-        let rec loop () =
-          (* Check for a captured error BEFORE claiming a chunk, and again
-             before each item inside the chunk: once a worker fails, no
-             domain starts another evaluation (it would be wasted work,
-             and with an expensive or effectful [f] the stragglers could
-             outlive the caller's interest). *)
-          if Atomic.get error = None then begin
-            let base = Atomic.fetch_and_add next chunk in
-            if base < n then begin
-              let hi = min n (base + chunk) in
-              (try
-                 for i = base to hi - 1 do
-                   (* ss_lint: allow domain-race — writes land at disjoint indices; claims go through Atomic.fetch_and_add *)
-                   if Atomic.get error = None then results.(i) <- Some (f arr.(i))
-                 done
-               with e -> ignore (Atomic.compare_and_set error None (Some e)));
-              loop ()
-            end
-          end
-        in
-        loop ()
-      in
-      let spawned = List.init (wanted - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join spawned;
-      (match Atomic.get error with Some e -> raise e | None -> ());
-      Array.map
-        (function
-          | Some v -> v
-          | None -> failwith "Pool.map: missing result (worker died)")
-        results
-    end
-  end
-
-let mapi ?domains f arr =
-  let indexed = Array.mapi (fun i x -> (i, x)) arr in
-  map ?domains (fun (i, x) -> f i x) indexed
-
-let map_list ?domains f xs = Array.to_list (map ?domains f (Array.of_list xs))
-
-let map_reduce ?domains ~map:f ~reduce ~init arr =
-  Array.fold_left reduce init (map ?domains f arr)
-
-(* Run independent thunks concurrently (for heterogeneous work items). *)
-let all ?domains thunks =
-  map_list ?domains (fun thunk -> thunk ()) thunks
 
 (* --- persistent worker crews ------------------------------------------- *)
 
@@ -290,3 +217,12 @@ module Crew = struct
     end
     else Mutex.unlock t.lock
 end
+
+let map ?domains f arr =
+  let wanted = match domains with Some d -> d | None -> default_domains () in
+  let domains = max 1 (min wanted (Array.length arr)) in
+  if domains = 1 then Array.map f arr
+  else begin
+    let crew = Crew.create ~domains () in
+    Fun.protect ~finally:(fun () -> Crew.shutdown crew) (fun () -> Crew.map crew f arr)
+  end

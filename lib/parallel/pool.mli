@@ -2,28 +2,19 @@
     deterministic (indexed by input position); the first worker exception
     is re-raised in the caller.
 
-    [map] spawns domains per call and hands out work in chunks of
-    [max 1 (n / (8 * domains))] indices per atomic claim, so tiny work
-    items do not ping-pong the shared work counter's cacheline.  {!Crew}
-    keeps long-lived parked worker domains with per-worker ranges and
-    chunked work stealing — the engine under the batch dispatcher. *)
+    {!Crew} keeps long-lived parked worker domains with per-worker ranges
+    and chunked work stealing — the engine under the batch dispatcher;
+    {!map} runs one batch on a crew created for the call. *)
 
 val default_domains : unit -> int
 (** [min 8 (recommended - 1)], at least 1. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Singleton inputs and [~domains:1] run inline on the calling domain —
-    no spawn, no atomics. *)
-
-val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_reduce :
-  ?domains:int -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-(** Parallel map, sequential in-order fold. *)
-
-val all : ?domains:int -> (unit -> 'a) list -> 'a list
-(** Run independent thunks concurrently. *)
+(** [domains] (default {!default_domains}) is clamped to the input
+    length, and values [<= 0] count as 1.  With one domain [f] runs inline
+    on the calling domain — no crew, no spawn, no atomics; otherwise the
+    call creates a {!Crew}, runs one batch on it and shuts it down, also
+    when [f] raises. *)
 
 (** Persistent worker crew: domains are spawned once at {!Crew.create} and
     parked on a condition variable between batches, so the per-batch cost

@@ -214,18 +214,6 @@ let prop_parallel_deterministic =
       let par = Offline.F.solve ~parallel:true ~machines:inst.machines jobs in
       same_run seq par && seq.stats = par.stats)
 
-let prop_oa_decompose_noop =
-  QCheck.Test.make ~count:20 ~name:"OA(m) unchanged under decompose flag"
-    QCheck.small_nat
-    (fun seed ->
-      let inst =
-        G.poisson ~seed:(seed + 31) ~machines:3 ~jobs:10 ~rate:1.1 ~mean_work:2.
-          ~slack:2.5 ()
-      in
-      let s_on = Ss_online.Oa.schedule ~decompose:true inst in
-      let s_off = Ss_online.Oa.schedule ~decompose:false inst in
-      Schedule.segments s_on = Schedule.segments s_off)
-
 let () =
   Alcotest.run "decomposition"
     [
@@ -250,6 +238,5 @@ let () =
             prop_decomposed_bitwise_clustered;
             prop_decomposed_segments_valid;
             prop_parallel_deterministic;
-            prop_oa_decompose_noop;
           ] );
     ]

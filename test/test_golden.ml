@@ -47,12 +47,69 @@ let test_offline_fingerprint () =
   Alcotest.(check int) "components" 2 (Ss_core.Offline.component_count inst);
   close "peak speed" 0.835800461016282 info.speeds.(0)
 
+(* Schedule digests: the float bits of every segment (job, processor,
+   start, end, speed) in the schedule's own order. *)
+let schedule_digest (s : Ss_model.Schedule.t) =
+  let b = Buffer.create 4096 in
+  let add_int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let add_float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  add_int (Ss_model.Schedule.machines s);
+  add_int (Ss_model.Schedule.num_segments s);
+  Array.iter
+    (fun (g : Ss_model.Schedule.segment) ->
+      add_int g.job;
+      add_int g.proc;
+      add_float g.t0;
+      add_float g.t1;
+      add_float g.speed)
+    (Ss_model.Schedule.segments s);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* OA(m) and AVR(m) schedule digests on fixed integral instances: the
+   energies above only pin the simulators to a tolerance. *)
+let online_digest_cases =
+  [
+    ( "stream s=5 n=200 m=8",
+      (fun () ->
+        Ss_workload.Generators.stream ~seed:5 ~machines:8 ~jobs:200 ~rate:4. ~mean_work:2.
+          ~max_laxity:8. ()),
+      "d03d255fbf828195aa06f709fc9728b4",
+      "675abdde09d2df65a223a341e9e1d20e" );
+    ( "uniform s=7 n=30 m=1",
+      (fun () ->
+        Ss_workload.Generators.uniform ~seed:7 ~machines:1 ~jobs:30 ~horizon:40. ~max_work:5. ()),
+      "4a56365cc7e1b3cc839e5d0ca8b82052",
+      "8fcd550e679918226fd8a7b29d6f46ca" );
+    ( "clustered s=9 n=24 m=4",
+      (fun () ->
+        Ss_workload.Generators.clustered ~seed:9 ~machines:4 ~clusters:3 ~jobs_per_cluster:8
+          ~cluster_span:10. ~gap:4. ~max_work:4. ()),
+      "cb61b204d494754acd65b8f9b71ba959",
+      "2663f184d02d32efdd8bcf04aa6be99d" );
+    ( "golden uniform n=12 m=3",
+      golden_instance,
+      "b0661d197e82e0e91a5ae4f5adac1a82",
+      "b146d7a464adce8bb2be75f601a54382" );
+  ]
+
 let test_online_fingerprint () =
   let inst = golden_instance () in
   close "OA energy" 13.7966509516412 (Ss_online.Oa.energy p3 inst);
   close "AVR energy" 14.757838105981 (Ss_online.Avr.energy p3 inst);
   close "round-robin energy" 19.2766274545286
-    (Ss_online.Nonmigratory.energy Ss_online.Nonmigratory.Round_robin p3 inst)
+    (Ss_online.Nonmigratory.energy Ss_online.Nonmigratory.Round_robin p3 inst);
+  List.iter
+    (fun (name, make, oa, avr) ->
+      let inst = make () in
+      Alcotest.(check string)
+        (name ^ ": OA schedule digest")
+        oa
+        (schedule_digest (fst (Ss_online.Oa.run inst)));
+      Alcotest.(check string)
+        (name ^ ": AVR schedule digest")
+        avr
+        (schedule_digest (fst (Ss_online.Avr.run inst))))
+    online_digest_cases
 
 let test_yds_fingerprint () =
   let inst = golden_instance () in

@@ -2,16 +2,16 @@
 
    The session OA path (a persistent Offline.F.Session plus slice-only
    materialization) is engineered to be *bit-identical* to the scratch
-   path (a fresh solver and a full materialization per arrival): grouped
-   Lemma 4 removals and in-place rewinds reach the same phase partition
-   (the unique fixed point), the accepted flows are canonical, and
-   [slice_of_run] replicates the segment order of clip-after-materialize.
-   These tests pin all of that down, plus the Lemma 7 speed ledger. *)
+   planner in test/reference.ml (a fresh solver and a full
+   materialization per arrival): grouped Lemma 4 removals and in-place
+   rewinds reach the same phase partition (the unique fixed point), the
+   accepted flows are canonical, and [slice_of_run] replicates the segment
+   order of clip-after-materialize.  These tests pin all of that down, by
+   float bits, plus the Lemma 7 speed ledger. *)
 
 module Job = Ss_model.Job
 module Schedule = Ss_model.Schedule
 module Oa = Ss_online.Oa
-module Engine = Ss_online.Engine
 module G = Ss_workload.Generators
 module O = Ss_core.Offline
 
@@ -34,13 +34,14 @@ let traces =
 let test_session_matches_scratch () =
   List.iter
     (fun (name, inst) ->
-      let s_inc, _, plans_inc = Oa.run_detailed ~incremental:true inst in
-      let s_scr, _, plans_scr = Oa.run_detailed ~incremental:false inst in
+      let s_inc, _, plans_inc = Oa.run_detailed inst in
+      let s_scr, plans_scr = Reference.oa inst in
       check_bool
         (name ^ ": schedules bit-identical")
         true
-        (Schedule.segments s_inc = Schedule.segments s_scr);
-      check_bool (name ^ ": plans bit-identical") true (plans_inc = plans_scr))
+        (Reference.same_schedule s_inc s_scr);
+      check_bool (name ^ ": plans bit-identical") true
+        (Reference.same_plans plans_inc plans_scr))
     traces
 
 let prop_session_matches_scratch =
@@ -51,9 +52,9 @@ let prop_session_matches_scratch =
         G.uniform ~seed:((salt * 7919) + 13) ~machines ~jobs:(6 + (salt mod 18))
           ~horizon:16. ~max_work:4. ()
       in
-      let s_inc, _ = Oa.run ~incremental:true inst in
-      let s_scr, _ = Oa.run ~incremental:false inst in
-      Schedule.segments s_inc = Schedule.segments s_scr)
+      let s_inc, _ = Oa.run inst in
+      let s_scr, _ = Reference.oa inst in
+      Reference.same_schedule s_inc s_scr)
 
 (* --- Session.solve == solve, solve after solve ------------------------- *)
 
@@ -121,8 +122,9 @@ let test_slice_equals_clipped_materialization () =
             check_bool
               (Printf.sprintf "%s: slice [%g,%g) == clip" name lo hi)
               true
-              (O.slice_of_run ~machines run ~lo ~hi
-              = Engine.clip_segments ~lo ~hi full))
+              (Reference.same_segments
+                 (O.slice_of_run ~machines run ~lo ~hi)
+                 (Reference.clip_segments ~lo ~hi full)))
         lo_hi)
     traces
 
@@ -130,7 +132,7 @@ let test_slice_equals_clipped_materialization () =
 
 let test_session_ledger () =
   let inst = List.assoc "poisson m=4 n=60" traces in
-  let _, (info : Oa.info), _ = Oa.run_detailed ~incremental:true inst in
+  let _, (info : Oa.info), _ = Oa.run_detailed inst in
   check_bool "some jobs carried across replans" true (info.carried_jobs > 0);
   check_int "Lemma 7: every carried job kept a monotone speed"
     info.carried_jobs info.monotone_carried;
@@ -144,12 +146,6 @@ let test_session_ledger () =
        info.replans)
     true
     (info.arena_grows < info.replans / 2)
-
-let test_scratch_reports_no_session_counters () =
-  let inst = List.assoc "uniform m=3 n=24" traces in
-  let _, (info : Oa.info), _ = Oa.run_detailed ~incremental:false inst in
-  check_int "no carried jobs on the scratch path" 0 info.carried_jobs;
-  check_int "no grouped rounds on the scratch path" 0 info.grouped_rounds
 
 let test_session_create_validates () =
   Alcotest.check_raises "machines = 0 rejected"
@@ -173,8 +169,6 @@ let () =
         [
           Alcotest.test_case "Lemma 7 ledger and counters" `Quick
             test_session_ledger;
-          Alcotest.test_case "scratch path has no session counters" `Quick
-            test_scratch_reports_no_session_counters;
           Alcotest.test_case "create validates machines" `Quick
             test_session_create_validates;
         ] );

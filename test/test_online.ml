@@ -86,8 +86,8 @@ let prop_oa_energy_monotone_in_jobs =
 
 (* Lemma 7 proper, per job: across successive replans, a live job's planned
    constant speed never decreases (work only accumulates, so each replan
-   faces at least the density of the last).  Checked on both the session
-   and the scratch replanning paths via the plan history. *)
+   faces at least the density of the last).  Checked on the plan history
+   of the session planner and of the reference's scratch planner. *)
 let per_job_speeds_monotone (plans : Oa.plan list) =
   let last : (int, float) Hashtbl.t = Hashtbl.create 16 in
   List.for_all
@@ -110,8 +110,8 @@ let prop_oa_lemma7_speeds_monotone =
     QCheck.small_nat
     (fun seed ->
       let inst = random_instance (seed + 800) in
-      let _, _, plans_session = Oa.run_detailed ~incremental:true inst in
-      let _, _, plans_scratch = Oa.run_detailed ~incremental:false inst in
+      let _, _, plans_session = Oa.run_detailed inst in
+      let _, plans_scratch = Reference.oa inst in
       per_job_speeds_monotone plans_session && per_job_speeds_monotone plans_scratch)
 
 (* Independent reference for OA at m = 1: replan with YDS at every arrival
@@ -262,17 +262,17 @@ let prop_avr_grid_feasible_nonintegral =
       in
       Schedule.is_feasible inst (fst (Avr.run_on_grid inst)))
 
-(* The streaming calendar/active-set sweep must reproduce the per-interval
-   rescan exactly — same ids in the same ascending order — so the two paths
-   give bitwise-equal schedules and identical peel counts. *)
+(* The calendar/active-set sweep must reproduce the reference's
+   per-interval rescan exactly — same ids in the same ascending order — so
+   the two give bitwise-equal schedules and identical peel counts. *)
 let prop_avr_sweep_equals_rescan =
   QCheck.Test.make ~count:40 ~name:"AVR streaming sweep = per-interval rescan"
     QCheck.small_nat
     (fun seed ->
       let inst = random_instance (seed + 4100) in
-      let s_sweep, i_sweep = Avr.run ~streaming:true inst in
-      let s_scan, i_scan = Avr.run ~streaming:false inst in
-      i_sweep = i_scan && Schedule.segments s_sweep = Schedule.segments s_scan)
+      let s_sweep, i_sweep = Avr.run inst in
+      let s_scan, i_scan = Reference.avr inst in
+      i_sweep = i_scan && Reference.same_schedule s_sweep s_scan)
 
 let test_avr_bound_values () =
   checkf "bound at 2" 9. (Avr.competitive_bound ~alpha:2.);

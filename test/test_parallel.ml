@@ -21,23 +21,6 @@ let test_empty () =
 let test_singleton () =
   Alcotest.(check (array int)) "singleton" [| 42 |] (Pool.map ~domains:4 (fun x -> x + 41) [| 1 |])
 
-let test_mapi () =
-  let arr = [| 10; 20; 30 |] in
-  Alcotest.(check (array int)) "mapi" [| 10; 21; 32 |] (Pool.mapi ~domains:2 (fun i x -> x + i) arr)
-
-let test_map_list () =
-  Alcotest.(check (list int)) "map_list" [ 2; 4; 6 ] (Pool.map_list ~domains:2 (fun x -> 2 * x) [ 1; 2; 3 ])
-
-let test_map_reduce () =
-  let n = 1000 in
-  let arr = Array.init n Fun.id in
-  let total = Pool.map_reduce ~domains:3 ~map:Fun.id ~reduce:( + ) ~init:0 arr in
-  Alcotest.(check int) "sum" (n * (n - 1) / 2) total
-
-let test_all () =
-  Alcotest.(check (list int)) "thunks" [ 1; 2; 3 ]
-    (Pool.all ~domains:2 [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ])
-
 exception Boom of int
 
 let test_exception_propagates () =
@@ -82,16 +65,6 @@ let test_error_halts_before_next_claim () =
     (Printf.sprintf "halted early (evaluated %d of %d)" seen n)
     true
     (seen < n / 2)
-
-(* Regression: [mapi] must deliver each index to the worker function and
-   land every output at its input's slot, whatever the domain count. *)
-let test_mapi_preserves_index_order () =
-  let arr = Array.init 257 (fun i -> 1000 + i) in
-  let got = Pool.mapi ~domains:4 (fun i x -> (i, x)) arr in
-  Alcotest.(check int) "length" 257 (Array.length got);
-  Array.iteri
-    (fun i (j, x) -> Alcotest.(check (pair int int)) "indexed" (i, 1000 + i) (j, x))
-    got
 
 let test_default_domains () =
   check_bool "at least one" true (Pool.default_domains () >= 1);
@@ -143,17 +116,11 @@ let () =
           Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "singleton" `Quick test_singleton;
-          Alcotest.test_case "mapi" `Quick test_mapi;
-          Alcotest.test_case "map_list" `Quick test_map_list;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
-          Alcotest.test_case "all" `Quick test_all;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
           Alcotest.test_case "error halts before next claim" `Quick
             test_error_halts_before_next_claim;
           Alcotest.test_case "error skips remaining, no missing-result leak" `Quick
             test_error_skips_remaining_without_leak;
-          Alcotest.test_case "mapi preserves index order under domains" `Quick
-            test_mapi_preserves_index_order;
           Alcotest.test_case "default domains" `Quick test_default_domains;
           Alcotest.test_case "inline fast path (singleton / domains=1)" `Quick
             test_inline_fast_path;

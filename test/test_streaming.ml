@@ -1,12 +1,14 @@
-(* Agreement tests for the streaming simulation layer (PR 7).
+(* Tests for the streaming simulation layer.
 
-   The streaming engine (event calendar + incremental active set + segment
-   arena) must be an *invisible* optimization: every simulator's
-   [streaming:true] path has to produce bitwise-identical schedules to the
-   legacy per-event rescans it replaces.  These tests pin that contract on
-   the calendar/arena structures directly and on each simulator end to
-   end, plus the metamorphic time-shift property and the stream workload
-   generator the large-n bench rides on. *)
+   The event engine (event calendar + incremental active set + segment
+   arena) must be an *invisible* optimization: every simulator has to
+   produce the schedule that the pre-streaming loops produced.  Those
+   loops — whole-array rescans per unit interval or per arrival, OA's
+   scratch planner and BKP's per-sample deadline rebuild — now live only
+   in test/reference.ml, and the agreement properties below compare each
+   simulator with them by float bits.  These tests also pin the
+   calendar/arena structures directly, the metamorphic time-shift
+   property and the stream workload generator. *)
 
 module Job = Ss_model.Job
 module Power = Ss_model.Power
@@ -14,7 +16,6 @@ module Schedule = Ss_model.Schedule
 module Engine = Ss_online.Engine
 module Avr = Ss_online.Avr
 module Oa = Ss_online.Oa
-module Edf = Ss_online.Edf
 module Bkp = Ss_online.Bkp
 module G = Ss_workload.Generators
 
@@ -49,7 +50,7 @@ let test_calendar_buckets_match_arriving () =
     let t = Engine.Calendar.time cal e in
     Alcotest.(check (list int))
       (Printf.sprintf "arrivals at event %d" e)
-      (Engine.arriving inst t)
+      (Reference.arriving inst t)
       (Engine.Calendar.arrivals_at cal e)
   done;
   (* Every job appears in exactly one arrival bucket and one expiry
@@ -67,17 +68,22 @@ let test_calendar_buckets_match_arriving () =
 
 let test_calendar_distinguishes_float_noise () =
   (* Two releases a ULP-scale wiggle apart are *different* events: the
-     calendar interns exact values, never tolerance-merges.  (The old
-     float-equality rescan in [Engine.arriving] got this right only by
-     accident of scanning with [=]; the calendar keeps the exact-match
-     semantics.) *)
+     calendar interns exact values, never tolerance-merges, so its buckets
+     agree with an exact-equality scan of the job array. *)
   let eps = 1e-9 in
   let inst =
     Job.instance ~machines:1 [ j 0. 4. 1.; j eps 4. 1.; j 1. 5. 2. ]
   in
   let cal = Engine.Calendar.make inst in
-  Alcotest.(check (list int)) "exact 0." [ 0 ] (Engine.arriving inst 0.);
-  Alcotest.(check (list int)) "exact eps" [ 1 ] (Engine.arriving inst eps);
+  let bucket t =
+    match Engine.Calendar.find cal t with
+    | Some e -> Engine.Calendar.arrivals_at cal e
+    | None -> []
+  in
+  Alcotest.(check (list int)) "exact 0." [ 0 ] (bucket 0.);
+  Alcotest.(check (list int)) "exact eps" [ 1 ] (bucket eps);
+  Alcotest.(check (list int)) "scan 0." [ 0 ] (Reference.arriving inst 0.);
+  Alcotest.(check (list int)) "scan eps" [ 1 ] (Reference.arriving inst eps);
   check_bool "distinct events" true
     (Engine.Calendar.find cal 0. <> Engine.Calendar.find cal eps);
   Alcotest.(check (option int)) "absent time" None (Engine.Calendar.find cal 0.5)
@@ -136,52 +142,28 @@ let test_arena_open_tail_is_a_slice () =
   check_bool "open tail first" true
     (Engine.Arena.to_list_slices arena = [ seg 1; seg 0 ])
 
-(* --- Bitwise agreement: AVR --------------------------------------------- *)
+(* --- Bitwise agreement with the reference --------------------------------
+
+   The names keep "legacy": the reference is the pre-streaming algorithm
+   (per-interval and per-arrival rescans, scratch OA replanning, per-sample
+   BKP rebuild). *)
 
 let prop_avr_streaming_bitwise =
   QCheck.Test.make ~count:60 ~name:"AVR streaming = legacy, bit for bit" QCheck.small_nat
     (fun seed ->
       let inst = instance_of seed in
-      let s1, i1 = Avr.run ~streaming:true inst in
-      let s2, i2 = Avr.run ~streaming:false inst in
-      i1 = i2 && Schedule.segments s1 = Schedule.segments s2)
-
-(* --- Bitwise agreement: OA over the streaming x incremental grid -------- *)
+      let s1, i1 = Avr.run inst in
+      let s2, i2 = Reference.avr inst in
+      i1 = i2 && Reference.same_schedule s1 s2)
 
 let prop_oa_streaming_bitwise =
   QCheck.Test.make ~count:30 ~name:"OA streaming = legacy across planner paths"
     QCheck.small_nat
     (fun seed ->
       let inst = instance_of seed in
-      let runs =
-        List.map
-          (fun (streaming, incremental) ->
-            let s, _, plans = Oa.run_detailed ~streaming ~incremental inst in
-            (Schedule.segments s, plans))
-          [ (true, true); (true, false); (false, true); (false, false) ]
-      in
-      match runs with
-      | first :: rest -> List.for_all (fun r -> r = first) rest
-      | [] -> false)
-
-(* --- Bitwise agreement: EDF / BKP --------------------------------------- *)
-
-let edf_slices (inst : Job.instance) =
-  List.sort_uniq Float.compare
-    (List.concat_map
-       (fun (jb : Job.t) -> [ jb.release; jb.deadline ])
-       (Array.to_list inst.jobs))
-
-let prop_edf_streaming_bitwise =
-  QCheck.Test.make ~count:40 ~name:"EDF streaming arena = legacy lists" QCheck.small_nat
-    (fun seed ->
-      let inst = uniform_instance (seed + 90) in
-      let inst = { inst with Job.machines = 1 } in
-      let speed_at _ = 1.5 +. (float_of_int (seed mod 3) /. 2.) in
-      let o1 = Edf.run ~streaming:true ~slices:(edf_slices inst) ~speed_at inst in
-      let o2 = Edf.run ~streaming:false ~slices:(edf_slices inst) ~speed_at inst in
-      Schedule.segments o1.schedule = Schedule.segments o2.schedule
-      && o1.unfinished = o2.unfinished)
+      let s1, _, plans1 = Oa.run_detailed inst in
+      let s2, plans2 = Reference.oa inst in
+      Reference.same_schedule s1 s2 && Reference.same_plans plans1 plans2)
 
 let prop_bkp_streaming_bitwise =
   QCheck.Test.make ~count:15 ~name:"BKP streaming = legacy (schedule and residue)"
@@ -190,10 +172,10 @@ let prop_bkp_streaming_bitwise =
       let inst =
         G.poisson ~seed:(seed + 21) ~machines:1 ~jobs:6 ~rate:1.1 ~mean_work:2. ~slack:2.5 ()
       in
-      let o1 = Bkp.run ~streaming:true ~steps_per_event:16 inst in
-      let o2 = Bkp.run ~streaming:false ~steps_per_event:16 inst in
-      Schedule.segments o1.schedule = Schedule.segments o2.schedule
-      && o1.max_residue = o2.max_residue)
+      let o1 = Bkp.run ~steps_per_event:16 inst in
+      let o2 = Reference.bkp ~steps_per_event:16 inst in
+      Reference.same_schedule o1.schedule o2.schedule
+      && Reference.same_float o1.max_residue o2.max_residue)
 
 (* --- Metamorphic: integral time shift ----------------------------------- *)
 
@@ -208,9 +190,9 @@ let prop_time_shift_invariance_streaming =
       in
       let relclose a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs a) in
       relclose
-        (Schedule.energy p (fst (Avr.run ~streaming:true inst)))
-        (Schedule.energy p (fst (Avr.run ~streaming:true shifted)))
-      && relclose (Oa.energy ~streaming:true p inst) (Oa.energy ~streaming:true p shifted))
+        (Schedule.energy p (fst (Avr.run inst)))
+        (Schedule.energy p (fst (Avr.run shifted)))
+      && relclose (Oa.energy p inst) (Oa.energy p shifted))
 
 (* --- Stream generator --------------------------------------------------- *)
 
@@ -253,21 +235,20 @@ let test_stream_generator_guards () =
 let test_counters_populated () =
   let inst = G.stream ~seed:9 ~machines:4 ~jobs:80 ~rate:3. ~mean_work:2. ~max_laxity:5. () in
   let stats = Engine.counters () in
-  let s1, _ = Avr.run ~streaming:true ~stats inst in
+  let s1, _ = Avr.run ~stats inst in
   check_bool "events counted" true (stats.events > 0);
   (* Every job enters and leaves the active set exactly once (bar jobs
      expiring at the horizon end, removed implicitly). *)
   check_bool "set ops ~ 2n" true
     (stats.set_ops >= Array.length inst.jobs && stats.set_ops <= 2 * Array.length inst.jobs);
-  check_int "emitted = segment count before clipping" stats.emitted stats.emitted;
-  check_bool "emitted covers schedule" true
-    (stats.emitted >= Array.length (Schedule.segments s1));
+  (* [Schedule.make] keeps every emitted segment. *)
+  check_int "emitted = schedule segments" (Schedule.num_segments s1) stats.emitted;
   check_bool "arena high-water positive" true (stats.arena_high_water > 0)
 
 let test_oa_counters_populated () =
   let inst = uniform_instance 17 in
   let stats = Engine.counters () in
-  let _ = Oa.run ~streaming:true ~stats inst in
+  let _ = Oa.run ~stats inst in
   check_bool "replan events counted" true (stats.events > 0);
   check_bool "live-set ops counted" true (stats.set_ops > 0);
   check_bool "segments counted" true (stats.emitted > 0)
@@ -301,7 +282,6 @@ let () =
           [
             prop_avr_streaming_bitwise;
             prop_oa_streaming_bitwise;
-            prop_edf_streaming_bitwise;
             prop_bkp_streaming_bitwise;
             prop_time_shift_invariance_streaming;
             prop_stream_generator_shape;

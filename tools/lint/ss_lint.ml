@@ -6,8 +6,7 @@
    hit/miss paths.  That promise is guarded dynamically by the agreement
    suites and [Flow.audit]; this tool is the static half of the gate.  It
    parses every .ml under the given roots with compiler-libs ([Parse] +
-   a scoped parsetree walk — no ppx, no new dependencies, same footing as
-   tools/perf_diff.ml) and enforces:
+   a scoped parsetree walk — no ppx, no new dependencies) and enforces:
 
      R1 poly-compare   Bare polymorphic [compare] anywhere (applied or
                        passed to a sort); bare [min]/[max]/[=]/[<>] on
@@ -48,7 +47,7 @@
 
    Exit status: 0 clean, 1 diagnostics, 2 usage/parse errors.
    [--json] emits a machine-readable report (consumed as a committed
-   LINT.json baseline; tools/perf_diff recognizes and skips it). *)
+   LINT.json baseline). *)
 
 module L = Longident
 
