@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json bench bench-large bench-throughput bench-smoke tables micro examples clean
+.PHONY: all build test lint lint-json bench bench-smoke tables micro examples clean
 
 all: build
 
@@ -29,17 +29,6 @@ bench:
 
 bench-output:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
-
-# Large-n scaling rows (dense round networks vs the sweep oracle on heavy
-# n=500/1000/2000, m=8 instances).
-bench-large:
-	dune exec bench/main.exe -- large
-
-# Batch-dispatch throughput (work-stealing crew + canonical memo cache
-# vs sequential per-query scratch solves on a 600-query clustered batch
-# with 75% canonical duplicates).
-bench-throughput:
-	dune exec bench/main.exe -- throughput
 
 # Tiny-quota run of the micro-benchmarks.
 bench-smoke:

@@ -121,7 +121,7 @@ struct
     mutable source_edge : int array;
     mutable sink_edge : int array;
     mutable job_edge : int array;   (* flat [i * k + j] edge ids, -1 = absent *)
-    mutable grows : int;            (* solves that had to grow the arena *)
+    mutable grows : int;            (* component solves that grew the arena *)
     (* Sweep-oracle state, touched only by solves on the sweep substrate. *)
     mutable sweep_order : int array;(* jobs sorted by (first_ivl, index) *)
     mutable sweep_bucket : int array;(* counting-sort scratch, k+1 *)
@@ -228,8 +228,8 @@ struct
     end;
     if !grew then ws.grows <- ws.grows + 1
 
-  (* Above this dense edge-table size (n * k) a solve defaults to the sweep
-     oracle; below it the dense Fig. 1 build is faster. *)
+  (* From this dense edge-table size (n * k) up a component is solved on the
+     sweep oracle; below it the dense Fig. 1 build is faster. *)
   let compress_threshold = 20_000
 
   (* --- the pair store ----------------------------------------------------
@@ -707,7 +707,7 @@ struct
       slots []
 
   (* --- the dense substrate -----------------------------------------------
-     The Fig. 1 network is built once per solve, in the first phase: 0 =
+     The Fig. 1 network is built once per component, in its first phase: 0 =
      source, 1 = sink, then the jobs, then the intervals with procs > 0.
      Every later round of every phase reuses that topology: it zeroes the
      flows, installs the current capacities (0 for jobs no longer
@@ -829,10 +829,10 @@ struct
      instance, and for a given oracle so are the t_kj; grouping the
      removals only cuts the round count.
 
-     Two oracles answer a round, chosen per solve by size ([compress],
-     default: [n * k >= compress_threshold]):
-     - dense: the Fig. 1 network, built once per solve and rewound in place
-       for every later round (see [build_dense]);
+     Two oracles answer a round, chosen per component by size (the sweep
+     iff [n * k >= compress_threshold]):
+     - dense: the Fig. 1 network, built once per component and rewound in
+       place for every later round (see [build_dense]);
      - sweep: the earliest-deadline sweep finished by implicit-residual
        augmentation (see [sweep]), which computes a maximum flow of the same
        network without materializing it.  It builds no flow network at
@@ -842,16 +842,11 @@ struct
      agree, while the t_kj split among a phase's equal-speed members may
      differ between the two (every member's total is its demand either
      way).  [on_flow] sees the dense network after each of its rounds. *)
-  let solve_in ?(flow_algorithm = Dinic) ?compress ?on_flow ~ws ~machines
-      (jobs : job array) =
-    validate ~machines jobs;
+  let solve_in ?(flow_algorithm = Dinic) ?on_flow ~ws ~machines (jobs : job array) =
     let n = Array.length jobs in
     let breakpoints = sort_uniq_times jobs in
     let k = Array.length breakpoints - 1 in
-    let use_sweep =
-      n > 0 && k > 0
-      && (match compress with Some b -> b | None -> n * k >= compress_threshold)
-    in
+    let use_sweep = n > 0 && k > 0 && n * k >= compress_threshold in
     ws_fit ws ~n ~k ~dense:(not use_sweep);
     let widths = ws.widths in
     for j = 0 to k - 1 do
@@ -1033,9 +1028,9 @@ struct
      no job->interval edge across it, so the max-flow questions — and with
      them Lemmas 1-4 and the whole phase construction — factor into the
      connected components of the job-window interval graph.  Solving the
-     components independently and concatenating their phase lists yields
-     the global optimum; re-sorting by decreasing speed restores the
-     paper's presentation order.
+     components one after another and concatenating their phase lists
+     yields the global optimum; re-sorting by decreasing speed restores
+     the paper's presentation order.
 
      The per-component solves are bit-identical to what the global solver
      produces for the same classes whenever no speed class spans two
@@ -1049,7 +1044,9 @@ struct
      class, which matches the global class's members and reservations; the
      global solver would have re-derived the (mathematically equal) merged
      speed with a differently-ordered float sum, the one place where
-     decomposition can diverge in the last bit. *)
+     decomposition can diverge in the last bit.  test/reference.ml solves
+     the whole instance without decomposition, and the tests compare the
+     two by float bits. *)
 
   (* Split jobs into independent components: sweep in release order,
      cutting whenever the next release is at or past the furthest deadline
@@ -1105,143 +1102,87 @@ struct
       alloc = List.map (fun (i, j, t) -> (ids.(i), j + off, t)) p.alloc;
     }
 
-  (* Threshold below which domain dispatch is not worth the spawn cost. *)
-  let parallel_threshold = 24
-
-  let solve_split ?flow_algorithm ?compress ?on_flow ?parallel ~ws_for ~machines
-      (jobs : job array) =
-    (* Validate up front (as [solve_in] would) so malformed inputs are
-       rejected before any component dispatch. *)
+  (* Solve each component in turn on the one workspace and merge the phase
+     lists onto the global grid.  A component's event times are a
+     contiguous slice of the global breakpoints (components are
+     time-disjoint and every event is a component event), so its first
+     breakpoint locates the slice. *)
+  let solve_split ?flow_algorithm ?on_flow ~ws ~machines (jobs : job array) =
     validate ~machines jobs;
-    let solve_whole () =
-      solve_in ?flow_algorithm ?compress ?on_flow ~ws:(ws_for 0) ~machines jobs
-    in
     match components jobs with
-    | [] | [ _ ] -> solve_whole ()
+    | [] | [ _ ] -> solve_in ?flow_algorithm ?on_flow ~ws ~machines jobs
     | comps ->
       let breakpoints = sort_uniq_times jobs in
       let k = Array.length breakpoints - 1 in
-      let comps = Array.of_list comps in
-      (* A component's event times must be a contiguous slice of the global
-         grid (they are, by construction: components are time-disjoint and
-         every event is a component event).  Checked defensively; on any
-         mismatch fall back to the undecomposed path rather than merge onto
-         a wrong offset. *)
-      let sliced =
-        Array.map
+      let runs =
+        List.map
           (fun ids ->
             let sub = Array.map (fun i -> jobs.(i)) ids in
-            let bp = sort_uniq_times sub in
-            let off = index_of breakpoints bp.(0) in
-            let ok =
-              off + Array.length bp <= Array.length breakpoints
-              &&
-              let same = ref true in
-              Array.iteri
-                (fun j t ->
-                  if F.compare breakpoints.(off + j) t <> 0 then same := false)
-                bp;
-              !same
-            in
-            (ids, sub, off, ok))
+            match solve_in ?flow_algorithm ?on_flow ~ws ~machines sub with
+            | r -> (ids, r)
+            | exception Stranded_job local -> raise (Stranded_job ids.(local)))
           comps
       in
-      if Array.exists (fun (_, _, _, ok) -> not ok) sliced then solve_whole ()
-      else begin
-        let nc = Array.length sliced in
-        (* Workspaces are claimed sequentially before dispatch — one per
-           component slot, so rewind state is never shared across domains. *)
-        let wss = Array.init nc ws_for in
-        let solve_comp slot =
-          let ids, sub, _, _ = sliced.(slot) in
-          match solve_in ?flow_algorithm ?compress ?on_flow ~ws:wss.(slot) ~machines sub with
-          | r -> r
-          | exception Stranded_job local -> raise (Stranded_job ids.(local))
-        in
-        let use_parallel =
-          match parallel with
-          | Some b -> b
-          | None ->
-            (* [on_flow] is a caller closure observed per round; keep its
-               invocations on the calling domain and in component order. *)
-            on_flow = None && Array.length jobs >= parallel_threshold
-        in
-        let runs =
-          if use_parallel then
-            Ss_parallel.Pool.map solve_comp (Array.init nc Fun.id)
-          else Array.map solve_comp (Array.init nc Fun.id)
-        in
-        (* Canonical merge: stitch every component phase onto the global
-           grid, order by strictly decreasing speed (stable, so the
-           time-ordered component layout breaks exact ties), and coalesce
-           bitwise-equal speeds into a single class — what the global
-           solver's speed-class partition would contain. *)
-        let all =
-          List.concat
-            (List.map2
-               (fun (ids, _, off, _) (r : run) ->
-                 List.map (stitch_phase ~k ~off ~ids) r.schedule_phases)
-               (Array.to_list sliced) (Array.to_list runs))
-        in
-        let sorted =
-          List.stable_sort (fun a b -> F.compare b.speed a.speed) all
-        in
-        let rec coalesce = function
-          | a :: b :: rest when F.compare a.speed b.speed = 0 ->
-            coalesce
-              ({
-                 members = List.merge Int.compare a.members b.members;
-                 speed = a.speed;
-                 procs = Array.init k (fun j -> a.procs.(j) + b.procs.(j));
-                 alloc =
-                   List.merge
-                     (fun (i1, j1, _) (i2, j2, _) ->
-                       match Int.compare i1 i2 with 0 -> Int.compare j1 j2 | c -> c)
-                     a.alloc b.alloc;
-               }
-              :: rest)
-          | a :: rest -> a :: coalesce rest
-          | [] -> []
-        in
-        let schedule_phases = coalesce sorted in
-        (* Counters are summed; [phases] counts accepted conjectures (one
-           accepting round each, and each failed round removes at least one
-           job), so phases <= rounds <= phases + removals survives the merge
-           even if a bitwise tie coalesced two classes above. *)
-        let sum f =
-          Array.fold_left (fun acc (r : run) -> acc + f r.stats) 0 runs
-        in
-        let peak f =
-          Array.fold_left (fun acc (r : run) -> max acc (f r.stats)) 0 runs
-        in
-        {
-          breakpoints;
-          schedule_phases;
-          stats =
-            {
-              phases = sum (fun s -> s.phases);
-              rounds = sum (fun s -> s.rounds);
-              resumes = sum (fun s -> s.resumes);
-              removals = sum (fun s -> s.removals);
-              grouped = sum (fun s -> s.grouped);
-              largest_group = peak (fun s -> s.largest_group);
-              net_edges = peak (fun s -> s.net_edges);
-              net_pushes = sum (fun s -> s.net_pushes);
-              net_bfs_waves = sum (fun s -> s.net_bfs_waves);
-              phase_resumes = sum (fun s -> s.phase_resumes);
-            };
-        }
-      end
+      (* Canonical merge: stitch every component phase onto the global
+         grid, order by strictly decreasing speed (stable, so the
+         time-ordered component layout breaks exact ties), and coalesce
+         bitwise-equal speeds into a single class — what the global
+         solver's speed-class partition would contain. *)
+      let all =
+        List.concat_map
+          (fun (ids, (r : run)) ->
+            let off = index_of breakpoints r.breakpoints.(0) in
+            List.map (stitch_phase ~k ~off ~ids) r.schedule_phases)
+          runs
+      in
+      let sorted =
+        List.stable_sort (fun a b -> F.compare b.speed a.speed) all
+      in
+      let rec coalesce = function
+        | a :: b :: rest when F.compare a.speed b.speed = 0 ->
+          coalesce
+            ({
+               members = List.merge Int.compare a.members b.members;
+               speed = a.speed;
+               procs = Array.init k (fun j -> a.procs.(j) + b.procs.(j));
+               alloc =
+                 List.merge
+                   (fun (i1, j1, _) (i2, j2, _) ->
+                     match Int.compare i1 i2 with 0 -> Int.compare j1 j2 | c -> c)
+                   a.alloc b.alloc;
+             }
+            :: rest)
+        | a :: rest -> a :: coalesce rest
+        | [] -> []
+      in
+      let schedule_phases = coalesce sorted in
+      (* Counters are summed; [phases] counts accepted conjectures (one
+         accepting round each, and each failed round removes at least one
+         job), so phases <= rounds <= phases + removals survives the merge
+         even if a bitwise tie coalesced two classes above. *)
+      let sum f = List.fold_left (fun acc (_, (r : run)) -> acc + f r.stats) 0 runs in
+      let peak f = List.fold_left (fun acc (_, (r : run)) -> max acc (f r.stats)) 0 runs in
+      {
+        breakpoints;
+        schedule_phases;
+        stats =
+          {
+            phases = sum (fun s -> s.phases);
+            rounds = sum (fun s -> s.rounds);
+            resumes = sum (fun s -> s.resumes);
+            removals = sum (fun s -> s.removals);
+            grouped = sum (fun s -> s.grouped);
+            largest_group = peak (fun s -> s.largest_group);
+            net_edges = peak (fun s -> s.net_edges);
+            net_pushes = sum (fun s -> s.net_pushes);
+            net_bfs_waves = sum (fun s -> s.net_bfs_waves);
+            phase_resumes = sum (fun s -> s.phase_resumes);
+          };
+      }
 
-  (* The paper-facing entry point: a fresh workspace per call, routed
-     through the decomposition layer by default. *)
-  let solve ?flow_algorithm ?(decompose = true) ?compress ?parallel ?on_flow ~machines
-      jobs =
-    if decompose then
-      solve_split ?flow_algorithm ?compress ?on_flow ?parallel
-        ~ws_for:(fun _ -> make_workspace ())
-        ~machines jobs
-    else solve_in ?flow_algorithm ?compress ?on_flow ~ws:(make_workspace ()) ~machines jobs
+  (* The paper-facing entry point: a fresh workspace per call. *)
+  let solve ?flow_algorithm ?on_flow ~machines jobs =
+    solve_split ?flow_algorithm ?on_flow ~ws:(make_workspace ()) ~machines jobs
 
   (* --- cross-arrival solver sessions (Section 3.1, Lemmas 6–9) ----------
      A session owns a persistent workspace (flow arena, breakpoint-grid
@@ -1263,16 +1204,12 @@ struct
       grouped_rounds : int;     (* failed rounds that removed > 1 victim *)
       carried_jobs : int;       (* keys also planned by an earlier solve *)
       monotone_carried : int;   (* carried keys whose speed did not drop *)
-      arena_grows : int;        (* solves that had to grow the workspace *)
+      arena_grows : int;        (* component solves that grew the workspace *)
     }
 
     type t = {
       machines : int;
-      mutable pool : workspace array;
-          (* slot 0 is the primary arena; decomposed solves claim one
-             workspace per component slot (grown on demand, sequentially,
-             before any domain dispatch) so rewind state is never shared
-             across domains. *)
+      ws : workspace;
       prev_speed : (int, F.t) Hashtbl.t;
       mutable solves : int;
       mutable rounds : int;
@@ -1287,7 +1224,7 @@ struct
       if machines <= 0 then invalid_arg "Offline.Session.create: machines <= 0";
       {
         machines;
-        pool = [| make_workspace () |];
+        ws = make_workspace ();
         prev_speed = Hashtbl.create 64;
         solves = 0;
         rounds = 0;
@@ -1300,27 +1237,12 @@ struct
 
     let machines t = t.machines
 
-    (* Claim the workspace for component slot [i], growing the pool if
-       needed.  Only called sequentially (before any parallel dispatch). *)
-    let ws_slot t i =
-      let len = Array.length t.pool in
-      if i >= len then
-        t.pool <-
-          Array.init
-            (max (i + 1) (2 * len))
-            (fun j -> if j < len then t.pool.(j) else make_workspace ());
-      t.pool.(i)
-
-    let solve ?keys ?(decompose = true) ?compress ?parallel t jobs =
+    let solve ?keys t jobs =
       (match keys with
       | Some ks when Array.length ks <> Array.length jobs ->
         invalid_arg "Offline.Session.solve: keys length mismatch"
       | _ -> ());
-      let run =
-        if decompose then
-          solve_split ?compress ?parallel ~ws_for:(ws_slot t) ~machines:t.machines jobs
-        else solve_in ?compress ~ws:t.pool.(0) ~machines:t.machines jobs
-      in
+      let run = solve_split ~ws:t.ws ~machines:t.machines jobs in
       t.solves <- t.solves + 1;
       t.rounds <- t.rounds + run.stats.rounds;
       t.resumes <- t.resumes + run.stats.resumes;
@@ -1354,7 +1276,7 @@ struct
         grouped_rounds = t.grouped_rounds;
         carried_jobs = t.carried_jobs;
         monotone_carried = t.monotone_carried;
-        arena_grows = Array.fold_left (fun acc ws -> acc + ws.grows) 0 t.pool;
+        arena_grows = t.ws.grows;
       }
   end
 
@@ -1598,13 +1520,11 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
 let component_count (inst : Job.instance) =
   List.length (F.components (float_jobs inst))
 
-let solve ?decompose ?compress ?parallel (inst : Job.instance) =
+let solve (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Offline.solve: invalid instance");
-  let run =
-    F.solve ?decompose ?compress ?parallel ~machines:inst.machines (float_jobs inst)
-  in
+  let run = F.solve ~machines:inst.machines (float_jobs inst) in
   let schedule = schedule_of_run ~machines:inst.machines run in
   let info =
     {
@@ -1632,8 +1552,7 @@ let energy_of_run power (run : F.run) =
          Power.eval power p.speed *. F.phase_busy_time run p)
        run.schedule_phases)
 
-let run ?decompose ?compress ?parallel (inst : Job.instance) =
-  F.solve ?decompose ?compress ?parallel ~machines:inst.machines (float_jobs inst)
+let run (inst : Job.instance) = F.solve ~machines:inst.machines (float_jobs inst)
 
 (* Exact-rational replay: jobs are embedded exactly (floats are dyadic
    rationals) and the whole algorithm runs in exact arithmetic. *)
@@ -1644,5 +1563,4 @@ let exact_jobs (inst : Job.instance) =
       { Exact.release = r j.release; deadline = r j.deadline; work = r j.work })
     inst.jobs
 
-let solve_exact ?compress (inst : Job.instance) =
-  Exact.solve ?compress ~machines:inst.machines (exact_jobs inst)
+let solve_exact (inst : Job.instance) = Exact.solve ~machines:inst.machines (exact_jobs inst)

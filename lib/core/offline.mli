@@ -34,17 +34,16 @@ module MakeWith
             [phases <= rounds <= phases + removals] *)
     resumes : int;
         (** failed dense rounds answered by rewinding the network in place
-            (the network is built once per solve) *)
+            (the network is built once per component) *)
     removals : int;  (** Lemma 4 job removals, fixed by the instance *)
     grouped : int;
         (** failed rounds that removed more than one certified job at once;
             [grouped <= rounds - phases] *)
     largest_group : int;
-        (** the most jobs one failed round removed (max across components
-            when decomposed) *)
+        (** the most jobs one failed round removed (max across components) *)
     net_edges : int;
-        (** forward edges of the dense round network (max across components
-            when decomposed) *)
+        (** forward edges of the dense round network (max across
+            components) *)
     net_pushes : int;  (** edge-flow updates across the dense max-flow work *)
     net_bfs_waves : int;
         (** BFS passes (Dinic level builds / Edmonds–Karp path searches)
@@ -77,14 +76,11 @@ module MakeWith
       indices into the input. *)
 
   val compress_threshold : int
-  (** Dense edge-table size ([n * k]) above which a solve defaults to the
-      sweep oracle. *)
+  (** Dense edge-table size ([n * k]) from which a component is solved on
+      the sweep oracle instead of the dense network. *)
 
   val solve :
     ?flow_algorithm:flow_algorithm ->
-    ?decompose:bool ->
-    ?compress:bool ->
-    ?parallel:bool ->
     ?on_flow:(Flow.t -> unit) ->
     machines:int ->
     job array ->
@@ -99,32 +95,29 @@ module MakeWith
       every dense round's max-flow answer — a test hook for auditing the
       rewound flows.
 
-      [decompose] (default [true]) first splits the instance at
-      zero-coverage grid points (see {!components}), solves the
-      independent components on separate workspaces and merges the phase
-      lists back onto the global grid in decreasing-speed order.  The
-      merged run is bit-identical to the undecomposed one — same
+      The instance is first split at zero-coverage grid points (see
+      {!components}).  The components are solved one after another on one
+      workspace, and their phase lists are merged back onto the global
+      grid in decreasing-speed order.  The merged run is what the round
+      loop computes on the whole instance with the same oracle — same
       breakpoints, speeds, members, reservations and allocations — except
       in the measure-zero case of a bitwise speed tie across components
       (the merge then coalesces the tied classes, whose mathematically
-      equal merged speed the global solver would have re-derived with a
-      differently-ordered float sum); round/removal counters may differ
-      because the global round loop conjectures blended speeds across
-      components.  [parallel] forces component dispatch over
-      [Ss_parallel.Pool] domains on or off (default: on when there are
-      ≥ 2 components, the instance is non-trivial and no [on_flow] hook is
-      installed); results are deterministic either way.
+      equal merged speed the whole-instance loop would have re-derived
+      with a differently-ordered float sum).  The counters are summed over
+      the components (maxima for [largest_group] and [net_edges]).
 
-      [compress] (default: on iff [n * k >= compress_threshold], decided
-      per component) selects the round oracle.  Off, the dense Fig. 1
-      network answers each round: it is built once per solve and rewound
-      in place (flows zeroed, capacities of removed jobs and shrunk
-      reservations updated) for every later round and phase.  On, an
+      Each component's rounds are answered by one of two oracles, chosen
+      by its size.  Below [compress_threshold] ([n * k], with [k] the
+      component's grid intervals), the dense Fig. 1 network answers each
+      round: it is built once per component and rewound in place (flows
+      zeroed, capacities of removed jobs and shrunk reservations updated)
+      for every later round and phase.  From [compress_threshold] up, an
       earliest-deadline sweep finished by blocking flows on the implicit
       dense residual computes a maximum flow of the same network without
       building it, keeping O(n + m k) state; no flow network exists, so
-      the network counters of {!stats} read 0.  Phase partitions, speeds,
-      reservations, busy times and energies are the same either way; the
+      the network counters of {!stats} read 0.  Both give the same phase
+      partitions, speeds, reservations, busy times and energies; the
       [t_kj] split among a phase's equal-speed members may differ (the two
       flows are different maximum flows of the same accepting network —
       every member's total is its demand either way).  See DESIGN.md,
@@ -135,12 +128,12 @@ module MakeWith
 
   (** Cross-arrival solver sessions (Section 3.1, Lemmas 6–9).
 
-      A session owns a persistent flow arena, breakpoint-grid scratch,
-      reservation arrays and sweep pair store, reused across successive
-      solves — the natural shape for OA(m) replanning, which re-solves a
-      slightly different instance at every arrival.  Session solves run
-      {!solve}'s round loop, so the returned runs are identical to
-      {!solve}'s, counters included.
+      A session owns one workspace — flow arena, breakpoint-grid scratch,
+      reservation arrays and sweep pair store — reused across successive
+      solves and across the components of each solve, the natural shape
+      for OA(m) replanning, which re-solves a slightly different instance
+      at every arrival.  Session solves run {!solve}'s round loop, so the
+      returned runs are identical to {!solve}'s, counters included.
 
       The Lemma 6–9 monotonicity across OA replans is tracked as a ledger:
       tag jobs with stable [keys] and the session counts how many carried
@@ -161,7 +154,9 @@ module MakeWith
       monotone_carried : int;
           (** carried keys whose planned speed did not drop (within the
               field's approximate order) *)
-      arena_grows : int;  (** solves that had to grow the workspace *)
+      arena_grows : int;
+          (** component solves that had to grow the workspace (a solve
+              counts once per component that grew it) *)
     }
 
     val create : machines:int -> t
@@ -169,21 +164,11 @@ module MakeWith
 
     val machines : t -> int
 
-    val solve :
-      ?keys:int array ->
-      ?decompose:bool ->
-      ?compress:bool ->
-      ?parallel:bool ->
-      t ->
-      job array ->
-      run
+    val solve : ?keys:int array -> t -> job array -> run
     (** Solve one instance on the session's machines, reusing the
         workspace.  [keys.(i)] is a caller-stable identity for job [i]
         (e.g. the original job id across OA replans), used only for the
-        monotonicity ledger.  [decompose]/[compress]/[parallel] behave as
-        in the top-level {!solve}; decomposed session solves claim one persistent
-        workspace per component slot, so rewind state is never shared
-        across domains.
+        monotonicity ledger.
         @raise Invalid_argument if [keys] disagrees with [jobs] in length,
         or on malformed jobs. *)
 
@@ -234,27 +219,15 @@ val component_count : Ss_model.Job.instance -> int
 (** Number of independent sub-instances the decomposition layer splits the
     instance into (1 = nothing to gain from decomposition). *)
 
-val solve :
-  ?decompose:bool ->
-  ?compress:bool ->
-  ?parallel:bool ->
-  Ss_model.Job.instance ->
-  Ss_model.Schedule.t * info
-(** Full pipeline: run the algorithm and materialize the schedule via the
-    Lemma 2 wrap-packing.  The result is feasible and optimal for every
-    convex non-decreasing power function.  [decompose] (default [true])
-    solves independent components separately — bit-identical results, see
-    {!MakeWith.solve}. *)
+val solve : Ss_model.Job.instance -> Ss_model.Schedule.t * info
+(** Full pipeline: run the algorithm ({!MakeWith.solve}) and materialize
+    the schedule via the Lemma 2 wrap-packing.  The result is feasible and
+    optimal for every convex non-decreasing power function. *)
 
 val optimal_schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 val optimal_energy : Ss_model.Power.t -> Ss_model.Job.instance -> float
 
-val run :
-  ?decompose:bool ->
-  ?compress:bool ->
-  ?parallel:bool ->
-  Ss_model.Job.instance ->
-  F.run
+val run : Ss_model.Job.instance -> F.run
 (** The raw phase structure (no schedule materialization). *)
 
 val energy_of_run : Ss_model.Power.t -> F.run -> float
@@ -271,8 +244,5 @@ val slice_of_run :
     the hot path of online replanning, where each plan is only followed
     until the next arrival. *)
 
-val solve_exact :
-  ?compress:bool ->
-  Ss_model.Job.instance ->
-  Exact.run
+val solve_exact : Ss_model.Job.instance -> Exact.run
 (** Exact-rational replay of the entire algorithm (floats embed exactly). *)

@@ -15,10 +15,6 @@ let wall f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.) (* ss_lint: allow wallclock — speedup measurement *)
 
-(* Fallback when Unix is unavailable: Sys.time measures CPU seconds which
-   is the wrong metric for parallel speedup, so we use a monotonic clock
-   via Unix. *)
-
 let cells =
   List.concat_map
     (fun alpha -> List.map (fun seed -> (alpha, seed)) [ 1; 2; 3; 4; 5; 6 ])
@@ -41,7 +37,12 @@ let run () =
       (fun domains ->
         let results, ms = wall (fun () -> Ss_parallel.Pool.map ~domains evaluate arr) in
         if domains = 1 then baseline := results;
-        let identical = !baseline = results in
+        let identical =
+          Array.length results = Array.length !baseline
+          && Array.for_all2
+               (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+               results !baseline
+        in
         [
           Table.cell_int domains;
           Table.cell_fixed ~digits:1 ms;

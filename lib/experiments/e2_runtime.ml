@@ -8,32 +8,6 @@
 module Table = Ss_numeric.Table
 module Power = Ss_model.Power
 
-(* E2d: the decomposition layer (PR 4).  A fixed 72-job workload is split
-   into k release-separated clusters; the splitter cuts the instance at
-   the zero-coverage gaps, so runtime should drop superlinearly with k
-   while the merged run stays bit-identical to the undecomposed one. *)
-let decomposition_rows () =
-  List.map
-    (fun (clusters, seed) ->
-      let inst =
-        Ss_workload.Generators.clustered ~seed ~machines:4 ~clusters
-          ~jobs_per_cluster:(72 / clusters) ~cluster_span:12. ~gap:4. ~max_work:5. ()
-      in
-      let t_undec =
-        Common.time_median (fun () -> ignore (Ss_core.Offline.run ~decompose:false inst))
-      in
-      let t_dec =
-        Common.time_median (fun () -> ignore (Ss_core.Offline.run ~decompose:true inst))
-      in
-      [
-        Table.cell_int (Array.length inst.jobs);
-        Table.cell_int (Ss_core.Offline.component_count inst);
-        Table.cell_fixed ~digits:2 t_undec;
-        Table.cell_fixed ~digits:2 t_dec;
-        Table.cell_fixed ~digits:2 (t_undec /. Float.max 1e-6 t_dec);
-      ])
-    [ (1, 21); (2, 22); (4, 23); (6, 24) ]
-
 let run () =
   let power = Power.alpha 3. in
   let rows =
@@ -70,23 +44,13 @@ let run () =
         [ "n"; "comb ms"; "LP ms"; "LP/comb"; "LP vars"; "LP rows"; "LP gap" ]
       rows
   in
-  let dec_table =
-    Table.make
-      ~title:
-        "E2d: instance decomposition at zero-coverage cuts (72 jobs, m=4, clustered)\n\
-         expected: speedup grows with the component count (k solves of n/k jobs)"
-      ~headers:[ "n"; "components"; "undec ms"; "decomp ms"; "speedup" ]
-      (decomposition_rows ())
-  in
   Common.outcome
     ~notes:
       [
         "'LP gap' = (E_comb - LP lower bound)/E_comb: the LP relaxation also \
          under-approximates energy at 6 tangents, so it is both slower and coarser.";
-        "E2d: the decomposed run is bit-identical to the undecomposed one \
-         (test/test_decomposition.ml); the k=1 row is the pass-through overhead check.";
       ]
-    [ table; dec_table ]
+    [ table ]
 
 let exp : Common.t =
   {

@@ -45,7 +45,7 @@ type info = {
 (* Relative completion tolerance of the replanning loop. *)
 let tol = 1e-9
 
-let run_detailed ?stats ?compress (inst : Job.instance) =
+let run_detailed ?stats (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Oa.run: invalid instance");
@@ -63,7 +63,7 @@ let run_detailed ?stats ?compress (inst : Job.instance) =
         live
     in
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
-    let run = Offline.F.Session.solve ~keys:ids ?compress session sub_jobs in
+    let run = Offline.F.Session.solve ~keys:ids session sub_jobs in
     total_rounds := !total_rounds + run.stats.rounds;
     resumes := !resumes + run.stats.resumes;
     (* Planned speed of every live job (its class speed). *)
@@ -96,15 +96,15 @@ let run_detailed ?stats ?compress (inst : Job.instance) =
   in
   (schedule, info, List.rev !plans)
 
-let run ?stats ?compress inst =
-  let schedule, info, _ = run_detailed ?stats ?compress inst in
+let run ?stats inst =
+  let schedule, info, _ = run_detailed ?stats inst in
   (schedule, info)
 
-let schedule ?compress inst =
-  let s, _, _ = run_detailed ?compress inst in
+let schedule inst =
+  let s, _, _ = run_detailed inst in
   s
 
-let energy ?compress power inst = Schedule.energy power (schedule ?compress inst)
+let energy power inst = Schedule.energy power (schedule inst)
 
 (* Theorem 2 guarantee. *)
 let competitive_bound ~alpha =

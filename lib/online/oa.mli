@@ -29,7 +29,6 @@ type info = {
 
 val run_detailed :
   ?stats:Engine.counters ->
-  ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info * plan list
 (** Full simulation plus the replanning history (consumed by the
@@ -37,20 +36,17 @@ val run_detailed :
     cross-arrival solver session — a persistent flow arena and workspace,
     grouped Lemma 4 removals, slice-only materialization — driven by
     {!Engine.replan_fold}.  [stats] accumulates {!Engine.counters} in
-    place.  [compress] is forwarded to the solver's choice of round
-    oracle, dense network or sweep (default: size-triggered per replan);
-    plans are identical either way. *)
+    place. *)
 
 val run :
   ?stats:Engine.counters ->
-  ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
 (** @raise Invalid_argument on invalid instances. *)
 
-val schedule : ?compress:bool -> Ss_model.Job.instance -> Ss_model.Schedule.t
+val schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 
-val energy : ?compress:bool -> Ss_model.Power.t -> Ss_model.Job.instance -> float
+val energy : Ss_model.Power.t -> Ss_model.Job.instance -> float
 
 val competitive_bound : alpha:float -> float
 (** [alpha ** alpha]. *)

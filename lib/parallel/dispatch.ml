@@ -185,11 +185,10 @@ let algo_tag = function Solve -> "S" | Oa -> "O" | Avr -> "A"
 let compute t w (q : query) canon =
   match q.algo with
   | Solve ->
-    (* decompose/compress stay at the solver's size-triggered defaults;
-       parallel is forced off — the crew already owns the domains, and
-       nested Pool dispatch would oversubscribe them. *)
+    (* The worker's own session: its workspace serves every component of
+       the solve, in turn, on this domain. *)
     let session = session_for t.slots.(w) ~machines:canon.Job.machines in
-    Run (O.F.Session.solve ~parallel:false session (solver_jobs canon))
+    Run (O.F.Session.solve session (solver_jobs canon))
   | Oa -> Sched (Ss_online.Oa.schedule canon)
   | Avr -> Sched (Ss_online.Avr.schedule canon)
 

@@ -1,7 +1,15 @@
-(* A naive reference simulator for the online algorithms.
+(* Naive references for the offline solver and the online algorithms.
 
-   Each function re-derives a simulator's output the slow, obvious way:
-   whole-array rescans per unit interval (AVR) or per arrival (OA), a
+   [offline] is the paper's Fig. 2 written out plainly: the whole
+   instance, no decomposition, no sweep oracle and no workspace, a fresh
+   Fig. 1 network per round on the generic flow functor, and every
+   Lemma 4-certified job found by a direct scan over all (job, interval)
+   edges.  The library solves components in turn on one workspace and
+   answers large rounds with the sweep oracle; the tests require it to
+   equal [offline] by float bits ([offline_mismatch]).
+
+   The online functions re-derive a simulator's output the slow, obvious
+   way: whole-array rescans per unit interval (AVR) or per arrival (OA), a
    fresh offline solve plus a full materialization clipped to the followed
    slice for every OA replan, and BKP's v(t) rebuilt from the job array at
    every speed sample.  The library runs each simulator on one
@@ -43,6 +51,218 @@ let same_plans (a : Oa.plan list) (b : Oa.plan list) =
          && List.length p.job_speeds = List.length q.job_speeds
          && List.for_all2 same_speed p.job_speeds q.job_speeds)
        a b
+
+(* Breakpoints, members, speeds, procs and every (job, interval, time)
+   allocation, by float bits; the stats counters are provenance and left
+   out. *)
+let same_run (a : Offline.F.run) (b : Offline.F.run) =
+  let same_alloc (i, j, t) (i', j', t') = i = i' && j = j' && same_float t t' in
+  let same_phase (p : Offline.F.phase) (q : Offline.F.phase) =
+    p.members = q.members && same_float p.speed q.speed && p.procs = q.procs
+    && List.length p.alloc = List.length q.alloc
+    && List.for_all2 same_alloc p.alloc q.alloc
+  in
+  Array.length a.breakpoints = Array.length b.breakpoints
+  && Array.for_all2 same_float a.breakpoints b.breakpoints
+  && List.length a.schedule_phases = List.length b.schedule_phases
+  && List.for_all2 same_phase a.schedule_phases b.schedule_phases
+
+(* --- offline (Fig. 2): a fresh network per round ------------------------- *)
+
+module Fl = Ss_numeric.Field.Float
+module Net = Ss_flow.Maxflow.Make (Fl)
+
+let offline (inst : Job.instance) : Offline.F.run =
+  let jobs = inst.jobs and machines = inst.machines in
+  let n = Array.length jobs in
+  let breakpoints =
+    Array.to_list jobs
+    |> List.concat_map (fun (j : Job.t) -> [ j.release; j.deadline ])
+    |> List.sort_uniq Float.compare |> Array.of_list
+  in
+  let k = Array.length breakpoints - 1 in
+  let width j = breakpoints.(j + 1) -. breakpoints.(j) in
+  let active i j =
+    jobs.(i).release <= breakpoints.(j) && breakpoints.(j + 1) <= jobs.(i).deadline
+  in
+  let used = Array.make k 0 in
+  let remaining = Array.make n true in
+  let phases = ref [] and rounds = ref 0 and removals = ref 0 in
+  let grouped = ref 0 and largest_group = ref 0 in
+  while Array.exists Fun.id remaining do
+    let candidate = Array.copy remaining in
+    let accepted = ref None in
+    while !accepted = None do
+      incr rounds;
+      (* Lemma 3 reservations and the conjectured speed W / P. *)
+      let procs =
+        Array.init k (fun j ->
+            let nj = ref 0 in
+            for i = 0 to n - 1 do
+              if candidate.(i) && active i j then incr nj
+            done;
+            min !nj (machines - used.(j)))
+      in
+      let time = ref 0. and work = ref 0. in
+      for j = 0 to k - 1 do
+        time := !time +. (float_of_int procs.(j) *. width j)
+      done;
+      for i = 0 to n - 1 do
+        if candidate.(i) then work := !work +. jobs.(i).work
+      done;
+      if !time <= 0. then failwith "Reference.offline: a candidate has no reservable time";
+      let speed = !work /. !time in
+      (* The Fig. 1 network: source 0, sink 1, the candidates, then the
+         intervals with a reservation. *)
+      let next = ref 2 in
+      let vertex_of present =
+        Array.map
+          (fun p ->
+            if p then begin
+              incr next;
+              !next - 1
+            end
+            else -1)
+          present
+      in
+      let job_v = vertex_of candidate in
+      let ivl_v = vertex_of (Array.map (fun p -> p > 0) procs) in
+      let g = Net.create ~n:!next in
+      for i = 0 to n - 1 do
+        if candidate.(i) then
+          ignore (Net.add_edge g ~src:0 ~dst:job_v.(i) ~cap:(jobs.(i).work /. speed))
+      done;
+      let edge = Array.make_matrix n k (-1) in
+      for i = 0 to n - 1 do
+        for j = 0 to k - 1 do
+          if candidate.(i) && procs.(j) > 0 && active i j then
+            edge.(i).(j) <- Net.add_edge g ~src:job_v.(i) ~dst:ivl_v.(j) ~cap:(width j)
+        done
+      done;
+      let sink_edge =
+        Array.init k (fun j ->
+            if procs.(j) > 0 then
+              Net.add_edge g ~src:ivl_v.(j) ~dst:1 ~cap:(float_of_int procs.(j) *. width j)
+            else -1)
+      in
+      ignore (Net.dinic g ~source:0 ~sink:1);
+      let flow i j = if edge.(i).(j) < 0 then 0. else Net.flow_on g edge.(i).(j) in
+      if Fl.equal_approx (Net.flow_value g ~source:0) !time then begin
+        let members = List.filter (fun i -> candidate.(i)) (List.init n Fun.id) in
+        let alloc =
+          List.concat_map
+            (fun i ->
+              List.filter_map
+                (fun j -> if Fl.sign (flow i j) > 0 then Some (i, j, flow i j) else None)
+                (List.init k Fun.id))
+            members
+        in
+        accepted := Some { Offline.F.members; speed; procs; alloc }
+      end
+      else begin
+        (* Lemma 4: a candidate with a non-full edge into an unsaturated
+           interval is not in this speed class. *)
+        let unsaturated j =
+          procs.(j) > 0
+          && not
+               (Fl.equal_approx (Net.flow_on g sink_edge.(j))
+                  (float_of_int procs.(j) *. width j))
+        in
+        let certified = Array.make n false in
+        for i = 0 to n - 1 do
+          for j = 0 to k - 1 do
+            if candidate.(i) && edge.(i).(j) >= 0 && unsaturated j
+               && not (Fl.equal_approx (flow i j) (width j))
+            then certified.(i) <- true
+          done
+        done;
+        let victims = List.filter (fun i -> certified.(i)) (List.init n Fun.id) in
+        if victims = [] then failwith "Reference.offline: deficit without a certified job";
+        List.iter (fun i -> candidate.(i) <- false) victims;
+        let c = List.length victims in
+        removals := !removals + c;
+        if c > 1 then incr grouped;
+        largest_group := max !largest_group c
+      end
+    done;
+    match !accepted with
+    | None -> assert false
+    | Some phase ->
+      phases := phase :: !phases;
+      List.iter (fun i -> remaining.(i) <- false) phase.members;
+      Array.iteri (fun j p -> used.(j) <- used.(j) + p) phase.procs
+  done;
+  {
+    breakpoints;
+    schedule_phases = List.rev !phases;
+    stats =
+      {
+        phases = List.length !phases;
+        rounds = !rounds;
+        removals = !removals;
+        grouped = !grouped;
+        largest_group = !largest_group;
+        (* no persistent network: the dense-substrate counters stay 0 *)
+        resumes = 0;
+        net_edges = 0;
+        net_pushes = 0;
+        net_bfs_waves = 0;
+        phase_resumes = 0;
+      };
+  }
+
+(* Where a library run of [inst] departs from [offline inst], or [None].
+   Breakpoints, members, speeds and procs must agree by float bits, and
+   every member's t_kj total within 1e-9 relative.  Below
+   [compress_threshold] every component is dense-sized too, and the
+   library answers each round with Dinic on the component's part of the
+   same Fig. 1 network, so every t_kj must agree by float bits as well;
+   above it the sweep's maximum flows may split a phase's time
+   differently among its members. *)
+let offline_mismatch (inst : Job.instance) (run : Offline.F.run) =
+  let expected = offline inst in
+  let n = Array.length inst.jobs and k = Array.length expected.breakpoints - 1 in
+  let dense = n * k < Offline.F.compress_threshold in
+  let totals (p : Offline.F.phase) =
+    let h = Hashtbl.create 16 in
+    let total i = Option.value ~default:0. (Hashtbl.find_opt h i) in
+    List.iter (fun (i, _, t) -> Hashtbl.replace h i (t +. total i)) p.alloc;
+    total
+  in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b) in
+  let phase_mismatch idx (p : Offline.F.phase) (q : Offline.F.phase) =
+    let fail what = Some (Printf.sprintf "phase %d: %s" idx what) in
+    if p.members <> q.members then fail "members"
+    else if not (same_float p.speed q.speed) then
+      fail (Printf.sprintf "speed %h, reference %h" p.speed q.speed)
+    else if p.procs <> q.procs then fail "procs"
+    else
+      let tp = totals p and tq = totals q in
+      match List.find_opt (fun i -> not (close (tp i) (tq i))) p.members with
+      | Some i -> fail (Printf.sprintf "job %d: t_kj total %h, reference %h" i (tp i) (tq i))
+      | None -> None
+  in
+  if
+    not
+      (Array.length run.breakpoints = Array.length expected.breakpoints
+      && Array.for_all2 same_float run.breakpoints expected.breakpoints)
+  then Some "breakpoints"
+  else if List.length run.schedule_phases <> List.length expected.schedule_phases then
+    Some
+      (Printf.sprintf "%d phases, reference %d"
+         (List.length run.schedule_phases)
+         (List.length expected.schedule_phases))
+  else
+    match
+      List.find_map Fun.id
+        (List.mapi
+           (fun idx (p, q) -> phase_mismatch idx p q)
+           (List.combine run.schedule_phases expected.schedule_phases))
+    with
+    | Some _ as m -> m
+    | None ->
+      if dense && not (same_run run expected) then Some "t_kj bits (dense-sized)"
+      else None
 
 (* --- whole-array scans --------------------------------------------------- *)
 

@@ -1,95 +1,58 @@
-(* The sweep oracle (the [compress] path of lib/core/offline.ml): an
-   earliest-deadline sweep finished by implicit-residual augmentation that
-   answers every round with a maximum flow of the dense Fig. 1 network
-   without building it.
+(* The sweep oracle (lib/core/offline.ml): an earliest-deadline sweep
+   finished by implicit-residual augmentation that answers every round of
+   a component with [n * k >= compress_threshold] with a maximum flow of
+   the dense Fig. 1 network, without building it.
 
-   (a) Solver: runs with [compress:true] agree with the dense path on
-       members, speeds, procs and energy — bit for bit — and on every
-       member's total time, across generators, seeds, machine counts,
-       sessions, decomposed solves, OA(m) replanning and the exact
-       rational field.
+   (a) Solver: runs agree with test/reference.ml's whole-instance Fig. 2
+       solve (a fresh dense network and Dinic every round) on members,
+       speeds, procs and breakpoints by float bits, and on every member's
+       total time; on dense-sized instances on every t_kj by float bits.
+       Sweep-sized cases are one component each and cover m = 1, 2, 4, 8;
+       one instance mixes dense and sweep components on one workspace;
+       one exact-rational solve keeps the sweep covered in the rational
+       field.
    (b) Counters: the sweep builds no flow network, so its network
-       counters read 0, while phases and removals match the dense
-       path. *)
+       counters read 0, while phases and removals match the reference.
+   (c) Disguises: an integral time shift plus a power-of-two work scale
+       moves a sweep run exactly. *)
 
 module Offline = Ss_core.Offline
 module Job = Ss_model.Job
-module Power = Ss_model.Power
-module Rational = Ss_numeric.Rational
 module G = Ss_workload.Generators
-
-let close ?(tol = 1e-9) msg expected actual =
-  let t = tol *. (1. +. Float.abs expected) in
-  if Float.abs (expected -. actual) > t then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
 
 let float_jobs (inst : Job.instance) =
   Array.map
     (fun (j : Job.t) -> { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
     inst.jobs
 
-let exact_jobs (inst : Job.instance) =
-  Array.map
-    (fun (j : Job.t) ->
-      {
-        Offline.Exact.release = Rational.of_float j.release;
-        deadline = Rational.of_float j.deadline;
-        work = Rational.of_float j.work;
-      })
-    inst.jobs
+let grid_size (inst : Job.instance) =
+  let times =
+    Array.to_list inst.jobs
+    |> List.concat_map (fun (j : Job.t) -> [ j.release; j.deadline ])
+    |> List.sort_uniq Float.compare
+  in
+  Job.num_jobs inst * (List.length times - 1)
+
+(* The instance is one component that the sweep answers. *)
+let check_sweep_sized name inst =
+  Alcotest.(check bool)
+    (name ^ ": one sweep-sized component")
+    true
+    (Offline.component_count inst = 1 && grid_size inst >= Offline.F.compress_threshold)
+
+let check_reference name inst run =
+  Alcotest.(check (option string)) (name ^ ": = reference") None
+    (Reference.offline_mismatch inst run)
+
+(* The run's allocation materializes into a schedule that passes the
+   (tolerance-aware on floats) feasibility audit. *)
+let check_segments name (inst : Job.instance) run =
+  let jobs = float_jobs inst in
+  Alcotest.(check int) (name ^ ": segment violations") 0
+    (List.length
+       (Offline.F.check_segments ~machines:inst.machines jobs (Offline.F.schedule_segments run)))
 
 (* --- (a) solver agreement -------------------------------------------- *)
-
-(* Phase-for-phase agreement of two float runs.  The partition itself —
-   members, speeds, procs — must match bitwise; energies (functions of
-   speed, procs and breakpoints only) must match bitwise too.  The t_kj
-   allocations are NOT compared entry-wise: the compressed path extracts
-   them from the sweep oracle's maximum flow while the dense path uses
-   Dinic's, and a phase's maximum flow is not unique in how it splits
-   time among equal-speed members.  What is well-defined — each member's
-   total allocated time (its demand w_k / s_i) and feasibility of every
-   entry — is checked instead. *)
-let check_float_agree ?jobs name (dense : Offline.F.run) (comp : Offline.F.run) =
-  Alcotest.(check int)
-    (name ^ ": phase count")
-    (List.length dense.schedule_phases)
-    (List.length comp.schedule_phases);
-  List.iteri
-    (fun idx ((a : Offline.F.phase), (b : Offline.F.phase)) ->
-      let tag = Printf.sprintf "%s: phase %d" name idx in
-      Alcotest.(check (list int)) (tag ^ " members") a.members b.members;
-      close (tag ^ " speed") ~tol:0. a.speed b.speed;
-      Alcotest.(check (array int)) (tag ^ " procs") a.procs b.procs;
-      let job_totals (p : Offline.F.phase) =
-        let h = Hashtbl.create 16 in
-        List.iter
-          (fun (i, j, t) ->
-            let w = comp.breakpoints.(j + 1) -. comp.breakpoints.(j) in
-            if t < -.1e-9 || t > w +. 1e-9 then
-              Alcotest.failf "%s: alloc (%d, %d, %g) outside [0, %g]" tag i j t w;
-            Hashtbl.replace h i (t +. (try Hashtbl.find h i with Not_found -> 0.)))
-          p.alloc;
-        h
-      in
-      let ta = job_totals a and tb = job_totals b in
-      List.iter
-        (fun i ->
-          let get h = try Hashtbl.find h i with Not_found -> 0. in
-          close (Printf.sprintf "%s job %d total time" tag i) (get ta) (get tb))
-        a.members)
-    (List.combine dense.schedule_phases comp.schedule_phases);
-  let energy r = Offline.energy_of_run (Power.alpha 3.) r in
-  close (name ^ ": energy") ~tol:0. (energy dense) (energy comp);
-  (* The compressed run's allocation materializes into a schedule that
-     passes the (tolerance-aware on floats) feasibility audit. *)
-  match jobs with
-  | None -> ()
-  | Some (machines, js) ->
-    (match
-       Offline.F.check_segments ~machines js (Offline.F.schedule_segments comp)
-     with
-    | [] -> ()
-    | vs -> Alcotest.failf "%s: %d segment violations" name (List.length vs))
 
 let instance_mix seed machines =
   [
@@ -102,6 +65,16 @@ let instance_mix seed machines =
       G.heavy ~seed:(seed + 900) ~machines ~jobs:16 ~horizon:14. () );
   ]
 
+(* n = 120 non-integral heavy or stream jobs: one component, k ~ 2n. *)
+let sweep_sized seed machines =
+  [
+    ( Printf.sprintf "heavy n=120 s=%d m=%d" seed machines,
+      G.heavy ~integral:false ~seed ~machines ~jobs:120 ~horizon:40. () );
+    ( Printf.sprintf "stream n=120 s=%d m=%d" seed machines,
+      G.stream ~integral:false ~seed:(seed + 300) ~machines ~jobs:120 ~rate:4. ~mean_work:2.
+        ~max_laxity:8. () );
+  ]
+
 let test_solver_matrix () =
   List.iter
     (fun machines ->
@@ -109,13 +82,34 @@ let test_solver_matrix () =
         (fun seed ->
           List.iter
             (fun (name, inst) ->
-              let jobs = float_jobs inst in
-              let dense = Offline.F.solve ~compress:false ~machines:inst.machines jobs in
-              let comp = Offline.F.solve ~compress:true ~machines:inst.machines jobs in
-              check_float_agree ~jobs:(inst.machines, jobs) name dense comp)
+              let run = Offline.run inst in
+              check_reference name inst run;
+              check_segments name inst run)
             (instance_mix seed machines))
-        [ 11; 12; 13 ])
+        [ 11; 12; 13 ];
+      List.iter
+        (fun (name, inst) ->
+          check_sweep_sized name inst;
+          let run = Offline.run inst in
+          check_reference name inst run;
+          check_segments name inst run)
+        (sweep_sized (20 + machines) machines))
     [ 1; 2; 4; 8 ]
+
+let shift_jobs dt (inst : Job.instance) =
+  Array.to_list inst.jobs
+  |> List.map (fun (j : Job.t) ->
+         Job.make ~release:(j.release +. dt) ~deadline:(j.deadline +. dt) ~work:j.work)
+
+(* Components of both kinds, in time order dense, sweep, dense: every
+   component is solved on the one workspace after a component of the
+   other kind.  The two dense parts differ, so no speed ties bitwise
+   across components. *)
+let mixed_instance seed =
+  let small s = G.uniform ~seed:s ~machines:4 ~jobs:10 ~horizon:12. ~max_work:4. () in
+  let big = G.heavy ~integral:false ~seed ~machines:4 ~jobs:120 ~horizon:40. () in
+  Job.instance ~machines:4
+    (shift_jobs 0. (small seed) @ shift_jobs 20. big @ shift_jobs 70. (small (seed + 1)))
 
 let test_clustered_split () =
   List.iter
@@ -124,108 +118,134 @@ let test_clustered_split () =
         G.clustered ~seed ~machines:4 ~clusters:4 ~jobs_per_cluster:10
           ~cluster_span:12. ~gap:3. ~max_work:4. ()
       in
-      let jobs = float_jobs inst in
-      let dense = Offline.F.solve ~compress:false ~machines:4 jobs in
-      List.iter
-        (fun decompose ->
-          let comp = Offline.F.solve ~compress:true ~decompose ~machines:4 jobs in
-          check_float_agree
-            (Printf.sprintf "clustered s=%d decompose=%b" seed decompose)
-            dense comp)
-        [ true; false ])
-    [ 61; 62 ]
+      let name = Printf.sprintf "clustered s=%d" seed in
+      Alcotest.(check int) (name ^ ": components") 4 (Offline.component_count inst);
+      check_reference name inst (Offline.run inst))
+    [ 61; 62 ];
+  List.iter
+    (fun seed ->
+      let inst = mixed_instance seed in
+      let name = Printf.sprintf "mixed s=%d" seed in
+      let comps = Offline.F.components (float_jobs inst) in
+      let sizes =
+        List.map
+          (fun ids ->
+            grid_size
+              (Job.instance ~machines:4 (List.map (fun i -> inst.jobs.(i)) (Array.to_list ids))))
+          comps
+      in
+      Alcotest.(check bool) (name ^ ": dense and sweep components") true
+        (List.exists (fun s -> s >= Offline.F.compress_threshold) sizes
+        && List.exists (fun s -> s < Offline.F.compress_threshold) sizes);
+      let run = Offline.run inst in
+      check_reference name inst run;
+      check_segments name inst run)
+    [ 63; 64 ]
 
 let test_session_agrees () =
+  (* One session, one workspace, across sweep-sized, dense-sized and mixed
+     instances: every solve equals a fresh solve by float bits and the
+     reference. *)
   let machines = 4 in
   let session = Offline.F.Session.create ~machines in
+  let cases =
+    sweep_sized 71 machines @ instance_mix 72 machines
+    @ [ ("mixed s=73", mixed_instance 73) ]
+    @ sweep_sized 74 machines
+  in
   List.iter
-    (fun seed ->
-      List.iter
-        (fun (name, inst) ->
-          let jobs = float_jobs inst in
-          let dense = Offline.F.solve ~compress:false ~machines jobs in
-          let via_session = Offline.F.Session.solve ~compress:true session jobs in
-          check_float_agree (name ^ " session") dense via_session)
-        (instance_mix seed machines))
-    [ 71; 72; 73 ]
+    (fun (name, inst) ->
+      let jobs = float_jobs inst in
+      let via_session = Offline.F.Session.solve session jobs in
+      Alcotest.(check bool) (name ^ " session = fresh") true
+        (Reference.same_run via_session (Offline.F.solve ~machines jobs));
+      check_reference (name ^ " session") inst via_session)
+    cases
 
-let test_oa_agrees () =
-  let p3 = Power.alpha 3. in
-  List.iter
-    (fun seed ->
-      let inst =
-        G.poisson ~seed ~machines:2 ~jobs:14 ~rate:1.1 ~mean_work:2. ~slack:2.4 ()
-      in
-      let s_dense, i_dense = Ss_online.Oa.run ~compress:false inst in
-      let s_comp, i_comp = Ss_online.Oa.run ~compress:true inst in
-      Alcotest.(check int) "OA replans" i_dense.replans i_comp.replans;
-      (* Schedule energy sums over materialized segments, whose packing
-         depends on the (non-unique) t_kj split — approximately equal,
-         not bitwise. *)
-      close "OA energy"
-        (Ss_model.Schedule.energy p3 s_dense)
-        (Ss_model.Schedule.energy p3 s_comp))
-    [ 81; 82 ]
-
+(* The exact-rational replay on a sweep-sized instance: the same phase
+   partition as the float run, and a schedule that passes the
+   zero-tolerance audit. *)
 let test_exact_agrees () =
-  List.iter
-    (fun (machines, seed) ->
-      let inst = G.uniform ~seed ~machines ~jobs:8 ~horizon:12. ~max_work:4. () in
-      let jobs = exact_jobs inst in
-      let dense = Offline.Exact.solve ~compress:false ~machines jobs in
-      let comp = Offline.Exact.solve ~compress:true ~machines jobs in
-      Alcotest.(check int) "exact: phase count"
-        (List.length dense.schedule_phases)
-        (List.length comp.schedule_phases);
-      List.iter2
-        (fun (a : Offline.Exact.phase) (b : Offline.Exact.phase) ->
-          Alcotest.(check (list int)) "exact: members" a.members b.members;
-          Alcotest.(check bool) "exact: speed (exact equality)" true
-            (Rational.Field.equal a.speed b.speed);
-          Alcotest.(check (array int)) "exact: procs" a.procs b.procs;
-          (* Exact-rational per-member totals: both allocations are maximum
-             flows of the same network, so each member's total time is
-             exactly its demand — compare totals, not the non-unique
-             split. *)
-          let totals (p : Offline.Exact.phase) =
-            let h = Hashtbl.create 16 in
-            List.iter
-              (fun (i, _, t) ->
-                let prev =
-                  try Hashtbl.find h i with Not_found -> Rational.Field.zero
-                in
-                Hashtbl.replace h i (Rational.Field.add prev t))
-              p.alloc;
-            h
-          in
-          let ta = totals a and tb = totals b in
-          List.iter
-            (fun i ->
-              let get h =
-                try Hashtbl.find h i with Not_found -> Rational.Field.zero
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "exact: job %d total (exact equality)" i)
-                true
-                (Rational.Field.equal (get ta) (get tb)))
-            a.members)
-        dense.schedule_phases comp.schedule_phases)
-    [ (1, 31); (2, 32); (4, 34) ]
+  let inst = G.heavy ~integral:false ~seed:1 ~machines:4 ~jobs:120 ~horizon:40. () in
+  check_sweep_sized "exact" inst;
+  let exact = Offline.solve_exact inst in
+  let jobs =
+    Array.map
+      (fun (j : Job.t) ->
+        let r = Ss_numeric.Rational.of_float in
+        { Offline.Exact.release = r j.release; deadline = r j.deadline; work = r j.work })
+      inst.jobs
+  in
+  Alcotest.(check int) "exact: schedule violations" 0
+    (List.length
+       (Offline.Exact.check_segments ~machines:4 jobs (Offline.Exact.schedule_segments exact)));
+  let f = Offline.run inst in
+  Alcotest.(check int) "exact: phase count"
+    (List.length f.schedule_phases)
+    (List.length exact.schedule_phases);
+  List.iter2
+    (fun (a : Offline.F.phase) (b : Offline.Exact.phase) ->
+      Alcotest.(check (list int)) "exact: members" a.members b.members;
+      Alcotest.(check (array int)) "exact: procs" a.procs b.procs;
+      let s = Ss_numeric.Rational.to_float b.speed in
+      Alcotest.(check bool) "exact: speed" true
+        (Float.abs (s -. a.speed) <= 1e-9 *. Float.max 1. (Float.abs s)))
+    f.schedule_phases exact.schedule_phases
 
 (* --- (b) counters ------------------------------------------------------ *)
 
 let test_counters () =
-  let inst = G.heavy ~seed:91 ~machines:8 ~jobs:150 ~horizon:60. () in
-  let jobs = float_jobs inst in
-  let dense = Offline.F.solve ~compress:false ~decompose:false ~machines:8 jobs in
-  let comp = Offline.F.solve ~compress:true ~decompose:false ~machines:8 jobs in
-  check_float_agree "counter instance" dense comp;
-  Alcotest.(check bool) "dense work was counted" true
-    (dense.stats.net_edges > 0 && dense.stats.net_pushes > 0 && dense.stats.net_bfs_waves > 0);
+  let inst = G.heavy ~integral:false ~seed:91 ~machines:8 ~jobs:150 ~horizon:60. () in
+  check_sweep_sized "counter instance" inst;
+  let sweep = Offline.run inst in
+  let expected = Reference.offline inst in
   Alcotest.(check (list int)) "sweep builds no network" [ 0; 0; 0 ]
-    [ comp.stats.net_edges; comp.stats.net_pushes; comp.stats.net_bfs_waves ];
-  Alcotest.(check int) "same phases" dense.stats.phases comp.stats.phases;
-  Alcotest.(check int) "same removals" dense.stats.removals comp.stats.removals
+    [ sweep.stats.net_edges; sweep.stats.net_pushes; sweep.stats.net_bfs_waves ];
+  Alcotest.(check int) "same phases" expected.stats.phases sweep.stats.phases;
+  Alcotest.(check int) "same removals" expected.stats.removals sweep.stats.removals;
+  let small = G.heavy ~integral:false ~seed:91 ~machines:8 ~jobs:40 ~horizon:60. () in
+  let dense = Offline.run small in
+  Alcotest.(check bool) "dense work was counted" true
+    (dense.stats.net_edges > 0 && dense.stats.net_pushes > 0 && dense.stats.net_bfs_waves > 0)
+
+(* --- (c) disguise equivariance ----------------------------------------- *)
+
+(* Shifting every time by an integer and scaling every work by 2^a is
+   exact on an integral instance, and the sweep sees the same widths and
+   demands: breakpoints shift by the same amount, speeds scale by 2^a, and
+   members, procs and every t_kj stay put, by float bits. *)
+let prop_disguise_equivariant =
+  QCheck.Test.make ~count:16 ~name:"sweep run is disguise-equivariant"
+    QCheck.(
+      quad (int_range 0 3) (int_range 0 10_000) (int_range 0 1000) (int_range (-3) 3))
+    (fun (mi, seed, shift, a) ->
+      let machines = [| 1; 2; 4; 8 |].(mi) in
+      let inst = G.heavy ~seed ~machines ~jobs:150 ~horizon:500. () in
+      if not (Offline.component_count inst = 1 && grid_size inst >= Offline.F.compress_threshold)
+      then QCheck.Test.fail_report "instance is not one sweep-sized component";
+      let dt = float_of_int shift in
+      let moved =
+        Job.instance ~machines
+          (Array.to_list inst.jobs
+          |> List.map (fun (j : Job.t) ->
+                 Job.make ~release:(j.release +. dt) ~deadline:(j.deadline +. dt)
+                   ~work:(Float.ldexp j.work a)))
+      in
+      let base = Offline.run inst and run = Offline.run moved in
+      Array.length base.breakpoints = Array.length run.breakpoints
+      && Array.for_all2
+           (fun b r -> Reference.same_float (b +. dt) r)
+           base.breakpoints run.breakpoints
+      && List.length base.schedule_phases = List.length run.schedule_phases
+      && List.for_all2
+           (fun (p : Offline.F.phase) (q : Offline.F.phase) ->
+             p.members = q.members && p.procs = q.procs
+             && Reference.same_float (Float.ldexp p.speed a) q.speed
+             && List.length p.alloc = List.length q.alloc
+             && List.for_all2
+                  (fun (i, j, t) (i', j', t') -> i = i' && j = j' && Reference.same_float t t')
+                  p.alloc q.alloc)
+           base.schedule_phases run.schedule_phases)
 
 let () =
   Alcotest.run "compressed"
@@ -235,8 +255,8 @@ let () =
           Alcotest.test_case "generator x seed x machines matrix" `Quick test_solver_matrix;
           Alcotest.test_case "clustered + solve_split" `Quick test_clustered_split;
           Alcotest.test_case "session solves" `Quick test_session_agrees;
-          Alcotest.test_case "OA(m) replanning" `Quick test_oa_agrees;
           Alcotest.test_case "exact-rational replay" `Slow test_exact_agrees;
         ] );
       ("counters", [ Alcotest.test_case "network size" `Quick test_counters ]);
+      ("properties", [ QCheck_alcotest.to_alcotest prop_disguise_equivariant ]);
     ]

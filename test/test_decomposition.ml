@@ -1,16 +1,15 @@
 (* Tests for the instance-decomposition layer of the offline solver.
 
-   The guarantee under test: splitting at zero-coverage grid points, solving the components
-   independently (optionally over domains) and canonically merging yields
-   a run that is bit-identical to the undecomposed solver's — same
-   breakpoints, phase speeds, members, processor reservations, execution
-   times and materialized schedules.  Only the round/removal counters may
-   differ (the global round loop conjectures blended speeds across
-   components before converging on each class). *)
+   The guarantee under test: splitting at zero-coverage grid points,
+   solving the components one after another on one workspace and
+   canonically merging yields the run of the whole instance — same
+   breakpoints, phase speeds, members and processor reservations, by float
+   bits, as test/reference.ml's whole-instance Fig. 2 solve, and the same
+   execution times.  Only the round/removal counters may differ (the
+   whole-instance loop conjectures blended speeds across components
+   before converging on each class). *)
 
 module Job = Ss_model.Job
-module Power = Ss_model.Power
-module Schedule = Ss_model.Schedule
 module Offline = Ss_core.Offline
 module G = Ss_workload.Generators
 
@@ -23,11 +22,14 @@ let fjobs (inst : Job.instance) =
       { Offline.F.release = job.release; deadline = job.deadline; work = job.work })
     inst.jobs
 
-(* Structural bit-equality of everything a run exposes except the stats
-   counters.  Polymorphic [=] compares floats by value, which is bitwise
-   here (all times/speeds/allocations are finite and positive). *)
-let same_run (a : Offline.F.run) (b : Offline.F.run) =
-  a.breakpoints = b.breakpoints && a.schedule_phases = b.schedule_phases
+let check_reference name inst run =
+  Alcotest.(check (option string)) (name ^ ": = reference") None
+    (Reference.offline_mismatch inst run)
+
+let agrees_with_reference inst run =
+  match Reference.offline_mismatch inst run with
+  | None -> true
+  | Some why -> QCheck.Test.fail_report why
 
 let random_instance seed =
   let rng = Ss_workload.Rng.create ~seed in
@@ -60,14 +62,11 @@ let test_clustered_component_count () =
     [ 1; 2; 4; 7 ]
 
 let test_single_component_identical_path () =
-  (* All windows overlap: one component, so decomposition must be a
-     pass-through (identical run including counters). *)
+  (* All windows overlap: one component, so decomposition is a
+     pass-through and every t_kj equals the reference's. *)
   let inst = Job.instance ~machines:2 [ j 0. 4. 8.; j 0. 2. 6.; j 1. 3. 2. ] in
   Alcotest.(check int) "one component" 1 (Offline.component_count inst);
-  let d = Offline.run ~decompose:true inst in
-  let u = Offline.run ~decompose:false inst in
-  check_bool "identical run" true (same_run d u);
-  check_bool "identical stats" true (d.stats = u.stats)
+  check_reference "pass-through" inst (Offline.run inst)
 
 let test_all_singletons () =
   (* Pairwise-disjoint windows: every job is its own component. *)
@@ -76,12 +75,13 @@ let test_all_singletons () =
       [ j 0. 2. 3.; j 2. 4. 1.; j 5. 7. 2.; j 8. 9. 0.5; j 10. 13. 4. ]
   in
   Alcotest.(check int) "five components" 5 (Offline.component_count inst);
-  let d = Offline.run ~decompose:true inst in
-  let u = Offline.run ~decompose:false inst in
-  check_bool "identical run" true (same_run d u);
-  let sd = Offline.schedule_of_run ~machines:2 d in
-  let su = Offline.schedule_of_run ~machines:2 u in
-  check_bool "identical schedules" true (Schedule.segments sd = Schedule.segments su)
+  let run = Offline.run inst in
+  check_reference "singletons" inst run;
+  check_bool "every t_kj = reference" true (Reference.same_run run (Reference.offline inst));
+  check_bool "schedule = reference's" true
+    (Reference.same_schedule
+       (Offline.schedule_of_run ~machines:2 run)
+       (Offline.schedule_of_run ~machines:2 (Reference.offline inst)))
 
 let test_components_partition_and_order () =
   List.iter
@@ -122,21 +122,10 @@ let test_components_partition_and_order () =
       disjoint comps)
     [ 1; 2; 3; 4; 5 ]
 
-let test_parallel_matches_sequential () =
-  List.iter
-    (fun seed ->
-      let inst = clustered_instance seed in
-      let jobs = fjobs inst in
-      let seq = Offline.F.solve ~parallel:false ~machines:inst.machines jobs in
-      let par = Offline.F.solve ~parallel:true ~machines:inst.machines jobs in
-      check_bool (Printf.sprintf "seed %d run" seed) true (same_run seq par);
-      check_bool (Printf.sprintf "seed %d stats" seed) true (seq.stats = par.stats))
-    [ 10; 11; 12; 13 ]
-
 let test_session_decomposed_agrees () =
-  (* A session solving a decomposable instance (one workspace per
-     component slot) must agree with the one-shot solver phase for phase;
-     grouped removals only change counters. *)
+  (* A session solving a decomposable instance (every component on the
+     session's one workspace) must agree with the one-shot solver bit for
+     bit, and both with the reference. *)
   List.iter
     (fun seed ->
       let inst = clustered_instance (seed + 40) in
@@ -144,10 +133,11 @@ let test_session_decomposed_agrees () =
       let session = Offline.F.Session.create ~machines:inst.machines in
       let a = Offline.F.Session.solve session jobs in
       let b = Offline.F.solve ~machines:inst.machines jobs in
-      check_bool (Printf.sprintf "seed %d" seed) true (same_run a b);
-      (* Re-solving on the warm per-component workspaces changes nothing. *)
+      check_bool (Printf.sprintf "seed %d" seed) true (Reference.same_run a b);
+      check_reference (Printf.sprintf "seed %d" seed) inst a;
+      (* Re-solving on the warm workspace changes nothing. *)
       let a2 = Offline.F.Session.solve session jobs in
-      check_bool (Printf.sprintf "seed %d warm" seed) true (same_run a2 b))
+      check_bool (Printf.sprintf "seed %d warm" seed) true (Reference.same_run a2 b))
     [ 1; 2; 3 ]
 
 let test_stats_invariant_decomposed () =
@@ -176,22 +166,14 @@ let prop_decomposed_bitwise_random =
     QCheck.small_nat
     (fun seed ->
       let inst = random_instance (seed + 100) in
-      let d = Offline.run ~decompose:true inst in
-      let u = Offline.run ~decompose:false inst in
-      let p = Power.alpha 2.7 in
-      same_run d u
-      && Float.equal (Offline.energy_of_run p d) (Offline.energy_of_run p u)
-      && Schedule.segments (Offline.schedule_of_run ~machines:inst.machines d)
-         = Schedule.segments (Offline.schedule_of_run ~machines:inst.machines u))
+      agrees_with_reference inst (Offline.run inst))
 
 let prop_decomposed_bitwise_clustered =
   QCheck.Test.make ~count:40 ~name:"decomposed run bit-identical (clustered)"
     QCheck.small_nat
     (fun seed ->
       let inst = clustered_instance (seed + 200) in
-      let d = Offline.run ~decompose:true inst in
-      let u = Offline.run ~decompose:false inst in
-      same_run d u)
+      agrees_with_reference inst (Offline.run inst))
 
 let prop_decomposed_segments_valid =
   QCheck.Test.make ~count:40 ~name:"decomposed segments pass check_segments"
@@ -203,16 +185,6 @@ let prop_decomposed_segments_valid =
       Offline.F.check_segments ~machines:inst.machines jobs
         (Offline.F.schedule_segments run)
       = [])
-
-let prop_parallel_deterministic =
-  QCheck.Test.make ~count:40 ~name:"parallel dispatch deterministic"
-    QCheck.small_nat
-    (fun seed ->
-      let inst = random_instance (seed + 400) in
-      let jobs = fjobs inst in
-      let seq = Offline.F.solve ~parallel:false ~machines:inst.machines jobs in
-      let par = Offline.F.solve ~parallel:true ~machines:inst.machines jobs in
-      same_run seq par && seq.stats = par.stats)
 
 let () =
   Alcotest.run "decomposition"
@@ -226,7 +198,6 @@ let () =
           Alcotest.test_case "all-singleton components" `Quick test_all_singletons;
           Alcotest.test_case "components partition the jobs" `Quick
             test_components_partition_and_order;
-          Alcotest.test_case "parallel = sequential" `Quick test_parallel_matches_sequential;
           Alcotest.test_case "session decomposed solves agree" `Quick
             test_session_decomposed_agrees;
           Alcotest.test_case "merged stats invariant" `Quick test_stats_invariant_decomposed;
@@ -237,6 +208,5 @@ let () =
             prop_decomposed_bitwise_random;
             prop_decomposed_bitwise_clustered;
             prop_decomposed_segments_valid;
-            prop_parallel_deterministic;
           ] );
     ]

@@ -12,7 +12,6 @@
 
 module Job = Ss_model.Job
 module Canon = Ss_model.Canon
-module Schedule = Ss_model.Schedule
 module O = Ss_core.Offline
 module Pool = Ss_parallel.Pool
 module Dispatch = Ss_dispatch.Dispatch
@@ -20,20 +19,6 @@ module G = Ss_workload.Generators
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* Payload equality: breakpoints, members, speeds, reservations and
-   allocations, all bitwise.  Stats counters are provenance (which arena
-   answered) and deliberately excluded. *)
-let same_run (a : O.F.run) (b : O.F.run) =
-  a.breakpoints = b.breakpoints
-  && List.length a.schedule_phases = List.length b.schedule_phases
-  && List.for_all2
-       (fun (p : O.F.phase) (q : O.F.phase) ->
-         p.members = q.members && p.speed = q.speed && p.procs = q.procs
-         && p.alloc = q.alloc)
-       a.schedule_phases b.schedule_phases
-
-let same_sched a b = Schedule.segments a = Schedule.segments b
 
 (* Sorted-job instances: the canonical sort permutation is then the
    identity, so dispatcher answers must be bitwise equal to direct
@@ -86,7 +71,7 @@ let test_batch_matches_scratch () =
         if i mod 3 = 2 then disguise ~shift:(float_of_int (7 * (i mod 5))) ~wexp:(i mod 3) inst
         else inst)
   in
-  let scratch = Array.map (fun inst -> O.run ~parallel:false inst) queries in
+  let scratch = Array.map (fun inst -> O.run inst) queries in
   List.iter
     (fun domains ->
       let d = Dispatch.create ~domains ~capacity:64 () in
@@ -98,7 +83,7 @@ let test_batch_matches_scratch () =
           (fun i r ->
             check_bool
               (Printf.sprintf "domains=%d pass=%d query=%d payload" domains pass i)
-              true (same_run r scratch.(i)))
+              true (Reference.same_run r scratch.(i)))
           got
       done;
       let s = Dispatch.stats d in
@@ -148,10 +133,10 @@ let test_cached_answer_equals_fresh_solve () =
     (fun (shift, wexp) ->
       let moved = disguise ~shift ~wexp inst in
       let from_cache = Dispatch.solve d moved in
-      let fresh = O.run ~parallel:false moved in
+      let fresh = O.run moved in
       check_bool
         (Printf.sprintf "shift=%g wexp=%d cached == fresh" shift wexp)
-        true (same_run from_cache fresh))
+        true (Reference.same_run from_cache fresh))
     [ (5., 0); (0., 2); (12., -1); (1000., 3); (3., -2) ];
   let s = Dispatch.stats d in
   check_int "all disguises hit" 5 s.hits;
@@ -166,10 +151,12 @@ let test_simulation_queries () =
   in
   let d = Dispatch.create ~domains:1 ~capacity:16 () in
   (match Dispatch.query d { algo = Oa; instance = inst } with
-  | Sched s -> check_bool "oa == direct" true (same_sched s (Ss_online.Oa.schedule inst))
+  | Sched s ->
+    check_bool "oa == direct" true (Reference.same_schedule s (Ss_online.Oa.schedule inst))
   | Run _ -> Alcotest.fail "expected Sched");
   (match Dispatch.query d { algo = Avr; instance = inst } with
-  | Sched s -> check_bool "avr == direct" true (same_sched s (Ss_online.Avr.schedule inst))
+  | Sched s ->
+    check_bool "avr == direct" true (Reference.same_schedule s (Ss_online.Avr.schedule inst))
   | Run _ -> Alcotest.fail "expected Sched");
   (* Sims canonicalize the work scale only: a scaled duplicate hits the
      cache and the unscaled answer equals its own direct simulation; a
@@ -179,7 +166,7 @@ let test_simulation_queries () =
   (match Dispatch.query d { algo = Oa; instance = scaled } with
   | Sched s ->
     check_bool "scaled oa == its own direct sim" true
-      (same_sched s (Ss_online.Oa.schedule scaled))
+      (Reference.same_schedule s (Ss_online.Oa.schedule scaled))
   | Run _ -> Alcotest.fail "expected Sched");
   let s = Dispatch.stats d in
   check_int "scaled oa hit the cache" 1 s.hits;
@@ -187,7 +174,7 @@ let test_simulation_queries () =
   (match Dispatch.query d { algo = Oa; instance = moved } with
   | Sched s ->
     check_bool "shifted oa == its own direct sim" true
-      (same_sched s (Ss_online.Oa.schedule moved))
+      (Reference.same_schedule s (Ss_online.Oa.schedule moved))
   | Run _ -> Alcotest.fail "expected Sched");
   (* Solve and sim answers for the same instance must not collide. *)
   ignore (Dispatch.solve d inst);
@@ -227,7 +214,7 @@ let test_cache_disabled () =
   let inst = sort_jobs (G.uniform ~seed:3 ~machines:2 ~jobs:8 ~horizon:15. ~max_work:3. ()) in
   let a = Dispatch.solve d inst in
   let b = Dispatch.solve d inst in
-  check_bool "still deterministic" true (same_run a b);
+  check_bool "still deterministic" true (Reference.same_run a b);
   let s = Dispatch.stats d in
   check_int "no hits without capacity" 0 s.hits;
   check_int "nothing resident" 0 s.resident;
@@ -278,7 +265,7 @@ let test_batch_crash_propagates () =
   | _ -> Alcotest.fail "expected Invalid_argument");
   (* Dispatcher still answers after the failed batch. *)
   check_bool "usable after crash" true
-    (same_run (Dispatch.solve d good) (O.run ~parallel:false good));
+    (Reference.same_run (Dispatch.solve d good) (O.run good));
   Dispatch.shutdown d
 
 (* --- crew scheduling unit tests ----------------------------------------- *)
@@ -298,7 +285,19 @@ let test_crew_matches_sequential () =
 
 let test_crew_worker_ids () =
   let crew = Pool.Crew.create ~domains:3 () in
-  let ids = Pool.Crew.mapw crew (fun w _ -> w) (Array.make 200 ()) in
+  (* Workers other than 0 wait until worker 0 (the caller) has run an
+     item, so the spawned workers cannot drain or steal every chunk before
+     the caller claims one. *)
+  let caller_ran = Atomic.make false in
+  let f w _ =
+    if w = 0 then Atomic.set caller_ran true
+    else
+      while not (Atomic.get caller_ran) do
+        Domain.cpu_relax ()
+      done;
+    w
+  in
+  let ids = Pool.Crew.mapw crew f (Array.make 200 ()) in
   check_bool "ids in range" true (Array.for_all (fun w -> w >= 0 && w < 3) ids);
   check_bool "caller participates" true (Array.exists (fun w -> w = 0) ids);
   Pool.Crew.shutdown crew

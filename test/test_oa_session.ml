@@ -58,15 +58,6 @@ let prop_session_matches_scratch =
 
 (* --- Session.solve == solve, solve after solve ------------------------- *)
 
-let same_run (a : O.F.run) (b : O.F.run) =
-  a.breakpoints = b.breakpoints
-  && List.length a.schedule_phases = List.length b.schedule_phases
-  && List.for_all2
-       (fun (p : O.F.phase) (q : O.F.phase) ->
-         p.members = q.members && p.speed = q.speed && p.procs = q.procs
-         && p.alloc = q.alloc)
-       a.schedule_phases b.schedule_phases
-
 let test_session_solve_agrees_across_solves () =
   (* Feed a session a sequence of overlapping sub-instances (growing
      prefixes of a workload); every run must equal a fresh solve of the
@@ -87,7 +78,7 @@ let test_session_solve_agrees_across_solves () =
     check_bool
       (Printf.sprintf "prefix %d: session run == scratch run" k)
       true
-      (same_run from_session from_scratch)
+      (Reference.same_run from_session from_scratch)
   done;
   let stats = O.F.Session.stats session in
   check_int "one solve per prefix" (Array.length jobs) stats.solves

@@ -51,9 +51,28 @@ let test_error_halts_before_next_claim () =
   let n = 20_000 in
   let arr = Array.init n Fun.id in
   let evaluated = Atomic.make 0 in
+  (* The order of events is fixed so the spawned workers cannot drain the
+     input before the caller reaches item 3: items after 3 (in other
+     chunks; the rest of 3's own chunk is never run) wait until item 3 has
+     raised, then spin about 1 ms each.  The pool records the error right
+     after the raise; to reach n/2 evaluations that gap would have to
+     last seconds. *)
+  let raised = Atomic.make false in
   let f x =
     ignore (Atomic.fetch_and_add evaluated 1);
-    if x = 3 then raise (Boom x);
+    if x = 3 then begin
+      Atomic.set raised true;
+      raise (Boom x)
+    end;
+    if x > 3 then begin
+      while not (Atomic.get raised) do
+        Domain.cpu_relax ()
+      done;
+      let t0 = Unix.gettimeofday () in
+      while Unix.gettimeofday () -. t0 < 1e-3 do
+        Domain.cpu_relax ()
+      done
+    end;
     x
   in
   (match Pool.map ~domains:4 f arr with

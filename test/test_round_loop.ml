@@ -7,11 +7,13 @@
        schedule passes a zero-tolerance audit; the pipeline's schedule
        energy is the run's.
    (b) Sessions: a warm session workspace reproduces one-shot solves bit
-       for bit, counters included, decomposed or not.
+       for bit, counters included, and both equal test/reference.ml's
+       whole-instance Fig. 2 solve.
    (c) The parametric invariant, as a QCheck property: accepted phase
        speeds strictly decrease and every round's flow audits clean.
    (d) Counters: the rewind and phase-boundary counts of the dense
-       substrate, zero network counters on the sweep.
+       substrate, zero network counters on the sweep, and the reference's
+       phase and removal counts on both.
    (e) The exact-rational replay certifies a float run's partition,
        reservations and speeds.
 
@@ -44,32 +46,6 @@ let exact_jobs (inst : Job.instance) =
       })
     inst.jobs
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* Float-bits equality of everything a run exposes except its counters. *)
-let check_bitwise name (a : Offline.F.run) (b : Offline.F.run) =
-  Alcotest.(check bool)
-    (name ^ ": breakpoints") true
-    (Array.length a.breakpoints = Array.length b.breakpoints
-    && Array.for_all2 same_bits a.breakpoints b.breakpoints);
-  Alcotest.(check int)
-    (name ^ ": phase count")
-    (List.length a.schedule_phases)
-    (List.length b.schedule_phases);
-  List.iteri
-    (fun idx ((p : Offline.F.phase), (q : Offline.F.phase)) ->
-      let tag = Printf.sprintf "%s: phase %d" name idx in
-      Alcotest.(check (list int)) (tag ^ " members") p.members q.members;
-      Alcotest.(check bool) (tag ^ " speed bitwise") true (same_bits p.speed q.speed);
-      Alcotest.(check (array int)) (tag ^ " procs") p.procs q.procs;
-      Alcotest.(check bool)
-        (tag ^ " alloc bitwise") true
-        (List.length p.alloc = List.length q.alloc
-        && List.for_all2
-             (fun (i, j, t) (i', j', t') -> i = i' && j = j' && same_bits t t')
-             p.alloc q.alloc))
-    (List.combine a.schedule_phases b.schedule_phases)
-
 (* --- (a) agreement ------------------------------------------------------ *)
 
 (* Different max-flow backends return different maximum flows, so the t_kj
@@ -89,7 +65,9 @@ let test_flow_algorithm_grid () =
       List.iter2
         (fun (a : Offline.F.phase) (b : Offline.F.phase) ->
           Alcotest.(check (list int)) (name ^ ": members") a.members b.members;
-          Alcotest.(check bool) (name ^ ": speed bitwise") true (same_bits a.speed b.speed);
+          Alcotest.(check bool)
+            (name ^ ": speed bitwise") true
+            (Reference.same_float a.speed b.speed);
           Alcotest.(check (array int)) (name ^ ": procs") a.procs b.procs)
         dinic.schedule_phases r.schedule_phases;
       close (name ^ ": energy") ~tol:0. (energy dinic) (energy r))
@@ -145,17 +123,15 @@ let test_session_and_split () =
       in
       let jobs = float_jobs inst in
       let tag = Printf.sprintf "split s=%d" seed in
-      List.iter
-        (fun decompose ->
-          let tag = Printf.sprintf "%s decompose=%b" tag decompose in
-          let fresh = Offline.F.solve ~decompose ~machines jobs in
-          (* Twice on the warm workspace: reuse leaks nothing. *)
-          for _ = 1 to 2 do
-            let warm = Offline.F.Session.solve ~decompose session jobs in
-            check_bitwise (tag ^ " session") fresh warm;
-            Alcotest.(check bool) (tag ^ " session stats") true (fresh.stats = warm.stats)
-          done)
-        [ true; false ])
+      let fresh = Offline.F.solve ~machines jobs in
+      Alcotest.(check (option string)) (tag ^ " = reference") None
+        (Reference.offline_mismatch inst fresh);
+      (* Twice on the warm workspace: reuse leaks nothing. *)
+      for _ = 1 to 2 do
+        let warm = Offline.F.Session.solve session jobs in
+        Alcotest.(check bool) (tag ^ " session bitwise") true (Reference.same_run fresh warm);
+        Alcotest.(check bool) (tag ^ " session stats") true (fresh.stats = warm.stats)
+      done)
     [ 41; 42; 43 ]
 
 (* --- (c) the parametric invariant as a QCheck property ---------------- *)
@@ -177,9 +153,7 @@ let prop_invariant =
             (List.length vs));
         incr audits
       in
-      let run =
-        Offline.F.solve ~decompose:false ~on_flow ~machines:inst.machines (float_jobs inst)
-      in
+      let run = Offline.F.solve ~on_flow ~machines:inst.machines (float_jobs inst) in
       if !audits <> run.stats.rounds then
         QCheck.Test.fail_reportf "on_flow fired %d times for %d rounds" !audits run.stats.rounds;
       let rec strictly_decreasing = function
@@ -190,14 +164,23 @@ let prop_invariant =
 
 (* --- (d) counters ------------------------------------------------------- *)
 
+(* One dense-sized and one sweep-sized component. *)
 let test_counters () =
-  let inst = G.uniform ~seed:55 ~machines:4 ~jobs:40 ~horizon:20. ~max_work:5. () in
-  let jobs = float_jobs inst in
-  let dense = Offline.F.solve ~compress:false ~decompose:false ~machines:4 jobs in
-  let sweep = Offline.F.solve ~compress:true ~decompose:false ~machines:4 jobs in
+  let small = G.uniform ~seed:55 ~machines:4 ~jobs:40 ~horizon:20. ~max_work:5. () in
+  let large =
+    G.uniform ~integral:false ~seed:55 ~machines:4 ~jobs:120 ~horizon:20. ~max_work:5. ()
+  in
+  List.iter
+    (fun inst ->
+      Alcotest.(check int) "one component" 1 (Offline.component_count inst))
+    [ small; large ];
+  let dense = Offline.run small and sweep = Offline.run large in
   let d = dense.stats and s = sweep.stats in
-  Alcotest.(check bool) "instance has several phases and removals" true
-    (d.phases > 1 && d.removals > 0);
+  Alcotest.(check bool) "substrates by size" true
+    (40 * (Array.length dense.breakpoints - 1) < Offline.F.compress_threshold
+    && 120 * (Array.length sweep.breakpoints - 1) >= Offline.F.compress_threshold);
+  Alcotest.(check bool) "instances have several phases and removals" true
+    (d.phases > 1 && d.removals > 0 && s.phases > 1 && s.removals > 0);
   Alcotest.(check int) "dense: phase_resumes = phases - 1" (d.phases - 1) d.phase_resumes;
   Alcotest.(check int) "dense: one rewind per failed round" (d.rounds - d.phases) d.resumes;
   Alcotest.(check bool) "dense: network counted" true
@@ -214,8 +197,12 @@ let test_counters () =
     [ ("dense", d); ("sweep", s) ];
   Alcotest.(check (list int)) "sweep: no network counters" [ 0; 0; 0; 0; 0 ]
     [ s.resumes; s.net_edges; s.net_pushes; s.net_bfs_waves; s.phase_resumes ];
-  Alcotest.(check int) "same phases" d.phases s.phases;
-  Alcotest.(check int) "same removals" d.removals s.removals
+  List.iter
+    (fun (tag, inst, (r : Offline.F.stats)) ->
+      let expected = (Reference.offline inst).stats in
+      Alcotest.(check int) (tag ^ ": reference phases") expected.phases r.phases;
+      Alcotest.(check int) (tag ^ ": reference removals") expected.removals r.removals)
+    [ ("dense", small, d); ("sweep", large, s) ]
 
 (* --- (e) exact-rational replay certifies a float run ------------------- *)
 
