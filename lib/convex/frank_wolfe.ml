@@ -127,8 +127,7 @@ let line_search ws alloc target =
   done;
   0.5 *. (!lo +. !hi)
 
-let solve ?(iterations = 300) ?(tol = 1e-6) ?(line_search_every = 1) power
-    (inst : Job.instance) =
+let solve ?(iterations = 300) ?(tol = 1e-6) power (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Frank_wolfe.solve: invalid instance");
@@ -138,18 +137,13 @@ let solve ?(iterations = 300) ?(tol = 1e-6) ?(line_search_every = 1) power
   let energy = ref (eval_energy ws !alloc) in
   let iters = ref 0 in
   (try
-     for t = 0 to iterations - 1 do
+     for _ = 1 to iterations do
        incr iters;
        let grad = eval_gradient ws !alloc in
        let target, gap = lmo_and_gap ws inst !alloc grad in
        best_lb := Float.max !best_lb (!energy -. gap);
        if gap <= tol *. Float.max 1. !energy then raise Exit;
-       let gamma =
-         if line_search_every > 0 && t mod line_search_every = 0 then
-           line_search ws !alloc target
-         else 2. /. float_of_int (t + 2)
-       in
-       alloc := blend !alloc target gamma;
+       alloc := blend !alloc target (line_search ws !alloc target);
        energy := eval_energy ws !alloc
      done
    with Exit -> ());

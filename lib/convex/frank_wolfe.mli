@@ -16,10 +16,9 @@ type report = {
 val solve :
   ?iterations:int ->
   ?tol:float ->
-  ?line_search_every:int ->
   Ss_model.Power.t ->
   Ss_model.Job.instance ->
   report
-(** Defaults: 300 iterations, relative-gap tolerance [1e-6], exact line
-    search every iteration.  @raise Invalid_argument on invalid
+(** Defaults: 300 iterations, relative-gap tolerance [1e-6]; every step
+    takes an exact line search.  @raise Invalid_argument on invalid
     instances. *)

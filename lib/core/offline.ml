@@ -18,7 +18,10 @@
    does not belong to J_i (Lemma 4) and is removed for the next round.
 
    The module is a functor over an ordered field: instantiated at floats
-   for speed and at exact rationals to certify the float run. *)
+   for speed and at exact rationals to certify the float run.  The Lemma 2
+   wrap-packing that turns a run into a schedule lives here too, in the
+   same field, so the exact instance certifies the packing every float
+   schedule (offline, OA(m) and AVR(m)) is built with. *)
 
 (* The solver is functorized over the field AND the flow substrate: the
    float instance below plugs in [Maxflow.Float], whose hot path is
@@ -91,7 +94,7 @@ struct
       (fun j ->
         if F.compare j.release j.deadline >= 0 then
           invalid_arg "Offline.solve: release >= deadline";
-        if F.sign j.work <= 0 then invalid_arg "Offline.solve: work <= 0")
+        if F.compare j.work F.zero <= 0 then invalid_arg "Offline.solve: work <= 0")
       jobs
 
   (* --- reusable solver workspace ---------------------------------------
@@ -1189,173 +1192,98 @@ struct
      scratch, reservation arrays, pair store) reused across successive
      solves, the natural shape for OA(m)-style replanning where every
      arrival re-solves a slightly different instance.  A session solve runs
-     the same round loop as [solve]; only the workspace outlives it.
-
-     The Lemma 6–9 monotonicity is tracked as a ledger: callers tag jobs
-     with stable [keys] across solves, and the session records how many
-     carried jobs kept a non-decreasing planned speed (Lemma 7 predicts:
-     all of them, when solves correspond to OA replans at arrivals). *)
+     the same round loop as [solve]; only the workspace outlives it. *)
   module Session = struct
-    type stats = {
-      solves : int;
-      rounds : int;             (* cumulative oracle answers *)
-      resumes : int;            (* cumulative dense rewinds *)
-      removals : int;           (* cumulative Lemma 4 removals *)
-      grouped_rounds : int;     (* failed rounds that removed > 1 victim *)
-      carried_jobs : int;       (* keys also planned by an earlier solve *)
-      monotone_carried : int;   (* carried keys whose speed did not drop *)
-      arena_grows : int;        (* component solves that grew the workspace *)
-    }
-
-    type t = {
-      machines : int;
-      ws : workspace;
-      prev_speed : (int, F.t) Hashtbl.t;
-      mutable solves : int;
-      mutable rounds : int;
-      mutable resumes : int;
-      mutable removals : int;
-      mutable grouped_rounds : int;
-      mutable carried_jobs : int;
-      mutable monotone_carried : int;
-    }
+    type t = { machines : int; ws : workspace }
 
     let create ~machines =
       if machines <= 0 then invalid_arg "Offline.Session.create: machines <= 0";
-      {
-        machines;
-        ws = make_workspace ();
-        prev_speed = Hashtbl.create 64;
-        solves = 0;
-        rounds = 0;
-        resumes = 0;
-        removals = 0;
-        grouped_rounds = 0;
-        carried_jobs = 0;
-        monotone_carried = 0;
-      }
+      { machines; ws = make_workspace () }
 
     let machines t = t.machines
-
-    let solve ?keys t jobs =
-      (match keys with
-      | Some ks when Array.length ks <> Array.length jobs ->
-        invalid_arg "Offline.Session.solve: keys length mismatch"
-      | _ -> ());
-      let run = solve_split ~ws:t.ws ~machines:t.machines jobs in
-      t.solves <- t.solves + 1;
-      t.rounds <- t.rounds + run.stats.rounds;
-      t.resumes <- t.resumes + run.stats.resumes;
-      t.removals <- t.removals + run.stats.removals;
-      t.grouped_rounds <- t.grouped_rounds + run.stats.grouped;
-      (match keys with
-      | None -> ()
-      | Some ks ->
-        List.iter
-          (fun (ph : phase) ->
-            List.iter
-              (fun i ->
-                let key = ks.(i) in
-                (match Hashtbl.find_opt t.prev_speed key with
-                | Some prev ->
-                  t.carried_jobs <- t.carried_jobs + 1;
-                  if F.leq_approx prev ph.speed then
-                    t.monotone_carried <- t.monotone_carried + 1
-                | None -> ());
-                Hashtbl.replace t.prev_speed key ph.speed)
-              ph.members)
-          run.schedule_phases);
-      run
-
-    let stats t =
-      {
-        solves = t.solves;
-        rounds = t.rounds;
-        resumes = t.resumes;
-        removals = t.removals;
-        grouped_rounds = t.grouped_rounds;
-        carried_jobs = t.carried_jobs;
-        monotone_carried = t.monotone_carried;
-        arena_grows = t.ws.grows;
-      }
+    let solve t jobs = solve_split ~ws:t.ws ~machines:t.machines jobs
+    let arena_grows t = t.ws.grows
   end
 
-  (* --- field-generic schedule materialization ---------------------------
-     The same Lemma 2 wrap-packing as Ss_model.Schedule.wrap_pack, but in
-     the functor's own arithmetic: on the exact-rational instance this
-     yields a schedule whose feasibility can be verified with zero
-     tolerance, certifying the packing construction itself (the float
-     model layer is validated against it in tests). *)
+  (* --- the Lemma 2 packer ------------------------------------------------
+     The construction from the proof of Lemma 2: inside one grid interval,
+     concatenate a phase's execution pieces into a sequential strip and
+     cut the strip into processor-sized windows.  A piece split by a
+     window boundary runs at the end of processor mu and the beginning of
+     processor mu+1; the two halves cannot overlap in time because no
+     piece is longer than the interval, and full-width pieces go first so
+     a wrapped piece never meets itself.  Every tolerance is [F.slack] of
+     the interval length, which is zero on the exact field: the rational
+     instance certifies the very loop the float schedules run. *)
 
   type segment = { seg_job : int; seg_proc : int; seg_t0 : F.t; seg_t1 : F.t; seg_speed : F.t }
 
-  (* Pack (job, duration) entries sequentially into windows [t0, t1) of
-     width w starting at processor [proc_offset]; full-width entries
-     first (Lemma 2). *)
-  let wrap_pack ~t0 ~t1 ~proc_offset ~speed entries =
-    let width = F.sub t1 t0 in
-    let full, partial =
-      List.partition (fun (_, dur) -> F.compare dur width >= 0) entries
-    in
-    let segs = ref [] in
-    let proc = ref proc_offset in
-    let pos = ref F.zero in
-    let emit job a b =
-      if F.compare b a > 0 then
-        segs :=
-          { seg_job = job; seg_proc = !proc; seg_t0 = F.add t0 a; seg_t1 = F.add t0 b; seg_speed = speed }
-          :: !segs
-    in
-    let advance () =
-      if F.compare !pos width >= 0 then begin
-        incr proc;
-        pos := F.zero
-      end
+  let wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit entries =
+    let len = F.sub t1 t0 in
+    if F.compare len F.zero <= 0 then invalid_arg "Offline.wrap_pack: empty interval";
+    let eps = F.slack len in
+    let len_lo = F.sub len eps and len_hi = F.add len eps in
+    List.iter
+      (fun (_, dur) ->
+        if F.compare dur len_hi > 0 then
+          invalid_arg "Offline.wrap_pack: piece longer than interval")
+      entries;
+    let entries = List.filter (fun (_, dur) -> F.compare dur eps > 0) entries in
+    let full, partial = List.partition (fun (_, dur) -> F.compare dur len_lo >= 0) entries in
+    let proc = ref proc_offset and pos = ref F.zero in
+    let place job a b =
+      if F.compare (F.sub b a) eps > 0 then emit job !proc (F.add t0 a) (F.add t0 b) speed
     in
     List.iter
       (fun (job, dur) ->
-        let dur = F.min dur width in
-        if F.sign dur > 0 then begin
-          if F.compare (F.add !pos dur) width <= 0 then begin
-            emit job !pos (F.add !pos dur);
-            pos := F.add !pos dur;
-            advance ()
-          end
-          else begin
-            let first = F.sub width !pos in
-            emit job !pos width;
-            incr proc;
-            pos := F.zero;
-            emit job F.zero (F.sub dur first);
-            pos := F.sub dur first;
-            advance ()
-          end
+        let dur = F.min dur len in
+        if F.compare (F.add !pos dur) len_hi <= 0 then begin
+          place job !pos (F.min (F.add !pos dur) len);
+          pos := F.add !pos dur
+        end
+        else begin
+          (* Split across the window boundary. *)
+          let first = F.sub len !pos in
+          place job !pos len;
+          incr proc;
+          pos := F.sub dur first;
+          place job F.zero !pos
+        end;
+        if F.compare !pos len_lo >= 0 then begin
+          incr proc;
+          pos := F.zero
         end)
       (full @ partial);
-    List.rev !segs
+    if F.compare !pos eps > 0 then !proc - proc_offset + 1 else !proc - proc_offset
 
-  let schedule_segments (run : run) =
-    let k = Array.length run.breakpoints - 1 in
-    let segments = ref [] in
-    for j = 0 to k - 1 do
+  (* Lemma 2 over the grid intervals [first..last]: inside each, stack the
+     phases' wrap-packed blocks onto disjoint processors, fastest phase
+     lowest. *)
+  let pack ~machines ~first ~last ~emit (run : run) =
+    for j = first to last do
       let t0 = run.breakpoints.(j) and t1 = run.breakpoints.(j + 1) in
       let offset = ref 0 in
       List.iter
         (fun (phase : phase) ->
-          if phase.procs.(j) > 0 then begin
+          let procs = phase.procs.(j) in
+          if procs > 0 then begin
             let entries =
-              List.filter_map
-                (fun (i, j', t) -> if j' = j then Some (i, t) else None)
-                phase.alloc
+              List.filter_map (fun (i, j', t) -> if j' = j then Some (i, t) else None) phase.alloc
             in
-            segments :=
-              wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed entries
-              :: !segments;
-            offset := !offset + phase.procs.(j)
+            if wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed ~emit entries > procs
+            then failwith "Offline: packing exceeded reservation";
+            offset := !offset + procs
           end)
-        run.schedule_phases
-    done;
-    List.concat !segments
+        run.schedule_phases;
+      if !offset > machines then failwith "Offline: reservations exceed machines"
+    done
+
+  let schedule_segments ~machines (run : run) =
+    let segments = ref [] in
+    pack ~machines ~first:0 ~last:(Array.length run.breakpoints - 2) run
+      ~emit:(fun seg_job seg_proc seg_t0 seg_t1 seg_speed ->
+        segments := { seg_job; seg_proc; seg_t0; seg_t1; seg_speed } :: !segments);
+    List.rev !segments
 
   (* Zero-tolerance feasibility audit of materialized segments (exact when
      F is the rational field).  Returns the violations found. *)
@@ -1458,42 +1386,12 @@ let float_jobs (inst : Job.instance) =
     (fun (j : Job.t) -> { F.release = j.release; deadline = j.deadline; work = j.work })
     inst.jobs
 
-(* Lemma 2 materialization of the grid intervals that meet [lo, hi):
-   inside each, stack the phases' wrap-packed blocks onto disjoint
-   processors.  Segments come out unclipped, latest interval first. *)
-let pack_intervals ~machines (run : F.run) ~lo ~hi =
-  let k = Array.length run.breakpoints - 1 in
-  let segments = ref [] in
-  for j = 0 to k - 1 do
-    let t0 = run.breakpoints.(j) and t1 = run.breakpoints.(j + 1) in
-    if t1 > lo && t0 < hi then begin
-      let offset = ref 0 in
-      List.iter
-        (fun (phase : F.phase) ->
-          if phase.procs.(j) > 0 then begin
-            let entries =
-              List.filter_map
-                (fun (i, j', t) -> if j' = j then Some (i, t) else None)
-                phase.alloc
-            in
-            if entries <> [] then begin
-              let segs, used_procs =
-                Schedule.wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed entries
-              in
-              if used_procs > phase.procs.(j) then
-                failwith "Offline: packing exceeded reservation";
-              segments := segs :: !segments
-            end;
-            offset := !offset + phase.procs.(j)
-          end)
-        run.schedule_phases;
-      if !offset > machines then failwith "Offline: reservations exceed machines"
-    end
-  done;
-  List.concat !segments
-
 let schedule_of_run ~machines (run : F.run) =
-  Schedule.make ~machines (pack_intervals ~machines run ~lo:neg_infinity ~hi:infinity)
+  let segments = ref [] in
+  F.pack ~machines ~first:0 ~last:(Array.length run.breakpoints - 2) run
+    ~emit:(fun job proc t0 t1 speed ->
+      segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
+  Schedule.make ~machines !segments
 
 (* Same (proc, t0, job) order as Schedule.make installs, so a slice equals
    the clipped full schedule segment-for-segment, in sequence. *)
@@ -1509,11 +1407,22 @@ let compare_segment (a : Schedule.segment) (b : Schedule.segment) =
    which is the common case in online replanning where a plan is only
    followed until the next arrival. *)
 let slice_of_run ~machines (run : F.run) ~lo ~hi =
-  pack_intervals ~machines run ~lo ~hi
-  |> List.filter_map (fun (s : Schedule.segment) ->
-         let t0 = Float.max s.t0 lo and t1 = Float.min s.t1 hi in
-         if t1 > t0 then Some { s with t0; t1 } else None)
-  |> List.sort compare_segment
+  let b = run.breakpoints in
+  let k = Array.length b - 1 in
+  let first = ref 0 in
+  while !first < k && b.(!first + 1) <= lo do
+    incr first
+  done;
+  let last = ref (!first - 1) in
+  while !last + 1 < k && b.(!last + 1) < hi do
+    incr last
+  done;
+  let segments = ref [] in
+  F.pack ~machines ~first:!first ~last:!last run
+    ~emit:(fun job proc t0 t1 speed ->
+      let t0 = Float.max t0 lo and t1 = Float.min t1 hi in
+      if t1 > t0 then segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
+  List.sort compare_segment !segments
 
 (* Number of independent sub-instances the decomposition layer splits the
    instance into (1 = nothing to gain from decomposition). *)

@@ -6,7 +6,9 @@
 
     The core is a functor over an ordered field; {!solve} runs it on floats
     and materializes a {!Ss_model.Schedule.t}, {!solve_exact} replays it on
-    exact rationals for certification. *)
+    exact rationals for certification.  The functor also holds the one
+    Lemma 2 packer ({!MakeWith.wrap_pack}), so the exact replay certifies
+    the packing that every float schedule uses. *)
 
 module MakeWith
     (F : Ss_numeric.Field.S)
@@ -133,46 +135,23 @@ module MakeWith
       solves and across the components of each solve, the natural shape
       for OA(m) replanning, which re-solves a slightly different instance
       at every arrival.  Session solves run {!solve}'s round loop, so the
-      returned runs are identical to {!solve}'s, counters included.
-
-      The Lemma 6–9 monotonicity across OA replans is tracked as a ledger:
-      tag jobs with stable [keys] and the session counts how many carried
-      jobs kept a non-decreasing planned speed (Lemma 7 predicts all of
-      them at arrival-driven replans). *)
+      returned runs are identical to {!solve}'s, counters included. *)
   module Session : sig
     type t
-
-    type stats = {
-      solves : int;
-      rounds : int;  (** cumulative oracle answers *)
-      resumes : int;
-          (** cumulative in-place rewinds of dense networks (failed rounds
-              answered without rebuilding the network topology) *)
-      removals : int;  (** cumulative Lemma 4 removals *)
-      grouped_rounds : int;  (** failed rounds that removed > 1 victim *)
-      carried_jobs : int;  (** keys also planned by an earlier solve *)
-      monotone_carried : int;
-          (** carried keys whose planned speed did not drop (within the
-              field's approximate order) *)
-      arena_grows : int;
-          (** component solves that had to grow the workspace (a solve
-              counts once per component that grew it) *)
-    }
 
     val create : machines:int -> t
     (** @raise Invalid_argument if [machines <= 0]. *)
 
     val machines : t -> int
 
-    val solve : ?keys:int array -> t -> job array -> run
+    val solve : t -> job array -> run
     (** Solve one instance on the session's machines, reusing the
-        workspace.  [keys.(i)] is a caller-stable identity for job [i]
-        (e.g. the original job id across OA replans), used only for the
-        monotonicity ledger.
-        @raise Invalid_argument if [keys] disagrees with [jobs] in length,
-        or on malformed jobs. *)
+        workspace.
+        @raise Invalid_argument on malformed jobs. *)
 
-    val stats : t -> stats
+    val arena_grows : t -> int
+    (** Component solves that had to grow the workspace (a solve counts
+        once per component that grew it). *)
   end
 
   val phase_busy_time : run -> phase -> F.t
@@ -180,9 +159,31 @@ module MakeWith
 
   type segment = { seg_job : int; seg_proc : int; seg_t0 : F.t; seg_t1 : F.t; seg_speed : F.t }
 
-  val schedule_segments : run -> segment list
-  (** Field-generic Lemma 2 wrap-packing: on the rational instance the
-      materialized schedule is exact. *)
+  val wrap_pack :
+    t0:F.t ->
+    t1:F.t ->
+    proc_offset:int ->
+    speed:F.t ->
+    emit:(int -> int -> F.t -> F.t -> F.t -> unit) ->
+    (int * F.t) list ->
+    int
+  (** The Lemma 2 construction: pack [(job, duration)] pieces
+      sequentially at [speed] into processor-sized windows of [\[t0, t1)]
+      starting at processor [proc_offset], full-interval pieces first.
+      Each segment goes to [emit job proc start stop speed]; returns the
+      number of processors used.  Every tolerance is [F.slack (t1 - t0)]
+      (zero on exact fields); pieces and cuts no longer than it are
+      dropped.
+      @raise Invalid_argument if [t1 <= t0] or a piece is longer than the
+      interval beyond the slack. *)
+
+  val schedule_segments : machines:int -> run -> segment list
+  (** The whole run through {!wrap_pack}: inside each grid interval the
+      phases' blocks are stacked onto disjoint processors, fastest phase
+      lowest.  On the rational instance the materialized schedule is
+      exact.
+      @raise Failure if a phase's packing needs more processors than it
+      reserved, or the reservations exceed [machines]. *)
 
   type violation =
     | Wrong_work of int
@@ -234,6 +235,8 @@ val energy_of_run : Ss_model.Power.t -> F.run -> float
 (** Energy from the phase structure alone; equals the schedule energy. *)
 
 val schedule_of_run : machines:int -> F.run -> Ss_model.Schedule.t
+(** Materialize a whole run with the Lemma 2 packer ({!MakeWith.wrap_pack},
+    stacked per interval as in {!MakeWith.schedule_segments}). *)
 
 val slice_of_run :
   machines:int -> F.run -> lo:float -> hi:float -> Ss_model.Schedule.segment list

@@ -10,12 +10,6 @@ type transform = {
   perm : int array;
 }
 
-let identity n = { dt = 0.; wexp = 0; perm = Array.init n Fun.id }
-
-let is_identity tf =
-  Float.equal tf.dt 0. && tf.wexp = 0
-  && Array.for_all (fun x -> x) (Array.mapi (fun i j -> i = j) tf.perm)
-
 (* Integers up to 2^52 in magnitude: differences stay within the exact
    2^53 integer range, so every add/subtract of two such endpoints is
    exact and the float solver cannot observe the shift. *)

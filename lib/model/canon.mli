@@ -37,11 +37,6 @@ type transform = {
       (** canonical job [j] is original job [perm.(j)]; length = jobs *)
 }
 
-val identity : int -> transform
-(** The no-op transform on [n] jobs. *)
-
-val is_identity : transform -> bool
-
 val canonicalize :
   ?shift:bool -> ?sort:bool -> Job.instance -> Job.instance * transform
 (** Canonical instance plus the transform that produced it (both flags

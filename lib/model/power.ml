@@ -69,10 +69,11 @@ let name = function
 
 let exponent = function Alpha a -> Some a | Poly _ | Custom _ -> None
 
-(* Convexity / monotonicity spot-check by sampling; used to validate
-   [Custom] functions supplied by callers. *)
-let plausible_convex ?(samples = 64) ?(hi = 16.) p =
-  let h = hi /. float_of_int samples in
+(* Convexity / monotonicity spot-check at 64 samples over [0, 16]; used to
+   validate [Custom] functions supplied by callers. *)
+let plausible_convex p =
+  let samples = 64 in
+  let h = 16. /. float_of_int samples in
   let ok = ref true in
   for i = 0 to samples - 2 do
     let s0 = h *. float_of_int i in

@@ -37,7 +37,8 @@ val name : t -> string
 val exponent : t -> float option
 (** [Some a] exactly for [Alpha a]. *)
 
-val plausible_convex : ?samples:int -> ?hi:float -> t -> bool
-(** Sampling-based convexity/monotonicity check for [Custom] functions. *)
+val plausible_convex : t -> bool
+(** Sampling-based convexity/monotonicity check for [Custom] functions
+    (64 samples over speeds [\[0, 16\]]). *)
 
 val pp : Format.formatter -> t -> unit

@@ -93,7 +93,9 @@ let job_color i =
   let lightness = if i mod 2 = 0 then 45 else 62 in
   Printf.sprintf "hsl(%d,70%%,%d%%)" hue lightness
 
-let to_svg ?(width = 900) ?(row_height = 48) (sched : Schedule.t) =
+let to_svg (sched : Schedule.t) =
+  (* Canvas width and per-processor row height, in pixels. *)
+  let width = 900 and row_height = 48 in
   let segments = Schedule.segments sched in
   let m = Schedule.machines sched in
   let buf = Buffer.create 4096 in
@@ -152,8 +154,8 @@ let to_svg ?(width = 900) ?(row_height = 48) (sched : Schedule.t) =
   end;
   Buffer.contents buf
 
-let save_svg ?width ?row_height path sched =
+let save_svg path sched =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_svg ?width ?row_height sched))
+    (fun () -> output_string oc (to_svg sched))

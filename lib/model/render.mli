@@ -20,8 +20,9 @@ val print : ?config:config -> ?t0:float -> ?t1:float -> Schedule.t -> unit
 val job_color : int -> string
 (** Stable CSS color for a job id. *)
 
-val to_svg : ?width:int -> ?row_height:int -> Schedule.t -> string
-(** Self-contained SVG rendering (rectangle height ∝ speed, color per
-    job, hover titles with exact segment data). *)
+val to_svg : Schedule.t -> string
+(** Self-contained SVG rendering, 900 px wide with a 48 px row per
+    processor (rectangle height ∝ speed, color per job, hover titles with
+    exact segment data). *)
 
-val save_svg : ?width:int -> ?row_height:int -> string -> Schedule.t -> unit
+val save_svg : string -> Schedule.t -> unit

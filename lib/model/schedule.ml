@@ -3,14 +3,10 @@
    Every algorithm in the repository — the offline optimum, OA(m), AVR(m),
    the non-migratory baselines — materializes its decisions as a value of
    this type, so one feasibility checker and one energy accountant serve
-   them all.
-
-   The [wrap_pack] builder implements the construction from the proof of
-   Lemma 2: inside one interval, concatenate the jobs' execution pieces
-   into a sequential strip and cut the strip into processor-sized windows.
-   A piece split by a window boundary runs at the end of processor mu and
-   the beginning of processor mu+1; the two halves cannot overlap in time
-   because no piece is longer than the interval. *)
+   them all.  The Lemma 2 wrap-packing that builds the offline, OA(m)
+   and AVR(m) schedules lives with the solver
+   (Ss_core.Offline.MakeWith.wrap_pack), in its field arithmetic, so the
+   exact-rational replay certifies the code that production runs. *)
 
 type segment = {
   job : int;
@@ -184,57 +180,6 @@ let check ?(tol = 1e-6) (inst : Job.instance) t =
   List.rev !errs
 
 let is_feasible ?tol inst t = check ?tol inst t = []
-
-(* The Lemma 2 packing: place [entries = (job, duration)] sequentially at
-   [speed] into processors [proc_offset, proc_offset+1, ...], each holding a
-   window of length [t1 - t0].  Entries with full-interval duration are
-   placed first so that a wrapped piece never overlaps itself.  Returns the
-   segments and the number of processors touched. *)
-let wrap_pack ~t0 ~t1 ~proc_offset ~speed entries =
-  let len = t1 -. t0 in
-  if len <= 0. then invalid_arg "Schedule.wrap_pack: empty interval";
-  let eps = 1e-9 *. Float.max 1. len in
-  List.iter
-    (fun (_, dur) ->
-      if dur > len +. eps then invalid_arg "Schedule.wrap_pack: piece longer than interval")
-    entries;
-  let entries = List.filter (fun (_, dur) -> dur > eps) entries in
-  let full, partial = List.partition (fun (_, dur) -> dur >= len -. eps) entries in
-  let ordered = full @ partial in
-  let segs = ref [] in
-  let proc = ref proc_offset in
-  let pos = ref 0. in
-  let emit job a b =
-    if b -. a > eps then
-      segs := { job; proc = !proc; t0 = t0 +. a; t1 = t0 +. b; speed } :: !segs
-  in
-  let advance () =
-    if !pos >= len -. eps then begin
-      incr proc;
-      pos := 0.
-    end
-  in
-  List.iter
-    (fun (job, dur) ->
-      let dur = Float.min dur len in
-      if !pos +. dur <= len +. eps then begin
-        emit job !pos (Float.min (!pos +. dur) len);
-        pos := !pos +. dur;
-        advance ()
-      end
-      else begin
-        (* Split across the processor boundary. *)
-        let first = len -. !pos in
-        emit job !pos len;
-        incr proc;
-        pos := 0.;
-        emit job 0. (dur -. first);
-        pos := dur -. first;
-        advance ()
-      end)
-    ordered;
-  let used = if !pos > eps then !proc - proc_offset + 1 else !proc - proc_offset in
-  (List.rev !segs, used)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>schedule m=%d (%d segments)@," t.machines (Array.length t.segments);

@@ -59,16 +59,4 @@ val check : ?tol:float -> Job.instance -> t -> infeasibility list
 
 val is_feasible : ?tol:float -> Job.instance -> t -> bool
 
-val wrap_pack :
-  t0:float ->
-  t1:float ->
-  proc_offset:int ->
-  speed:float ->
-  (int * float) list ->
-  segment list * int
-(** The Lemma 2 construction: pack [(job, duration)] pieces sequentially at
-    [speed] into processor-sized windows of one interval, full-interval
-    pieces first.  Returns the segments and the number of processors used.
-    @raise Invalid_argument if a piece exceeds the interval length. *)
-
 val pp : Format.formatter -> t -> unit

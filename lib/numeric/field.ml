@@ -33,6 +33,10 @@ module type S = sig
       fields. *)
   val equal_approx : t -> t -> bool
 
+  (** [slack x] is the tolerance the field allows around a quantity of
+      magnitude [x]: zero on exact fields, relative on floats. *)
+  val slack : t -> t
+
   val min : t -> t -> t
   val max : t -> t -> t
   val is_zero : t -> bool
@@ -63,9 +67,9 @@ module Float : S with type t = float = struct
   let compare = Float.compare
   let equal = Float.equal
 
-  let tol a b =
-    let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
-    float_rel_tolerance *. scale
+  (* Inlined so that [tol] allocates no more than the formula written out. *)
+  let[@inline] slack x = float_rel_tolerance *. Float.max 1. (Float.abs x)
+  let tol a b = slack (Float.max (Float.abs a) (Float.abs b))
 
   let leq_approx a b = a <= b +. tol a b
   let equal_approx a b = Float.abs (a -. b) <= tol a b

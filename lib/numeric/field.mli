@@ -38,6 +38,11 @@ module type S = sig
   val equal_approx : t -> t -> bool
   (** Tolerance-aware equality; exact on exact fields. *)
 
+  val slack : t -> t
+  (** [slack x] is the tolerance around a quantity of magnitude [x]: the
+      slack {!leq_approx} and {!equal_approx} allow, [zero] on exact
+      fields and [float_rel_tolerance * max 1 |x|] on floats. *)
+
   val min : t -> t -> t
   val max : t -> t -> t
   val is_zero : t -> bool

@@ -109,6 +109,7 @@ module Field : Field.S with type t = t = struct
   let equal = equal
   let leq_approx a b = compare a b <= 0
   let equal_approx = equal
+  let slack _ = zero
   let min = min
   let max = max
   let is_zero = is_zero

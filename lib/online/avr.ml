@@ -4,7 +4,8 @@
    δ_i = w_i / (d_i - r_i) units of work.  Jobs whose density exceeds the
    average load of the rest get a dedicated processor at speed δ_i
    (peeling); the remainder is balanced at the uniform speed Δ'/|M| and
-   wrap-packed across the remaining processors.  Theorem 3:
+   wrap-packed across the remaining processors by the offline solver's
+   Lemma 2 packer (Offline.F.wrap_pack).  Theorem 3:
    ((2α)^α)/2 + 1 -competitive for P(s) = s^α.
 
    Release times and deadlines must be integral (the paper's wlog). *)
@@ -58,9 +59,11 @@ let schedule_interval ~machines ~density ~emit ~t0 ~t1 active =
     let speed = delta' /. float_of_int !free in
     (* Each job runs density/speed fraction of the interval. *)
     let entries = List.map (fun i -> (i, (t1 -. t0) *. density.(i) /. speed)) !rest in
-    let segs, used = Schedule.wrap_pack ~t0 ~t1 ~proc_offset:!proc ~speed entries in
-    if used > !free then failwith "Avr: packing exceeded free processors";
-    List.iter emit segs
+    let used =
+      Ss_core.Offline.F.wrap_pack ~t0 ~t1 ~proc_offset:!proc ~speed entries
+        ~emit:(fun job proc t0 t1 speed -> emit { Schedule.job; proc; t0; t1; speed })
+    in
+    if used > !free then failwith "Avr: packing exceeded free processors"
   end;
   !peeled
 

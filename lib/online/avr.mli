@@ -20,8 +20,9 @@ val schedule_interval :
 (** One step of Fig. 3: give every job of the active list (ascending ids)
     [density.(i) * (t1 - t0)] work inside [\[t0, t1)], peeling over-dense
     jobs onto dedicated processors and wrap-packing the rest at the
-    balanced speed.  Segments go to [emit]; returns the number of peeled
-    jobs.  Shared by {!run} and {!run_on_grid}. *)
+    balanced speed with {!Ss_core.Offline.F.wrap_pack}.  Segments go to
+    [emit]; returns the number of peeled jobs.  Shared by {!run} and
+    {!run_on_grid}. *)
 
 val run :
   ?stats:Engine.counters ->

@@ -10,17 +10,15 @@
    Replanning runs on a cross-arrival solver session: one persistent flow
    arena and scratch workspace serve every replan, failed rounds remove
    all their Lemma 4 victims at once, and only the plan slice up to the
-   next arrival is materialized.  The paper's Lemmas 6–9 make the reuse
-   sound — across arrivals the schedule structure is monotone (per-job
-   planned speeds never decrease, Lemma 7), which the session verifies as
-   a ledger.  test/reference.ml replans from scratch per arrival (a fresh
-   solver and a full materialization) and the tests compare the two by
-   float bits.
+   next arrival is materialized.  test/reference.ml replans from scratch
+   per arrival (a fresh solver and a full materialization) and the tests
+   compare the two by float bits.
 
    [run_detailed] additionally records each replanning decision (the
-   planned constant speed of every live job), which the test-suite uses to
-   check the monotonicity lemmas and which the Potential module consumes
-   to audit the Theorem 2 potential function numerically. *)
+   planned constant speed of every live job).  The plan history is where
+   the paper's Lemma 7 is checked — across arrivals no live job's planned
+   speed drops — and the Potential module consumes it to audit the
+   Theorem 2 potential function numerically. *)
 
 module Job = Ss_model.Job
 module Schedule = Ss_model.Schedule
@@ -35,10 +33,7 @@ type plan = {
 type info = {
   replans : int;            (* offline recomputations (one per arrival time) *)
   total_rounds : int;       (* max-flow computations across all replans *)
-  resumes : int;            (* rounds answered by warm-started resumes *)
   grouped_rounds : int;     (* failed rounds clearing > 1 victim *)
-  carried_jobs : int;       (* live jobs carried over from a prior replan *)
-  monotone_carried : int;   (* carried jobs whose planned speed never dropped *)
   arena_grows : int;        (* replans that had to grow the session arena *)
 }
 
@@ -53,7 +48,7 @@ let run_detailed ?stats (inst : Job.instance) =
   let plans = ref [] in
   let replans = ref 0 in
   let total_rounds = ref 0 in
-  let resumes = ref 0 in
+  let grouped_rounds = ref 0 in
   let planner ~now ~upto (live : Engine.live array) =
     incr replans;
     let sub_jobs =
@@ -63,9 +58,9 @@ let run_detailed ?stats (inst : Job.instance) =
         live
     in
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
-    let run = Offline.F.Session.solve ~keys:ids session sub_jobs in
+    let run = Offline.F.Session.solve session sub_jobs in
     total_rounds := !total_rounds + run.stats.rounds;
-    resumes := !resumes + run.stats.resumes;
+    grouped_rounds := !grouped_rounds + run.stats.grouped;
     (* Planned speed of every live job (its class speed). *)
     let job_speeds =
       List.concat_map
@@ -82,16 +77,12 @@ let run_detailed ?stats (inst : Job.instance) =
     |> List.map (fun (s : Schedule.segment) -> { s with job = ids.(s.job) })
   in
   let schedule = Engine.replan_fold ?stats ~tol ~plan:planner inst in
-  let st = Offline.F.Session.stats session in
   let info =
     {
       replans = !replans;
       total_rounds = !total_rounds;
-      resumes = !resumes;
-      grouped_rounds = st.grouped_rounds;
-      carried_jobs = st.carried_jobs;
-      monotone_carried = st.monotone_carried;
-      arena_grows = st.arena_grows;
+      grouped_rounds = !grouped_rounds;
+      arena_grows = Offline.F.Session.arena_grows session;
     }
   in
   (schedule, info, List.rev !plans)

@@ -15,15 +15,8 @@ type plan = {
 type info = {
   replans : int;
   total_rounds : int;  (** max-flow computations across all replans *)
-  resumes : int;
-      (** rounds answered by in-place arena rewinds instead of network
-          rebuilds *)
   grouped_rounds : int;
       (** failed rounds that cleared more than one Lemma 4 victim at once *)
-  carried_jobs : int;  (** live jobs carried over from an earlier replan *)
-  monotone_carried : int;
-      (** carried jobs whose planned speed never decreased — Lemma 7
-          predicts [monotone_carried = carried_jobs] *)
   arena_grows : int;  (** replans that had to grow the session arena *)
 }
 
@@ -31,12 +24,12 @@ val run_detailed :
   ?stats:Engine.counters ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info * plan list
-(** Full simulation plus the replanning history (consumed by the
-    Lemma 7/8 checks and the {!Potential} audit).  Replans run on one
-    cross-arrival solver session — a persistent flow arena and workspace,
-    grouped Lemma 4 removals, slice-only materialization — driven by
-    {!Engine.replan_fold}.  [stats] accumulates {!Engine.counters} in
-    place. *)
+(** Full simulation plus the replanning history: the planned speeds in
+    it are what the Lemma 7/8 checks and the {!Potential} audit read.
+    Replans run on one cross-arrival solver session — a persistent flow
+    arena and workspace, grouped Lemma 4 removals, slice-only
+    materialization — driven by {!Engine.replan_fold}.  [stats]
+    accumulates {!Engine.counters} in place. *)
 
 val run :
   ?stats:Engine.counters ->

@@ -100,7 +100,6 @@ type slot = { sessions : (int, O.F.Session.t) Hashtbl.t }
 
 type t = {
   crew : Pool.Crew.t;
-  canonical : bool;
   slots : slot array;
   lock : Mutex.t;  (* guards the cache and the counters below *)
   cache : outcome Lru.t;
@@ -109,12 +108,11 @@ type t = {
   mutable misses : int;
 }
 
-let create ?domains ?(capacity = 1024) ?(canonical = true) () =
+let create ?domains ?(capacity = 1024) () =
   if capacity < 0 then invalid_arg "Dispatch.create: capacity < 0";
   let crew = Pool.Crew.create ?domains () in
   {
     crew;
-    canonical;
     slots =
       Array.init (Pool.Crew.size crew) (fun _ -> { sessions = Hashtbl.create 4 });
     lock = Mutex.create ();
@@ -193,17 +191,13 @@ let compute t w (q : query) canon =
   | Avr -> Sched (Ss_online.Avr.schedule canon)
 
 let answer t w (q : query) =
-  let canon, tf =
-    if t.canonical then
-      (* The online simulators' schedules are job-order-sensitive (segment
-         emission follows the input numbering) and carry absolute interior
-         times that make the shift inexact (wrap-pack offsets), so only
-         the power-of-two work scale is canonicalized for them; offline
-         runs take the full shift + scale + sort. *)
-      let full = q.algo = Solve in
-      Canon.canonicalize ~shift:full ~sort:full q.instance
-    else (q.instance, Canon.identity (Array.length q.instance.jobs))
-  in
+  (* The online simulators' schedules are job-order-sensitive (segment
+     emission follows the input numbering) and carry absolute interior
+     times that make the shift inexact (wrap-pack offsets), so only the
+     power-of-two work scale is canonicalized for them; offline runs take
+     the full shift + scale + sort. *)
+  let full = q.algo = Solve in
+  let canon, tf = Canon.canonicalize ~shift:full ~sort:full q.instance in
   let check = algo_tag q.algo ^ Canon.encode canon in
   let key = Digest.string check in
   (* [Mutex.protect] releases the lock even if the cache raises, so one

@@ -8,22 +8,22 @@
     integral time shift + power-of-two work scale + job sort; simulation
     queries take the work scale only (their schedules are order-sensitive
     and carry absolute interior times that make the shift inexact).  The
-    dispatcher
-    solves the canonical instance on the executing worker's persistent
-    {!Ss_core.Offline.F.Session} (so flow arenas and warm-start state
-    survive across queries, not just across rounds of one solve) and maps
+    dispatcher solves the canonical instance on the executing worker's
+    persistent {!Ss_core.Offline.F.Session} (so its workspace is reused
+    across queries, not just across the components of one solve) and maps
     the answer back through the inverse transform.  An LRU keyed by the
     canonical digest short-circuits repeated canonical forms entirely.
 
     Determinism: because hits and misses both reduce to the same
-    deterministic canonical solve, a batch's semantic payload (grid
-    breakpoints, phase partition, speeds, reservations, allocations /
-    schedule segments) is bit-identical whatever the cache state, worker
-    count or stealing interleaving — and, thanks to the exactness
-    discipline of {!Ss_model.Canon}, bit-identical to a direct scratch
+    deterministic canonical solve, a batch's answers (grid breakpoints,
+    phase partition, speeds, reservations, allocations / schedule
+    segments, and the run's [stats] counters) are bit-identical whatever
+    the cache state, worker count or stealing interleaving — a session
+    solve equals a fresh solve, counters included, so nothing reflects
+    which worker's arena answered.  Thanks to the exactness discipline of
+    {!Ss_model.Canon}, they are also bit-identical to a direct scratch
     solve of each query whenever the canonical sort permutation is the
-    identity.  Only the run's [stats] counters (rounds/resumes) may
-    reflect which arena answered.
+    identity.
 
     A dispatcher is meant to be driven from one thread at a time; worker
     state is safe against the crew's internal parallelism, not against
@@ -52,12 +52,10 @@ type stats = {
 
 type t
 
-val create : ?domains:int -> ?capacity:int -> ?canonical:bool -> unit -> t
+val create : ?domains:int -> ?capacity:int -> unit -> t
 (** [domains] sizes the crew (default {!Ss_parallel.Pool.default_domains});
     [capacity] bounds the memo cache (default 1024 entries; [0] disables
-    caching); [canonical:false] (default [true]) additionally disables
-    canonicalization, so only bitwise-identical instances can ever hit —
-    the scratch baseline for benchmarks. *)
+    caching). *)
 
 val batch : t -> query array -> outcome array
 (** Answer a batch over the crew.  Outcome [i] answers query [i]; the

@@ -205,23 +205,18 @@ let diurnal ?(integral = true) ~seed ~machines ~jobs:n ~days ~day_length ~mean_w
    crosses, which survives integralization because [gap >= 2].  The
    offline instance therefore decomposes into exactly [clusters]
    independent sub-instances — the first-class workload behind the
-   decomposition bench and tests.  [densities] are per-batch work
-   multipliers (cycled when shorter than [clusters]), so batches can be
-   given different loads without changing the component structure. *)
-let clustered ?(integral = true) ?(densities = [| 1. |]) ~seed ~machines ~clusters
-    ~jobs_per_cluster ~cluster_span ~gap ~max_work () =
+   decomposition bench and tests. *)
+let clustered ?(integral = true) ~seed ~machines ~clusters ~jobs_per_cluster ~cluster_span
+    ~gap ~max_work () =
   if clusters <= 0 || jobs_per_cluster <= 0 then
     invalid_arg "Generators.clustered: bad parameters";
   if cluster_span < 2. || gap < 2. then
     invalid_arg "Generators.clustered: cluster_span and gap must be >= 2";
-  if Array.length densities = 0 || Array.exists (fun d -> d <= 0.) densities then
-    invalid_arg "Generators.clustered: densities must be positive";
   let rng = Rng.create ~seed in
   let jobs = ref [] in
   for c = 0 to clusters - 1 do
     let base = float_of_int c *. (cluster_span +. gap) in
-    let mult = densities.(c mod Array.length densities) in
-    let work () = mult *. Rng.uniform rng ~lo:(max_work /. 10.) ~hi:max_work in
+    let work () = Rng.uniform rng ~lo:(max_work /. 10.) ~hi:max_work in
     (* Batch anchor: spans the whole batch window. *)
     jobs := Job.make ~release:base ~deadline:(base +. cluster_span) ~work:(work ()) :: !jobs;
     for _ = 2 to jobs_per_cluster do

@@ -75,7 +75,6 @@ val diurnal :
 
 val clustered :
   ?integral:bool ->
-  ?densities:float array ->
   seed:int -> machines:int -> clusters:int -> jobs_per_cluster:int ->
   cluster_span:float -> gap:float -> max_work:float -> unit ->
   Ss_model.Job.instance
@@ -83,7 +82,7 @@ val clustered :
     spanning anchor job keeps each batch connected, and the dead [gap]
     (>= 2, so it survives integralization) between batches guarantees the
     offline instance decomposes into exactly [clusters] independent
-    components.  [densities] are per-batch work multipliers (cycled). *)
+    components. *)
 
 val batch :
   ?duplicate_rate:float ->

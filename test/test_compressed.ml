@@ -50,7 +50,8 @@ let check_segments name (inst : Job.instance) run =
   let jobs = float_jobs inst in
   Alcotest.(check int) (name ^ ": segment violations") 0
     (List.length
-       (Offline.F.check_segments ~machines:inst.machines jobs (Offline.F.schedule_segments run)))
+       (Offline.F.check_segments ~machines:inst.machines jobs
+          (Offline.F.schedule_segments ~machines:inst.machines run)))
 
 (* --- (a) solver agreement -------------------------------------------- *)
 
@@ -178,7 +179,8 @@ let test_exact_agrees () =
   in
   Alcotest.(check int) "exact: schedule violations" 0
     (List.length
-       (Offline.Exact.check_segments ~machines:4 jobs (Offline.Exact.schedule_segments exact)));
+       (Offline.Exact.check_segments ~machines:4 jobs
+          (Offline.Exact.schedule_segments ~machines:4 exact)));
   let f = Offline.run inst in
   Alcotest.(check int) "exact: phase count"
     (List.length f.schedule_phases)

@@ -183,7 +183,7 @@ let prop_decomposed_segments_valid =
       let jobs = fjobs inst in
       let run = Offline.F.solve ~machines:inst.machines jobs in
       Offline.F.check_segments ~machines:inst.machines jobs
-        (Offline.F.schedule_segments run)
+        (Offline.F.schedule_segments ~machines:inst.machines run)
       = [])
 
 let () =

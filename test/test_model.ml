@@ -6,6 +6,8 @@ module Job = Ss_model.Job
 module Interval = Ss_model.Interval
 module Power = Ss_model.Power
 module Schedule = Ss_model.Schedule
+module Offline = Ss_core.Offline
+module Q = Ss_numeric.Rational
 
 let checkf msg = Alcotest.(check (float 1e-9)) msg
 let check_bool = Alcotest.(check bool)
@@ -200,10 +202,32 @@ let test_concat () =
 
 (* --- wrap_pack ---------------------------------------------------------- *)
 
+(* The one Lemma 2 packer, on floats: its segments in emission order and
+   the number of processors it used. *)
+let wrap_pack ~t0 ~t1 ~proc_offset ~speed entries =
+  let segs = ref [] in
+  let used =
+    Offline.F.wrap_pack ~t0 ~t1 ~proc_offset ~speed entries
+      ~emit:(fun job proc t0 t1 speed -> segs := { Schedule.job; proc; t0; t1; speed } :: !segs)
+  in
+  (List.rev !segs, used)
+
+(* The same packer on the exact field, fed the same durations (floats
+   embed exactly): [(job, proc, t0, t1)] per segment and the processors
+   used, with zero slack. *)
+let exact_wrap_pack ~len entries =
+  let segs = ref [] in
+  let used =
+    Offline.Exact.wrap_pack ~t0:Q.zero ~t1:(Q.of_float len) ~proc_offset:0 ~speed:Q.one
+      (List.map (fun (i, dur) -> (i, Q.of_float dur)) entries)
+      ~emit:(fun job proc t0 t1 _ -> segs := (job, proc, t0, t1) :: !segs)
+  in
+  (!segs, used)
+
 let test_wrap_pack_basic () =
   (* Three jobs of 1.5, 1.0, 0.5 into windows of length 1.5: exactly 2 procs. *)
   let segs, used =
-    Schedule.wrap_pack ~t0:0. ~t1:1.5 ~proc_offset:0 ~speed:2.
+    wrap_pack ~t0:0. ~t1:1.5 ~proc_offset:0 ~speed:2.
       [ (0, 1.5); (1, 1.0); (2, 0.5) ]
   in
   check_int "uses 2 procs" 2 used;
@@ -217,7 +241,7 @@ let test_wrap_pack_basic () =
 let test_wrap_pack_split_no_overlap () =
   (* A piece wrapping the boundary must not overlap itself in time. *)
   let segs, used =
-    Schedule.wrap_pack ~t0:10. ~t1:11. ~proc_offset:3 ~speed:1.
+    wrap_pack ~t0:10. ~t1:11. ~proc_offset:3 ~speed:1.
       [ (0, 0.75); (1, 0.75); (2, 0.5) ]
   in
   check_int "uses 2" 2 used;
@@ -233,12 +257,13 @@ let test_wrap_pack_split_no_overlap () =
 
 let test_wrap_pack_guards () =
   Alcotest.check_raises "piece too long"
-    (Invalid_argument "Schedule.wrap_pack: piece longer than interval") (fun () ->
-      ignore (Schedule.wrap_pack ~t0:0. ~t1:1. ~proc_offset:0 ~speed:1. [ (0, 1.5) ]));
+    (Invalid_argument "Offline.wrap_pack: piece longer than interval") (fun () ->
+      ignore (wrap_pack ~t0:0. ~t1:1. ~proc_offset:0 ~speed:1. [ (0, 1.5) ]));
   Alcotest.check_raises "empty interval"
-    (Invalid_argument "Schedule.wrap_pack: empty interval") (fun () ->
-      ignore (Schedule.wrap_pack ~t0:1. ~t1:1. ~proc_offset:0 ~speed:1. [ (0, 0.5) ]))
+    (Invalid_argument "Offline.wrap_pack: empty interval") (fun () ->
+      ignore (wrap_pack ~t0:1. ~t1:1. ~proc_offset:0 ~speed:1. [ (0, 0.5) ]))
 
+(* Both fields: within 1e-6 on floats, exactly on rationals. *)
 let prop_wrap_pack_conserves_time =
   QCheck.Test.make ~count:200 ~name:"wrap_pack conserves per-job durations"
     QCheck.(pair small_nat (int_range 1 8))
@@ -248,9 +273,12 @@ let prop_wrap_pack_conserves_time =
       let entries =
         List.init njobs (fun i -> (i, Ss_workload.Rng.uniform rng ~lo:0.01 ~hi:len))
       in
-      let segs, used = Schedule.wrap_pack ~t0:0. ~t1:len ~proc_offset:0 ~speed:1. entries in
+      let segs, used = wrap_pack ~t0:0. ~t1:len ~proc_offset:0 ~speed:1. entries in
       let total_in = Ss_numeric.Kahan.sum_list (List.map snd entries) in
-      ignore used;
+      let exact_segs, exact_used = exact_wrap_pack ~len entries in
+      let exact_total =
+        List.fold_left (fun acc (_, dur) -> Q.add acc (Q.of_float dur)) Q.zero entries
+      in
       (* Per job, durations survive. *)
       List.for_all
         (fun (i, dur) ->
@@ -261,10 +289,18 @@ let prop_wrap_pack_conserves_time =
                    if s.Schedule.job = i then Some (s.Schedule.t1 -. s.t0) else None)
                  segs)
           in
-          Float.abs (got -. dur) <= 1e-6 *. (1. +. dur))
+          let exact_got =
+            List.fold_left
+              (fun acc (job, _, t0, t1) -> if job = i then Q.add acc (Q.sub t1 t0) else acc)
+              Q.zero exact_segs
+          in
+          Float.abs (got -. dur) <= 1e-6 *. (1. +. dur) && Q.equal exact_got (Q.of_float dur))
         entries
-      && float_of_int used >= total_in /. len -. 1e-6)
+      && float_of_int used >= total_in /. len -. 1e-6
+      && Q.compare (Q.mul (Q.of_int exact_used) (Q.of_float len)) exact_total >= 0)
 
+(* Both fields: touching within 1e-9 on floats, not overlapping at all on
+   rationals. *)
 let prop_wrap_pack_no_machine_overlap =
   QCheck.Test.make ~count:200 ~name:"wrap_pack never double-books a processor"
     QCheck.(pair small_nat (int_range 1 10))
@@ -274,7 +310,7 @@ let prop_wrap_pack_no_machine_overlap =
       let entries =
         List.init njobs (fun i -> (i, Ss_workload.Rng.uniform rng ~lo:0.05 ~hi:1.))
       in
-      let segs, _ = Schedule.wrap_pack ~t0:0. ~t1:len ~proc_offset:0 ~speed:1. entries in
+      let segs, _ = wrap_pack ~t0:0. ~t1:len ~proc_offset:0 ~speed:1. entries in
       let sorted =
         List.sort
           (fun a b ->
@@ -288,7 +324,19 @@ let prop_wrap_pack_no_machine_overlap =
           (a.Schedule.proc <> b.Schedule.proc || a.t1 <= b.t0 +. 1e-9) && ok rest
         | _ -> true
       in
-      ok sorted)
+      let exact_segs, _ = exact_wrap_pack ~len entries in
+      let exact_sorted =
+        List.sort
+          (fun (_, p1, a, _) (_, p2, b, _) ->
+            match Int.compare p1 p2 with 0 -> Q.compare a b | c -> c)
+          exact_segs
+      in
+      let rec exact_ok = function
+        | (_, p1, _, e1) :: ((_, p2, s2, _) :: _ as rest) ->
+          (p1 <> p2 || Q.compare e1 s2 <= 0) && exact_ok rest
+        | _ -> true
+      in
+      ok sorted && exact_ok exact_sorted)
 
 let () =
   Alcotest.run "model"

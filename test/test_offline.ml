@@ -243,7 +243,7 @@ let test_exact_schedule_materialization () =
         G.uniform ~seed:(seed + 70) ~machines:3 ~jobs:8 ~horizon:12. ~max_work:4. ()
       in
       let exact = Offline.solve_exact inst in
-      let segs = Offline.Exact.schedule_segments exact in
+      let segs = Offline.Exact.schedule_segments ~machines:inst.machines exact in
       let jobs =
         Array.map
           (fun (jb : Job.t) ->
@@ -263,8 +263,9 @@ let test_exact_schedule_materialization () =
 (* The float and exact materializations describe the same schedule. *)
 let test_float_vs_exact_segments () =
   let inst = hand_instance in
-  let float_segs = Offline.F.schedule_segments (Offline.run inst) in
-  let exact_segs = Offline.Exact.schedule_segments (Offline.solve_exact inst) in
+  let machines = inst.machines in
+  let float_segs = Offline.F.schedule_segments ~machines (Offline.run inst) in
+  let exact_segs = Offline.Exact.schedule_segments ~machines (Offline.solve_exact inst) in
   Alcotest.(check int) "segment count" (List.length exact_segs) (List.length float_segs);
   List.iter2
     (fun (a : Offline.F.segment) (b : Offline.Exact.segment) ->
@@ -273,6 +274,50 @@ let test_float_vs_exact_segments () =
       Alcotest.(check (float 1e-9)) "t0" (Ss_numeric.Rational.to_float b.seg_t0) a.seg_t0;
       Alcotest.(check (float 1e-9)) "t1" (Ss_numeric.Rational.to_float b.seg_t1) a.seg_t1)
     float_segs exact_segs
+
+(* The segments production schedules carry ([schedule_of_run] on the float
+   run) against the exact packing of the exact replay, both in
+   (proc, t0, job) order. *)
+let test_production_vs_exact_packing () =
+  let uniform ?integral ~machines ~jobs ~horizon ~max_work seeds =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "uniform n=%d m=%d s=%d" jobs machines seed,
+          G.uniform ?integral ~seed ~machines ~jobs ~horizon ~max_work () ))
+      seeds
+  in
+  let instances =
+    (("hand", hand_instance)
+     :: uniform ~machines:3 ~jobs:8 ~horizon:12. ~max_work:4. [ 71; 72; 73 ])
+    @ uniform ~machines:4 ~jobs:20 ~horizon:20. ~max_work:5. [ 1; 2; 3; 4; 5 ]
+    @ uniform ~integral:false ~machines:3 ~jobs:12 ~horizon:16. ~max_work:6. [ 1; 2; 3 ]
+  in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs b) in
+  List.iter
+    (fun (name, (inst : Job.instance)) ->
+      let machines = inst.machines in
+      let production =
+        Array.to_list (Schedule.segments (Offline.schedule_of_run ~machines (Offline.run inst)))
+      in
+      let q = Ss_numeric.Rational.to_float in
+      let exact =
+        Offline.Exact.schedule_segments ~machines (Offline.solve_exact inst)
+        |> List.map (fun (s : Offline.Exact.segment) ->
+               (s.seg_proc, q s.seg_t0, s.seg_job, q s.seg_t1, q s.seg_speed))
+        |> List.sort (fun (p1, a1, j1, _, _) (p2, a2, j2, _, _) ->
+               match Int.compare p1 p2 with
+               | 0 -> (match Float.compare a1 a2 with 0 -> Int.compare j1 j2 | c -> c)
+               | c -> c)
+      in
+      Alcotest.(check int) (name ^ ": segment count") (List.length exact) (List.length production);
+      List.iter2
+        (fun (s : Schedule.segment) (proc, t0, job, t1, speed) ->
+          Alcotest.(check int) (name ^ ": job") job s.job;
+          Alcotest.(check int) (name ^ ": proc") proc s.proc;
+          check_bool (name ^ ": t0, t1, speed within 1e-9") true
+            (close s.t0 t0 && close s.t1 t1 && close s.speed speed))
+        production exact)
+    instances
 
 (* --- properties --------------------------------------------------------- *)
 
@@ -389,6 +434,44 @@ let prop_stats_polynomial =
       && run.stats.removals <= n * run.stats.phases
       && run.stats.phases <= n)
 
+(* Works scaled by 2^a, far below the float field's absolute 1e-9 floor,
+   are valid instances: each solves to a feasible schedule, and the run is
+   bitwise scale-equivariant — speeds scale by 2^a while members, procs and
+   every t_kj stay put.  The families are a dense uniform instance, a
+   sweep-sized heavy one and a four-component clustered one. *)
+let prop_tiny_works_scale_equivariant =
+  QCheck.Test.make ~count:24 ~name:"tiny works solve scale-equivariantly"
+    QCheck.(pair (int_range 0 2) (int_range (-200) (-30)))
+    (fun (family, a) ->
+      let inst =
+        match family with
+        | 0 -> G.uniform ~seed:3 ~machines:2 ~jobs:12 ~horizon:20. ~max_work:4. ()
+        | 1 -> G.heavy ~shape:1.5 ~seed:1 ~machines:4 ~jobs:150 ~horizon:500. ()
+        | _ ->
+          G.clustered ~seed:61 ~machines:4 ~clusters:4 ~jobs_per_cluster:10 ~cluster_span:12.
+            ~gap:3. ~max_work:4. ()
+      in
+      let scaled =
+        {
+          inst with
+          jobs = Array.map (fun (jb : Job.t) -> { jb with work = Float.ldexp jb.work a }) inst.jobs;
+        }
+      in
+      let same = Reference.same_float in
+      let base = Offline.run inst and run = Offline.run scaled in
+      Schedule.check scaled (Offline.schedule_of_run ~machines:inst.machines run) = []
+      && Array.for_all2 same base.breakpoints run.breakpoints
+      && List.length base.schedule_phases = List.length run.schedule_phases
+      && List.for_all2
+           (fun (p : Offline.F.phase) (q : Offline.F.phase) ->
+             p.members = q.members && p.procs = q.procs
+             && same (Float.ldexp p.speed a) q.speed
+             && List.length p.alloc = List.length q.alloc
+             && List.for_all2
+                  (fun (i, j, t) (i', j', t') -> i = i' && j = j' && same t t')
+                  p.alloc q.alloc)
+           base.schedule_phases run.schedule_phases)
+
 (* --- audit -------------------------------------------------------------- *)
 
 (* Every dense round leaves a feasible flow on the network the round loop
@@ -446,6 +529,7 @@ let () =
           Alcotest.test_case "YDS structure" `Quick test_yds_structure;
           Alcotest.test_case "exact schedule materialization" `Quick test_exact_schedule_materialization;
           Alcotest.test_case "float vs exact segments" `Quick test_float_vs_exact_segments;
+          Alcotest.test_case "production vs exact packing" `Quick test_production_vs_exact_packing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -459,6 +543,7 @@ let () =
             prop_monotone_in_jobs;
             prop_split_relaxes;
             prop_stats_polynomial;
+            prop_tiny_works_scale_equivariant;
           ] );
       ( "audit",
         [ Alcotest.test_case "feasible flow after every resume" `Quick test_audit_after_rewind ] );

@@ -83,7 +83,8 @@ let test_exact_agree () =
       let exact = Offline.Exact.solve ~machines jobs in
       Alcotest.(check int) "exact: schedule violations" 0
         (List.length
-           (Offline.Exact.check_segments ~machines jobs (Offline.Exact.schedule_segments exact)));
+           (Offline.Exact.check_segments ~machines jobs
+              (Offline.Exact.schedule_segments ~machines exact)));
       let f = Offline.run inst in
       Alcotest.(check int) "exact: phase count"
         (List.length exact.schedule_phases)
