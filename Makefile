@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json bench bench-smoke tables micro examples clean
+.PHONY: all build test lint lint-json bench tables examples clean
 
 all: build
 
@@ -30,15 +30,8 @@ bench:
 bench-output:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
-# Tiny-quota run of the micro-benchmarks.
-bench-smoke:
-	dune build @bench-smoke
-
 tables:
 	dune exec bench/main.exe -- tables
-
-micro:
-	dune exec bench/main.exe -- micro
 
 examples:
 	dune exec examples/quickstart.exe

@@ -30,8 +30,6 @@ let make_levels speeds =
   if arr.(0) <= 0. then invalid_arg "Discrete.make_levels: levels must be positive";
   arr
 
-let max_level (levels : levels) = levels.(Array.length levels - 1)
-
 (* Adjacent levels around s: (s_lo, s_hi) with s_lo <= s <= s_hi, where
    s_lo = 0 below the menu.  Raises above the menu. *)
 let bracket (levels : levels) s =

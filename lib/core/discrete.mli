@@ -14,8 +14,6 @@ val make_levels : float list -> levels
 (** Sorted, de-duplicated; all levels must be positive.
     @raise Invalid_argument otherwise. *)
 
-val max_level : levels -> float
-
 val bracket : levels -> float -> float * float
 (** Adjacent menu levels around a speed ([0] below the menu).
     @raise Speed_out_of_range above the menu. *)

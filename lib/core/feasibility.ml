@@ -15,7 +15,14 @@
    The smallest feasible cap equals the first phase speed s_1 of the
    offline algorithm (the optimum's peak speed — no schedule can have a
    smaller maximum because the optimum minimizes the speed profile in the
-   majorization order). *)
+   majorization order).
+
+   The network is built in a canonical frame: works and cap are scaled by
+   the power of two 2^-e that brings the largest work into [1/2, 1), and
+   the witness is scaled back by 2^e.  Both scalings are exact, so the
+   verdict does not depend on the unit of work, while the max-flow
+   tolerances and the accept test, which are absolute below 1, see
+   quantities of order 1. *)
 
 module Job = Ss_model.Job
 module Interval = Ss_model.Interval
@@ -38,12 +45,15 @@ let check ~speed_cap (inst : Job.instance) =
   let grid = Interval.make inst.jobs in
   let k = Interval.length grid in
   let n = Array.length inst.jobs in
+  let max_work = Array.fold_left (fun m (j : Job.t) -> Float.max m j.work) 0. inst.jobs in
+  let e = snd (Float.frexp max_work) in
+  let speed_cap = Float.ldexp speed_cap (-e) and work i = Float.ldexp inst.jobs.(i).work (-e) in
   (* Vertices: 0 source, 1 sink, 2..n+1 jobs, n+2.. intervals. *)
   let g = MF.create ~n:(2 + n + k) in
   let job_v i = 2 + i and ivl_v j = 2 + n + j in
-  Array.iteri
-    (fun i (job : Job.t) -> ignore (MF.add_edge g ~src:0 ~dst:(job_v i) ~cap:job.work))
-    inst.jobs;
+  for i = 0 to n - 1 do
+    ignore (MF.add_edge g ~src:0 ~dst:(job_v i) ~cap:(work i))
+  done;
   for j = 0 to k - 1 do
     let width = Interval.width grid j in
     List.iter
@@ -55,7 +65,7 @@ let check ~speed_cap (inst : Job.instance) =
          ~cap:(float_of_int inst.machines *. speed_cap *. width))
   done;
   let value = MF.dinic g ~source:0 ~sink:1 in
-  let total = Job.total_work inst in
+  let total = Float.ldexp (Job.total_work inst) (-e) in
   if Float.abs (value -. total) <= 1e-9 *. (1. +. total) then Feasible
   else begin
     (* Min-cut witness: source-side jobs are the over-demanding set; the
@@ -65,7 +75,7 @@ let check ~speed_cap (inst : Job.instance) =
     for i = n - 1 downto 0 do
       if side.(job_v i) then begin
         jobs := i :: !jobs;
-        demand := !demand +. inst.jobs.(i).work
+        demand := !demand +. work i
       end
     done;
     let intervals = ref [] and capacity = ref 0. in
@@ -78,7 +88,13 @@ let check ~speed_cap (inst : Job.instance) =
           !capacity +. (float_of_int inst.machines *. speed_cap *. Interval.width grid j)
       end
     done;
-    Infeasible { jobs = !jobs; intervals = !intervals; demand = !demand; capacity = !capacity }
+    Infeasible
+      {
+        jobs = !jobs;
+        intervals = !intervals;
+        demand = Float.ldexp !demand e;
+        capacity = Float.ldexp !capacity e;
+      }
   end
 
 let feasible ~speed_cap inst =

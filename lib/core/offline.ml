@@ -25,20 +25,14 @@
 
 (* The solver is functorized over the field AND the flow substrate: the
    float instance below plugs in [Maxflow.Float], whose hot path is
-   monomorphized (unboxed float arrays), while [Make] keeps the generic
-   pairing for exact-rational certification. *)
+   monomorphized (unboxed float arrays), while [Exact] pairs the rationals
+   with the generic substrate for certification.  Dinic answers every
+   dense round either way. *)
 module MakeWith
     (F : Ss_numeric.Field.S)
-    (Flow_impl : module type of Ss_flow.Maxflow.Make (F)) =
+    (Flow : module type of Ss_flow.Maxflow.Make (F)) =
 struct
-  module Flow = Flow_impl
-
   type job = { release : F.t; deadline : F.t; work : F.t }
-
-  (* Ablation knob (the default reproduces the paper's presentation): which
-     max-flow routine answers a dense round's feasibility question.  The
-     answer is identical, only speed differs. *)
-  type flow_algorithm = Dinic | Edmonds_karp | Push_relabel
 
   type phase = {
     members : int list;             (* job ids of this speed class *)
@@ -844,8 +838,8 @@ struct
      certificates, phase partitions, speeds, reservations and energies
      agree, while the t_kj split among a phase's equal-speed members may
      differ between the two (every member's total is its demand either
-     way).  [on_flow] sees the dense network after each of its rounds. *)
-  let solve_in ?(flow_algorithm = Dinic) ?on_flow ~ws ~machines (jobs : job array) =
+     way). *)
+  let solve_in ~ws ~machines (jobs : job array) =
     let n = Array.length jobs in
     let breakpoints = sort_uniq_times jobs in
     let k = Array.length breakpoints - 1 in
@@ -935,12 +929,7 @@ struct
               rewind_dense ws ~n ~k jobs !speed;
               if !first_round then incr phase_resumes else incr resumes
             end;
-            ignore
-              (match flow_algorithm with
-              | Dinic -> Flow.dinic g ~source:0 ~sink:1
-              | Edmonds_karp -> Flow.edmonds_karp g ~source:0 ~sink:1
-              | Push_relabel -> Flow.push_relabel g ~source:0 ~sink:1);
-            (match on_flow with Some f -> f g | None -> ());
+            ignore (Flow.dinic g ~source:0 ~sink:1);
             Flow.flow_value g ~source:0
           end
         in
@@ -1110,10 +1099,10 @@ struct
      contiguous slice of the global breakpoints (components are
      time-disjoint and every event is a component event), so its first
      breakpoint locates the slice. *)
-  let solve_split ?flow_algorithm ?on_flow ~ws ~machines (jobs : job array) =
+  let solve_split ~ws ~machines (jobs : job array) =
     validate ~machines jobs;
     match components jobs with
-    | [] | [ _ ] -> solve_in ?flow_algorithm ?on_flow ~ws ~machines jobs
+    | [] | [ _ ] -> solve_in ~ws ~machines jobs
     | comps ->
       let breakpoints = sort_uniq_times jobs in
       let k = Array.length breakpoints - 1 in
@@ -1121,7 +1110,7 @@ struct
         List.map
           (fun ids ->
             let sub = Array.map (fun i -> jobs.(i)) ids in
-            match solve_in ?flow_algorithm ?on_flow ~ws ~machines sub with
+            match solve_in ~ws ~machines sub with
             | r -> (ids, r)
             | exception Stranded_job local -> raise (Stranded_job ids.(local)))
           comps
@@ -1184,8 +1173,8 @@ struct
       }
 
   (* The paper-facing entry point: a fresh workspace per call. *)
-  let solve ?flow_algorithm ?on_flow ~machines jobs =
-    solve_split ?flow_algorithm ?on_flow ~ws:(make_workspace ()) ~machines jobs
+  let solve ~machines jobs =
+    solve_split ~ws:(make_workspace ()) ~machines jobs
 
   (* --- cross-arrival solver sessions (Section 3.1, Lemmas 6–9) ----------
      A session owns a persistent workspace (flow arena, breakpoint-grid
@@ -1364,9 +1353,8 @@ struct
   let speeds run = List.map (fun p -> p.speed) run.schedule_phases
 end
 
-module Make (F : Ss_numeric.Field.S) = MakeWith (F) (Ss_flow.Maxflow.Make (F))
 module F = MakeWith (Ss_numeric.Field.Float) (Ss_flow.Maxflow.Float)
-module Exact = Make (Ss_numeric.Rational.Field)
+module Exact = MakeWith (Ss_numeric.Rational.Field) (Ss_flow.Maxflow.Exact)
 
 module Job = Ss_model.Job
 module Power = Ss_model.Power

@@ -13,10 +13,6 @@
 module MakeWith
     (F : Ss_numeric.Field.S)
     (_ : module type of Ss_flow.Maxflow.Make (F)) : sig
-  module Flow : module type of Ss_flow.Maxflow.Make (F)
-  (** The flow substrate this instantiation runs on; exposed so tests can
-      audit the dense round flows via [on_flow]. *)
-
   type job = { release : F.t; deadline : F.t; work : F.t }
 
   type phase = {
@@ -48,8 +44,7 @@ module MakeWith
             components) *)
     net_pushes : int;  (** edge-flow updates across the dense max-flow work *)
     net_bfs_waves : int;
-        (** BFS passes (Dinic level builds / Edmonds–Karp path searches)
-            across the dense max-flow work *)
+        (** Dinic level-graph builds across the dense max-flow work *)
     phase_resumes : int;
         (** dense phase boundaries answered by rewinding the solve's one
             network in place: phases - 1 per dense component *)
@@ -64,10 +59,6 @@ module MakeWith
     stats : stats;
   }
 
-  type flow_algorithm = Dinic | Edmonds_karp | Push_relabel
-  (** Which max-flow routine answers a dense round's feasibility question
-      (identical answers; ablation experiment A4 compares speed). *)
-
   exception Stranded_job of int
 
   val components : job array -> int array list
@@ -81,21 +72,14 @@ module MakeWith
   (** Dense edge-table size ([n * k]) from which a component is solved on
       the sweep oracle instead of the dense network. *)
 
-  val solve :
-    ?flow_algorithm:flow_algorithm ->
-    ?on_flow:(Flow.t -> unit) ->
-    machines:int ->
-    job array ->
-    run
+  val solve : machines:int -> job array -> run
   (** Each phase conjectures the remaining jobs as the next speed class;
       each round asks for a maximum flow of the Fig. 1 network of the
       current candidates.  A failed round removes {e every} job its flow
       certifies (Lemma 4) at once.  The phase partition is the unique fixed
       point of certified removals, so phases, removals, speeds,
       reservations and energy are fixed by the instance; grouping only cuts
-      the round count.  [on_flow] is invoked with the dense network after
-      every dense round's max-flow answer — a test hook for auditing the
-      rewound flows.
+      the round count.
 
       The instance is first split at zero-coverage grid points (see
       {!components}).  The components are solved one after another on one
@@ -196,16 +180,13 @@ module MakeWith
       when [F] is the rational field); empty = feasible. *)
 end
 
-module Make (F : Ss_numeric.Field.S) :
-  module type of MakeWith (F) (Ss_flow.Maxflow.Make (F))
-(** The default pairing: field [F] with the generic flow substrate. *)
-
 module F : module type of MakeWith (Ss_numeric.Field.Float) (Ss_flow.Maxflow.Float)
 (** The float instance runs on {!Ss_flow.Maxflow.Float}, whose hot path is
     float-monomorphic (unboxed array access) but bit-identical to the
     generic substrate. *)
 
-module Exact : module type of Make (Ss_numeric.Rational.Field)
+module Exact : module type of MakeWith (Ss_numeric.Rational.Field) (Ss_flow.Maxflow.Exact)
+(** The exact-rational instance, on the generic flow substrate. *)
 
 type info = {
   phases : int;

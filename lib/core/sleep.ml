@@ -61,11 +61,6 @@ let gaps ?horizon (sched : Schedule.t) =
 
 type policy = Always_on | Optimal | Ski_rental
 
-let policy_name = function
-  | Always_on -> "always-on"
-  | Optimal -> "offline optimal"
-  | Ski_rental -> "ski-rental (2-competitive)"
-
 (* Static energy of one gap under a policy.  Initial state is awake, and
    the processor must be awake again at the end of the gap. *)
 let gap_cost d policy g =

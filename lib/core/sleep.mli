@@ -23,13 +23,8 @@ val gaps : ?horizon:float * float -> Ss_model.Schedule.t -> (int * float list) l
 
 type policy = Always_on | Optimal | Ski_rental
 
-val policy_name : policy -> string
-
 val gap_cost : device -> policy -> float -> float
 (** Static energy charged for one gap. *)
-
-val static_energy :
-  ?horizon:float * float -> device -> policy -> Ss_model.Schedule.t -> float
 
 type report = {
   dynamic : float;

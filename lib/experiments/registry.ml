@@ -23,7 +23,6 @@ let all : Common.t list =
     A1_discrete.exp;
     A2_sleep.exp;
     A3_parallel.exp;
-    A4_flow_ablation.exp;
     A5_grouped_removal.exp;
     X1_bkp.exp;
   ]

@@ -1,10 +1,12 @@
 (* Maximum-flow substrate, functorized over an ordered field.
 
    The offline scheduler (Section 2 of the paper) performs one max-flow
-   computation per round on the bipartite network G(J, m, s) of Fig. 1.
-   Dinic's algorithm is the workhorse; Edmonds–Karp is kept as an
-   independent implementation for cross-checking, and min-cut extraction
-   plus conservation audits support the test suite.
+   computation per dense round on the bipartite network G(J, m, s) of
+   Fig. 1, always with Dinic's algorithm (Theorem 1 holds for any max-flow
+   routine).  Edmonds–Karp and push-relabel are independent
+   implementations that test_flow compares Dinic against; min-cut
+   extraction and conservation audits serve the test suite and the
+   min-cut witness of Feasibility.
 
    Representation: forward/backward edge pairs at indices (2k, 2k+1) in flat
    arrays, adjacency in CSR-style flat int arrays — head.(v) is the first
@@ -327,8 +329,8 @@ module Make (F : Ss_numeric.Field.S) = struct
 
   (* FIFO push-relabel with the gap heuristic: a third independent
      max-flow implementation (different algorithmic family from the two
-     augmenting-path algorithms), used for cross-checking and as the
-     faster choice on dense networks. *)
+     augmenting-path algorithms), used only to cross-check Dinic in
+     test_flow. *)
   let push_relabel g ~source ~sink =
     if source = sink then invalid_arg "Maxflow.push_relabel: source = sink";
     let n = g.n in
@@ -407,91 +409,6 @@ module Make (F : Ss_numeric.Field.S) = struct
     (* Flow value = excess accumulated at the sink. *)
     excess.(sink)
 
-  (* Decompose an installed flow into source->sink paths (plus cancelled
-     cycles, which carry no source-sink value).  Each returned path is a
-     vertex list from source to sink with its flow amount; the amounts sum
-     to the flow value.  Mutates a private copy of the flow. *)
-  let decompose g ~source ~sink =
-    let remaining = Array.copy g.flow in
-    let paths = ref [] in
-    let find_out v =
-      (* A forward edge out of v still carrying flow. *)
-      let found = ref (-1) in
-      iter_adj g v
-        (fun e ->
-          if !found < 0 && e land 1 = 0 && F.sign remaining.(e) > 0 then found := e);
-      !found
-    in
-    let rec walk v acc seen =
-      if v = sink then Some (List.rev (sink :: acc))
-      else begin
-        let e = find_out v in
-        if e < 0 then None
-        else begin
-          let u = g.dst.(e) in
-          if List.mem u seen then begin
-            (* Cancel the cycle u .. v -> u and retry. *)
-            let cycle_edges = ref [ e ] in
-            let rec collect path =
-              match path with
-              | a :: (b :: _ as rest) ->
-                (* edge from b to a on the recorded walk *)
-                iter_adj g b
-                  (fun e' ->
-                    if e' land 1 = 0 && g.dst.(e') = a && F.sign remaining.(e') > 0
-                       && g.dst.(e' lxor 1) = b
-                    then cycle_edges := e' :: !cycle_edges);
-                if b <> u then collect rest
-              | _ -> ()
-            in
-            collect (v :: acc);
-            let bottleneck =
-              List.fold_left (fun m e' -> F.min m remaining.(e')) remaining.(e) !cycle_edges
-            in
-            List.iter
-              (fun e' -> remaining.(e') <- F.sub remaining.(e') bottleneck)
-              !cycle_edges;
-            walk v acc seen
-          end
-          else walk u (v :: acc) (u :: seen)
-        end
-      end
-    in
-    let continue = ref true in
-    while !continue do
-      match walk source [] [ source ] with
-      | None -> continue := false
-      | Some path ->
-        (* Bottleneck along the path's edges. *)
-        let rec edges = function
-          | a :: (b :: _ as rest) ->
-            let e = ref (-1) in
-            iter_adj g a
-              (fun e' ->
-                if !e < 0 && e' land 1 = 0 && g.dst.(e') = b && F.sign remaining.(e') > 0
-                   && g.dst.(e' lxor 1) = a
-                then e := e');
-            !e :: edges rest
-          | _ -> []
-        in
-        let es = edges path in
-        if List.exists (fun e -> e < 0) es then continue := false
-        else begin
-          let bottleneck =
-            match es with
-            | [] -> F.zero
-            | e0 :: rest ->
-              List.fold_left (fun m e -> F.min m remaining.(e)) remaining.(e0) rest
-          in
-          if F.sign bottleneck <= 0 then continue := false
-          else begin
-            List.iter (fun e -> remaining.(e) <- F.sub remaining.(e) bottleneck) es;
-            paths := (bottleneck, path) :: !paths
-          end
-        end
-    done;
-    List.rev !paths
-
   (* Vertices reachable from [source] in the residual graph; after a
      max-flow this is the source side of a minimum cut. *)
   let min_cut g ~source =
@@ -551,7 +468,6 @@ module Make (F : Ss_numeric.Field.S) = struct
     done;
     List.rev !problems
 
-  let num_vertices g = g.n
   let num_edges g = g.m / 2
 end
 

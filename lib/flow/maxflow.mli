@@ -1,6 +1,8 @@
-(** Maximum-flow substrate (Dinic + Edmonds–Karp), functorized over an
-    ordered field so the offline scheduler can run both on floats and on
-    exact rationals.
+(** Maximum-flow substrate, functorized over an ordered field so the
+    offline scheduler can run both on floats and on exact rationals.
+    {!Make.dinic} answers every dense round of the solver;
+    {!Make.edmonds_karp} and {!Make.push_relabel} are independent
+    references the tests compare it against.
 
     Networks are directed; every [add_edge] creates a residual reverse edge
     internally.  All flow queries refer to forward-edge ids returned by
@@ -48,19 +50,13 @@ module Make (F : Ss_numeric.Field.S) : sig
   val push_relabel : t -> source:int -> sink:int -> F.t
   (** Third independent implementation (FIFO push-relabel with the gap
       heuristic); a different algorithmic family from the augmenting-path
-      pair. *)
-
-  val decompose : t -> source:int -> sink:int -> (F.t * int list) list
-  (** Decompose the installed flow into source→sink paths with amounts
-      summing to the flow value (cycles are cancelled).  Does not modify
-      the installed flow. *)
+      pair, used for cross-checks. *)
 
   val reset_flows : t -> unit
 
   val flow_on : t -> int -> F.t
   (** Flow currently installed on a forward edge id. *)
 
-  val residual : t -> int -> F.t
   val flow_value : t -> source:int -> F.t
 
   val min_cut : t -> source:int -> bool array
@@ -90,7 +86,6 @@ module Make (F : Ss_numeric.Field.S) : sig
   (** Zero the counters (not done by {!clear}, so a round loop that
       rebuilds per phase still reports per-solve totals). *)
 
-  val num_vertices : t -> int
   val num_edges : t -> int
 end
 

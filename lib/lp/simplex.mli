@@ -15,8 +15,6 @@ type problem = {
 type solution = { x : float array; value : float }
 type outcome = Optimal of solution | Infeasible | Unbounded
 
-val default_eps : float
-
 val solve : ?eps:float -> problem -> outcome
 (** Maximize [objective . x] s.t. rows and [x >= 0].
     @raise Invalid_argument on row width mismatch. *)

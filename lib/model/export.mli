@@ -2,12 +2,8 @@
 
 exception Format_error of string
 
-val json_of_instance : Job.instance -> Ss_numeric.Json.t
-val instance_of_json : Ss_numeric.Json.t -> Job.instance
 val instance_to_string : Job.instance -> string
 val instance_of_string : string -> Job.instance
 
-val json_of_schedule : Schedule.t -> Ss_numeric.Json.t
-val schedule_of_json : Ss_numeric.Json.t -> Schedule.t
 val schedule_to_string : Schedule.t -> string
 val schedule_of_string : string -> Schedule.t

@@ -61,9 +61,6 @@ let locate g t =
     Some !lo
   end
 
-let is_active g ~interval ~job =
-  List.mem job g.active.(interval)
-
 let total_width g =
   Ss_numeric.Kahan.sum_f (length g) (fun j -> width g j)
 

@@ -9,8 +9,6 @@ val make : ?extra:float list -> Job.t array -> grid
     (e.g. the current time for OA(m) replanning).
     @raise Invalid_argument when the horizon is degenerate. *)
 
-val of_breakpoints : float list -> Job.t array -> grid
-
 val length : grid -> int
 (** Number of intervals. *)
 
@@ -27,6 +25,5 @@ val active_count : grid -> int -> int
 val locate : grid -> float -> int option
 (** Interval containing time [t] ([None] outside the horizon). *)
 
-val is_active : grid -> interval:int -> job:int -> bool
 val total_width : grid -> float
 val pp : Format.formatter -> grid -> unit

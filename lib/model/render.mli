@@ -6,14 +6,12 @@ type config = {
   show_speeds : bool;
 }
 
-val default_config : config
-(** 72 cells, speed strip on. *)
-
 val job_letter : int -> char
 (** Stable cell letter for a job id. *)
 
 val render : ?config:config -> ?t0:float -> ?t1:float -> Schedule.t -> string
-(** Render the window [[t0, t1)] (defaults to the schedule's extent). *)
+(** Render the window [[t0, t1)] (defaults to the schedule's extent);
+    [config] defaults to 72 cells with the speed strip on. *)
 
 val print : ?config:config -> ?t0:float -> ?t1:float -> Schedule.t -> unit
 

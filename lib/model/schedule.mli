@@ -37,9 +37,6 @@ val max_speed : t -> float
 val speeds_at : t -> float -> float array
 (** Per-processor speeds at an instant (0 when idle). *)
 
-val segments_of_job : t -> int -> segment list
-(** Time-ordered. *)
-
 val migrations_of_job : t -> int -> int
 val total_migrations : jobs:int -> t -> int
 val preemptions_of_job : ?tol:float -> t -> int -> int

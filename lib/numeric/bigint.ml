@@ -270,8 +270,6 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
-let is_even a = a.sign = 0 || a.mag.(0) land 1 = 0
-
 (* Binary gcd on magnitudes: no division, only shifts and subtractions. *)
 let gcd a b =
   let a = { sign = (if a.sign = 0 then 0 else 1); mag = a.mag } in
@@ -342,7 +340,6 @@ let pp ppf a = Format.pp_print_string ppf (to_string a)
 (* 2^k as a bigint; used to embed IEEE-754 floats into rationals. *)
 let pow2 k = shift_left one k
 
-let equal_int a n = equal a (of_int n)
 let ( + ) = add
 let ( - ) = sub
 let ( * ) = mul

@@ -20,7 +20,6 @@ val to_float : t -> float
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val equal_int : t -> int -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -42,7 +41,6 @@ val gcd : t -> t -> t
 (** Non-negative gcd; [gcd 0 b = |b|]. *)
 
 val is_zero : t -> bool
-val is_even : t -> bool
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t

@@ -12,8 +12,6 @@ val of_int : int -> t
 val of_ints : int -> int -> t
 (** [of_ints p q] is [p/q]. @raise Division_by_zero when [q = 0]. *)
 
-val of_bigint : Bigint.t -> t
-
 val make : Bigint.t -> Bigint.t -> t
 (** Normalized constructor. @raise Division_by_zero on zero denominator. *)
 

@@ -128,7 +128,6 @@ module Active = struct
     t.ops <- t.ops + 1
 
   let elements t = Iset.elements t.set
-  let cardinal t = Iset.cardinal t.set
   let is_empty t = Iset.is_empty t.set
   let ops t = t.ops
 end
@@ -137,14 +136,11 @@ end
 
 module Arena = struct
   (* Growable segment store (amortized O(1) emission, doubling growth).
-     The two conversions fix the order [Schedule.make] receives:
-     [to_list_rev] matches per-segment prepending ([seg :: !segments]),
-     [to_list_slices] matches per-slice prepending followed by
-     [List.concat] ([slice :: !slices]). *)
+     [Schedule.make] sorts its input by (proc, t0, job), a key unique in a
+     feasible schedule, so the one conversion's order is immaterial. *)
   type t = {
     mutable buf : Schedule.segment array;
     mutable len : int;
-    mutable slice_ends : int list;  (* end index of each closed slice, latest first *)
     mutable high_water : int;       (* largest capacity ever allocated *)
   }
 
@@ -152,7 +148,7 @@ module Arena = struct
 
   let create ?(capacity = 256) () =
     let capacity = max capacity 1 in
-    { buf = Array.make capacity dummy; len = 0; slice_ends = []; high_water = capacity }
+    { buf = Array.make capacity dummy; len = 0; high_water = capacity }
 
   let length t = t.len
   let high_water t = t.high_water
@@ -167,34 +163,12 @@ module Arena = struct
     t.buf.(t.len) <- s;
     t.len <- t.len + 1
 
-  (* Close the current slice (a group of segments emitted together). *)
-  let mark t = t.slice_ends <- t.len :: t.slice_ends
-
   (* Reverse emission order: [e0; e1; e2] -> [e2; e1; e0]. *)
   let to_list_rev t =
     let acc = ref [] in
     for i = 0 to t.len - 1 do
       acc := t.buf.(i) :: !acc
     done;
-    !acc
-
-  (* Latest slice first, emission order inside a slice — the order
-     [List.concat (slice_k :: ... :: slice_1 :: [])] produces. *)
-  let to_list_slices t =
-    let ends =
-      let closed = match t.slice_ends with e :: _ -> e | [] -> 0 in
-      if closed < t.len then t.len :: t.slice_ends else t.slice_ends
-    in
-    let ends = Array.of_list (List.rev ends) in
-    let acc = ref [] in
-    let start = ref 0 in
-    Array.iter
-      (fun e ->
-        for i = e - 1 downto !start do
-          acc := t.buf.(i) :: !acc
-        done;
-        start := e)
-      ends;
     !acc
 end
 
@@ -286,11 +260,10 @@ let replan_fold ?stats ~tol ~plan (inst : Job.instance) =
     | live ->
       let slice = plan ~now ~upto (Array.of_list (List.rev live)) in
       charge_work done_work slice;
-      List.iter (Arena.emit arena) slice;
-      Arena.mark arena)
+      List.iter (Arena.emit arena) slice)
   done;
   record stats (fun c ->
       c.events <- c.events + num_arrivals;
       c.set_ops <- c.set_ops + Active.ops active);
   record_arena stats arena;
-  Schedule.make ~machines:inst.machines (Arena.to_list_slices arena)
+  Schedule.make ~machines:inst.machines (Arena.to_list_rev arena)

@@ -45,7 +45,6 @@ module Active : sig
   val add : t -> int -> unit
   val remove : t -> int -> unit
   val elements : t -> int list
-  val cardinal : t -> int
   val is_empty : t -> bool
 
   val ops : t -> int
@@ -64,16 +63,10 @@ module Arena : sig
   val high_water : t -> int
   (** Largest capacity ever allocated. *)
 
-  val mark : t -> unit
-  (** Close the current slice (group of segments emitted together). *)
-
   val to_list_rev : t -> Ss_model.Schedule.segment list
   (** Reverse emission order — the order per-segment prepending
-      ([seg :: acc]) accumulates. *)
-
-  val to_list_slices : t -> Ss_model.Schedule.segment list
-  (** Latest closed slice first, emission order inside a slice — the order
-      [List.concat] over prepended slices produces. *)
+      ([seg :: acc]) accumulates.  Every simulator hands this to
+      {!Ss_model.Schedule.make}, which sorts it. *)
 end
 
 (** Per-simulation work counters, updated in place by the simulators'
@@ -99,8 +92,6 @@ val record_arena : counters option -> Arena.t -> unit
 val event_times : Ss_model.Job.instance -> float list
 (** Distinct releases and deadlines, ascending — the base grid of the
     discretized simulators. *)
-
-val charge_work : float array -> Ss_model.Schedule.segment list -> unit
 
 val finished : tol:float -> work:float -> done_:float -> bool
 

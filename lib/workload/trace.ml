@@ -91,10 +91,4 @@ let batch_of_string text =
   if insts = [] then raise (Parse_error (0, "empty batch"));
   Array.of_list insts
 
-let save_batch path insts =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (batch_to_string insts))
-
 let load_batch path = batch_of_string (read_file path)

@@ -11,8 +11,6 @@ val load : string -> Ss_model.Job.instance
 
 val batch_to_string : Ss_model.Job.instance array -> string
 val batch_of_string : string -> Ss_model.Job.instance array
-
-val save_batch : string -> Ss_model.Job.instance array -> unit
 (** Multi-instance batch: single-instance traces joined by ['---'] lines
     (the [speedscale batch] input format). *)
 

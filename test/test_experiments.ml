@@ -27,7 +27,7 @@ let test_registry_complete () =
     (List.for_all
        (fun id -> List.mem id ids)
        [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11"; "e12";
-         "f1"; "f2"; "f3"; "f4"; "a1"; "a2"; "a3"; "a4"; "a5"; "x1" ]);
+         "f1"; "f2"; "f3"; "f4"; "a1"; "a2"; "a3"; "a5"; "x1" ]);
   Alcotest.(check bool) "lookup works" true (Ss_experiments.Registry.find "e3" <> None);
   Alcotest.(check bool) "unknown id rejected" true (Ss_experiments.Registry.find "zz" = None)
 

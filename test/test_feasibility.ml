@@ -82,6 +82,34 @@ let prop_optimal_schedule_fits_cap =
       let sched = Ss_core.Offline.optimal_schedule inst in
       Ss_model.Schedule.max_speed sched <= F.min_peak_speed inst *. (1. +. 1e-9))
 
+(* Units of work carry no meaning: scaling every work and the cap by the
+   same power of two 2^a scales the witness's demand and capacity by 2^a
+   and changes nothing else, bit for bit, for tiny and huge works alike. *)
+let prop_scale_invariant =
+  let module G = Ss_workload.Generators in
+  QCheck.Test.make ~count:200 ~name:"verdict and witness invariant under 2^a work scaling"
+    QCheck.(quad (int_range 0 2) small_nat (int_range 0 4) (int_range (-200) 200))
+    (fun (family, seed, factor, a) ->
+      let inst =
+        match family with
+        | 0 -> G.uniform ~seed ~machines:2 ~jobs:12 ~horizon:20. ~max_work:4. ()
+        | 1 -> G.heavy ~shape:1.5 ~seed ~machines:4 ~jobs:40 ~horizon:20. ()
+        | _ ->
+          G.clustered ~seed ~machines:3 ~clusters:4 ~jobs_per_cluster:6 ~cluster_span:10. ~gap:3.
+            ~max_work:4. ()
+      in
+      let cap = F.min_peak_speed inst *. [| 0.5; 0.9; 0.999; 1.001; 1.5 |].(factor) in
+      let scale (j : Job.t) = { j with work = Float.ldexp j.work a } in
+      let scaled = { inst with jobs = Array.map scale inst.jobs } in
+      let same = Reference.same_float in
+      match (F.check ~speed_cap:cap inst, F.check ~speed_cap:(Float.ldexp cap a) scaled) with
+      | F.Feasible, F.Feasible -> true
+      | F.Infeasible w, F.Infeasible w' ->
+        w.jobs = w'.jobs && w.intervals = w'.intervals
+        && same (Float.ldexp w.demand a) w'.demand
+        && same (Float.ldexp w.capacity a) w'.capacity
+      | _ -> false)
+
 let () =
   Alcotest.run "feasibility"
     [
@@ -96,5 +124,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_min_peak_is_threshold; prop_optimal_schedule_fits_cap ] );
+          [ prop_min_peak_is_threshold; prop_optimal_schedule_fits_cap; prop_scale_invariant ] );
     ]

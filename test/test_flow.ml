@@ -1,5 +1,6 @@
-(* Max-flow substrate tests: hand-built networks, cross-checks between
-   Dinic, Edmonds-Karp, the LP encoding and min-cut, plus random-graph
+(* Max-flow substrate tests: hand-built networks, cross-checks of Dinic
+   against Edmonds-Karp, push-relabel, the LP encoding and min-cut, the
+   in-place rewind the offline solver relies on, plus random-graph
    properties and the exact-rational instantiation. *)
 
 module MF = Ss_flow.Maxflow.Float
@@ -31,19 +32,6 @@ let test_clrs_push_relabel () =
   let g, _ = build clrs_edges 6 in
   checkf "value" 23. (MF.push_relabel g ~source:0 ~sink:5);
   Alcotest.(check (list pass)) "audit clean" [] (MF.audit g ~source:0 ~sink:5)
-
-let test_decompose_clrs () =
-  let g, _ = build clrs_edges 6 in
-  let v = MF.dinic g ~source:0 ~sink:5 in
-  let paths = MF.decompose g ~source:0 ~sink:5 in
-  let total = List.fold_left (fun acc (f, _) -> acc +. f) 0. paths in
-  checkf "paths sum to flow" v total;
-  List.iter
-    (fun (f, path) ->
-      Alcotest.(check bool) "positive" true (f > 0.);
-      Alcotest.(check int) "starts at source" 0 (List.hd path);
-      Alcotest.(check int) "ends at sink" 5 (List.nth path (List.length path - 1)))
-    paths
 
 let test_clrs_lp () =
   let edges =
@@ -143,19 +131,39 @@ let prop_push_relabel_flow_feasible =
       ignore (MF.push_relabel g ~source:0 ~sink:(n - 1));
       MF.audit g ~source:0 ~sink:(n - 1) = [])
 
-let prop_decompose_conserves =
-  QCheck.Test.make ~count:100 ~name:"path decomposition sums to flow value"
-    QCheck.small_nat
+(* The offline solver builds one Fig. 1 network per component and rewinds
+   it in place between rounds: [reset_flows], then [set_capacity] to zero
+   removed jobs' edges and to shrink reservations.  Dinic on the rewound
+   network must answer exactly as on a fresh build without the zeroed
+   edges: same value and same flow on every live edge, by float bits. *)
+let prop_rewound_equals_fresh =
+  QCheck.Test.make ~count:100 ~name:"rewound network = fresh build" QCheck.small_nat
     (fun seed ->
-      let n, edges = random_network (seed + 4000) in
-      let g, _ = build edges n in
+      let n, edges = random_network (seed + 6000) in
+      let g, ids = build edges n in
+      ignore (MF.dinic g ~source:0 ~sink:(n - 1));
+      let rng = Ss_workload.Rng.create ~seed:(seed + 7000) in
+      let rewound =
+        List.map
+          (fun (s, d, c) ->
+            let u = Ss_workload.Rng.float rng in
+            (s, d, if u < 0.2 then 0. else if u < 0.4 then c /. 2. else c))
+          edges
+      in
+      MF.reset_flows g;
+      List.iter2 (fun e (_, _, cap) -> MF.set_capacity g e ~cap) ids rewound;
       let v = MF.dinic g ~source:0 ~sink:(n - 1) in
-      let paths = MF.decompose g ~source:0 ~sink:(n - 1) in
-      let total = List.fold_left (fun acc (f, _) -> acc +. f) 0. paths in
-      Float.abs (v -. total) <= 1e-6 *. (1. +. v)
-      && List.for_all
-           (fun (_, path) -> List.hd path = 0 && List.nth path (List.length path - 1) = n - 1)
-           paths)
+      let live = List.filter (fun (_, _, c) -> c > 0.) rewound in
+      let fresh, fresh_ids = build live n in
+      let v' = MF.dinic fresh ~source:0 ~sink:(n - 1) in
+      let live_ids =
+        List.filter_map (fun (e, (_, _, c)) -> if c > 0. then Some e else None)
+          (List.combine ids rewound)
+      in
+      let same = Reference.same_float in
+      same v v'
+      && List.for_all2 (fun e e' -> same (MF.flow_on g e) (MF.flow_on fresh e')) live_ids fresh_ids
+      && MF.audit g ~source:0 ~sink:(n - 1) = [])
 
 let prop_dinic_equals_ek =
   QCheck.Test.make ~count:100 ~name:"dinic = edmonds-karp" QCheck.small_nat (fun seed ->
@@ -203,7 +211,6 @@ let () =
           Alcotest.test_case "CLRS dinic" `Quick test_clrs_dinic;
           Alcotest.test_case "CLRS edmonds-karp" `Quick test_clrs_edmonds_karp;
           Alcotest.test_case "CLRS push-relabel" `Quick test_clrs_push_relabel;
-          Alcotest.test_case "CLRS decompose" `Quick test_decompose_clrs;
           Alcotest.test_case "CLRS lp" `Quick test_clrs_lp;
           Alcotest.test_case "min cut" `Quick test_mincut_matches;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
@@ -220,7 +227,7 @@ let () =
             prop_dinic_equals_ek;
             prop_dinic_equals_push_relabel;
             prop_push_relabel_flow_feasible;
-            prop_decompose_conserves;
+            prop_rewound_equals_fresh;
             prop_flow_audits_clean;
             prop_maxflow_mincut;
             prop_integral_capacities_integral_flow;

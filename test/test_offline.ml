@@ -472,39 +472,6 @@ let prop_tiny_works_scale_equivariant =
                   p.alloc q.alloc)
            base.schedule_phases run.schedule_phases)
 
-(* --- audit -------------------------------------------------------------- *)
-
-(* Every dense round leaves a feasible flow on the network the round loop
-   rewinds in place (checked through the [on_flow] hook). *)
-let test_audit_after_rewind () =
-  List.iter
-    (fun (name, (inst : Job.instance)) ->
-      let jobs =
-        Array.map
-          (fun (j : Job.t) ->
-            { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
-          inst.jobs
-      in
-      let audited = ref 0 in
-      let run =
-        Offline.F.solve ~machines:inst.machines
-          ~on_flow:(fun g ->
-            incr audited;
-            match Offline.F.Flow.audit g ~source:0 ~sink:1 with
-            | [] -> ()
-            | violations ->
-              Alcotest.failf "%s: %d flow violations after round %d" name
-                (List.length violations) !audited)
-          jobs
-      in
-      Alcotest.(check int) (name ^ ": hook fired once per round") run.stats.rounds !audited;
-      check_bool (name ^ ": rewinds actually exercised") true (run.stats.resumes > 0))
-    [
-      ("uniform n=20 m=4", G.uniform ~seed:41 ~machines:4 ~jobs:20 ~horizon:30. ~max_work:5. ());
-      ( "poisson n=16 m=2",
-        G.poisson ~seed:42 ~machines:2 ~jobs:16 ~rate:1.3 ~mean_work:2. ~slack:2.5 () );
-    ]
-
 let () =
   Alcotest.run "offline"
     [
@@ -545,6 +512,4 @@ let () =
             prop_stats_polynomial;
             prop_tiny_works_scale_equivariant;
           ] );
-      ( "audit",
-        [ Alcotest.test_case "feasible flow after every resume" `Quick test_audit_after_rewind ] );
     ]

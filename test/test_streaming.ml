@@ -117,31 +117,6 @@ let test_arena_reverse_emission_order () =
   check_int "length" 10 (Engine.Arena.length arena);
   check_bool "grew past initial capacity" true (Engine.Arena.high_water arena >= 10)
 
-let test_arena_slice_order () =
-  (* [to_list_slices] must equal [List.concat] over prepended slices:
-     latest slice first, emission order inside each slice. *)
-  let arena = Engine.Arena.create () in
-  let slices = ref [] in
-  let emit_slice segs =
-    List.iter (Engine.Arena.emit arena) segs;
-    Engine.Arena.mark arena;
-    slices := segs :: !slices
-  in
-  emit_slice [ seg 0; seg 1 ];
-  emit_slice [];
-  emit_slice [ seg 2; seg 3; seg 4 ];
-  check_bool "slice order" true
-    (Engine.Arena.to_list_slices arena = List.concat !slices)
-
-let test_arena_open_tail_is_a_slice () =
-  let arena = Engine.Arena.create () in
-  Engine.Arena.emit arena (seg 0);
-  Engine.Arena.mark arena;
-  Engine.Arena.emit arena (seg 1);
-  (* No final mark: the open tail still counts as the newest slice. *)
-  check_bool "open tail first" true
-    (Engine.Arena.to_list_slices arena = [ seg 1; seg 0 ])
-
 (* --- Bitwise agreement with the reference --------------------------------
 
    The names keep "legacy": the reference is the pre-streaming algorithm
@@ -267,8 +242,6 @@ let () =
       ( "arena",
         [
           Alcotest.test_case "reverse emission order" `Quick test_arena_reverse_emission_order;
-          Alcotest.test_case "slice order" `Quick test_arena_slice_order;
-          Alcotest.test_case "open tail slice" `Quick test_arena_open_tail_is_a_slice;
         ] );
       ( "generator",
         [ Alcotest.test_case "parameter guards" `Quick test_stream_generator_guards ] );
