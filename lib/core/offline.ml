@@ -1247,25 +1247,34 @@ struct
 
   (* Lemma 2 over the grid intervals [first..last]: inside each, stack the
      phases' wrap-packed blocks onto disjoint processors, fastest phase
-     lowest. *)
+     lowest.  Each phase's [alloc] is bucketed by interval once, in alloc
+     order, so the pass costs O(k + |alloc|) per phase and emits phase by
+     phase; [Schedule.make] and [slice_of_run] sort what it emits. *)
   let pack ~machines ~first ~last ~emit (run : run) =
-    for j = first to last do
-      let t0 = run.breakpoints.(j) and t1 = run.breakpoints.(j + 1) in
-      let offset = ref 0 in
-      List.iter
-        (fun (phase : phase) ->
+    let width = last - first + 1 in
+    let buckets = Array.make width [] and offset = Array.make width 0 in
+    List.iter
+      (fun (phase : phase) ->
+        List.fold_right
+          (fun (i, j, t) () ->
+            if first <= j && j <= last then buckets.(j - first) <- (i, t) :: buckets.(j - first))
+          phase.alloc ();
+        for j = first to last do
+          let b = j - first in
           let procs = phase.procs.(j) in
           if procs > 0 then begin
-            let entries =
-              List.filter_map (fun (i, j', t) -> if j' = j then Some (i, t) else None) phase.alloc
+            let used =
+              wrap_pack ~t0:run.breakpoints.(j) ~t1:run.breakpoints.(j + 1)
+                ~proc_offset:offset.(b) ~speed:phase.speed ~emit buckets.(b)
             in
-            if wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed ~emit entries > procs
-            then failwith "Offline: packing exceeded reservation";
-            offset := !offset + procs
-          end)
-        run.schedule_phases;
-      if !offset > machines then failwith "Offline: reservations exceed machines"
-    done
+            if used > procs then failwith "Offline: packing exceeded reservation";
+            offset.(b) <- offset.(b) + procs
+          end;
+          buckets.(b) <- []
+        done)
+      run.schedule_phases;
+    if Array.exists (fun used -> used > machines) offset then
+      failwith "Offline: reservations exceed machines"
 
   let schedule_segments ~machines (run : run) =
     let segments = ref [] in

@@ -164,7 +164,8 @@ module MakeWith
   val schedule_segments : machines:int -> run -> segment list
   (** The whole run through {!wrap_pack}: inside each grid interval the
       phases' blocks are stacked onto disjoint processors, fastest phase
-      lowest.  On the rational instance the materialized schedule is
+      lowest.  Segments come phase by phase, in interval order within a
+      phase.  On the rational instance the materialized schedule is
       exact.
       @raise Failure if a phase's packing needs more processors than it
       reserved, or the reservations exceed [machines]. *)

@@ -2,7 +2,7 @@
 
    The paper analyzes both online algorithms; this experiment shows how
    they compare on the workload regimes the introduction motivates, plus
-   schedule quality metrics (migrations, preemptions, peak speed). *)
+   each schedule's migration count. *)
 
 module Table = Ss_numeric.Table
 module Power = Ss_model.Power

@@ -6,7 +6,9 @@
    them all.  The Lemma 2 wrap-packing that builds the offline, OA(m)
    and AVR(m) schedules lives with the solver
    (Ss_core.Offline.MakeWith.wrap_pack), in its field arithmetic, so the
-   exact-rational replay certifies the code that production runs. *)
+   exact-rational replay certifies the code that production runs.  The
+   audit compares adjacent segments in the stored (proc, t0, job) order
+   and in one stable sort by (job, t0): O(S log S) for S segments. *)
 
 type segment = {
   job : int;
@@ -32,6 +34,8 @@ let make ~machines segments =
   Array.iter
     (fun s ->
       if s.proc < 0 || s.proc >= machines then invalid_arg "Schedule.make: processor out of range";
+      if not (Float.is_finite s.t0 && Float.is_finite s.t1 && Float.is_finite s.speed) then
+        invalid_arg "Schedule.make: non-finite segment";
       if not (s.t0 < s.t1) then invalid_arg "Schedule.make: empty or negative segment";
       if s.speed <= 0. then invalid_arg "Schedule.make: non-positive speed";
       if s.job < 0 then invalid_arg "Schedule.make: negative job id")
@@ -86,38 +90,23 @@ let speeds_at t time =
     t.segments;
   v
 
-let segments_of_job t job =
-  Array.to_list t.segments
-  |> List.filter (fun s -> s.job = job)
-  |> List.sort (fun a b -> Float.compare a.t0 b.t0)
-
-(* Number of times a job resumes on a different processor than the one it
-   last ran on. *)
-let migrations_of_job t job =
-  let segs = segments_of_job t job in
-  let rec count acc = function
-    | a :: (b :: _ as rest) -> count (if a.proc <> b.proc then acc + 1 else acc) rest
-    | _ -> acc
-  in
-  count 0 segs
+(* [f a b] on each pair of consecutive segments of one job, in (job, t0)
+   order.  The sort is stable over the stored (proc, t0, job) order, so
+   equal starts keep processor order. *)
+let iter_job_pairs t f =
+  let by_job = Array.copy t.segments in
+  Array.stable_sort
+    (fun a b -> match Int.compare a.job b.job with 0 -> Float.compare a.t0 b.t0 | c -> c)
+    by_job;
+  for i = 0 to Array.length by_job - 2 do
+    let a = by_job.(i) and b = by_job.(i + 1) in
+    if a.job = b.job then f a b
+  done
 
 let total_migrations ~jobs t =
   let acc = ref 0 in
-  for j = 0 to jobs - 1 do
-    acc := !acc + migrations_of_job t j
-  done;
+  iter_job_pairs t (fun a b -> if a.job < jobs && a.proc <> b.proc then incr acc);
   !acc
-
-(* Number of times a job is suspended and later resumed. *)
-let preemptions_of_job ?(tol = 1e-9) t job =
-  let segs = segments_of_job t job in
-  let rec count acc = function
-    | a :: (b :: _ as rest) ->
-      let gap = b.t0 -. a.t1 > tol *. (1. +. Float.abs a.t1) in
-      count (if gap || a.proc <> b.proc then acc + 1 else acc) rest
-    | _ -> acc
-  in
-  count 0 segs
 
 type infeasibility =
   | Unknown_job of int
@@ -152,11 +141,11 @@ let check ?(tol = 1e-6) (inst : Job.instance) t =
         then push (Outside_window s.job)
       end)
     t.segments;
-  (* Work accounting. *)
+  (* Work accounting, negated so that a NaN total is wrong work. *)
   let w = work_by_job ~jobs:n t in
   for i = 0 to n - 1 do
     let want = inst.jobs.(i).work in
-    if Float.abs (w.(i) -. want) > tol *. Float.max 1. want then
+    if not (Float.abs (w.(i) -. want) <= tol *. Float.max 1. want) then
       push (Wrong_work { job = i; got = w.(i); want })
   done;
   (* No processor double-booking: segments are sorted by (proc, t0). *)
@@ -166,17 +155,10 @@ let check ?(tol = 1e-6) (inst : Job.instance) t =
     if a.proc = b.proc && b.t0 < a.t1 -. rel_tol a.t1 then
       push (Processor_overlap { proc = a.proc; time = b.t0 })
   done;
-  (* No job running on two processors at once: sweep per job. *)
-  for j = 0 to n - 1 do
-    let segs = segments_of_job t j in
-    let rec sweep = function
-      | a :: (b :: _ as rest) ->
-        if b.t0 < a.t1 -. rel_tol a.t1 then push (Parallel_execution { job = j; time = b.t0 });
-        sweep rest
-      | _ -> ()
-    in
-    sweep segs
-  done;
+  (* No job running on two processors at once. *)
+  iter_job_pairs t (fun a b ->
+      if a.job < n && b.t0 < a.t1 -. rel_tol a.t1 then
+        push (Parallel_execution { job = a.job; time = b.t0 }));
   List.rev !errs
 
 let is_feasible ?tol inst t = check ?tol inst t = []

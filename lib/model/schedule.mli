@@ -16,7 +16,8 @@ type t
 
 val make : machines:int -> segment list -> t
 (** Sorts segments by (processor, start).
-    @raise Invalid_argument on malformed segments. *)
+    @raise Invalid_argument on malformed segments, including a
+    non-finite [t0], [t1] or [speed]. *)
 
 val empty : machines:int -> t
 val machines : t -> int
@@ -37,9 +38,9 @@ val max_speed : t -> float
 val speeds_at : t -> float -> float array
 (** Per-processor speeds at an instant (0 when idle). *)
 
-val migrations_of_job : t -> int -> int
 val total_migrations : jobs:int -> t -> int
-val preemptions_of_job : ?tol:float -> t -> int -> int
+(** Times a job of [\[0, jobs)] resumes on a different processor than
+    the one it last ran on, summed over those jobs. *)
 
 type infeasibility =
   | Unknown_job of int
@@ -52,7 +53,10 @@ val pp_infeasibility : Format.formatter -> infeasibility -> unit
 
 val check : ?tol:float -> Job.instance -> t -> infeasibility list
 (** Complete audit: work totals, windows, processor double-booking, no job
-    on two processors at once.  [tol] is relative (default [1e-6]). *)
+    on two processors at once.  [tol] is relative (default [1e-6]).  The
+    last two compare adjacent segments, sorted by (processor, start) and
+    by (job, start); any overlap shows in an adjacent pair, so the audit
+    costs O(S log S) for S segments. *)
 
 val is_feasible : ?tol:float -> Job.instance -> t -> bool
 

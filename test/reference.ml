@@ -16,7 +16,14 @@
    event-driven path (calendar, incremental active set, arena, solver
    session); the tests require that path to equal these functions by
    float bits ([same_schedule], [same_plans]), not by polymorphic [=],
-   which cannot tell -0.0 from 0.0. *)
+   which cannot tell -0.0 from 0.0.
+
+   [schedule_of_run] is the Lemma 2 packer interval by interval, with each
+   phase's allocation filtered afresh for every interval, and [check] and
+   [total_migrations] audit a schedule one job at a time, filtering and
+   sorting the whole segment array per job.  The library buckets each
+   phase's allocation once and audits on one (job, t0) order; the tests
+   require equal segments and equal error lists by float bits. *)
 
 module Job = Ss_model.Job
 module Schedule = Ss_model.Schedule
@@ -41,6 +48,18 @@ let same_schedule a b =
   && same_segments
        (Array.to_list (Schedule.segments a))
        (Array.to_list (Schedule.segments b))
+
+let same_infeasibility (a : Schedule.infeasibility) (b : Schedule.infeasibility) =
+  match (a, b) with
+  | Unknown_job i, Unknown_job j | Outside_window i, Outside_window j -> i = j
+  | Wrong_work a, Wrong_work b ->
+    a.job = b.job && same_float a.got b.got && same_float a.want b.want
+  | Processor_overlap a, Processor_overlap b -> a.proc = b.proc && same_float a.time b.time
+  | Parallel_execution a, Parallel_execution b -> a.job = b.job && same_float a.time b.time
+  | _ -> false
+
+let same_infeasibilities a b =
+  List.length a = List.length b && List.for_all2 same_infeasibility a b
 
 let same_plans (a : Oa.plan list) (b : Oa.plan list) =
   let same_speed (i, s) (j, t) = i = j && same_float s t in
@@ -294,6 +313,129 @@ let clip_segments ~lo ~hi segments =
       if t1 > t0 then Some { s with t0; t1 } else None)
     segments
 
+(* --- the Lemma 2 packer: one allocation scan per (interval, phase) ------- *)
+
+(* Interval by interval, the phases' wrap-packed blocks stacked fastest
+   lowest, each block's pieces filtered out of the phase's whole
+   allocation. *)
+let schedule_of_run ~machines (run : Offline.F.run) =
+  let segments = ref [] in
+  let emit job proc t0 t1 speed = segments := { Schedule.job; proc; t0; t1; speed } :: !segments in
+  for j = 0 to Array.length run.breakpoints - 2 do
+    let t0 = run.breakpoints.(j) and t1 = run.breakpoints.(j + 1) in
+    let offset = ref 0 in
+    List.iter
+      (fun (phase : Offline.F.phase) ->
+        let procs = phase.procs.(j) in
+        if procs > 0 then begin
+          let entries =
+            List.filter_map (fun (i, j', t) -> if j' = j then Some (i, t) else None) phase.alloc
+          in
+          if
+            Offline.F.wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed ~emit entries
+            > procs
+          then failwith "Reference.schedule_of_run: packing exceeded reservation";
+          offset := !offset + procs
+        end)
+      run.schedule_phases;
+    if !offset > machines then failwith "Reference.schedule_of_run: reservations exceed machines"
+  done;
+  Schedule.make ~machines !segments
+
+(* Where the library's packer departs from [schedule_of_run] by float
+   bits, or [None]: [Offline.schedule_of_run] on the whole run, then
+   [Offline.slice_of_run] on the whole horizon and on 20 windows drawn
+   from [seed], each against the reference schedule clipped to it. *)
+let packing_mismatch ~machines ~seed (run : Offline.F.run) =
+  let expected = schedule_of_run ~machines run in
+  if not (same_schedule (Offline.schedule_of_run ~machines run) expected) then
+    Some "schedule_of_run"
+  else
+    let b = run.breakpoints in
+    let lo = b.(0) and hi = b.(Array.length b - 1) in
+    let rng = Ss_workload.Rng.create ~seed in
+    let windows =
+      (lo, hi)
+      :: List.init 20 (fun _ ->
+             let x = Ss_workload.Rng.uniform rng ~lo ~hi
+             and y = Ss_workload.Rng.uniform rng ~lo ~hi in
+             (Float.min x y, Float.max x y))
+    in
+    let full = Array.to_list (Schedule.segments expected) in
+    List.find_map
+      (fun (lo, hi) ->
+        if
+          hi > lo
+          && not
+               (same_segments (Offline.slice_of_run ~machines run ~lo ~hi)
+                  (clip_segments ~lo ~hi full))
+        then Some (Printf.sprintf "slice_of_run [%h, %h)" lo hi)
+        else None)
+      windows
+
+(* --- the schedule audit: one filter and sort per job -------------------- *)
+
+(* A job's segments in start order; equal starts keep the stored
+   (proc, t0, job) order, because [List.sort] is stable. *)
+let job_segments t job =
+  Array.to_list (Schedule.segments t)
+  |> List.filter (fun (s : Schedule.segment) -> s.job = job)
+  |> List.sort (fun (a : Schedule.segment) b -> Float.compare a.t0 b.t0)
+
+let job_migrations t job =
+  let rec count acc = function
+    | (a : Schedule.segment) :: (b :: _ as rest) ->
+      count (if a.proc <> b.proc then acc + 1 else acc) rest
+    | _ -> acc
+  in
+  count 0 (job_segments t job)
+
+let total_migrations ~jobs t =
+  let acc = ref 0 in
+  for j = 0 to jobs - 1 do
+    acc := !acc + job_migrations t j
+  done;
+  !acc
+
+(* [Schedule.check] at its default tolerance. *)
+let check (inst : Job.instance) t =
+  let tol = 1e-6 in
+  let errs = ref [] in
+  let n = Array.length inst.jobs in
+  let push e = errs := e :: !errs in
+  let rel_tol x = tol *. (1. +. Float.abs x) in
+  let segments = Schedule.segments t in
+  Array.iter
+    (fun (s : Schedule.segment) ->
+      if s.job >= n then push (Schedule.Unknown_job s.job)
+      else begin
+        let j = inst.jobs.(s.job) in
+        if s.t0 < j.release -. rel_tol j.release || s.t1 > j.deadline +. rel_tol j.deadline
+        then push (Outside_window s.job)
+      end)
+    segments;
+  let w = Schedule.work_by_job ~jobs:n t in
+  for i = 0 to n - 1 do
+    let want = inst.jobs.(i).work in
+    if not (Float.abs (w.(i) -. want) <= tol *. Float.max 1. want) then
+      push (Wrong_work { job = i; got = w.(i); want })
+  done;
+  for i = 0 to Array.length segments - 2 do
+    let a = segments.(i) and b = segments.(i + 1) in
+    if a.proc = b.proc && b.t0 < a.t1 -. rel_tol a.t1 then
+      push (Processor_overlap { proc = a.proc; time = b.t0 })
+  done;
+  for j = 0 to n - 1 do
+    let rec sweep = function
+      | (a : Schedule.segment) :: (b :: _ as rest) ->
+        if b.t0 < a.t1 -. rel_tol a.t1 then push (Parallel_execution { job = j; time = b.t0 });
+        sweep rest
+      | _ -> ()
+    in
+    sweep (job_segments t j)
+  done;
+  List.rev !errs
+
 (* --- AVR(m): one whole-array rescan per unit interval -------------------- *)
 
 let avr (inst : Job.instance) =
@@ -353,7 +495,7 @@ let oa (inst : Job.instance) =
                  match Int.compare i1 i2 with 0 -> Float.compare s1 s2 | c -> c)
         in
         plans := { Oa.at = now; upto; job_speeds } :: !plans;
-        let full = Offline.schedule_of_run ~machines:inst.machines run in
+        let full = schedule_of_run ~machines:inst.machines run in
         let slice =
           clip_segments ~lo:now ~hi:upto (Array.to_list (Schedule.segments full))
           |> List.map (fun (s : Schedule.segment) -> { s with job = ids.(s.job) })

@@ -45,13 +45,17 @@ let check_reference name inst run =
     (Reference.offline_mismatch inst run)
 
 (* The run's allocation materializes into a schedule that passes the
-   (tolerance-aware on floats) feasibility audit. *)
+   (tolerance-aware on floats) feasibility audit, and the production
+   packer's whole schedule and slices equal the reference packer's by
+   float bits. *)
 let check_segments name (inst : Job.instance) run =
   let jobs = float_jobs inst in
   Alcotest.(check int) (name ^ ": segment violations") 0
     (List.length
        (Offline.F.check_segments ~machines:inst.machines jobs
-          (Offline.F.schedule_segments ~machines:inst.machines run)))
+          (Offline.F.schedule_segments ~machines:inst.machines run)));
+  Alcotest.(check (option string)) (name ^ ": packing = reference") None
+    (Reference.packing_mismatch ~machines:inst.machines ~seed:(Hashtbl.hash name) run)
 
 (* --- (a) solver agreement -------------------------------------------- *)
 

@@ -186,6 +186,17 @@ let prop_decomposed_segments_valid =
         (Offline.F.schedule_segments ~machines:inst.machines run)
       = [])
 
+let prop_decomposed_packing_reference =
+  QCheck.Test.make ~count:40 ~name:"decomposed packing = reference, by float bits"
+    QCheck.small_nat
+    (fun seed ->
+      let inst = clustered_instance (seed + 400) in
+      match
+        Reference.packing_mismatch ~machines:inst.machines ~seed (Offline.run inst)
+      with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
 let () =
   Alcotest.run "decomposition"
     [
@@ -208,5 +219,6 @@ let () =
             prop_decomposed_bitwise_random;
             prop_decomposed_bitwise_clustered;
             prop_decomposed_segments_valid;
+            prop_decomposed_packing_reference;
           ] );
     ]

@@ -148,7 +148,10 @@ let test_failure_injection () =
   let expect_error name sched pred =
     match Schedule.check two_job_instance sched with
     | [] -> Alcotest.failf "%s accepted" name
-    | errs -> check_bool name true (List.exists pred errs)
+    | errs ->
+      check_bool name true (List.exists pred errs);
+      check_bool (name ^ " = reference") true
+        (Reference.same_infeasibilities errs (Reference.check two_job_instance sched))
   in
   (* Too little work. *)
   expect_error "wrong work"
@@ -169,7 +172,11 @@ let test_failure_injection () =
   (* Unknown job id. *)
   expect_error "unknown job"
     (Schedule.make ~machines:2 [ seg 0 0 0. 2. 1.; seg 1 1 0. 2. 2.; seg 7 0 0. 0.001 1. ])
-    (function Schedule.Unknown_job 7 -> true | _ -> false)
+    (function Schedule.Unknown_job 7 -> true | _ -> false);
+  (* Finite segments whose work sum overflows into NaN. *)
+  expect_error "overflowing work"
+    (Schedule.make ~machines:2 [ seg 0 0 0. 1. 1e308; seg 0 0 1. 2. 1e308; seg 1 1 0. 2. 2. ])
+    (function Schedule.Wrong_work { job = 0; _ } -> true | _ -> false)
 
 let test_schedule_constructor_guards () =
   List.iter
@@ -181,15 +188,18 @@ let test_schedule_constructor_guards () =
       ("bad proc", [ seg 0 5 0. 1. 1. ]);
       ("empty segment", [ seg 0 0 1. 1. 1. ]);
       ("negative speed", [ seg 0 0 0. 1. (-1.) ]);
+      ("nan speed", [ seg 0 0 0. 1. Float.nan ]);
+      ("infinite speed", [ seg 0 0 0. 1. Float.infinity ]);
+      ("infinite end", [ seg 0 0 0. Float.infinity 1. ]);
     ]
 
+(* One migration (P0 to P1) and one preemption on P1: only the
+   migration counts. *)
 let test_migration_and_preemption () =
   let s =
     Schedule.make ~machines:2
       [ seg 0 0 0. 1. 1.; seg 0 1 1. 2. 1.; seg 0 1 3. 4. 1. ]
   in
-  check_int "migrations" 1 (Schedule.migrations_of_job s 0);
-  check_int "preemptions" 2 (Schedule.preemptions_of_job s 0);
   check_int "total migrations" 1 (Schedule.total_migrations ~jobs:1 s)
 
 let test_concat () =
@@ -199,6 +209,39 @@ let test_concat () =
   Alcotest.check_raises "machine mismatch"
     (Invalid_argument "Schedule.concat: machine count mismatch") (fun () ->
       ignore (Schedule.concat a (Schedule.empty ~machines:3)))
+
+(* Random faulty schedules against the per-job reference audit: up to 12
+   jobs on up to 4 processors, the offline optimum or nothing, plus up to
+   30 segments on a half-unit grid, so that starts tie across processors,
+   one job's segments overlap, and job ids run past the instance. *)
+let prop_check_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"check and total_migrations = per-job reference"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Ss_workload.Rng.create ~seed in
+      let int bound = Ss_workload.Rng.int rng ~bound in
+      let half k = 0.5 *. float_of_int k in
+      let n = 1 + int 12 and machines = 1 + int 4 in
+      let inst =
+        Job.instance ~machines
+          (List.init n (fun _ ->
+               let r = half (int 16) in
+               j r (r +. half (1 + int 16)) (half (1 + int 12))))
+      in
+      let base =
+        if Ss_workload.Rng.bool rng then Offline.optimal_schedule inst
+        else Schedule.empty ~machines
+      in
+      let noise =
+        List.init (int 31) (fun _ ->
+            let t0 = half (int 48) in
+            seg (int (n + 2)) (int machines) t0 (t0 +. half (1 + int 8)) (half (1 + int 6)))
+      in
+      let s = Schedule.concat base (Schedule.make ~machines noise) in
+      Reference.same_infeasibilities (Schedule.check inst s) (Reference.check inst s)
+      && List.for_all
+           (fun jobs -> Schedule.total_migrations ~jobs s = Reference.total_migrations ~jobs s)
+           [ n; n + 2 ])
 
 (* --- wrap_pack ---------------------------------------------------------- *)
 
@@ -376,5 +419,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_wrap_pack_conserves_time; prop_wrap_pack_no_machine_overlap ] );
+          [
+            prop_check_matches_reference;
+            prop_wrap_pack_conserves_time;
+            prop_wrap_pack_no_machine_overlap;
+          ] );
     ]
