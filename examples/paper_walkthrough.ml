@@ -33,7 +33,7 @@ let () =
   done;
 
   Format.printf
-    "@.=== Fig. 2 execution: %d phases, %d max-flow rounds, %d Lemma-4 removals ===@."
+    "@.=== Fig. 2 execution: %d phases, %d max-flow rounds, %d removals ===@."
     run.stats.phases run.stats.rounds run.stats.removals;
   List.iteri
     (fun i (phase : Offline.F.phase) ->

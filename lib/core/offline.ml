@@ -13,9 +13,10 @@
 
    If the flow saturates the source (equivalently the sink, both sides
    total P), the conjecture is correct and the flow values on job->interval
-   edges are the execution times t_kj.  Otherwise some sink edge is
-   unsaturated; any job with a non-full edge into such an interval provably
-   does not belong to J_i (Lemma 4) and is removed for the next round.
+   edges are the execution times t_kj.  Otherwise every job the maximum
+   flow leaves unreachable from the source in its residual network
+   provably does not belong to J_i (the set contains every Lemma 4
+   certificate; see [certify]) and is removed for the next round.
 
    The module is a functor over an ordered field: instantiated at floats
    for speed and at exact rationals to certify the float run.  The Lemma 2
@@ -112,7 +113,6 @@ struct
     mutable victim_mark : bool array;
     mutable nj : int array;
     mutable procs : int array;
-    mutable unsat_next : int array; (* certify: first unsaturated interval >= j *)
     mutable job_vertex : int array;
     mutable ivl_vertex : int array;
     mutable source_edge : int array;
@@ -157,7 +157,6 @@ struct
       victim_mark = [||];
       nj = [||];
       procs = [||];
-      unsat_next = [||];
       job_vertex = [||];
       ivl_vertex = [||];
       source_edge = [||];
@@ -209,7 +208,6 @@ struct
       ws.used <- Array.make k' 0;
       ws.nj <- Array.make k' 0;
       ws.procs <- Array.make k' 0;
-      ws.unsat_next <- Array.make (k' + 1) 0;
       ws.ivl_vertex <- Array.make k' (-1);
       ws.sink_edge <- Array.make k' (-1);
       ws.kslots <- k';
@@ -381,10 +379,11 @@ struct
      come from its supporter list.  Augmenting along shortest paths until
      the sink is unreachable makes the flow maximum — Edmonds–Karp
      termination needs no integrality — so the oracle's value answers the
-     accept test exactly and its sparse (job, interval) allocation is a
-     valid Lemma 4 certificate.  The sweep leaves few mistakes to repair:
-     across the test matrix the completion averages under one augmentation
-     per round. *)
+     accept test exactly, and the final BFS, which found the sink
+     unreachable, leaves [aug_visited] marking the jobs reachable from the
+     source: the removal set of a failed round (see [certify]).  The sweep
+     leaves few mistakes to repair: across the test matrix the completion
+     averages under one augmentation per round. *)
   let sweep ws ~n ~k (jobs : job array) speed =
     let candidate = ws.candidate
     and procs = ws.procs
@@ -778,53 +777,33 @@ struct
           ~cap:(F.mul (F.of_int ws.procs.(j)) ws.widths.(j))
     done
 
-  (* --- Lemma 4 certificates ----------------------------------------------
-     Mark every candidate with a non-full pair into an unsaturated interval:
-     each certificate refers to the same maximum flow, so every marked job
-     is individually removable by Lemma 4, and removing them together
-     reaches the same phase partition (the unique fixed point) in fewer
-     rounds than one victim per max flow.  Returns the number marked. *)
-  let certify ws ~n ~k ~sink_flow_at ~pair_flow_at =
-    let procs = ws.procs and widths = ws.widths and unsat = ws.unsat_next in
-    unsat.(k) <- k;
-    for j = k - 1 downto 0 do
-      unsat.(j) <-
-        (if
-           procs.(j) > 0
-           && not (F.equal_approx (sink_flow_at j) (F.mul (F.of_int procs.(j)) widths.(j)))
-         then j
-         else unsat.(j + 1))
-    done;
-    if unsat.(0) = k then
-      failwith "Offline.solve: flow deficit without unsaturated sink edge";
+  (* --- removal certificates ----------------------------------------------
+     A failed round marks every candidate its maximum flow leaves
+     unreachable from the source in the residual network.  Every minimum
+     cut keeps the whole phase class on its source side, and that reach is
+     the smallest such side (DESIGN.md section 4), so no marked job is in
+     the class; the set is the same for every maximum flow and contains
+     every Lemma 4 certificate.  Returns the number marked. *)
+  let certify ws ~n ~reached =
     let mark = ws.victim_mark in
-    Array.fill mark 0 n false;
     let marked = ref 0 in
     for i = 0 to n - 1 do
-      if ws.candidate.(i) then begin
-        let j = ref unsat.(ws.first_ivl.(i)) in
-        while !j <= ws.last_ivl.(i) do
-          if F.equal_approx (pair_flow_at i !j) widths.(!j) then j := unsat.(!j + 1)
-          else begin
-            mark.(i) <- true;
-            incr marked;
-            j := k
-          end
-        done
-      end
+      let victim = ws.candidate.(i) && not (reached i) in
+      mark.(i) <- victim;
+      if victim then incr marked
     done;
-    if !marked = 0 then
-      failwith "Offline.solve: unsaturated interval without removable job";
+    if !marked = 0 then failwith "Offline.solve: flow deficit without unreachable candidate";
     !marked
 
   (* The round loop.  Each phase conjectures the remaining jobs as the next
      speed class; each round asks the oracle for a maximum flow of the
      Fig. 1 network of the current candidates at their conjectured speed.
      A saturating flow accepts the phase and its pair flows are the t_kj; a
-     deficit removes every job the flow certifies (Lemma 4) and conjectures
-     again.  Phases, removals, speeds and reservations are fixed by the
-     instance, and for a given oracle so are the t_kj; grouping the
-     removals only cuts the round count.
+     deficit removes every candidate the flow cannot reach from the source
+     (see [certify]) and conjectures again.  Phases, removals, speeds and
+     reservations are fixed by the instance, and for a given oracle so are
+     the t_kj, because the accepting round's flow depends only on the
+     accepted set.
 
      Two oracles answer a round, chosen per component by size (the sweep
      iff [n * k >= compress_threshold]):
@@ -834,11 +813,12 @@ struct
        augmentation (see [sweep]), which computes a maximum flow of the same
        network without materializing it.  It builds no flow network at
        all, so the network counters read 0.
-     Both return maximum flows of the same network: accept decisions,
-     certificates, phase partitions, speeds, reservations and energies
-     agree, while the t_kj split among a phase's equal-speed members may
-     differ between the two (every member's total is its demand either
-     way). *)
+     Both return maximum flows of the same network, and each reads the
+     removal set off its own final BFS (Dinic's last level graph, the
+     sweep's last Stage-2 search): accept decisions, removals, phase
+     partitions, speeds, reservations and energies agree, while the t_kj
+     split among a phase's equal-speed members may differ between the two
+     (every member's total is its demand either way). *)
   let solve_in ~ws ~machines (jobs : job array) =
     let n = Array.length jobs in
     let breakpoints = sort_uniq_times jobs in
@@ -958,16 +938,8 @@ struct
         end
         else begin
           let marked =
-            if use_sweep then
-              certify ws ~n ~k
-                ~sink_flow_at:(fun j -> ws.sweep_sink.(j))
-                ~pair_flow_at:(fun i j -> pair_flow ws ((i * k) + j))
-            else
-              certify ws ~n ~k
-                ~sink_flow_at:(fun j -> Flow.flow_on g ws.sink_edge.(j))
-                ~pair_flow_at:(fun i j ->
-                  let e = ws.job_edge.((i * k) + j) in
-                  if e >= 0 then Flow.flow_on g e else F.zero)
+            if use_sweep then certify ws ~n ~reached:(fun i -> ws.aug_visited.(i))
+            else certify ws ~n ~reached:(fun i -> Flow.reached g ws.job_vertex.(i))
           in
           if marked > 1 then incr grouped;
           largest_group := max !largest_group marked;

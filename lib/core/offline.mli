@@ -33,9 +33,9 @@ module MakeWith
     resumes : int;
         (** failed dense rounds answered by rewinding the network in place
             (the network is built once per component) *)
-    removals : int;  (** Lemma 4 job removals, fixed by the instance *)
+    removals : int;  (** jobs removed by failed rounds, fixed by the instance *)
     grouped : int;
-        (** failed rounds that removed more than one certified job at once;
+        (** failed rounds that removed more than one job at once;
             [grouped <= rounds - phases] *)
     largest_group : int;
         (** the most jobs one failed round removed (max across components) *)
@@ -75,11 +75,12 @@ module MakeWith
   val solve : machines:int -> job array -> run
   (** Each phase conjectures the remaining jobs as the next speed class;
       each round asks for a maximum flow of the Fig. 1 network of the
-      current candidates.  A failed round removes {e every} job its flow
-      certifies (Lemma 4) at once.  The phase partition is the unique fixed
-      point of certified removals, so phases, removals, speeds,
-      reservations and energy are fixed by the instance; grouping only cuts
-      the round count.
+      current candidates.  A failed round removes at once {e every}
+      candidate the flow cannot reach from the source in its residual
+      network: a set outside the phase's class, the same for every
+      maximum flow, that contains every job Lemma 4 certifies.  Phases,
+      removals, speeds, reservations, energy and the round counters are
+      therefore fixed by the instance.
 
       The instance is first split at zero-coverage grid points (see
       {!components}).  The components are solved one after another on one

@@ -1,8 +1,8 @@
-(* A5 — ablation: grouped Lemma 4 removal.
+(* A5 — ablation: grouped removal of unreachable candidates.
 
-   When a round's flow falls short, *every* job with a non-full edge into an
-   unsaturated interval is provably outside the conjectured class (Lemma 4
-   refers to one maximum flow, so all its certificates hold at once).  The
+   When a round's flow falls short, *every* candidate its maximum flow
+   cannot reach from the source is provably outside the conjectured class
+   (DESIGN.md section 4; the set contains every Lemma 4 certificate).  The
    solver removes them all in one round; removing one victim per max flow
    reaches the same partition in more rounds.  This table reports how much
    grouping saves — failed rounds against removals, and the largest group one
@@ -47,7 +47,7 @@ let run () =
   let table =
     Table.make
       ~title:
-        "A5 (ablation): grouped Lemma 4 removal (m=4)\n\
+        "A5 (ablation): grouped removal of unreachable candidates (m=4)\n\
          expected: failed rounds well below removals; energy equal to the exact replay"
       ~headers:
         [ "n"; "phases"; "failed rounds"; "removals"; "largest group"; "exact energy" ]
@@ -57,7 +57,7 @@ let run () =
     ~notes:
       [
         "One victim per max flow would need one failed round per removal; the \
-         partition, and so the removal count, is the same either way.";
+         partition, and so the removal count, is the same under every removal rule.";
       ]
     [ table ]
 
@@ -65,6 +65,6 @@ let exp : Common.t =
   {
     id = "a5";
     title = "grouped removal ablation";
-    validates = "Lemma 4 (every certified job is removable at once)";
+    validates = "Lemma 4 via min cut (every unreachable candidate is removable at once)";
     run;
   }

@@ -1,6 +1,6 @@
 (* E8 — polynomiality evidence for the offline algorithm.
 
-   Counts of phases, flow computations and Lemma-4 removals as n grows.
+   Counts of phases, flow computations and removals as n grows.
    Theory: phases <= n, each failed round removes at least one job and
    each accepted round closes a phase, so phases <= rounds <= phases +
    removals and everything is polynomial. *)

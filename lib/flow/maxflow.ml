@@ -409,6 +409,11 @@ module Make (F : Ss_numeric.Field.S) = struct
     (* Flow value = excess accumulated at the sink. *)
     excess.(sink)
 
+  (* After [dinic]: whether its last BFS, the one that found the sink
+     unreachable, labelled [v].  That BFS has no early exit, so these are
+     the vertices [min_cut] returns, without a second traversal. *)
+  let reached g v = g.level.(v) >= 0
+
   (* Vertices reachable from [source] in the residual graph; after a
      max-flow this is the source side of a minimum cut. *)
   let min_cut g ~source =

@@ -62,6 +62,12 @@ module Make (F : Ss_numeric.Field.S) : sig
   val min_cut : t -> source:int -> bool array
   (** Source side of a minimum cut (valid after a max-flow run). *)
 
+  val reached : t -> int -> bool
+  (** After {!dinic}: whether its last BFS labelled the vertex, i.e.
+      whether the vertex is reachable from the source in the residual
+      network of the maximum flow.  These are the vertices {!min_cut}
+      marks, read without a second traversal. *)
+
   val cut_capacity : t -> bool array -> F.t
   (** Capacity of the cut induced by a side assignment. *)
 

@@ -9,10 +9,10 @@
 
    Replanning runs on a cross-arrival solver session: one persistent flow
    arena and scratch workspace serve every replan, failed rounds remove
-   all their Lemma 4 victims at once, and only the plan slice up to the
-   next arrival is materialized.  test/reference.ml replans from scratch
-   per arrival (a fresh solver and a full materialization) and the tests
-   compare the two by float bits.
+   every candidate their maximum flow cannot reach from the source at
+   once, and only the plan slice up to the next arrival is materialized.
+   test/reference.ml replans from scratch per arrival (a fresh solver and
+   a full materialization) and the tests compare the two by float bits.
 
    [run_detailed] additionally records each replanning decision (the
    planned constant speed of every live job).  The plan history is where

@@ -16,7 +16,7 @@ type info = {
   replans : int;
   total_rounds : int;  (** max-flow computations across all replans *)
   grouped_rounds : int;
-      (** failed rounds that cleared more than one Lemma 4 victim at once *)
+      (** failed rounds that removed more than one job at once *)
   arena_grows : int;  (** replans that had to grow the session arena *)
 }
 
@@ -27,7 +27,7 @@ val run_detailed :
 (** Full simulation plus the replanning history: the planned speeds in
     it are what the Lemma 7/8 checks and the {!Potential} audit read.
     Replans run on one cross-arrival solver session — a persistent flow
-    arena and workspace, grouped Lemma 4 removals, slice-only
+    arena and workspace, grouped removals, slice-only
     materialization — driven by {!Engine.replan_fold}.  [stats]
     accumulates {!Engine.counters} in place. *)
 

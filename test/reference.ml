@@ -1,12 +1,17 @@
 (* Naive references for the offline solver and the online algorithms.
 
    [offline] is the paper's Fig. 2 written out plainly: the whole
-   instance, no decomposition, no sweep oracle and no workspace, a fresh
-   Fig. 1 network per round on the generic flow functor, and every
-   Lemma 4-certified job found by a direct scan over all (job, interval)
-   edges.  The library solves components in turn on one workspace and
-   answers large rounds with the sweep oracle; the tests require it to
-   equal [offline] by float bits ([offline_mismatch]).
+   instance, no decomposition, no sweep oracle and no workspace, and a
+   fresh Fig. 1 network per round on the generic flow functor.  A failed
+   round removes, by default, every Lemma 4-certified job, found by a
+   direct scan over all (job, interval) edges; with [~rule:Unreachable]
+   it removes every candidate outside [Net.min_cut]'s source side, found
+   by a depth-first search on that fresh network.  The library solves
+   components in turn on one workspace, answers large rounds with the
+   sweep oracle and removes the unreachable candidates it reads off the
+   oracle's last BFS; the tests require it to equal [offline] under both
+   rules by float bits ([offline_mismatch]), and its counters to equal
+   the [Unreachable] reference's.
 
    The online functions re-derive a simulator's output the slow, obvious
    way: whole-array rescans per unit interval (AVR) or per arrival (OA), a
@@ -91,7 +96,12 @@ let same_run (a : Offline.F.run) (b : Offline.F.run) =
 module Fl = Ss_numeric.Field.Float
 module Net = Ss_flow.Maxflow.Make (Fl)
 
-let offline (inst : Job.instance) : Offline.F.run =
+(* The removal rule of a failed round. *)
+type rule =
+  | One_hop      (* a non-full edge into an unsaturated interval (Lemma 4) *)
+  | Unreachable  (* outside the source side of the minimum cut *)
+
+let offline ?(rule = One_hop) (inst : Job.instance) : Offline.F.run =
   let jobs = inst.jobs and machines = inst.machines in
   let n = Array.length jobs in
   let breakpoints =
@@ -179,22 +189,29 @@ let offline (inst : Job.instance) : Offline.F.run =
         accepted := Some { Offline.F.members; speed; procs; alloc }
       end
       else begin
-        (* Lemma 4: a candidate with a non-full edge into an unsaturated
-           interval is not in this speed class. *)
-        let unsaturated j =
-          procs.(j) > 0
-          && not
-               (Fl.equal_approx (Net.flow_on g sink_edge.(j))
-                  (float_of_int procs.(j) *. width j))
-        in
         let certified = Array.make n false in
-        for i = 0 to n - 1 do
-          for j = 0 to k - 1 do
-            if candidate.(i) && edge.(i).(j) >= 0 && unsaturated j
-               && not (Fl.equal_approx (flow i j) (width j))
-            then certified.(i) <- true
+        (match rule with
+        | One_hop ->
+          (* Lemma 4: a candidate with a non-full edge into an unsaturated
+             interval is not in this speed class. *)
+          let unsaturated j =
+            procs.(j) > 0
+            && not
+                 (Fl.equal_approx (Net.flow_on g sink_edge.(j))
+                    (float_of_int procs.(j) *. width j))
+          in
+          for i = 0 to n - 1 do
+            for j = 0 to k - 1 do
+              if candidate.(i) && edge.(i).(j) >= 0 && unsaturated j
+                 && not (Fl.equal_approx (flow i j) (width j))
+              then certified.(i) <- true
+            done
           done
-        done;
+        | Unreachable ->
+          let side = Net.min_cut g ~source:0 in
+          for i = 0 to n - 1 do
+            if candidate.(i) && not side.(job_v.(i)) then certified.(i) <- true
+          done);
         let victims = List.filter (fun i -> certified.(i)) (List.init n Fun.id) in
         if victims = [] then failwith "Reference.offline: deficit without a certified job";
         List.iter (fun i -> candidate.(i) <- false) victims;
@@ -230,16 +247,18 @@ let offline (inst : Job.instance) : Offline.F.run =
       };
   }
 
-(* Where a library run of [inst] departs from [offline inst], or [None].
-   Breakpoints, members, speeds and procs must agree by float bits, and
-   every member's t_kj total within 1e-9 relative.  Below
-   [compress_threshold] every component is dense-sized too, and the
-   library answers each round with Dinic on the component's part of the
-   same Fig. 1 network, so every t_kj must agree by float bits as well;
-   above it the sweep's maximum flows may split a phase's time
-   differently among its members. *)
-let offline_mismatch (inst : Job.instance) (run : Offline.F.run) =
-  let expected = offline inst in
+(* Where a library run of [inst] departs from [offline ~rule inst] under
+   either rule, or [None].  Breakpoints, members, speeds and procs must
+   agree by float bits, and every member's t_kj total within 1e-9
+   relative.  Below [compress_threshold] every component is dense-sized
+   too, and the library answers each round with Dinic on the component's
+   part of the same Fig. 1 network, so every t_kj must agree by float
+   bits as well; above it the sweep's maximum flows may split a phase's
+   time differently among its members.  Agreement with the [One_hop]
+   rule shows that removing the unreachable candidates leaves the fixed
+   point where Lemma 4 alone leads. *)
+let rule_mismatch ~rule (inst : Job.instance) (run : Offline.F.run) =
+  let expected = offline ~rule inst in
   let n = Array.length inst.jobs and k = Array.length expected.breakpoints - 1 in
   let dense = n * k < Offline.F.compress_threshold in
   let totals (p : Offline.F.phase) =
@@ -282,6 +301,12 @@ let offline_mismatch (inst : Job.instance) (run : Offline.F.run) =
     | None ->
       if dense && not (same_run run expected) then Some "t_kj bits (dense-sized)"
       else None
+
+let offline_mismatch inst run =
+  List.find_map
+    (fun (rule, name) ->
+      Option.map (fun m -> name ^ ": " ^ m) (rule_mismatch ~rule inst run))
+    [ (One_hop, "one-hop"); (Unreachable, "unreachable") ]
 
 (* --- whole-array scans --------------------------------------------------- *)
 

@@ -1,9 +1,11 @@
 (* Max-flow substrate tests: hand-built networks, cross-checks of Dinic
    against Edmonds-Karp, push-relabel, the LP encoding and min-cut, the
-   in-place rewind the offline solver relies on, plus random-graph
-   properties and the exact-rational instantiation. *)
+   in-place rewind and the residual reachability the offline solver relies
+   on, plus random-graph properties and the exact-rational
+   instantiation. *)
 
 module MF = Ss_flow.Maxflow.Float
+module MG = Ss_flow.Maxflow.Make (Ss_numeric.Field.Float)
 module MQ = Ss_flow.Maxflow.Exact
 module Q = Ss_numeric.Rational
 
@@ -188,6 +190,25 @@ let prop_maxflow_mincut =
       let cut = MF.cut_capacity g (MF.min_cut g ~source:0) in
       Float.abs (v -. cut) <= 1e-6 *. (1. +. v))
 
+(* A failed offline round removes the candidates Dinic's last BFS left
+   unlabelled ([reached]); they must be exactly the vertices outside the
+   source side [min_cut] finds by its own depth-first search, on the
+   generic functor and on the float shadow's Dinic alike. *)
+let prop_reached_is_min_cut =
+  QCheck.Test.make ~count:100 ~name:"reached = min_cut source side" QCheck.small_nat
+    (fun seed ->
+      let n, edges = random_network (seed + 8000) in
+      let g, _ = build edges n in
+      ignore (MF.dinic g ~source:0 ~sink:(n - 1));
+      let side = MF.min_cut g ~source:0 in
+      let gg = MG.create ~n in
+      List.iter (fun (src, dst, cap) -> ignore (MG.add_edge gg ~src ~dst ~cap)) edges;
+      ignore (MG.dinic gg ~source:0 ~sink:(n - 1));
+      let side' = MG.min_cut gg ~source:0 in
+      List.for_all
+        (fun v -> MF.reached g v = side.(v) && MG.reached gg v = side'.(v))
+        (List.init n Fun.id))
+
 let prop_integral_capacities_integral_flow =
   QCheck.Test.make ~count:50 ~name:"dinic matches LP oracle" QCheck.small_nat (fun seed ->
       let n, edges = random_network (seed + 500) in
@@ -230,6 +251,7 @@ let () =
             prop_rewound_equals_fresh;
             prop_flow_audits_clean;
             prop_maxflow_mincut;
+            prop_reached_is_min_cut;
             prop_integral_capacities_integral_flow;
           ] );
     ]

@@ -37,7 +37,7 @@ let test_offline_fingerprint () =
   close "optimal energy alpha=3" 13.2319658994329 (Ss_model.Schedule.energy p3 sched);
   Alcotest.(check int) "phases" 6 info.phases;
   (* Rounds summed over the two components' round loops. *)
-  Alcotest.(check int) "rounds" 19 info.rounds;
+  Alcotest.(check int) "rounds" 11 info.rounds;
   Alcotest.(check int) "components" 2 (Ss_core.Offline.component_count inst);
   close "peak speed" 0.835800461016282 info.speeds.(0)
 

@@ -3,7 +3,7 @@
    The session OA path (a persistent Offline.F.Session plus slice-only
    materialization) is engineered to be *bit-identical* to the scratch
    planner in test/reference.ml (a fresh solver and a full
-   materialization per arrival): grouped Lemma 4 removals and in-place
+   materialization per arrival): grouped removals and in-place
    rewinds reach the same phase partition (the unique fixed point), the
    accepted flows are canonical, and [slice_of_run] replicates the segment
    order of clip-after-materialize.  These tests pin all of that down, by

@@ -1,6 +1,7 @@
-(* The offline round loop (lib/core/offline.ml): grouped Lemma 4 removal
-   over one dense network per solve, rewound in place between rounds and
-   phases.
+(* The offline round loop (lib/core/offline.ml): a failed round removes
+   every candidate its maximum flow cannot reach from the source, over one
+   dense network per solve, rewound in place between rounds and phases,
+   or over the sweep oracle's pair store.
 
    (a) Agreement: the float run agrees with the exact-rational replay,
        whose schedule passes a zero-tolerance audit; the pipeline's
@@ -9,9 +10,10 @@
        for bit, counters included, and both equal test/reference.ml's
        whole-instance Fig. 2 solve.
    (c) The parametric invariant, as a QCheck property: accepted phase
-       speeds strictly decrease, and on dense-sized components the round,
-       removal and group counters equal the reference's, which builds a
-       fresh Fig. 1 network every round.
+       speeds strictly decrease, and on dense- and sweep-sized components
+       alike the round, removal and group counters equal those of the
+       reference that removes the complement of a fresh network's
+       minimum-cut source side.
    (d) Counters: the rewind and phase-boundary counts of the dense
        substrate, zero network counters on the sweep, and the reference's
        phase and removal counts on both.
@@ -114,28 +116,53 @@ let test_session_and_split () =
 
 (* --- (c) the parametric invariant as a QCheck property ---------------- *)
 
-(* The counters of a solve are fixed by the certificates of its failed
-   rounds.  The reference builds a fresh network every round, so on
-   dense-sized components, where the library rewinds one network in place
-   instead, equal counters tie every round's certificate to a fresh
-   build.  The reference solves whole instances: it runs per component. *)
+(* The counters of a solve are fixed by the removal sets of its failed
+   rounds.  A failed round's set (the candidates its maximum flow cannot
+   reach from the source) is the same for every maximum flow, so the
+   reference, which finds it by a depth-first search on a fresh Fig. 1
+   network every round, must meet the counters of the dense oracle's
+   rewound network and of the sweep alike.  Times and works are scaled by
+   powers of two, which are exact.  The reference solves whole instances:
+   it runs per component. *)
 let prop_invariant =
   QCheck.Test.make ~count:60
-    ~name:"phase speeds strictly decrease; dense counters = reference"
-    QCheck.(pair (int_range 0 3) small_nat)
-    (fun (log_machines, seed) ->
+    ~name:"phase speeds strictly decrease; counters = unreachable-rule reference"
+    QCheck.(quad (int_range 0 3) small_nat (int_range (-10) 12) (int_range (-20) 30))
+    (fun (log_machines, seed, time_exp, work_exp) ->
       let machines = 1 lsl log_machines and jobs = 8 + (seed mod 9) in
       let inst =
-        match seed mod 5 with
+        match seed mod 8 with
         | 0 -> G.uniform ~seed:(seed + 7) ~machines ~jobs ~horizon:16. ~max_work:4. ()
         | 1 ->
           G.uniform ~integral:false ~seed:(seed + 7) ~machines ~jobs ~horizon:16. ~max_work:4.
             ()
         | 2 -> G.heavy ~seed ~machines ~jobs ~horizon:12. ()
         | 3 -> G.poisson ~seed ~machines ~jobs ~rate:1.3 ~mean_work:2. ~slack:2.5 ()
-        | _ ->
+        | 4 ->
           G.clustered ~seed ~machines ~clusters:3 ~jobs_per_cluster:(2 + (jobs / 3))
             ~cluster_span:8. ~gap:2. ~max_work:4. ()
+        (* Sweep-sized: one component with n * k >= compress_threshold
+           (integral heavy times would keep k below 100). *)
+        | 5 ->
+          G.uniform ~integral:false ~seed:(seed + 7) ~machines ~jobs:120 ~horizon:20.
+            ~max_work:5. ()
+        | 6 -> G.heavy ~integral:false ~shape:1.1 ~seed ~machines ~jobs:200 ~horizon:100. ()
+        | _ ->
+          G.stream ~seed ~machines ~jobs:300 ~rate:4. ~mean_work:2. ~max_laxity:8. ()
+      in
+      let inst =
+        {
+          inst with
+          jobs =
+            Array.map
+              (fun (j : Job.t) ->
+                {
+                  Job.release = Float.ldexp j.release time_exp;
+                  deadline = Float.ldexp j.deadline time_exp;
+                  work = Float.ldexp j.work work_exp;
+                })
+              inst.jobs;
+        }
       in
       let jobs = float_jobs inst in
       let run = Offline.F.solve ~machines jobs in
@@ -148,27 +175,20 @@ let prop_invariant =
           (strictly_decreasing
              (List.map (fun (p : Offline.F.phase) -> p.speed) run.schedule_phases))
       then QCheck.Test.fail_report "phase speeds do not strictly decrease";
-      let comps = Offline.F.components jobs in
       let refs =
         List.map
           (fun ids ->
-            Reference.offline { inst with jobs = Array.map (fun i -> inst.jobs.(i)) ids })
-          comps
-      in
-      let dense =
-        List.for_all2
-          (fun ids (r : Offline.F.run) ->
-            Array.length ids * (Array.length r.breakpoints - 1) < Offline.F.compress_threshold)
-          comps refs
+            Reference.offline ~rule:Unreachable
+              { inst with jobs = Array.map (fun i -> inst.jobs.(i)) ids })
+          (Offline.F.components jobs)
       in
       let sum f = List.fold_left (fun acc (r : Offline.F.run) -> acc + f r.stats) 0 refs in
       let peak f = List.fold_left (fun acc (r : Offline.F.run) -> max acc (f r.stats)) 0 refs in
       let s = run.stats in
-      (not dense)
-      || s.rounds = sum (fun s -> s.rounds)
-         && s.removals = sum (fun s -> s.removals)
-         && s.grouped = sum (fun s -> s.grouped)
-         && s.largest_group = peak (fun s -> s.largest_group)
+      s.rounds = sum (fun s -> s.rounds)
+      && s.removals = sum (fun s -> s.removals)
+      && s.grouped = sum (fun s -> s.grouped)
+      && s.largest_group = peak (fun s -> s.largest_group)
       || QCheck.Test.fail_reportf
            "counters rounds %d removals %d grouped %d largest %d; reference %d %d %d %d"
            s.rounds s.removals s.grouped s.largest_group
