@@ -31,11 +31,17 @@ let alpha_arg =
 let power_of_alpha alpha =
   if alpha <= 1. then `Error (false, "alpha must be > 1") else `Ok (Power.alpha alpha)
 
-let load_trace path =
-  try `Ok (Ss_workload.Trace.load path) with
+(* A trace that cannot be read or parsed is a usage error (exit 124), not
+   an uncaught exception: [Arg.file] only checks that the path exists, so
+   a directory or an unreadable file reaches [read] as a [Sys_error]. *)
+let read_trace read path =
+  try `Ok (read path) with
   | Ss_workload.Trace.Parse_error (line, msg) ->
     `Error (false, Printf.sprintf "%s:%d: %s" path line msg)
   | Invalid_argument msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
+  | Sys_error msg -> `Error (false, Printf.sprintf "%s: cannot read trace (%s)" path msg)
+
+let load_trace = read_trace Ss_workload.Trace.load
 
 (* --- generate ------------------------------------------------------------ *)
 
@@ -284,17 +290,20 @@ let batch path algo alpha domains capacity no_cache verbose =
     | "avr" -> `Ok Ss_dispatch.Dispatch.Avr
     | _ -> `Error (false, "algo must be solve, oa or avr")
   in
-  let batch_v =
-    try `Ok (Ss_workload.Trace.load_batch path) with
-    | Ss_workload.Trace.Parse_error (line, msg) ->
-      `Error (false, Printf.sprintf "%s:%d: %s" path line msg)
-    | Invalid_argument msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
+  let sizes_v =
+    match (domains, capacity) with
+    | Some d, _ when d < 1 -> `Error (false, "--domains must be at least 1")
+    | _, Some c when c < 0 -> `Error (false, "--capacity must be at least 0")
+    | _ -> `Ok ()
   in
-  match (algo_v, batch_v, power_of_alpha alpha) with
-  | (`Error _ as e), _, _ -> e
-  | _, (`Error _ as e), _ -> e
-  | _, _, (`Error _ as e) -> e
-  | `Ok algo_v, `Ok insts, `Ok power ->
+  match
+    (algo_v, sizes_v, read_trace Ss_workload.Trace.load_batch path, power_of_alpha alpha)
+  with
+  | (`Error _ as e), _, _, _ -> e
+  | _, (`Error _ as e), _, _ -> e
+  | _, _, (`Error _ as e), _ -> e
+  | _, _, _, (`Error _ as e) -> e
+  | `Ok algo_v, `Ok (), `Ok insts, `Ok power ->
     let d =
       Ss_dispatch.Dispatch.create ?domains
         ?capacity:(if no_cache then Some 0 else capacity)
@@ -308,7 +317,6 @@ let batch path algo alpha domains capacity no_cache verbose =
     let outcomes = Ss_dispatch.Dispatch.batch d queries in
     let elapsed = Unix.gettimeofday () -. t0 in (* ss_lint: allow wallclock — CLI throughput report *)
     let s = Ss_dispatch.Dispatch.stats d in
-    Ss_dispatch.Dispatch.shutdown d;
     let energy = function
       | Ss_dispatch.Dispatch.Run r -> Ss_core.Offline.energy_of_run power r
       | Ss_dispatch.Dispatch.Sched sched -> Schedule.energy power sched
@@ -326,11 +334,10 @@ let batch path algo alpha domains capacity no_cache verbose =
       (float_of_int (Array.length outcomes) /. Float.max 1e-9 elapsed)
       total alpha;
     Printf.printf
-      "cache: %d hits / %d queries (%.0f%%), %d resident, %d evictions; \
-       crew: %d domains, %d steals\n"
+      "cache: %d hits / %d queries (%.0f%%), %d resident, %d evictions; %d domains\n"
       s.hits s.queries
       (100. *. Ss_dispatch.Dispatch.hit_rate s)
-      s.resident s.evictions s.domains s.steals;
+      s.resident s.evictions s.domains;
     `Ok ()
 
 let batch_cmd =
@@ -344,13 +351,15 @@ let batch_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "domains" ] ~docv:"D" ~doc:"Worker domains (default: available cores).")
+      & info [ "domains" ] ~docv:"D"
+          ~doc:"Worker domains per batch, at least 1 (default: cores - 1, at most 8).")
   in
   let capacity =
     Arg.(
       value
       & opt (some int) None
-      & info [ "capacity" ] ~docv:"C" ~doc:"Memo-cache capacity (default 1024).")
+      & info [ "capacity" ] ~docv:"C"
+          ~doc:"Memo-cache capacity, at least 0 (default 1024).")
   in
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the canonical memo cache.")
@@ -362,7 +371,7 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Solve a multi-instance trace ('---'-separated traces) through the batch \
-          dispatcher (work-stealing crew + canonical memo cache)")
+          dispatcher (one fork-join over worker domains + canonical memo cache)")
     Term.(
       ret (const batch $ trace_arg $ algo $ alpha_arg $ domains $ capacity $ no_cache $ verbose))
 

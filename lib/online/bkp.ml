@@ -74,7 +74,7 @@ let slices ~steps_per_event (inst : Job.instance) =
   in
   List.sort_uniq Float.compare (refine [] base)
 
-let run ?stats ?(steps_per_event = 64) (inst : Job.instance) =
+let run ?(steps_per_event = 64) (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Bkp.run: invalid instance");
@@ -88,7 +88,7 @@ let run ?stats ?(steps_per_event = 64) (inst : Job.instance) =
     |> Array.of_list
   in
   let speed_at t = euler *. speed_estimate inst deadlines t in
-  let out = Edf.run ?stats ~slices:(slices ~steps_per_event inst) ~speed_at inst in
+  let out = Edf.run ~slices:(slices ~steps_per_event inst) ~speed_at inst in
   let max_residue =
     List.fold_left
       (fun acc (i, residual) -> Float.max acc (residual /. inst.jobs.(i).work))

@@ -15,7 +15,6 @@ val slices : steps_per_event:int -> Ss_model.Job.instance -> float list
     span cut into [steps_per_event] equal slices, ascending. *)
 
 val run :
-  ?stats:Engine.counters ->
   ?steps_per_event:int ->
   Ss_model.Job.instance ->
   outcome

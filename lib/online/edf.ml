@@ -26,7 +26,7 @@ type outcome = {
    feed and a deadline-ordered heap give O(log n) per job transition;
    segments go to the shared arena ([Engine.Arena], amortized O(1)
    emission). *)
-let run ?stats ~slices ~speed_at (inst : Job.instance) =
+let run ~slices ~speed_at (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Edf.run: invalid instance");
@@ -36,8 +36,6 @@ let run ?stats ~slices ~speed_at (inst : Job.instance) =
   let unfinished = ref [] in
   let arena = Engine.Arena.create () in
   let emit s = Engine.Arena.emit arena s in
-  let heap_ops = ref 0 in
-  let slice_count = ref 0 in
   (* Jobs sorted by release; fed into the live heap as time passes. *)
   let by_release =
     List.init n Fun.id
@@ -52,7 +50,6 @@ let run ?stats ~slices ~speed_at (inst : Job.instance) =
     let rec go () =
       match !by_release with
       | i :: rest when inst.jobs.(i).release <= t ->
-        incr heap_ops;
         Ss_numeric.Heap.push live i;
         by_release := rest;
         go ()
@@ -65,7 +62,6 @@ let run ?stats ~slices ~speed_at (inst : Job.instance) =
     let rec go () =
       match Ss_numeric.Heap.peek live with
       | Some i when inst.jobs.(i).deadline <= t ->
-        incr heap_ops;
         ignore (Ss_numeric.Heap.pop live);
         if remaining.(i) > 1e-9 then unfinished := (i, remaining.(i)) :: !unfinished;
         go ()
@@ -75,7 +71,6 @@ let run ?stats ~slices ~speed_at (inst : Job.instance) =
   in
   let rec slice = function
     | a :: (b :: _ as rest) ->
-      incr slice_count;
       admit_until a;
       expire_until a;
       let speed = speed_at a in
@@ -87,20 +82,14 @@ let run ?stats ~slices ~speed_at (inst : Job.instance) =
           match Ss_numeric.Heap.peek live with
           | None -> continue := false
           | Some i ->
-            if remaining.(i) <= 1e-12 then begin
-              incr heap_ops;
-              ignore (Ss_numeric.Heap.pop live)
-            end
+            if remaining.(i) <= 1e-12 then ignore (Ss_numeric.Heap.pop live)
             else begin
               let need = remaining.(i) /. speed in
               let dt = Float.min need (b -. !cursor) in
               emit { Schedule.job = i; proc = 0; t0 = !cursor; t1 = !cursor +. dt; speed };
               remaining.(i) <- remaining.(i) -. (dt *. speed);
               cursor := !cursor +. dt;
-              if remaining.(i) <= 1e-12 then begin
-                incr heap_ops;
-                ignore (Ss_numeric.Heap.pop live)
-              end
+              if remaining.(i) <= 1e-12 then ignore (Ss_numeric.Heap.pop live)
             end
         done
       end;
@@ -114,10 +103,6 @@ let run ?stats ~slices ~speed_at (inst : Job.instance) =
   (* Jobs never expired (heap leftovers past the final slice). *)
   Ss_numeric.Heap.iter_unordered live (fun i ->
       if remaining.(i) > 1e-9 then unfinished := (i, remaining.(i)) :: !unfinished);
-  Engine.record stats (fun c ->
-      c.events <- c.events + !slice_count;
-      c.set_ops <- c.set_ops + !heap_ops);
-  Engine.record_arena stats arena;
   {
     schedule =
       Schedule.make ~machines:1

@@ -13,11 +13,10 @@ type outcome = {
 }
 
 val run :
-  ?stats:Engine.counters ->
   slices:float list ->
   speed_at:(float -> float) ->
   Ss_model.Job.instance ->
   outcome
 (** Segments are emitted into the shared {!Engine.Arena} (amortized
-    O(1)); [stats] accumulates {!Engine.counters} in place.
+    O(1)).
     @raise Invalid_argument on invalid instances or [machines <> 1]. *)

@@ -1,5 +1,5 @@
-(* Batched multi-query solving over a persistent work-stealing crew, with
-   per-domain solver sessions and a canonical-instance memo cache.
+(* Batched multi-query solving: one fork–join per batch ([Pool.mapw]),
+   per-worker solver sessions and a canonical-instance memo cache.
 
    The cache discipline (see dispatch.mli and canon.mli): every query is
    answered through its canonical form, so a digest hit and a fresh solve
@@ -93,13 +93,15 @@ end
 
 (* --- per-worker solver state ------------------------------------------- *)
 
-(* One slot per crew worker id; Crew.mapw guarantees at most one in-flight
-   item per id, so slots need no internal locking.  Sessions are keyed by
+(* One slot per worker id; Pool.mapw runs at most one item per id at a
+   time, so slots need no internal locking.  A later batch may hand a slot
+   to a different domain: the previous batch joined its domains, which
+   orders their session use before this batch's.  Sessions are keyed by
    machine count (a session's arena geometry is per-m). *)
 type slot = { sessions : (int, O.F.Session.t) Hashtbl.t }
 
 type t = {
-  crew : Pool.Crew.t;
+  domains : int;
   slots : slot array;
   lock : Mutex.t;  (* guards the cache and the counters below *)
   cache : outcome Lru.t;
@@ -108,13 +110,12 @@ type t = {
   mutable misses : int;
 }
 
-let create ?domains ?(capacity = 1024) () =
+let create ?(domains = Pool.default_domains ()) ?(capacity = 1024) () =
   if capacity < 0 then invalid_arg "Dispatch.create: capacity < 0";
-  let crew = Pool.Crew.create ?domains () in
+  if domains < 1 then invalid_arg "Dispatch.create: domains < 1";
   {
-    crew;
-    slots =
-      Array.init (Pool.Crew.size crew) (fun _ -> { sessions = Hashtbl.create 4 });
+    domains;
+    slots = Array.init domains (fun _ -> { sessions = Hashtbl.create 4 });
     lock = Mutex.create ();
     cache = Lru.create capacity;
     queries = 0;
@@ -218,7 +219,7 @@ let answer t w (q : query) =
     Mutex.protect t.lock (fun () -> Lru.add t.cache ~key ~check out);
     inverse tf out
 
-let batch t queries = Pool.Crew.mapw t.crew (fun w q -> answer t w q) queries
+let batch t queries = Pool.mapw ~domains:t.domains (fun w q -> answer t w q) queries
 let query t q = answer t 0 q
 
 let solve t instance =
@@ -239,11 +240,11 @@ let stats t =
         misses = t.misses;
         evictions = t.cache.Lru.evictions;
         resident = Lru.resident t.cache;
-        steals = Pool.Crew.steals t.crew;
-        domains = Pool.Crew.size t.crew;
+        steals = 0;
+        domains = t.domains;
       })
 
 let hit_rate (s : stats) =
   if s.queries = 0 then 0. else float_of_int s.hits /. float_of_int s.queries
 
-let shutdown t = Pool.Crew.shutdown t.crew
+let shutdown _ = ()

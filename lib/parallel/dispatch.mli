@@ -1,6 +1,6 @@
-(** Batched multi-query solving: a persistent work-stealing crew
-    ({!Ss_parallel.Pool.Crew}) drives many offline solves and online
-    simulations through per-domain solver sessions and a canonical-instance
+(** Batched multi-query solving: each batch is one fork–join
+    ({!Ss_parallel.Pool.mapw}) that drives many offline solves and online
+    simulations through per-worker solver sessions and a canonical-instance
     memo cache.
 
     Every query is answered through its canonical form
@@ -18,16 +18,16 @@
     deterministic canonical solve, a batch's answers (grid breakpoints,
     phase partition, speeds, reservations, allocations / schedule
     segments, and the run's [stats] counters) are bit-identical whatever
-    the cache state, worker count or stealing interleaving — a session
-    solve equals a fresh solve, counters included, so nothing reflects
-    which worker's arena answered.  Thanks to the exactness discipline of
+    the cache state, worker count or interleaving — a session solve
+    equals a fresh solve, counters included, so nothing reflects which
+    worker's arena answered.  Thanks to the exactness discipline of
     {!Ss_model.Canon}, they are also bit-identical to a direct scratch
     solve of each query whenever the canonical sort permutation is the
     identity.
 
     A dispatcher is meant to be driven from one thread at a time; worker
-    state is safe against the crew's internal parallelism, not against
-    concurrent [batch] calls. *)
+    state is safe against a batch's own workers, not against concurrent
+    [batch] calls. *)
 
 type algo =
   | Solve  (** offline optimal run (Theorem 1 algorithm) *)
@@ -46,20 +46,24 @@ type stats = {
   misses : int;  (** queries that ran a solver/simulator *)
   evictions : int;  (** LRU entries dropped at capacity *)
   resident : int;  (** entries currently cached *)
-  steals : int;  (** crew chunk steals since [create] *)
-  domains : int;  (** crew size, including the calling domain *)
+  steals : int;
+      (** always 0: batches share one cursor and nothing is stolen; kept
+          until the benchmark retires its [dispatch.steals] metric *)
+  domains : int;  (** workers per batch, including the calling domain *)
 }
 
 type t
 
 val create : ?domains:int -> ?capacity:int -> unit -> t
-(** [domains] sizes the crew (default {!Ss_parallel.Pool.default_domains});
-    [capacity] bounds the memo cache (default 1024 entries; [0] disables
-    caching). *)
+(** [domains] is the number of workers per batch (default
+    {!Ss_parallel.Pool.default_domains}); [capacity] bounds the memo cache
+    (default 1024 entries; [0] disables caching).
+    @raise Invalid_argument if [domains < 1] or [capacity < 0]. *)
 
 val batch : t -> query array -> outcome array
-(** Answer a batch over the crew.  Outcome [i] answers query [i]; the
-    first worker exception is re-raised after in-flight queries drain. *)
+(** Answer a batch on up to [domains] workers.  Outcome [i] answers query
+    [i]; the first worker exception is re-raised once every worker domain
+    has been joined. *)
 
 val query : t -> query -> outcome
 (** Answer one query on the calling domain (worker 0's sessions). *)
@@ -75,5 +79,5 @@ val hit_rate : stats -> float
 (** [hits / queries] (0 on an idle dispatcher). *)
 
 val shutdown : t -> unit
-(** Join the crew domains (idempotent).  The dispatcher remains usable —
-    subsequent queries run inline on the calling domain. *)
+(** A no-op: each batch joins its domains before it returns.  Kept until
+    the benchmark retires its [dispatch.shutdown_ms] metric. *)

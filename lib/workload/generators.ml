@@ -248,8 +248,8 @@ let with_load_factor target (inst : Job.instance) =
    pre-sorted by the canonical (release, deadline, work) triple, and both
    disguises preserve that order, so the dispatcher's canonical-route
    answers stay bit-identical to direct scratch solves of every batch
-   member.  The batch is shuffled deterministically, making the hit
-   pattern steal-order-independent. *)
+   member.  The batch is shuffled deterministically, so on one domain
+   the hit pattern is fixed by the seed. *)
 let batch ?(duplicate_rate = 0.5) ~seed ~machines ~count ~jobs () =
   if count <= 0 then invalid_arg "Generators.batch: count <= 0";
   if duplicate_rate < 0. || duplicate_rate >= 1. then

@@ -76,18 +76,22 @@ let batch_to_string insts =
   Array.to_list insts |> List.map to_string |> String.concat "---\n"
 
 let batch_of_string text =
-  let rec split chunk chunks = function
-    | [] -> List.rev (List.rev chunk :: chunks)
+  (* Each section carries the number of file lines before it, so a parse
+     error reports its line in the whole file (line 0, the missing
+     'machines' line, stays 0). *)
+  let rec split before lineno chunk chunks = function
+    | [] -> List.rev ((before, List.rev chunk) :: chunks)
     | line :: rest when String.trim line = "---" ->
-      split [] (List.rev chunk :: chunks) rest
-    | line :: rest -> split (line :: chunk) chunks rest
+      split (lineno + 1) (lineno + 1) [] ((before, List.rev chunk) :: chunks) rest
+    | line :: rest -> split before (lineno + 1) (line :: chunk) chunks rest
   in
-  let chunks = split [] [] (String.split_on_char '\n' text) in
-  let nonempty lines = List.exists (fun l -> String.trim l <> "") lines in
-  let insts =
-    List.filter nonempty chunks
-    |> List.map (fun lines -> of_string (String.concat "\n" lines))
+  let chunks = split 0 0 [] [] (String.split_on_char '\n' text) in
+  let nonempty (_, lines) = List.exists (fun l -> String.trim l <> "") lines in
+  let parse (before, lines) =
+    try of_string (String.concat "\n" lines)
+    with Parse_error (line, msg) when line > 0 -> raise (Parse_error (before + line, msg))
   in
+  let insts = List.filter nonempty chunks |> List.map parse in
   if insts = [] then raise (Parse_error (0, "empty batch"));
   Array.of_list insts
 

@@ -6,7 +6,7 @@ let total = ref 0
 let bad_ref xs = Pool.map (fun x -> total := !total + x; x) xs
 let bad_incr xs = Pool.map (fun x -> incr total; x) xs
 let bad_array out xs = Pool.map (fun i -> out.(i) <- i; i) xs
-let bad_field t xs = Pool.Crew.map t (fun s -> t.count <- t.count + 1; s) xs
+let bad_field t xs = Pool.mapw (fun _ s -> t.count <- t.count + 1; s) xs
 
 let bad_named xs =
   let worker () = total := List.length xs in

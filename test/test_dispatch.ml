@@ -1,14 +1,14 @@
-(* Batch dispatcher: crew scheduling, canonical-instance memo cache.
+(* Batch dispatcher: fork–join scheduling, canonical-instance memo cache.
 
    The load-bearing claims under test:
    - batch answers are bit-identical to sequential scratch solves whatever
-     the worker count, stealing interleaving or cache state;
+     the worker count, interleaving or cache state;
    - canonicalization round-trips exactly: a shifted/scaled copy of an
      instance is answered from the cache with the transformed answer equal
      to its own fresh solve, bit for bit;
    - the LRU respects its capacity bound;
-   - a crashing worker propagates the first exception and the crew drains
-     (and stays usable). *)
+   - a crashing worker propagates the first exception only after every
+     worker has drained, and a worker id never runs two items at once. *)
 
 module Job = Ss_model.Job
 module Canon = Ss_model.Canon
@@ -58,7 +58,7 @@ let disguise ~shift ~wexp (inst : Job.instance) =
         inst.jobs;
   }
 
-(* --- batch vs sequential, bit-identical under stealing ------------------ *)
+(* --- batch vs sequential, bit-identical across worker counts ------------ *)
 
 let test_batch_matches_scratch () =
   let base = Array.of_list (mixed_instances ()) in
@@ -89,8 +89,7 @@ let test_batch_matches_scratch () =
       let s = Dispatch.stats d in
       check_int (Printf.sprintf "domains=%d queries" domains) (2 * Array.length queries)
         s.queries;
-      check_bool "second pass all hits" true (s.hits >= Array.length queries);
-      Dispatch.shutdown d)
+      check_bool "second pass all hits" true (s.hits >= Array.length queries))
     [ 1; 3 ]
 
 (* --- canonicalization round-trip ---------------------------------------- *)
@@ -140,8 +139,7 @@ let test_cached_answer_equals_fresh_solve () =
     [ (5., 0); (0., 2); (12., -1); (1000., 3); (3., -2) ];
   let s = Dispatch.stats d in
   check_int "all disguises hit" 5 s.hits;
-  check_int "one miss" 1 s.misses;
-  Dispatch.shutdown d
+  check_int "one miss" 1 s.misses
 
 let test_simulation_queries () =
   (* Oa/Avr queries: dispatcher answers equal direct simulations, and a
@@ -179,8 +177,7 @@ let test_simulation_queries () =
   (* Solve and sim answers for the same instance must not collide. *)
   ignore (Dispatch.solve d inst);
   let s = Dispatch.stats d in
-  check_int "solve of same instance is a miss, not a sim hit" 4 s.misses;
-  Dispatch.shutdown d
+  check_int "solve of same instance is a miss, not a sim hit" 4 s.misses
 
 (* --- LRU eviction bounds ------------------------------------------------ *)
 
@@ -206,8 +203,7 @@ let test_lru_eviction_bounds () =
   (* ...and an evicted one re-solves (miss), evicting again. *)
   ignore (Dispatch.solve d insts.(0));
   let s' = Dispatch.stats d in
-  check_int "evicted instance misses" (s.misses + 1) s'.misses;
-  Dispatch.shutdown d
+  check_int "evicted instance misses" (s.misses + 1) s'.misses
 
 let test_cache_disabled () =
   let d = Dispatch.create ~domains:1 ~capacity:0 () in
@@ -217,42 +213,52 @@ let test_cache_disabled () =
   check_bool "still deterministic" true (Reference.same_run a b);
   let s = Dispatch.stats d in
   check_int "no hits without capacity" 0 s.hits;
-  check_int "nothing resident" 0 s.resident;
-  Dispatch.shutdown d
+  check_int "nothing resident" 0 s.resident
 
 (* --- crash in a worker: first exception propagates, workers drain ------- *)
 
 exception Boom of int
 
-let test_crew_crash_propagates_and_drains () =
-  let crew = Pool.Crew.create ~domains:4 () in
+let test_crash_propagates_and_drains () =
   let n = 5000 in
   let arr = Array.init n Fun.id in
   let in_flight = Atomic.make 0 in
+  (* Item 137 raises only once a spawned worker is inside a later item,
+     and spawned workers stay inside [f] for 20 ms after the raise, so map
+     must join them before it re-raises. *)
+  let caller = Domain.self () in
+  let spawned_waiting = Atomic.make false in
+  let raised = Atomic.make false in
   let f x =
     ignore (Atomic.fetch_and_add in_flight 1);
-    let r = if x = 137 then raise (Boom x) else x * 2 in
+    let spawned = Domain.self () <> caller in
+    if x = 137 then begin
+      while not (Atomic.get spawned_waiting) do
+        Domain.cpu_relax ()
+      done;
+      Atomic.set raised true;
+      raise (Boom x)
+    end;
+    if x > 137 then begin
+      if spawned then Atomic.set spawned_waiting true;
+      while not (Atomic.get raised) do
+        Domain.cpu_relax ()
+      done;
+      let t0 = Unix.gettimeofday () in
+      while spawned && Unix.gettimeofday () -. t0 < 0.02 do
+        Domain.cpu_relax ()
+      done
+    end;
     ignore (Atomic.fetch_and_add in_flight (-1));
-    r
+    x * 2
   in
-  (match Pool.Crew.map crew f arr with
+  (match Pool.map ~domains:4 f arr with
   | exception Boom 137 -> ()
   | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "expected Boom 137");
   (* Drained: no worker is still inside [f] once map has re-raised (the
      crashing item never decremented, hence the expected residue of 1). *)
-  check_int "no in-flight work after the exception" 1 (Atomic.get in_flight);
-  (* The crew survives and computes correctly afterwards. *)
-  Alcotest.(check (array int))
-    "crew usable after crash"
-    (Array.map (fun x -> x * 2) arr)
-    (Pool.Crew.map crew (fun x -> x * 2) arr);
-  Pool.Crew.shutdown crew;
-  (* Shutdown is idempotent and maps fall back inline. *)
-  Pool.Crew.shutdown crew;
-  Alcotest.(check (array int))
-    "inline fallback after shutdown" [| 2; 4 |]
-    (Pool.Crew.map crew (fun x -> x * 2) [| 1; 2 |])
+  check_int "no in-flight work after the exception" 1 (Atomic.get in_flight)
 
 let test_batch_crash_propagates () =
   let d = Dispatch.create ~domains:3 ~capacity:8 () in
@@ -265,42 +271,46 @@ let test_batch_crash_propagates () =
   | _ -> Alcotest.fail "expected Invalid_argument");
   (* Dispatcher still answers after the failed batch. *)
   check_bool "usable after crash" true
-    (Reference.same_run (Dispatch.solve d good) (O.run good));
-  Dispatch.shutdown d
+    (Reference.same_run (Dispatch.solve d good) (O.run good))
 
-(* --- crew scheduling unit tests ----------------------------------------- *)
+(* --- worker scheduling unit tests ---------------------------------------- *)
 
-let test_crew_matches_sequential () =
-  let crew = Pool.Crew.create ~domains:4 () in
+let test_mapw_matches_sequential () =
   List.iter
     (fun n ->
       let arr = Array.init n (fun i -> i - 7) in
       Alcotest.(check (array int))
         (Printf.sprintf "n=%d" n)
         (Array.map (fun x -> (x * x) + 1) arr)
-        (Pool.Crew.map crew (fun x -> (x * x) + 1) arr))
-    [ 0; 1; 2; 3; 31; 1000 ];
-  check_bool "steal counter non-negative" true (Pool.Crew.steals crew >= 0);
-  Pool.Crew.shutdown crew
+        (Pool.mapw ~domains:4 (fun _ x -> (x * x) + 1) arr))
+    [ 0; 1; 2; 3; 31; 1000 ]
 
-let test_crew_worker_ids () =
-  let crew = Pool.Crew.create ~domains:3 () in
-  (* Workers other than 0 wait until worker 0 (the caller) has run an
-     item, so the spawned workers cannot drain or steal every chunk before
-     the caller claims one. *)
-  let caller_ran = Atomic.make false in
+let test_worker_ids () =
+  let workers = 3 in
+  (* A busy flag per id, set on entry and cleared on exit: an item that
+     finds its id's flag set shares the id with an item still running,
+     which Dispatch's lock-free per-worker slots rule out.  Items hold
+     their flag until every id has started one (or an overlap is seen),
+     so all workers are inside [f] at once: the spawned workers cannot
+     drain every chunk before the caller claims one, and two workers
+     sharing an id must meet. *)
+  let busy = Array.init workers (fun _ -> Atomic.make false) in
+  let seen = Array.init workers (fun _ -> Atomic.make false) in
+  let started = Atomic.make 0 in
+  let overlap = Atomic.make false in
   let f w _ =
-    if w = 0 then Atomic.set caller_ran true
-    else
-      while not (Atomic.get caller_ran) do
-        Domain.cpu_relax ()
-      done;
+    if Atomic.exchange busy.(w) true then Atomic.set overlap true;
+    if not (Atomic.exchange seen.(w) true) then Atomic.incr started;
+    while Atomic.get started < workers && not (Atomic.get overlap) do
+      Domain.cpu_relax ()
+    done;
+    Atomic.set busy.(w) false;
     w
   in
-  let ids = Pool.Crew.mapw crew f (Array.make 200 ()) in
-  check_bool "ids in range" true (Array.for_all (fun w -> w >= 0 && w < 3) ids);
+  let ids = Pool.mapw ~domains:workers f (Array.make 200 ()) in
+  check_bool "ids in range" true (Array.for_all (fun w -> w >= 0 && w < workers) ids);
   check_bool "caller participates" true (Array.exists (fun w -> w = 0) ids);
-  Pool.Crew.shutdown crew
+  check_bool "one item in flight per id" false (Atomic.get overlap)
 
 let test_pool_map_chunking () =
   (* Tiny items at a chunk boundary mix: results must stay indexed. *)
@@ -336,10 +346,10 @@ let () =
       ( "crew",
         [
           Alcotest.test_case "crash propagates and drains" `Quick
-            test_crew_crash_propagates_and_drains;
+            test_crash_propagates_and_drains;
           Alcotest.test_case "batch crash propagates" `Quick test_batch_crash_propagates;
-          Alcotest.test_case "map matches sequential" `Quick test_crew_matches_sequential;
-          Alcotest.test_case "worker ids" `Quick test_crew_worker_ids;
+          Alcotest.test_case "map matches sequential" `Quick test_mapw_matches_sequential;
+          Alcotest.test_case "worker ids" `Quick test_worker_ids;
           Alcotest.test_case "pool map chunking" `Quick test_pool_map_chunking;
         ] );
     ]

@@ -5,15 +5,18 @@ module Pool = Ss_parallel.Pool
 let check_bool = Alcotest.(check bool)
 
 let test_map_matches_sequential () =
-  let arr = Array.init 500 Fun.id in
   let f x = (x * x) + 1 in
   List.iter
-    (fun domains ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "domains=%d" domains)
-        (Array.map f arr)
-        (Pool.map ~domains f arr))
-    [ 1; 2; 3; 8 ]
+    (fun n ->
+      let arr = Array.init n (fun i -> i - 7) in
+      List.iter
+        (fun domains ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "n=%d domains=%d" n domains)
+            (Array.map f arr)
+            (Pool.map ~domains f arr))
+        [ 1; 2; 3; 4; 8 ])
+    [ 0; 1; 2; 3; 31; 500; 1000 ]
 
 let test_empty () =
   Alcotest.(check (array int)) "empty" [||] (Pool.map ~domains:4 (fun x -> x) [||])

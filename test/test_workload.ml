@@ -187,15 +187,22 @@ let test_trace_file_roundtrip () =
       check_bool "file roundtrip" true (Trace.load path = inst))
 
 let test_trace_parse_errors () =
-  let expect_error text =
-    match Trace.of_string text with
-    | exception Trace.Parse_error _ -> ()
+  (* [line] is the file line the error must name (0: no 'machines' line). *)
+  let expect_error ?(parse = fun text -> [| Trace.of_string text |]) line text =
+    match parse text with
+    | exception Trace.Parse_error (l, _) when l = line -> ()
+    | exception Trace.Parse_error (l, msg) ->
+      Alcotest.failf "%S: error at line %d (%s), expected line %d" text l msg line
     | _ -> Alcotest.failf "accepted %S" text
   in
-  expect_error "job 1 2 3\n";                  (* missing machines *)
-  expect_error "machines 0\njob 0 1 1\n";      (* bad machine count *)
-  expect_error "machines 2\njob 0 1\n";        (* missing field *)
-  expect_error "machines 2\nnonsense\n"
+  expect_error 0 "job 1 2 3\n";                  (* missing machines *)
+  expect_error 1 "machines 0\njob 0 1 1\n";      (* bad machine count *)
+  expect_error 2 "machines 2\njob 0 1\n";        (* missing field *)
+  expect_error 2 "machines 2\nnonsense\n";
+  (* A batch names the line in the whole file, not in its section. *)
+  let first = "machines 1\njob 0 1 1\n---\n# second\n" in
+  expect_error ~parse:Trace.batch_of_string 6 (first ^ "machines 2\njob 0 1 x\n");
+  expect_error ~parse:Trace.batch_of_string 0 (first ^ "job 0 1 1\n")
 
 let test_trace_comments_and_blanks () =
   let text = "# a comment\n\nmachines 2\n# another\njob 0x0p+0 0x1p+1 0x1p+0\n" in
