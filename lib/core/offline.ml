@@ -45,14 +45,14 @@ struct
   type stats = {
     phases : int;
     rounds : int;                   (* oracle answers: dense max flows or sweeps *)
-    resumes : int;                  (* failed dense rounds answered by a rewind *)
+    resumes : int;                  (* dense: rounds - phases (rewound failed rounds) *)
     removals : int;
     grouped : int;                  (* failed rounds that removed > 1 victim *)
     largest_group : int;            (* most victims one failed round removed *)
     net_edges : int;                (* forward edges of the dense round network *)
     net_pushes : int;               (* dense edge-flow updates across the whole solve *)
     net_bfs_waves : int;            (* dense max-flow BFS passes across the whole solve *)
-    phase_resumes : int;            (* dense phase boundaries answered in place *)
+    phase_resumes : int;            (* dense: phases - 1 (rewound phase starts) *)
   }
 
   type run = {
@@ -94,12 +94,12 @@ struct
 
   (* --- reusable solver workspace ---------------------------------------
      Everything a solve allocates per call — the Lemma 3 reservation state,
-     the vertex/edge id tables, the flow arena and the sweep oracle's
-     scratch — hoisted into a grow-only workspace so cross-arrival sessions
-     reuse one backing store across successive solves.  All arrays are
-     addressed on prefixes [0..n-1] / [0..k-1] and re-initialized by each
-     solve, so reuse never leaks state between solves (and a fresh
-     workspace per call reproduces the session behaviour exactly). *)
+     the flow arena and the sweep oracle's scratch — hoisted into a
+     grow-only workspace so cross-arrival sessions reuse one backing store
+     across successive solves.  All arrays are addressed on prefixes
+     [0..n-1] / [0..k-1] and re-initialized by each solve, so reuse never
+     leaks state between solves (and a fresh workspace per call reproduces
+     the session behaviour exactly). *)
   type workspace = {
     g : Flow.t;
     mutable nslots : int;           (* job-indexed array capacity *)
@@ -110,14 +110,8 @@ struct
     mutable used : int array;
     mutable remaining : bool array;
     mutable candidate : bool array;
-    mutable victim_mark : bool array;
     mutable nj : int array;
     mutable procs : int array;
-    mutable job_vertex : int array;
-    mutable ivl_vertex : int array;
-    mutable source_edge : int array;
-    mutable sink_edge : int array;
-    mutable job_edge : int array;   (* flat [i * k + j] edge ids, -1 = absent *)
     mutable grows : int;            (* component solves that grew the arena *)
     (* Sweep-oracle state, touched only by solves on the sweep substrate. *)
     mutable sweep_order : int array;(* jobs sorted by (first_ivl, index) *)
@@ -154,14 +148,8 @@ struct
       used = [||];
       remaining = [||];
       candidate = [||];
-      victim_mark = [||];
       nj = [||];
       procs = [||];
-      job_vertex = [||];
-      ivl_vertex = [||];
-      source_edge = [||];
-      sink_edge = [||];
-      job_edge = [||];
       grows = 0;
       sweep_order = [||];
       sweep_bucket = [||];
@@ -184,10 +172,10 @@ struct
     }
 
   (* Grow (never shrink) the workspace to fit an [n]-job, [k]-interval
-     solve.  Dense solves also pre-size the job-edge table and the flow
-     arena for the worst-case Fig. 1 network, so the round loop triggers no
-     allocation; sweep solves build no network at all and size their
-     O(n + m k) oracle state in [sweep_fit] instead. *)
+     solve.  Dense solves also pre-size the flow arena for the worst-case
+     Fig. 1 network, so the round loop triggers no allocation; sweep
+     solves build no network at all and size their O(n + m k) oracle
+     state in [sweep_fit] instead. *)
   let ws_fit ws ~n ~k ~dense =
     let grew = ref false in
     if n > ws.nslots then begin
@@ -196,9 +184,6 @@ struct
       ws.last_ivl <- Array.make n' 0;
       ws.remaining <- Array.make n' false;
       ws.candidate <- Array.make n' false;
-      ws.victim_mark <- Array.make n' false;
-      ws.job_vertex <- Array.make n' (-1);
-      ws.source_edge <- Array.make n' (-1);
       ws.nslots <- n';
       grew := true
     end;
@@ -208,23 +193,16 @@ struct
       ws.used <- Array.make k' 0;
       ws.nj <- Array.make k' 0;
       ws.procs <- Array.make k' 0;
-      ws.ivl_vertex <- Array.make k' (-1);
-      ws.sink_edge <- Array.make k' (-1);
       ws.kslots <- k';
       grew := true
     end;
-    if dense then begin
-      if n * k > Array.length ws.job_edge then begin
-        ws.job_edge <- Array.make (max (n * k) (2 * Array.length ws.job_edge)) (-1);
-        grew := true
-      end;
-      if Flow.reserve ws.g ~vertices:(n + k + 2) ~edges:(n + k + (n * k)) then
-        grew := true
-    end;
+    if dense && Flow.reserve ws.g ~vertices:(n + k + 2) ~edges:(n + k + (n * k)) then
+      grew := true;
     if !grew then ws.grows <- ws.grows + 1
 
-  (* From this dense edge-table size (n * k) up a component is solved on the
-     sweep oracle; below it the dense Fig. 1 build is faster. *)
+  (* From this grid size (n * k, the bound on the dense network's window
+     edges) up a component is solved on the sweep oracle; below it the
+     dense Fig. 1 build is faster. *)
   let compress_threshold = 20_000
 
   (* --- the pair store ----------------------------------------------------
@@ -703,97 +681,70 @@ struct
       slots []
 
   (* --- the dense substrate -----------------------------------------------
-     The Fig. 1 network is built once per component, in its first phase: 0 =
-     source, 1 = sink, then the jobs, then the intervals with procs > 0.
-     Every later round of every phase reuses that topology: it zeroes the
-     flows, installs the current capacities (0 for jobs no longer
-     candidates, the shrunk reservations m_j |I_j| on the sinks, w / s on
-     the candidates' sources) and solves from zero flow.  Reservations only
-     shrink within a solve (n_j drops, used_j grows), so no edge ever needs
-     adding; a zero-capacity edge has zero residual, so no traversal ever
-     takes it, and the max-flow's BFS levels, augmenting sequence and
-     every edge flow are bit for bit those of a fresh build of the
-     candidates' network. *)
-  let build_dense ws ~n ~k (jobs : job array) speed =
-    let g = ws.g and candidate = ws.candidate and procs = ws.procs
-    and widths = ws.widths in
-    Array.fill ws.job_vertex 0 n (-1);
-    Array.fill ws.ivl_vertex 0 k (-1);
-    Array.fill ws.source_edge 0 n (-1);
-    Array.fill ws.sink_edge 0 k (-1);
-    (* Only candidate rows of the flat edge table are ever read (and only
-       on the job's active span), so only those need resetting. *)
+     The Fig. 1 network of a component is laid out by arithmetic: 0 =
+     source, 1 = sink, job i = 2 + i, interval j = 2 + n + j; the forward
+     edges are the n source edges, then every job's window edges in (i, j)
+     order, then the k sink edges, and the x-th has id 2x.  [solve_split]
+     hands [solve_in] one component, so every grid interval lies inside
+     some job's window: in the first round every job is a candidate and
+     every interval has procs >= 1, so this is the candidates' network.
+     It is built once per component and rewound before every round, the
+     first included: zero the flows, install w / s on the candidates'
+     sources, 0 on the other jobs' and the current reservations m_j |I_j|
+     on the sinks.  Reservations only shrink within a solve (n_j drops,
+     used_j grows), so no edge ever needs adding; a zero-capacity edge has
+     zero residual, so no traversal ever takes it, and the max-flow's BFS
+     levels, augmenting sequence and every edge flow are bit for bit those
+     of a fresh build of the candidates' network. *)
+  let build_dense ws ~n ~k =
+    let g = ws.g in
+    Flow.clear g ~n:(n + k + 2);
     for i = 0 to n - 1 do
-      if candidate.(i) then
-        Array.fill ws.job_edge ((i * k) + ws.first_ivl.(i))
-          (ws.last_ivl.(i) - ws.first_ivl.(i) + 1)
-          (-1)
+      ignore (Flow.add_edge g ~src:0 ~dst:(2 + i) ~cap:F.zero)
     done;
-    let next = ref 2 in
     for i = 0 to n - 1 do
-      if candidate.(i) then begin
-        ws.job_vertex.(i) <- !next;
-        incr next
-      end
+      for j = ws.first_ivl.(i) to ws.last_ivl.(i) do
+        ignore (Flow.add_edge g ~src:(2 + i) ~dst:(2 + n + j) ~cap:ws.widths.(j))
+      done
     done;
     for j = 0 to k - 1 do
-      if procs.(j) > 0 then begin
-        ws.ivl_vertex.(j) <- !next;
-        incr next
-      end
-    done;
-    Flow.clear g ~n:!next;
-    for i = 0 to n - 1 do
-      if candidate.(i) then
-        ws.source_edge.(i) <-
-          Flow.add_edge g ~src:0 ~dst:ws.job_vertex.(i) ~cap:(F.div jobs.(i).work speed)
-    done;
-    for i = 0 to n - 1 do
-      if candidate.(i) then
-        for j = ws.first_ivl.(i) to ws.last_ivl.(i) do
-          if procs.(j) > 0 then
-            ws.job_edge.((i * k) + j) <-
-              Flow.add_edge g ~src:ws.job_vertex.(i) ~dst:ws.ivl_vertex.(j) ~cap:widths.(j)
-        done
-    done;
-    for j = 0 to k - 1 do
-      if procs.(j) > 0 then
-        ws.sink_edge.(j) <-
-          Flow.add_edge g ~src:ws.ivl_vertex.(j) ~dst:1
-            ~cap:(F.mul (F.of_int procs.(j)) widths.(j))
+      ignore (Flow.add_edge g ~src:(2 + n + j) ~dst:1 ~cap:F.zero)
     done
 
   let rewind_dense ws ~n ~k (jobs : job array) speed =
     let g = ws.g in
     Flow.reset_flows g;
     for i = 0 to n - 1 do
-      if ws.source_edge.(i) >= 0 then
-        Flow.set_capacity g ws.source_edge.(i)
-          ~cap:(if ws.candidate.(i) then F.div jobs.(i).work speed else F.zero)
+      Flow.set_capacity g (2 * i)
+        ~cap:(if ws.candidate.(i) then F.div jobs.(i).work speed else F.zero)
     done;
+    let sinks = Flow.num_edges g - k in
     for j = 0 to k - 1 do
-      if ws.sink_edge.(j) >= 0 then
-        Flow.set_capacity g ws.sink_edge.(j)
-          ~cap:(F.mul (F.of_int ws.procs.(j)) ws.widths.(j))
+      Flow.set_capacity g (2 * (sinks + j)) ~cap:(F.mul (F.of_int ws.procs.(j)) ws.widths.(j))
     done
 
   (* --- removal certificates ----------------------------------------------
-     A failed round marks every candidate its maximum flow leaves
-     unreachable from the source in the residual network.  Every minimum
-     cut keeps the whole phase class on its source side, and that reach is
-     the smallest such side (DESIGN.md section 4), so no marked job is in
-     the class; the set is the same for every maximum flow and contains
-     every Lemma 4 certificate.  Returns the number marked. *)
-  let certify ws ~n ~reached =
-    let mark = ws.victim_mark in
-    let marked = ref 0 in
+     A failed round removes every candidate its maximum flow leaves
+     unreachable from the source in the residual network, and shrinks the
+     Lemma 3 reservations over each victim's window.  Every minimum cut
+     keeps the whole phase class on its source side, and that reach is the
+     smallest such side (DESIGN.md section 4), so no removed job is in the
+     class; the set is the same for every maximum flow and contains every
+     Lemma 4 certificate.  Returns the number removed. *)
+  let certify ws ~n ~machines ~reached =
+    let removed = ref 0 in
     for i = 0 to n - 1 do
-      let victim = ws.candidate.(i) && not (reached i) in
-      mark.(i) <- victim;
-      if victim then incr marked
+      if ws.candidate.(i) && not (reached i) then begin
+        ws.candidate.(i) <- false;
+        incr removed;
+        for j = ws.first_ivl.(i) to ws.last_ivl.(i) do
+          ws.nj.(j) <- ws.nj.(j) - 1;
+          ws.procs.(j) <- min ws.nj.(j) (machines - ws.used.(j))
+        done
+      end
     done;
-    if !marked = 0 then failwith "Offline.solve: flow deficit without unreachable candidate";
-    !marked
+    if !removed = 0 then failwith "Offline.solve: flow deficit without unreachable candidate";
+    !removed
 
   (* The round loop.  Each phase conjectures the remaining jobs as the next
      speed class; each round asks the oracle for a maximum flow of the
@@ -808,7 +759,7 @@ struct
      Two oracles answer a round, chosen per component by size (the sweep
      iff [n * k >= compress_threshold]):
      - dense: the Fig. 1 network, built once per component and rewound in
-       place for every later round (see [build_dense]);
+       place before every round (see [build_dense]);
      - sweep: the earliest-deadline sweep finished by implicit-residual
        augmentation (see [sweep]), which computes a maximum flow of the same
        network without materializing it.  It builds no flow network at
@@ -836,7 +787,7 @@ struct
       first_ivl.(i) <- index_of breakpoints jobs.(i).release;
       last_ivl.(i) <- index_of breakpoints jobs.(i).deadline - 1
     done;
-    if use_sweep then sweep_fit ws ~n ~k ~machines;
+    if use_sweep then sweep_fit ws ~n ~k ~machines else build_dense ws ~n ~k;
     (* Processors already reserved by earlier (faster) phases. *)
     let used = ws.used in
     Array.fill used 0 k 0;
@@ -846,12 +797,9 @@ struct
     let phases = ref [] in
     let phase_count = ref 0 in
     let rounds = ref 0 in
-    let resumes = ref 0 in
     let removals = ref 0 in
     let grouped = ref 0 in
     let largest_group = ref 0 in
-    let phase_resumes = ref 0 in
-    let net_edges = ref 0 in
     let g = ws.g in
     Flow.reset_counters g;
     let candidate = ws.candidate and nj = ws.nj and procs = ws.procs in
@@ -895,39 +843,33 @@ struct
         speed := F.div !work !time
       in
       conjecture ();
-      let accepted = ref None and first_round = ref true in
+      let accepted = ref None in
       while !accepted = None do
         incr rounds;
         let value =
           if use_sweep then sweep ws ~n ~k jobs !speed
           else begin
-            if !phase_count = 1 && !first_round then begin
-              build_dense ws ~n ~k jobs !speed;
-              net_edges := Flow.num_edges g
-            end
-            else begin
-              rewind_dense ws ~n ~k jobs !speed;
-              if !first_round then incr phase_resumes else incr resumes
-            end;
+            rewind_dense ws ~n ~k jobs !speed;
             ignore (Flow.dinic g ~source:0 ~sink:1);
             Flow.flow_value g ~source:0
           end
         in
-        first_round := false;
         if F.equal_approx value !total_time then begin
           let alloc = ref [] in
           if use_sweep then alloc := sweep_alloc ws ~k
-          else
+          else begin
+            (* Walk the window edges backwards from the sink edges; [e]
+               is the index of job i's first window edge. *)
+            let e = ref (Flow.num_edges g - k) in
             for i = n - 1 downto 0 do
+              e := !e - (last_ivl.(i) - first_ivl.(i) + 1);
               if candidate.(i) then
                 for j = last_ivl.(i) downto first_ivl.(i) do
-                  let e = ws.job_edge.((i * k) + j) in
-                  if e >= 0 then begin
-                    let t = Flow.flow_on g e in
-                    if F.sign t > 0 then alloc := (i, j, t) :: !alloc
-                  end
+                  let t = Flow.flow_on g (2 * (!e + j - first_ivl.(i))) in
+                  if F.sign t > 0 then alloc := (i, j, t) :: !alloc
                 done
-            done;
+            done
+          end;
           let members = ref [] in
           for i = n - 1 downto 0 do
             if candidate.(i) then members := i :: !members
@@ -937,23 +879,14 @@ struct
               { members = !members; speed = !speed; procs = Array.sub procs 0 k; alloc = !alloc }
         end
         else begin
-          let marked =
-            if use_sweep then certify ws ~n ~reached:(fun i -> ws.aug_visited.(i))
-            else certify ws ~n ~reached:(fun i -> Flow.reached g ws.job_vertex.(i))
+          let removed =
+            if use_sweep then certify ws ~n ~machines ~reached:(fun i -> ws.aug_visited.(i))
+            else certify ws ~n ~machines ~reached:(fun i -> Flow.reached g (2 + i))
           in
-          if marked > 1 then incr grouped;
-          largest_group := max !largest_group marked;
-          for i = 0 to n - 1 do
-            if ws.victim_mark.(i) then begin
-              candidate.(i) <- false;
-              decr cand_count;
-              incr removals;
-              for j = first_ivl.(i) to last_ivl.(i) do
-                nj.(j) <- nj.(j) - 1;
-                procs.(j) <- min nj.(j) (machines - used.(j))
-              done
-            end
-          done;
+          if removed > 1 then incr grouped;
+          largest_group := max !largest_group removed;
+          removals := !removals + removed;
+          cand_count := !cand_count - removed;
           if !cand_count = 0 then failwith "Offline.solve: candidate set exhausted";
           conjecture ()
         end
@@ -969,6 +902,10 @@ struct
         done
     done;
     let fc = Flow.counters g in
+    (* The rewind counters are fixed by the round and phase counts: on a
+       dense component every failed round and every phase after the
+       first start from a rewind of the network an earlier round used. *)
+    let dense = n > 0 && not use_sweep in
     {
       breakpoints;
       schedule_phases = List.rev !phases;
@@ -976,14 +913,14 @@ struct
         {
           phases = !phase_count;
           rounds = !rounds;
-          resumes = !resumes;
+          resumes = (if dense then !rounds - !phase_count else 0);
           removals = !removals;
           grouped = !grouped;
           largest_group = !largest_group;
-          net_edges = !net_edges;
+          net_edges = (if use_sweep then 0 else Flow.num_edges g);
           net_pushes = fc.Flow.pushes;
           net_bfs_waves = fc.Flow.bfs_waves;
-          phase_resumes = !phase_resumes;
+          phase_resumes = (if dense then !phase_count - 1 else 0);
         };
     }
 
@@ -1149,21 +1086,19 @@ struct
     solve_split ~ws:(make_workspace ()) ~machines jobs
 
   (* --- cross-arrival solver sessions (Section 3.1, Lemmas 6–9) ----------
-     A session owns a persistent workspace (flow arena, breakpoint-grid
+     A session is a persistent workspace (flow arena, breakpoint-grid
      scratch, reservation arrays, pair store) reused across successive
      solves, the natural shape for OA(m)-style replanning where every
-     arrival re-solves a slightly different instance.  A session solve runs
-     the same round loop as [solve]; only the workspace outlives it. *)
+     arrival re-solves a slightly different instance.  Nothing in it
+     depends on the machine count, which each solve passes.  A session
+     solve runs the same round loop as [solve]; only the workspace
+     outlives it. *)
   module Session = struct
-    type t = { machines : int; ws : workspace }
+    type t = workspace
 
-    let create ~machines =
-      if machines <= 0 then invalid_arg "Offline.Session.create: machines <= 0";
-      { machines; ws = make_workspace () }
-
-    let machines t = t.machines
-    let solve t jobs = solve_split ~ws:t.ws ~machines:t.machines jobs
-    let arena_grows t = t.ws.grows
+    let create = make_workspace
+    let solve ws ~machines jobs = solve_split ~ws ~machines jobs
+    let arena_grows ws = ws.grows
   end
 
   (* --- the Lemma 2 packer ------------------------------------------------
@@ -1344,9 +1279,9 @@ module Schedule = Ss_model.Schedule
 type info = {
   phases : int;
   rounds : int;
-  resumes : int;
+  resumes : int;              (* rounds - phases per dense component *)
   removals : int;
-  phase_resumes : int;         (* dense phase boundaries answered in place *)
+  phase_resumes : int;         (* phases - 1 per dense component *)
   speeds : float array;        (* decreasing phase speeds *)
 }
 
@@ -1361,13 +1296,6 @@ let schedule_of_run ~machines (run : F.run) =
     ~emit:(fun job proc t0 t1 speed ->
       segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
   Schedule.make ~machines !segments
-
-(* Same (proc, t0, job) order as Schedule.make installs, so a slice equals
-   the clipped full schedule segment-for-segment, in sequence. *)
-let compare_segment (a : Schedule.segment) (b : Schedule.segment) =
-  match Int.compare a.proc b.proc with
-  | 0 -> (match Float.compare a.t0 b.t0 with 0 -> Int.compare a.job b.job | c -> c)
-  | c -> c
 
 (* Materialize only the part of a run that overlaps [lo, hi): wrap-pack
    just the grid intervals meeting the window and clip the result.  Equal
@@ -1391,7 +1319,9 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
     ~emit:(fun job proc t0 t1 speed ->
       let t0 = Float.max t0 lo and t1 = Float.min t1 hi in
       if t1 > t0 then segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
-  List.sort compare_segment !segments
+  (* The order [Schedule.make] installs, so a slice equals the clipped
+     full schedule segment for segment, in sequence. *)
+  List.sort Schedule.compare_segment !segments
 
 (* Number of independent sub-instances the decomposition layer splits the
    instance into (1 = nothing to gain from decomposition). *)

@@ -31,8 +31,9 @@ module MakeWith
             per phase, and each failed round removes at least one job, so
             [phases <= rounds <= phases + removals] *)
     resumes : int;
-        (** failed dense rounds answered by rewinding the network in place
-            (the network is built once per component) *)
+        (** failed rounds of dense components, each answered by rewinding
+            the component's one network: [rounds - phases] per dense
+            component *)
     removals : int;  (** jobs removed by failed rounds, fixed by the instance *)
     grouped : int;
         (** failed rounds that removed more than one job at once;
@@ -40,14 +41,15 @@ module MakeWith
     largest_group : int;
         (** the most jobs one failed round removed (max across components) *)
     net_edges : int;
-        (** forward edges of the dense round network (max across
-            components) *)
+        (** forward edges of the dense round network, [n + k] plus one per
+            (job, window interval) pair (max across components) *)
     net_pushes : int;  (** edge-flow updates across the dense max-flow work *)
     net_bfs_waves : int;
         (** Dinic level-graph builds across the dense max-flow work *)
     phase_resumes : int;
-        (** dense phase boundaries answered by rewinding the solve's one
-            network in place: phases - 1 per dense component *)
+        (** phases after the first of dense components, whose first round
+            rewinds the network an earlier phase used: [phases - 1] per
+            dense component *)
   }
   (** The network counters ([resumes], [net_edges], [net_pushes],
       [net_bfs_waves], [phase_resumes]) describe the dense substrate and
@@ -69,8 +71,8 @@ module MakeWith
       indices into the input. *)
 
   val compress_threshold : int
-  (** Dense edge-table size ([n * k]) from which a component is solved on
-      the sweep oracle instead of the dense network. *)
+  (** Grid size ([n * k]) from which a component is solved on the sweep
+      oracle instead of the dense network. *)
 
   val solve : machines:int -> job array -> run
   (** Each phase conjectures the remaining jobs as the next speed class;
@@ -97,18 +99,18 @@ module MakeWith
       Each component's rounds are answered by one of two oracles, chosen
       by its size.  Below [compress_threshold] ([n * k], with [k] the
       component's grid intervals), the dense Fig. 1 network answers each
-      round: it is built once per component and rewound in place (flows
-      zeroed, capacities of removed jobs and shrunk reservations updated)
-      for every later round and phase.  From [compress_threshold] up, an
-      earliest-deadline sweep finished by blocking flows on the implicit
-      dense residual computes a maximum flow of the same network without
-      building it, keeping O(n + m k) state; no flow network exists, so
-      the network counters of {!stats} read 0.  Both give the same phase
-      partitions, speeds, reservations, busy times and energies; the
-      [t_kj] split among a phase's equal-speed members may differ (the two
-      flows are different maximum flows of the same accepting network —
-      every member's total is its demand either way).  See DESIGN.md,
-      "The sweep oracle".
+      round: it is built once per component, with every job and every
+      window edge, and rewound in place (flows zeroed, capacities of
+      removed jobs and shrunk reservations installed) before every round.
+      From [compress_threshold] up, an earliest-deadline sweep finished by
+      blocking flows on the implicit dense residual computes a maximum
+      flow of the same network without building it, keeping O(n + m k)
+      state; no flow network exists, so the network counters of {!stats}
+      read 0.  Both give the same phase partitions, speeds, reservations,
+      busy times and energies; the [t_kj] split among a phase's
+      equal-speed members may differ (the two flows are different maximum
+      flows of the same accepting network — every member's total is its
+      demand either way).  See DESIGN.md, "The sweep oracle".
       @raise Invalid_argument on malformed jobs.
       @raise Stranded_job only on internal failure (valid instances are
       always schedulable). *)
@@ -119,20 +121,19 @@ module MakeWith
       reservation arrays and sweep pair store — reused across successive
       solves and across the components of each solve, the natural shape
       for OA(m) replanning, which re-solves a slightly different instance
-      at every arrival.  Session solves run {!solve}'s round loop, so the
-      returned runs are identical to {!solve}'s, counters included. *)
+      at every arrival.  The workspace does not depend on the machine
+      count, so one session serves solves on any number of machines.
+      Session solves run {!solve}'s round loop, so the returned runs are
+      identical to {!solve}'s, counters included. *)
   module Session : sig
     type t
 
-    val create : machines:int -> t
-    (** @raise Invalid_argument if [machines <= 0]. *)
+    val create : unit -> t
 
-    val machines : t -> int
-
-    val solve : t -> job array -> run
-    (** Solve one instance on the session's machines, reusing the
-        workspace.
-        @raise Invalid_argument on malformed jobs. *)
+    val solve : t -> machines:int -> job array -> run
+    (** [solve ~machines] on the session's workspace.
+        @raise Invalid_argument if [machines <= 0] or on malformed
+        jobs. *)
 
     val arena_grows : t -> int
     (** Component solves that had to grow the workspace (a solve counts
@@ -193,9 +194,9 @@ module Exact : module type of MakeWith (Ss_numeric.Rational.Field) (Ss_flow.Maxf
 type info = {
   phases : int;
   rounds : int;
-  resumes : int;
+  resumes : int;  (** [rounds - phases] per dense component *)
   removals : int;
-  phase_resumes : int;  (** dense phase boundaries answered in place *)
+  phase_resumes : int;  (** [phases - 1] per dense component *)
   speeds : float array;
 }
 

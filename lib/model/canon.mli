@@ -50,10 +50,6 @@ val canonicalize :
     the original time origin.  [~sort:false] skips the permutation for
     answers sensitive to job numbering order. *)
 
-val apply : transform -> Job.instance -> Job.instance
-(** Re-apply a transform to an instance (canonical = [apply tf original]);
-    exposed for round-trip tests. *)
-
 val encode : Job.instance -> string
 (** Bit-exact byte encoding of an instance (machine count plus the IEEE
     bits of every job field): equal strings iff bitwise-equal instances.

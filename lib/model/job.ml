@@ -27,6 +27,7 @@ type error =
   | Bad_window of int       (* release >= deadline *)
   | Bad_work of int         (* work <= 0 *)
   | Not_finite of int
+  | Bad_density of int      (* work / (deadline - release) is 0 or infinite *)
 
 let validate_job i j =
   if
@@ -35,7 +36,9 @@ let validate_job i j =
   then Some (Not_finite i)
   else if j.release >= j.deadline then Some (Bad_window i)
   else if j.work <= 0. then Some (Bad_work i)
-  else None
+  else
+    let d = density j in
+    if d > 0. && Float.is_finite d then None else Some (Bad_density i)
 
 let validate inst =
   let errs = ref [] in
@@ -60,6 +63,7 @@ let instance ~machines jobs =
       | Bad_window i -> Printf.sprintf "job %d: release >= deadline" i
       | Bad_work i -> Printf.sprintf "job %d: work <= 0" i
       | Not_finite i -> Printf.sprintf "job %d: non-finite field" i
+      | Bad_density i -> Printf.sprintf "job %d: density not a positive finite float" i
     in
     invalid_arg ("Job.instance: " ^ msg)
 

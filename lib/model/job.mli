@@ -28,6 +28,10 @@ type error =
   | Bad_window of int
   | Bad_work of int
   | Not_finite of int
+  | Bad_density of int
+      (** the job's density [work / (deadline - release)] is 0 or infinite
+          in floating point (it underflows or overflows, or the window
+          width does) *)
 
 val validate : instance -> error list
 val is_valid : instance -> bool

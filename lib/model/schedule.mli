@@ -14,8 +14,11 @@ type segment = {
 
 type t
 
+val compare_segment : segment -> segment -> int
+(** The stored order: by processor, then start, then job. *)
+
 val make : machines:int -> segment list -> t
-(** Sorts segments by (processor, start).
+(** Sorts segments by {!compare_segment}.
     @raise Invalid_argument on malformed segments, including a
     non-finite [t0], [t1] or [speed]. *)
 

@@ -44,7 +44,7 @@ let run_detailed ?stats (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Oa.run: invalid instance");
-  let session = Offline.F.Session.create ~machines:inst.machines in
+  let session = Offline.F.Session.create () in
   let plans = ref [] in
   let replans = ref 0 in
   let total_rounds = ref 0 in
@@ -58,7 +58,7 @@ let run_detailed ?stats (inst : Job.instance) =
         live
     in
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
-    let run = Offline.F.Session.solve session sub_jobs in
+    let run = Offline.F.Session.solve session ~machines:inst.machines sub_jobs in
     total_rounds := !total_rounds + run.stats.rounds;
     grouped_rounds := !grouped_rounds + run.stats.grouped;
     (* Planned speed of every live job (its class speed). *)

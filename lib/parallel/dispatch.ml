@@ -1,5 +1,5 @@
 (* Batched multi-query solving: one fork–join per batch ([Pool.mapw]),
-   per-worker solver sessions and a canonical-instance memo cache.
+   one solver session per worker and a canonical-instance memo cache.
 
    The cache discipline (see dispatch.mli and canon.mli): every query is
    answered through its canonical form, so a digest hit and a fresh solve
@@ -93,16 +93,14 @@ end
 
 (* --- per-worker solver state ------------------------------------------- *)
 
-(* One slot per worker id; Pool.mapw runs at most one item per id at a
-   time, so slots need no internal locking.  A later batch may hand a slot
-   to a different domain: the previous batch joined its domains, which
-   orders their session use before this batch's.  Sessions are keyed by
-   machine count (a session's arena geometry is per-m). *)
-type slot = { sessions : (int, O.F.Session.t) Hashtbl.t }
-
+(* One session per worker id, for any machine count; Pool.mapw runs at
+   most one item per id at a time, so sessions need no internal locking.
+   A later batch may hand a session to a different domain: the previous
+   batch joined its domains, which orders their session use before this
+   batch's. *)
 type t = {
   domains : int;
-  slots : slot array;
+  sessions : O.F.Session.t array;
   lock : Mutex.t;  (* guards the cache and the counters below *)
   cache : outcome Lru.t;
   mutable queries : int;
@@ -115,21 +113,13 @@ let create ?(domains = Pool.default_domains ()) ?(capacity = 1024) () =
   if domains < 1 then invalid_arg "Dispatch.create: domains < 1";
   {
     domains;
-    slots = Array.init domains (fun _ -> { sessions = Hashtbl.create 4 });
+    sessions = Array.init domains (fun _ -> O.F.Session.create ());
     lock = Mutex.create ();
     cache = Lru.create capacity;
     queries = 0;
     hits = 0;
     misses = 0;
   }
-
-let session_for slot ~machines =
-  match Hashtbl.find_opt slot.sessions machines with
-  | Some s -> s
-  | None ->
-    let s = O.F.Session.create ~machines in
-    Hashtbl.add slot.sessions machines s;
-    s
 
 let solver_jobs (inst : Job.instance) =
   Array.map
@@ -186,8 +176,7 @@ let compute t w (q : query) canon =
   | Solve ->
     (* The worker's own session: its workspace serves every component of
        the solve, in turn, on this domain. *)
-    let session = session_for t.slots.(w) ~machines:canon.Job.machines in
-    Run (O.F.Session.solve session (solver_jobs canon))
+    Run (O.F.Session.solve t.sessions.(w) ~machines:canon.Job.machines (solver_jobs canon))
   | Oa -> Sched (Ss_online.Oa.schedule canon)
   | Avr -> Sched (Ss_online.Avr.schedule canon)
 

@@ -9,10 +9,11 @@
     queries take the work scale only (their schedules are order-sensitive
     and carry absolute interior times that make the shift inexact).  The
     dispatcher solves the canonical instance on the executing worker's
-    persistent {!Ss_core.Offline.F.Session} (so its workspace is reused
-    across queries, not just across the components of one solve) and maps
-    the answer back through the inverse transform.  An LRU keyed by the
-    canonical digest short-circuits repeated canonical forms entirely.
+    persistent {!Ss_core.Offline.F.Session}, one per worker whatever the
+    machine count (so its workspace is reused across queries, not just
+    across the components of one solve), and maps the answer back through
+    the inverse transform.  An LRU keyed by the canonical digest
+    short-circuits repeated canonical forms entirely.
 
     Determinism: because hits and misses both reduce to the same
     deterministic canonical solve, a batch's answers (grid breakpoints,
@@ -66,7 +67,7 @@ val batch : t -> query array -> outcome array
     has been joined. *)
 
 val query : t -> query -> outcome
-(** Answer one query on the calling domain (worker 0's sessions). *)
+(** Answer one query on the calling domain (worker 0's session). *)
 
 val solve : t -> Ss_model.Job.instance -> Ss_core.Offline.F.run
 (** [query] specialized to [Solve]. *)

@@ -152,7 +152,7 @@ let test_session_agrees () =
      instances: every solve equals a fresh solve by float bits and the
      reference. *)
   let machines = 4 in
-  let session = Offline.F.Session.create ~machines in
+  let session = Offline.F.Session.create () in
   let cases =
     sweep_sized 71 machines @ instance_mix 72 machines
     @ [ ("mixed s=73", mixed_instance 73) ]
@@ -161,7 +161,7 @@ let test_session_agrees () =
   List.iter
     (fun (name, inst) ->
       let jobs = float_jobs inst in
-      let via_session = Offline.F.Session.solve session jobs in
+      let via_session = Offline.F.Session.solve session ~machines jobs in
       Alcotest.(check bool) (name ^ " session = fresh") true
         (Reference.same_run via_session (Offline.F.solve ~machines jobs));
       check_reference (name ^ " session") inst via_session)

@@ -130,13 +130,13 @@ let test_session_decomposed_agrees () =
     (fun seed ->
       let inst = clustered_instance (seed + 40) in
       let jobs = fjobs inst in
-      let session = Offline.F.Session.create ~machines:inst.machines in
-      let a = Offline.F.Session.solve session jobs in
+      let session = Offline.F.Session.create () in
+      let a = Offline.F.Session.solve session ~machines:inst.machines jobs in
       let b = Offline.F.solve ~machines:inst.machines jobs in
       check_bool (Printf.sprintf "seed %d" seed) true (Reference.same_run a b);
       check_reference (Printf.sprintf "seed %d" seed) inst a;
       (* Re-solving on the warm workspace changes nothing. *)
-      let a2 = Offline.F.Session.solve session jobs in
+      let a2 = Offline.F.Session.solve session ~machines:inst.machines jobs in
       check_bool (Printf.sprintf "seed %d warm" seed) true (Reference.same_run a2 b))
     [ 1; 2; 3 ]
 

@@ -263,7 +263,7 @@ let test_crash_propagates_and_drains () =
 let test_batch_crash_propagates () =
   let d = Dispatch.create ~domains:3 ~capacity:8 () in
   let good = sort_jobs (G.uniform ~seed:2 ~machines:2 ~jobs:6 ~horizon:12. ~max_work:3. ()) in
-  let bad = { good with Job.machines = 0 } (* Session.create rejects m <= 0 *) in
+  let bad = { good with Job.machines = 0 } (* the session's solve rejects m <= 0 *) in
   let queries = Array.init 30 (fun i -> if i = 17 then bad else good) in
   (match Dispatch.solve_batch d queries with
   | exception Invalid_argument _ -> ()

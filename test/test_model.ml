@@ -31,6 +31,10 @@ let test_job_validation () =
       ("no machines", fun () -> Job.instance ~machines:0 [ j 0. 1. 1. ]);
       ("no jobs", fun () -> Job.instance ~machines:1 []);
       ("nan", fun () -> Job.instance ~machines:1 [ j Float.nan 1. 1. ]);
+      ("density underflows", fun () -> Job.instance ~machines:1 [ j 0. 1e300 1e-300 ]);
+      ("density overflows", fun () -> Job.instance ~machines:1 [ j 0. 1e-300 1e300 ]);
+      ("subnormal window", fun () -> Job.instance ~machines:1 [ j 0. 1e-310 1. ]);
+      ("window width overflows", fun () -> Job.instance ~machines:1 [ j (-1e308) 1e308 1. ]);
     ]
 
 let test_job_accessors () =

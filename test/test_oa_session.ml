@@ -60,8 +60,10 @@ let prop_session_matches_scratch =
 
 let test_session_solve_agrees_across_solves () =
   (* Feed a session a sequence of overlapping sub-instances (growing
-     prefixes of a workload); every run must equal a fresh solve of the
-     same jobs, even though the session reuses one arena throughout. *)
+     prefixes of a workload), each solved on 1, 2, 4 and 8 machines in
+     turn; every run must equal a fresh solve of the same jobs on the same
+     machines, even though the session reuses one arena throughout and
+     the machine count changes from one solve to the next. *)
   let inst = G.poisson ~seed:23 ~machines:3 ~jobs:25 ~rate:1. ~mean_work:2. ~slack:2.5 () in
   let jobs =
     Array.map
@@ -69,15 +71,18 @@ let test_session_solve_agrees_across_solves () =
         { O.F.release = j.release; deadline = j.deadline; work = j.work })
       inst.jobs
   in
-  let session = O.F.Session.create ~machines:3 in
+  let session = O.F.Session.create () in
   for k = 1 to Array.length jobs do
     let prefix = Array.sub jobs 0 k in
-    let from_session = O.F.Session.solve session prefix in
-    let from_scratch = O.F.solve ~machines:3 prefix in
-    check_bool
-      (Printf.sprintf "prefix %d: session run == scratch run" k)
-      true
-      (Reference.same_run from_session from_scratch)
+    List.iter
+      (fun machines ->
+        let from_session = O.F.Session.solve session ~machines prefix in
+        let from_scratch = O.F.solve ~machines prefix in
+        check_bool
+          (Printf.sprintf "prefix %d, m=%d: session run == scratch run" k machines)
+          true
+          (Reference.same_run from_session from_scratch))
+      [ 1; 2; 4; 8 ]
   done
 
 (* --- slice_of_run == clip(schedule_of_run) ----------------------------- *)
@@ -156,10 +161,21 @@ let test_session_ledger () =
     true
     (info.arena_grows < info.replans / 2)
 
+(* A session takes its machine count per solve, which validates it. *)
 let test_session_create_validates () =
-  Alcotest.check_raises "machines = 0 rejected"
-    (Invalid_argument "Offline.Session.create: machines <= 0") (fun () ->
-      ignore (O.F.Session.create ~machines:0))
+  let session = O.F.Session.create () in
+  let jobs = [| { O.F.release = 0.; deadline = 1.; work = 1. } |] in
+  List.iter
+    (fun machines ->
+      Alcotest.check_raises
+        (Printf.sprintf "machines = %d rejected" machines)
+        (Invalid_argument "Offline.solve: machines <= 0")
+        (fun () -> ignore (O.F.Session.solve session ~machines jobs)))
+    [ 0; -1 ];
+  check_bool "the session still solves" true
+    (Reference.same_run
+       (O.F.Session.solve session ~machines:2 jobs)
+       (O.F.solve ~machines:2 jobs))
 
 let () =
   Alcotest.run "oa_session"

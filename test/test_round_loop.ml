@@ -1,7 +1,7 @@
 (* The offline round loop (lib/core/offline.ml): a failed round removes
    every candidate its maximum flow cannot reach from the source, over one
-   dense network per solve, rewound in place between rounds and phases,
-   or over the sweep oracle's pair store.
+   dense network per component, rewound in place before every round, or
+   over the sweep oracle's pair store.
 
    (a) Agreement: the float run agrees with the exact-rational replay,
        whose schedule passes a zero-tolerance audit; the pipeline's
@@ -14,9 +14,9 @@
        alike the round, removal and group counters equal those of the
        reference that removes the complement of a fresh network's
        minimum-cut source side.
-   (d) Counters: the rewind and phase-boundary counts of the dense
-       substrate, zero network counters on the sweep, and the reference's
-       phase and removal counts on both.
+   (d) Counters: the rewind and phase-boundary counts and the edge count
+       of the dense substrate's layout, zero network counters on the
+       sweep, and the reference's phase and removal counts on both.
    (e) The exact-rational replay certifies a float run's partition,
        reservations and speeds.
 
@@ -94,7 +94,7 @@ let test_pipeline_energy_agrees () =
 
 let test_session_and_split () =
   let machines = 4 in
-  let session = Offline.F.Session.create ~machines in
+  let session = Offline.F.Session.create () in
   List.iter
     (fun seed ->
       let inst =
@@ -108,7 +108,7 @@ let test_session_and_split () =
         (Reference.offline_mismatch inst fresh);
       (* Twice on the warm workspace: reuse leaks nothing. *)
       for _ = 1 to 2 do
-        let warm = Offline.F.Session.solve session jobs in
+        let warm = Offline.F.Session.solve session ~machines jobs in
         Alcotest.(check bool) (tag ^ " session bitwise") true (Reference.same_run fresh warm);
         Alcotest.(check bool) (tag ^ " session stats") true (fresh.stats = warm.stats)
       done)
@@ -220,6 +220,21 @@ let test_counters () =
   Alcotest.(check int) "dense: one rewind per failed round" (d.rounds - d.phases) d.resumes;
   Alcotest.(check bool) "dense: network counted" true
     (d.net_edges > 0 && d.net_pushes > 0 && d.net_bfs_waves > 0);
+  (* The dense layout: one source edge per job, one edge per grid
+     interval of each job's window, one sink edge per interval. *)
+  let b = dense.breakpoints in
+  let index t =
+    let rec go i = if Float.equal b.(i) t then i else go (i + 1) in
+    go 0
+  in
+  let window_edges =
+    Array.fold_left
+      (fun acc (j : Job.t) -> acc + index j.deadline - index j.release)
+      0 small.jobs
+  in
+  Alcotest.(check int) "dense: net_edges = n + window edges + k"
+    (Array.length small.jobs + window_edges + Array.length b - 1)
+    d.net_edges;
   List.iter
     (fun (tag, (r : Offline.F.stats)) ->
       Alcotest.(check bool)

@@ -1,7 +1,7 @@
 (* ss_lint: a compiler-libs determinism & data-race lint for this tree.
 
    Every optimisation layer in this repo (incremental Dinic, decomposition,
-   compression, streaming, the Crew dispatcher, cross-phase reuse) promises
+   compression, streaming, the batch dispatcher, cross-phase reuse) promises
    bit-identical outputs across substrates, domain counts and cache
    hit/miss paths.  That promise is guarded dynamically by the agreement
    suites and [Flow.audit]; this tool is the static half of the gate.  It
@@ -32,7 +32,7 @@
      R5 domain-race    A mutation ([:=], [incr]/[decr], [Array.set],
                        [Bytes.set], [e.f <- v]) of a binding captured by
                        a closure handed to [Domain.spawn] or
-                       [Pool.map]/[Pool.Crew.*], outside [Atomic.*] and
+                       [Pool.map]/[Pool.mapw], outside [Atomic.*] and
                        any Mutex-guarded region.  Flags the exact
                        mutation site inside the spawned closure.
 
@@ -302,7 +302,7 @@ let spawn_site_name = function
   | l -> (
     match List.rev l with
     | ("map" | "mapi" | "map_list" | "all" | "map_reduce" | "mapw") :: _
-      when List.mem "Pool" l || List.mem "Crew" l ->
+      when List.mem "Pool" l ->
       Some (String.concat "." l)
     | _ -> None)
 
