@@ -198,8 +198,10 @@ let simulate algo path alpha show gantt =
       | sched ->
         let e = Schedule.energy power sched in
         let e_opt = Ss_core.Offline.optimal_energy power inst in
-        Printf.printf "%s: energy %.6g, optimal %.6g, ratio %.4f, feasible %b\n" name e
-          e_opt (e /. e_opt)
+        (* A zero optimum (works whose energy underflows) has no ratio. *)
+        let ratio = if e_opt > 0. then Printf.sprintf "%.4f" (e /. e_opt) else "n/a" in
+        Printf.printf "%s: energy %.6g, optimal %.6g, ratio %s, feasible %b\n" name e e_opt
+          ratio
           (Schedule.is_feasible inst sched);
         if show then Format.printf "%a@." Schedule.pp sched;
         if gantt then Ss_model.Render.print sched;

@@ -3,7 +3,7 @@
    with migration, built on repeated maximum-flow computations.
 
    The algorithm constructs the optimal schedule speed level by speed
-   level.  Phase i conjectures that all remaining jobs form the next
+   level.  Phase i conjectures that a set of pending jobs forms the next
    equal-speed class J_i, reserves m_j = min(n_j, m - used_j) processors
    per grid interval (Lemma 3; note the paper's Fig. 2 line 6 omits the
    "m -" by an obvious typo), sets the uniform speed s = W / P, and asks a
@@ -16,7 +16,13 @@
    edges are the execution times t_kj.  Otherwise every job the maximum
    flow leaves unreachable from the source in its residual network
    provably does not belong to J_i (the set contains every Lemma 4
-   certificate; see [certify]) and is removed for the next round.
+   certificate; see [certify]) and is removed for the next round.  The
+   paper starts every phase from all remaining jobs; here the removed jobs
+   are kept as a pending set of their own, which holds exactly the
+   candidates' classes no faster than the conjectured speed, and each phase
+   starts from the most recently kept set (see [solve_in]).  The classes,
+   speeds and t_kj are the paper's; a component takes 2 phases - 1
+   rounds.
 
    The module is a functor over an ordered field: instantiated at floats
    for speed and at exact rationals to certify the float run.  The Lemma 2
@@ -108,7 +114,7 @@ struct
     mutable first_ivl : int array;
     mutable last_ivl : int array;
     mutable used : int array;
-    mutable remaining : bool array;
+    mutable pending : int array;    (* per job: its pending set's stack slot, -1 *)
     mutable candidate : bool array;
     mutable nj : int array;
     mutable procs : int array;
@@ -146,7 +152,7 @@ struct
       first_ivl = [||];
       last_ivl = [||];
       used = [||];
-      remaining = [||];
+      pending = [||];
       candidate = [||];
       nj = [||];
       procs = [||];
@@ -182,7 +188,7 @@ struct
       let n' = max n (2 * ws.nslots) in
       ws.first_ivl <- Array.make n' 0;
       ws.last_ivl <- Array.make n' 0;
-      ws.remaining <- Array.make n' false;
+      ws.pending <- Array.make n' (-1);
       ws.candidate <- Array.make n' false;
       ws.nslots <- n';
       grew := true
@@ -691,8 +697,9 @@ struct
      It is built once per component and rewound before every round, the
      first included: zero the flows, install w / s on the candidates'
      sources, 0 on the other jobs' and the current reservations m_j |I_j|
-     on the sinks.  Reservations only shrink within a solve (n_j drops,
-     used_j grows), so no edge ever needs adding; a zero-capacity edge has
+     on the sinks.  No reservation ever exceeds the first round's (n_j
+     counts a subset of the jobs, used_j only grows), so no edge ever
+     needs adding; a zero-capacity edge has
      zero residual, so no traversal ever takes it, and the max-flow's BFS
      levels, augmenting sequence and every edge flow are bit for bit those
      of a fresh build of the candidates' network. *)
@@ -725,17 +732,22 @@ struct
 
   (* --- removal certificates ----------------------------------------------
      A failed round removes every candidate its maximum flow leaves
-     unreachable from the source in the residual network, and shrinks the
-     Lemma 3 reservations over each victim's window.  Every minimum cut
-     keeps the whole phase class on its source side, and that reach is the
-     smallest such side (DESIGN.md section 4), so no removed job is in the
-     class; the set is the same for every maximum flow and contains every
-     Lemma 4 certificate.  Returns the number removed. *)
-  let certify ws ~n ~machines ~reached =
+     unreachable from the source in the residual network, shrinks the
+     Lemma 3 reservations over each victim's window and tags the victims
+     as the pending set [tag].  Every minimum cut keeps the whole phase
+     class on its source side, and that reach is the smallest such side
+     (DESIGN.md section 4), so no removed job is in the class; the set is
+     the same for every maximum flow and contains every Lemma 4
+     certificate.  More: the reach is exactly the candidates' classes
+     faster than the conjectured speed, so the victims are a union of
+     whole classes, all slower than every class the phase has left to
+     find.  Returns the number removed. *)
+  let certify ws ~n ~machines ~reached ~tag =
     let removed = ref 0 in
     for i = 0 to n - 1 do
       if ws.candidate.(i) && not (reached i) then begin
         ws.candidate.(i) <- false;
+        ws.pending.(i) <- tag;
         incr removed;
         for j = ws.first_ivl.(i) to ws.last_ivl.(i) do
           ws.nj.(j) <- ws.nj.(j) - 1;
@@ -746,15 +758,32 @@ struct
     if !removed = 0 then failwith "Offline.solve: flow deficit without unreachable candidate";
     !removed
 
-  (* The round loop.  Each phase conjectures the remaining jobs as the next
+  (* The round loop.  Each phase conjectures a pending set as the next
      speed class; each round asks the oracle for a maximum flow of the
      Fig. 1 network of the current candidates at their conjectured speed.
      A saturating flow accepts the phase and its pair flows are the t_kj; a
      deficit removes every candidate the flow cannot reach from the source
-     (see [certify]) and conjectures again.  Phases, removals, speeds and
-     reservations are fixed by the instance, and for a given oracle so are
-     the t_kj, because the accepting round's flow depends only on the
-     accepted set.
+     (see [certify]), pushes them as a new pending set and conjectures
+     again.  The component starts as one pending set, and each phase pops
+     the top one, the most recently set aside.  This finds the classes the
+     literal Fig. 2 loop finds, which starts every phase from all remaining
+     jobs (DESIGN.md section 4):
+     - a failed round at speed lambda = W(C) / P(C) splits its candidates
+       C into the reach, C's classes faster than lambda, and the victims U,
+       the rest;
+     - Lemma 3's update used_j += min(|A n A_j|, m - used_j) contracts the
+       polymatroid cap(S) = sum_j min(|S n A_j|, m - used_j) |I_j|, so
+       once every class faster than U's is placed, U alone yields U's
+       classes;
+     - a set pushed later holds faster classes than the sets below it, so
+       popping the top places the classes fastest first.
+     The accepting round sees the candidate set, reservations and float
+     sums of the literal loop, so only the rounds and removals fall: every
+     failed round splits one pending set in two and every phase consumes
+     one, so a component takes exactly 2 phases - 1 rounds.  Phases,
+     removals, speeds and reservations are fixed by the instance and the
+     loop, and for a given oracle so are the t_kj, because the accepting
+     round's flow depends only on the accepted set.
 
      Two oracles answer a round, chosen per component by size (the sweep
      iff [n * k >= compress_threshold]):
@@ -791,9 +820,11 @@ struct
     (* Processors already reserved by earlier (faster) phases. *)
     let used = ws.used in
     Array.fill used 0 k 0;
-    let remaining = ws.remaining in
-    Array.fill remaining 0 n true;
-    let remaining_count = ref n in
+    (* The stack of pending sets: a job's tag is the slot of its set, so
+       the stack is its height.  Candidates and placed jobs carry -1. *)
+    let pending = ws.pending in
+    Array.fill pending 0 n 0;
+    let height = ref (if n > 0 then 1 else 0) in
     let phases = ref [] in
     let phase_count = ref 0 in
     let rounds = ref 0 in
@@ -803,10 +834,18 @@ struct
     let g = ws.g in
     Flow.reset_counters g;
     let candidate = ws.candidate and nj = ws.nj and procs = ws.procs in
-    while !remaining_count > 0 do
+    while !height > 0 do
       incr phase_count;
-      Array.blit remaining 0 candidate 0 n;
-      let cand_count = ref !remaining_count in
+      decr height;
+      let cand_count = ref 0 in
+      for i = 0 to n - 1 do
+        let c = pending.(i) = !height in
+        candidate.(i) <- c;
+        if c then begin
+          pending.(i) <- -1;
+          incr cand_count
+        end
+      done;
       (* Lemma 3 reservation state, maintained incrementally: n_j only
          changes on a removed victim's active range. *)
       Array.fill nj 0 k 0;
@@ -879,10 +918,12 @@ struct
               { members = !members; speed = !speed; procs = Array.sub procs 0 k; alloc = !alloc }
         end
         else begin
+          let tag = !height in
           let removed =
-            if use_sweep then certify ws ~n ~machines ~reached:(fun i -> ws.aug_visited.(i))
-            else certify ws ~n ~machines ~reached:(fun i -> Flow.reached g (2 + i))
+            if use_sweep then certify ws ~n ~machines ~tag ~reached:(fun i -> ws.aug_visited.(i))
+            else certify ws ~n ~machines ~tag ~reached:(fun i -> Flow.reached g (2 + i))
           in
+          incr height;
           if removed > 1 then incr grouped;
           largest_group := max !largest_group removed;
           removals := !removals + removed;
@@ -895,8 +936,6 @@ struct
       | None -> assert false
       | Some phase ->
         phases := phase :: !phases;
-        List.iter (fun i -> remaining.(i) <- false) phase.members;
-        remaining_count := !remaining_count - List.length phase.members;
         for j = 0 to k - 1 do
           used.(j) <- used.(j) + phase.procs.(j)
         done
@@ -1058,9 +1097,10 @@ struct
       in
       let schedule_phases = coalesce sorted in
       (* Counters are summed; [phases] counts accepted conjectures (one
-         accepting round each, and each failed round removes at least one
-         job), so phases <= rounds <= phases + removals survives the merge
-         even if a bitwise tie coalesced two classes above. *)
+         per pending set a component pops, and each failed round pushes
+         one and removes at least one job), so rounds = 2 phases -
+         components and phases <= rounds <= phases + removals survive the
+         merge even if a bitwise tie coalesced two classes above. *)
       let sum f = List.fold_left (fun acc (_, (r : run)) -> acc + f r.stats) 0 runs in
       let peak f = List.fold_left (fun acc (_, (r : run)) -> max acc (f r.stats)) 0 runs in
       {

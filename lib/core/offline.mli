@@ -28,13 +28,17 @@ module MakeWith
     phases : int;
     rounds : int;
         (** oracle answers: dense max flows or sweeps.  One accepting round
-            per phase, and each failed round removes at least one job, so
-            [phases <= rounds <= phases + removals] *)
+            per phase, and each failed round splits one pending set in two
+            while each phase consumes one, so a component takes exactly
+            [2 phases - 1] rounds and a solve [2 phases - components];
+            hence [phases <= rounds <= phases + removals] *)
     resumes : int;
         (** failed rounds of dense components, each answered by rewinding
             the component's one network: [rounds - phases] per dense
             component *)
-    removals : int;  (** jobs removed by failed rounds, fixed by the instance *)
+    removals : int;
+        (** jobs removed by failed rounds, fixed by the instance and the
+            loop *)
     grouped : int;
         (** failed rounds that removed more than one job at once;
             [grouped <= rounds - phases] *)
@@ -75,14 +79,21 @@ module MakeWith
       oracle instead of the dense network. *)
 
   val solve : machines:int -> job array -> run
-  (** Each phase conjectures the remaining jobs as the next speed class;
-      each round asks for a maximum flow of the Fig. 1 network of the
-      current candidates.  A failed round removes at once {e every}
-      candidate the flow cannot reach from the source in its residual
-      network: a set outside the phase's class, the same for every
-      maximum flow, that contains every job Lemma 4 certifies.  Phases,
-      removals, speeds, reservations, energy and the round counters are
-      therefore fixed by the instance.
+  (** Each phase conjectures a pending set as the next speed class (a
+      component starts as one); each round asks for a maximum flow of the
+      Fig. 1 network of the current candidates.  A failed round removes
+      at once {e every} candidate the flow cannot reach from the source
+      in its residual network — a set outside the phase's class, the
+      same for every maximum flow, that contains every job Lemma 4
+      certifies — and pushes it as a new pending set: it holds exactly
+      the candidates' classes no faster than the conjectured speed.  Each
+      phase pops the top set, so the classes come fastest first and are
+      those of the paper's loop, which starts every phase from all
+      remaining jobs, while every failed round keeps the slow side it
+      split off (see DESIGN.md section 4).  Phases, speeds, reservations
+      and energy are therefore fixed by the instance, and the removals
+      and round counters by the instance and the loop: a component takes
+      [2 phases - 1] rounds.
 
       The instance is first split at zero-coverage grid points (see
       {!components}).  The components are solved one after another on one

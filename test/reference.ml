@@ -2,16 +2,22 @@
 
    [offline] is the paper's Fig. 2 written out plainly: the whole
    instance, no decomposition, no sweep oracle and no workspace, and a
-   fresh Fig. 1 network per round on the generic flow functor.  A failed
-   round removes, by default, every Lemma 4-certified job, found by a
-   direct scan over all (job, interval) edges; with [~rule:Unreachable]
-   it removes every candidate outside [Net.min_cut]'s source side, found
-   by a depth-first search on that fresh network.  The library solves
+   fresh Fig. 1 network per round on the generic flow functor.  Every
+   phase starts from all remaining jobs.  A failed round removes, by
+   default, every Lemma 4-certified job, found by a direct scan over all
+   (job, interval) edges; with [~rule:Unreachable] it removes every
+   candidate outside [Net.min_cut]'s source side, found by a depth-first
+   search on that fresh network.  [offline_pending] is the same loop
+   under the [Unreachable] rule, except that a failed round pushes its
+   victims onto a stack of pending sets and each phase starts from the
+   top set instead of all remaining jobs.  The library solves
    components in turn on one workspace, answers large rounds with the
-   sweep oracle and removes the unreachable candidates it reads off the
-   oracle's last BFS; the tests require it to equal [offline] under both
-   rules by float bits ([offline_mismatch]), and its counters to equal
-   the [Unreachable] reference's.
+   sweep oracle, removes the unreachable candidates it reads off the
+   oracle's last BFS and keeps them as pending sets; the tests require
+   its output to equal [offline] under both rules by float bits
+   ([offline_mismatch]), [offline_pending]'s output to equal [offline]'s
+   by float bits, and the library's counters to equal [offline_pending]'s
+   per component.
 
    The online functions re-derive a simulator's output the slow, obvious
    way: whole-array rescans per unit interval (AVR) or per arrival (OA), a
@@ -101,7 +107,10 @@ type rule =
   | One_hop      (* a non-full edge into an unsaturated interval (Lemma 4) *)
   | Unreachable  (* outside the source side of the minimum cut *)
 
-let offline ?(rule = One_hop) (inst : Job.instance) : Offline.F.run =
+(* [~pending:false] starts every phase from all remaining jobs;
+   [~pending:true] from the top of a stack of pending sets, on which the
+   whole instance starts and every failed round pushes its victims. *)
+let fig2 ~rule ~pending (inst : Job.instance) : Offline.F.run =
   let jobs = inst.jobs and machines = inst.machines in
   let n = Array.length jobs in
   let breakpoints =
@@ -116,10 +125,20 @@ let offline ?(rule = One_hop) (inst : Job.instance) : Offline.F.run =
   in
   let used = Array.make k 0 in
   let remaining = Array.make n true in
+  let stack = ref [ Array.make n true ] in
   let phases = ref [] and rounds = ref 0 and removals = ref 0 in
   let grouped = ref 0 and largest_group = ref 0 in
   while Array.exists Fun.id remaining do
-    let candidate = Array.copy remaining in
+    let candidate =
+      if pending then begin
+        match !stack with
+        | top :: rest ->
+          stack := rest;
+          top
+        | [] -> failwith "Reference.offline: remaining jobs in no pending set"
+      end
+      else Array.copy remaining
+    in
     let accepted = ref None in
     while !accepted = None do
       incr rounds;
@@ -215,6 +234,7 @@ let offline ?(rule = One_hop) (inst : Job.instance) : Offline.F.run =
         let victims = List.filter (fun i -> certified.(i)) (List.init n Fun.id) in
         if victims = [] then failwith "Reference.offline: deficit without a certified job";
         List.iter (fun i -> candidate.(i) <- false) victims;
+        if pending then stack := certified :: !stack;
         let c = List.length victims in
         removals := !removals + c;
         if c > 1 then incr grouped;
@@ -246,6 +266,13 @@ let offline ?(rule = One_hop) (inst : Job.instance) : Offline.F.run =
         phase_resumes = 0;
       };
   }
+
+let offline ?(rule = One_hop) inst = fig2 ~rule ~pending:false inst
+
+(* The pending-set loop is exact only when a failed round's victims are
+   whole classes, all slower than the ones it keeps: the [Unreachable]
+   rule's, not always the [One_hop] rule's. *)
+let offline_pending inst = fig2 ~rule:Unreachable ~pending:true inst
 
 (* Where a library run of [inst] departs from [offline ~rule inst] under
    either rule, or [None].  Breakpoints, members, speeds and procs must

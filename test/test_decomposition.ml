@@ -143,7 +143,9 @@ let test_session_decomposed_agrees () =
 let test_stats_invariant_decomposed () =
   (* One accepting round per phase plus at most one per removal (a failed
      round removes at least one job), summed across components: the merge
-     preserves the bounds. *)
+     preserves the bounds.  Each failed round splits one pending set in
+     two and each phase consumes one, so a component takes 2 phases - 1
+     rounds, and the sums 2 phases - components. *)
   List.iter
     (fun seed ->
       let inst = clustered_instance (seed + 80) in
@@ -156,7 +158,11 @@ let test_stats_invariant_decomposed () =
       check_bool
         (Printf.sprintf "seed %d grouped <= rounds - phases" seed)
         true
-        (r.stats.grouped <= r.stats.rounds - r.stats.phases))
+        (r.stats.grouped <= r.stats.rounds - r.stats.phases);
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d rounds = 2 phases - components" seed)
+        ((2 * r.stats.phases) - Offline.component_count inst)
+        r.stats.rounds)
     [ 1; 2; 3; 4 ]
 
 (* --- properties --------------------------------------------------------- *)

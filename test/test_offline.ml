@@ -427,8 +427,11 @@ let prop_stats_polynomial =
       let inst = random_instance (seed + 300) in
       let run = Offline.run inst in
       let n = Array.length inst.jobs in
-      (* One accepting round per phase plus at most one per removal. *)
-      run.stats.phases <= run.stats.rounds
+      (* One accepting round per phase plus at most one per removal; each
+         failed round splits one pending set in two and each phase consumes
+         one. *)
+      run.stats.rounds = (2 * run.stats.phases) - Offline.component_count inst
+      && run.stats.phases <= run.stats.rounds
       && run.stats.rounds <= run.stats.phases + run.stats.removals
       && run.stats.grouped <= run.stats.rounds - run.stats.phases
       && run.stats.removals <= n * run.stats.phases

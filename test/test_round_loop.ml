@@ -10,13 +10,17 @@
        for bit, counters included, and both equal test/reference.ml's
        whole-instance Fig. 2 solve.
    (c) The parametric invariant, as a QCheck property: accepted phase
-       speeds strictly decrease, and on dense- and sweep-sized components
-       alike the round, removal and group counters equal those of the
-       reference that removes the complement of a fresh network's
-       minimum-cut source side.
+       speeds strictly decrease, every component takes 2 phases - 1
+       rounds, and on dense- and sweep-sized components alike the round,
+       removal and group counters equal those of the pending-set
+       reference, which removes the complement of a fresh network's
+       minimum-cut source side and starts each phase from the top pending
+       set; that reference's output equals the literal Fig. 2 loop's by
+       float bits.
    (d) Counters: the rewind and phase-boundary counts and the edge count
        of the dense substrate's layout, zero network counters on the
-       sweep, and the reference's phase and removal counts on both.
+       sweep, and the pending-set reference's phase and removal counts on
+       both.
    (e) The exact-rational replay certifies a float run's partition,
        reservations and speeds.
 
@@ -119,14 +123,16 @@ let test_session_and_split () =
 (* The counters of a solve are fixed by the removal sets of its failed
    rounds.  A failed round's set (the candidates its maximum flow cannot
    reach from the source) is the same for every maximum flow, so the
-   reference, which finds it by a depth-first search on a fresh Fig. 1
-   network every round, must meet the counters of the dense oracle's
-   rewound network and of the sweep alike.  Times and works are scaled by
-   powers of two, which are exact.  The reference solves whole instances:
-   it runs per component. *)
+   pending-set reference, which finds it by a depth-first search on a
+   fresh Fig. 1 network every round, must meet the counters of the dense
+   oracle's rewound network and of the sweep alike.  Every failed round
+   splits one pending set in two and every phase consumes one, so the
+   rounds are 2 phases - components.  Times and works are scaled by
+   powers of two, which are exact.  The references solve whole instances:
+   they run per component. *)
 let prop_invariant =
   QCheck.Test.make ~count:60
-    ~name:"phase speeds strictly decrease; counters = unreachable-rule reference"
+    ~name:"phase speeds strictly decrease; counters = pending-set reference"
     QCheck.(quad (int_range 0 3) small_nat (int_range (-10) 12) (int_range (-20) 30))
     (fun (log_machines, seed, time_exp, work_exp) ->
       let machines = 1 lsl log_machines and jobs = 8 + (seed mod 9) in
@@ -175,16 +181,25 @@ let prop_invariant =
           (strictly_decreasing
              (List.map (fun (p : Offline.F.phase) -> p.speed) run.schedule_phases))
       then QCheck.Test.fail_report "phase speeds do not strictly decrease";
-      let refs =
+      let comps =
         List.map
-          (fun ids ->
-            Reference.offline ~rule:Unreachable
-              { inst with jobs = Array.map (fun i -> inst.jobs.(i)) ids })
+          (fun ids -> { inst with jobs = Array.map (fun i -> inst.jobs.(i)) ids })
           (Offline.F.components jobs)
       in
+      let refs = List.map Reference.offline_pending comps in
+      if
+        not
+          (List.for_all2
+             (fun comp pending ->
+               Reference.same_run pending (Reference.offline ~rule:Unreachable comp))
+             comps refs)
+      then QCheck.Test.fail_report "pending-set reference departs from the literal loop";
       let sum f = List.fold_left (fun acc (r : Offline.F.run) -> acc + f r.stats) 0 refs in
       let peak f = List.fold_left (fun acc (r : Offline.F.run) -> max acc (f r.stats)) 0 refs in
       let s = run.stats in
+      if s.rounds <> (2 * s.phases) - List.length comps then
+        QCheck.Test.fail_reportf "%d rounds for %d phases over %d components" s.rounds
+          s.phases (List.length comps);
       s.rounds = sum (fun s -> s.rounds)
       && s.removals = sum (fun s -> s.removals)
       && s.grouped = sum (fun s -> s.grouped)
@@ -243,13 +258,14 @@ let test_counters () =
         (r.phases <= r.rounds && r.rounds <= r.phases + r.removals);
       Alcotest.(check bool)
         (tag ^ ": grouped <= rounds - phases") true
-        (r.grouped <= r.rounds - r.phases))
+        (r.grouped <= r.rounds - r.phases);
+      Alcotest.(check int) (tag ^ ": rounds = 2 phases - 1") ((2 * r.phases) - 1) r.rounds)
     [ ("dense", d); ("sweep", s) ];
   Alcotest.(check (list int)) "sweep: no network counters" [ 0; 0; 0; 0; 0 ]
     [ s.resumes; s.net_edges; s.net_pushes; s.net_bfs_waves; s.phase_resumes ];
   List.iter
     (fun (tag, inst, (r : Offline.F.stats)) ->
-      let expected = (Reference.offline inst).stats in
+      let expected = (Reference.offline_pending inst).stats in
       Alcotest.(check int) (tag ^ ": reference phases") expected.phases r.phases;
       Alcotest.(check int) (tag ^ ": reference removals") expected.removals r.removals)
     [ ("dense", small, d); ("sweep", large, s) ]
