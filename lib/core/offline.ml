@@ -124,8 +124,11 @@ struct
     mutable sweep_bucket : int array;(* counting-sort scratch, k+1 *)
     mutable sweep_rem : F.t array;  (* per job: unrouted demand *)
     mutable sweep_sink : F.t array; (* per interval: routed time *)
-    mutable sweep_heap : int array; (* active-job min-heap on (deadline, id) *)
-    mutable sweep_tmp : int array;  (* jobs to re-push after an interval *)
+    mutable sweep_pre : F.t array;  (* k+1 prefix sums of |I_j| over procs_j > 0 *)
+    mutable sweep_pref : float array; (* [sweep_pre] as floats *)
+    mutable sweep_prio : float array; (* per job: laxity, the heap key *)
+    mutable sweep_heap : int array; (* active-job min-heap on (laxity, deadline, id) *)
+    mutable sweep_tmp : int array;  (* jobs served in the current interval *)
     (* The pair store: one slot per positive (job, interval) pair of the
        sweep's flow, threaded into its interval's supporter list and found
        through an open-addressed index on [i * k + j]. *)
@@ -161,6 +164,9 @@ struct
       sweep_bucket = [||];
       sweep_rem = [||];
       sweep_sink = [||];
+      sweep_pre = [||];
+      sweep_pref = [||];
+      sweep_prio = [||];
       sweep_heap = [||];
       sweep_tmp = [||];
       pair_key = [||];
@@ -212,8 +218,8 @@ struct
   let compress_threshold = 20_000
 
   (* --- the pair store ----------------------------------------------------
-     The sweep's flow is sparse: at most n + (m + 1) k pairs are positive
-     after the earliest-deadline pass, and the augmenting stage adds few.
+     The sweep's flow is sparse: Stage 1 leaves at most n + (m + 1) k
+     positive pairs (see [sweep]), and the augmenting stage adds few.
      Each positive pair owns one slot; a cleared index (a new stamp
      generation) empties the store in O(1) at the start of every sweep. *)
 
@@ -313,6 +319,11 @@ struct
     if Array.length ws.sweep_bucket < k + 1 then ws.sweep_bucket <- Array.make (k + 1) 0;
     if Array.length ws.sweep_rem < n then ws.sweep_rem <- Array.make n F.zero;
     if Array.length ws.sweep_sink < k then ws.sweep_sink <- Array.make k F.zero;
+    if Array.length ws.sweep_pre < k + 1 then begin
+      ws.sweep_pre <- Array.make (k + 1) F.zero;
+      ws.sweep_pref <- Array.make (k + 1) 0.
+    end;
+    if Array.length ws.sweep_prio < n then ws.sweep_prio <- Array.make n 0.;
     if Array.length ws.sweep_heap < n then ws.sweep_heap <- Array.make n 0;
     if Array.length ws.sweep_tmp < n then ws.sweep_tmp <- Array.make n 0;
     if Array.length ws.sup_head < k then ws.sup_head <- Array.make k (-1);
@@ -345,15 +356,36 @@ struct
      itself is left in the pair store, the per-interval sink totals in
      [sweep_sink].
 
-     Stage 1 — earliest-deadline sweep: per interval, serve active
-     candidates in (deadline, index) order, each taking min(pair cap
-     |I_j|, remaining demand, remaining sink capacity).  This yields a
-     feasible dense flow that is usually maximum but provably not always:
-     interval capacities admit procs_j *distinct* jobs (each pair-capped at
-     |I_j|), so a far-deadline job can be the only admissible supplier of a
-     late interval yet have its demand spent on early leftovers — EDF has
-     no lookahead to reserve it.  Allocations per interval are bounded by
-     procs_j + exhausted + 1, so a sweep costs O((n + m k) log n).
+     Stage 1 — urgency sweep over the intervals in time order.  Let pre(j)
+     sum |I| over the intervals before j with procs > 0.  A pair carries
+     at most its |I|, so after interval j a job that still needs rem_i can
+     get at most pre(last_i + 1) - pre(j + 1) from the rest of its window;
+     the excess is its mandatory share in j.  Active candidates wait in a
+     min-heap on their laxity pre(last_i + 1) - rem_i, ties by deadline and
+     then index, so the jobs with a positive mandatory share are its
+     front.  Per interval, starting from the residual procs_j |I_j|:
+     (a) least laxity first, each job with a positive mandatory share
+         takes it, capped by |I_j| and the residual;
+     (b) those jobs are topped up towards |I_j|, in the same order;
+     (c) the rest take min(|I_j|, rem_i, residual), least laxity first.
+     Expired jobs leave the heap when popped.  The heap compares float
+     copies of the laxities while every routed amount stays in F, so the
+     exact field runs the same rule.  Earliest deadline first has no such
+     lookahead: it spends a long job's demand on early leftovers, and the
+     late intervals that only such jobs can feed go short.  The result is
+     a feasible flow that is often maximum but not always (a share looks
+     at pair caps only, not at later intervals' sink capacity).
+
+     Each served pair takes one slot.  In an interval a pair either takes
+     the whole |I_j| (at most procs_j such pairs), drains the residual (at
+     most one), exhausts its job, or is a share (a) that (b) could not top
+     up.  Such a job is left needing exactly the whole |I| of every later
+     interval of its window, so from then on each of its pairs takes the
+     whole |I| or drains a residual.  So a job has at most one pair of the
+     last two kinds, Stage 1 leaves at most n + (m + 1) k pairs (in exact
+     arithmetic; the store grows if rounding asks for more), every pop
+     serves a pair or discards an expired job, and a sweep costs
+     O((n + m k) log n).
 
      Stage 2 — shortest augmenting paths on the *implicit* dense residual
      graph: BFS alternates job and interval nodes, where a job's forward
@@ -365,9 +397,10 @@ struct
      termination needs no integrality — so the oracle's value answers the
      accept test exactly, and the final BFS, which found the sink
      unreachable, leaves [aug_visited] marking the jobs reachable from the
-     source: the removal set of a failed round (see [certify]).  The sweep
-     leaves few mistakes to repair: across the test matrix the completion
-     averages under one augmentation per round. *)
+     source: the removal set of a failed round (see [certify]).  Stage 1
+     leaves little to repair: no augmenting path at all on heavy
+     n = 1000 instances (m = 8, Pareto shape 1.1), and 43 over the 351
+     rounds of a stream n = 1000 solve (DESIGN.md section 4). *)
   let sweep ws ~n ~k (jobs : job array) speed =
     let candidate = ws.candidate
     and procs = ws.procs
@@ -377,18 +410,44 @@ struct
     and order = ws.sweep_order
     and rem = ws.sweep_rem
     and ssink = ws.sweep_sink
+    and pre = ws.sweep_pre
+    and pref = ws.sweep_pref
+    and prio = ws.sweep_prio
     and heap = ws.sweep_heap
     and tmp = ws.sweep_tmp in
     ws.pairs <- 0;
     ws.index_gen <- ws.index_gen + 1;
     Array.fill ws.sup_head 0 k (-1);
     Array.fill ssink 0 k F.zero;
+    (* The candidates' windows span [lo, hi]; procs is 0 outside it. *)
+    let lo = ref k and hi = ref 0 in
     for i = 0 to n - 1 do
-      if candidate.(i) then rem.(i) <- F.div jobs.(i).work speed
+      if candidate.(i) then begin
+        rem.(i) <- F.div jobs.(i).work speed;
+        lo := Int.min !lo first_ivl.(i);
+        hi := Int.max !hi last_ivl.(i)
+      end
     done;
+    let lo = !lo and hi = !hi in
+    (* pre.(j): the time the intervals lo..j-1 can give one job; pref is
+       its float copy, on which the heap ranks the laxities. *)
+    let sum = ref F.zero and sumf = ref 0. in
+    pre.(lo) <- F.zero;
+    pref.(lo) <- 0.;
+    for j = lo to hi do
+      if procs.(j) > 0 then begin
+        sum := F.add !sum widths.(j);
+        sumf := F.to_float !sum
+      end;
+      pre.(j + 1) <- !sum;
+      pref.(j + 1) <- !sumf
+    done;
+    let laxity i = pref.(last_ivl.(i) + 1) -. F.to_float rem.(i) in
     let hsize = ref 0 in
     let before a b =
-      last_ivl.(a) < last_ivl.(b) || (last_ivl.(a) = last_ivl.(b) && a < b)
+      let pa = prio.(a) and pb = prio.(b) in
+      pa < pb
+      || (pa = pb && (last_ivl.(a) < last_ivl.(b) || (last_ivl.(a) = last_ivl.(b) && a < b)))
     in
     let hpush i =
       let c = ref !hsize in
@@ -431,37 +490,74 @@ struct
     in
     let ptr = ref 0 in
     let value = ref F.zero in
-    for j = 0 to k - 1 do
+    for j = lo to hi do
       while !ptr < n && first_ivl.(order.(!ptr)) <= j do
         let i = order.(!ptr) in
         incr ptr;
-        if candidate.(i) then hpush i
+        if candidate.(i) then begin
+          prio.(i) <- laxity i;
+          hpush i
+        end
       done;
-      while !hsize > 0 && last_ivl.(heap.(0)) < j do
-        ignore (hpop ())
-      done;
-      if procs.(j) > 0 && !hsize > 0 then begin
-        let residual = ref (F.mul (F.of_int procs.(j)) widths.(j)) in
-        let parked = ref 0 in
-        let serving = ref true in
-        while !serving && !hsize > 0 do
-          if F.sign !residual <= 0 then serving := false
+      if procs.(j) > 0 then begin
+        let w = widths.(j) in
+        let cap = F.mul (F.of_int procs.(j)) w in
+        let residual = ref cap in
+        let served = ref 0 in
+        (* (a) Mandatory shares, least laxity first: the heap's front,
+           up to the first job whose laxity reaches pre(j + 1). *)
+        let mandatory = ref true in
+        while !mandatory && !hsize > 0 && F.sign !residual > 0 do
+          let i = heap.(0) in
+          if last_ivl.(i) < j then ignore (hpop ())
+          else if prio.(i) >= pref.(j + 1) then mandatory := false
           else begin
-            let i = hpop () in
-            let x = F.min (F.min widths.(j) rem.(i)) !residual in
-            pair_add ws ~key:((i * k) + j) ~ivl:j x;
-            ssink.(j) <- F.add ssink.(j) x;
-            rem.(i) <- F.sub rem.(i) x;
-            residual := F.sub !residual x;
-            value := F.add !value x;
-            if F.sign rem.(i) > 0 then begin
-              tmp.(!parked) <- i;
-              incr parked
+            let share = F.sub rem.(i) (F.sub pre.(last_ivl.(i) + 1) pre.(j + 1)) in
+            if F.sign share <= 0 then mandatory := false
+            else begin
+              ignore (hpop ());
+              let x = F.min (F.min share w) !residual in
+              pair_add ws ~key:((i * k) + j) ~ivl:j x;
+              rem.(i) <- F.sub rem.(i) x;
+              residual := F.sub !residual x;
+              tmp.(!served) <- i;
+              incr served
             end
           end
         done;
-        for t = 0 to !parked - 1 do
-          hpush tmp.(t)
+        (* (b) Top them up to |I_j| in their slots, the newest [served]. *)
+        let first_slot = ws.pairs - !served in
+        let q = ref 0 in
+        while !q < !served && F.sign !residual > 0 do
+          let i = tmp.(!q) and t = first_slot + !q in
+          let x = F.min (F.min (F.sub w ws.pair_flow.(t)) rem.(i)) !residual in
+          if F.sign x > 0 then begin
+            ws.pair_flow.(t) <- F.add ws.pair_flow.(t) x;
+            rem.(i) <- F.sub rem.(i) x;
+            residual := F.sub !residual x
+          end;
+          incr q
+        done;
+        (* (c) The rest, least laxity first. *)
+        while !hsize > 0 && F.sign !residual > 0 do
+          let i = hpop () in
+          if last_ivl.(i) >= j then begin
+            let x = F.min (F.min w rem.(i)) !residual in
+            pair_add ws ~key:((i * k) + j) ~ivl:j x;
+            rem.(i) <- F.sub rem.(i) x;
+            residual := F.sub !residual x;
+            tmp.(!served) <- i;
+            incr served
+          end
+        done;
+        ssink.(j) <- F.sub cap !residual;
+        value := F.add !value ssink.(j);
+        for q = 0 to !served - 1 do
+          let i = tmp.(q) in
+          if F.sign rem.(i) > 0 then begin
+            prio.(i) <- laxity i;
+            hpush i
+          end
         done
       end
     done;
@@ -789,10 +885,11 @@ struct
      iff [n * k >= compress_threshold]):
      - dense: the Fig. 1 network, built once per component and rewound in
        place before every round (see [build_dense]);
-     - sweep: the earliest-deadline sweep finished by implicit-residual
-       augmentation (see [sweep]), which computes a maximum flow of the same
-       network without materializing it.  It builds no flow network at
-       all, so the network counters read 0.
+     - sweep: the urgency sweep (mandatory shares, then least laxity)
+       finished by implicit-residual augmentation (see [sweep]), which
+       computes a maximum flow of the same network without materializing
+       it.  It builds no flow network at all, so the network counters
+       read 0.
      Both return maximum flows of the same network, and each reads the
      removal set off its own final BFS (Dinic's last level graph, the
      sweep's last Stage-2 search): accept decisions, removals, phase
@@ -803,7 +900,7 @@ struct
     let n = Array.length jobs in
     let breakpoints = sort_uniq_times jobs in
     let k = Array.length breakpoints - 1 in
-    let use_sweep = n > 0 && k > 0 && n * k >= compress_threshold in
+    let use_sweep = n * k >= compress_threshold in
     ws_fit ws ~n ~k ~dense:(not use_sweep);
     let widths = ws.widths in
     for j = 0 to k - 1 do
@@ -824,7 +921,7 @@ struct
        the stack is its height.  Candidates and placed jobs carry -1. *)
     let pending = ws.pending in
     Array.fill pending 0 n 0;
-    let height = ref (if n > 0 then 1 else 0) in
+    let height = ref 1 in
     let phases = ref [] in
     let phase_count = ref 0 in
     let rounds = ref 0 in
@@ -944,7 +1041,7 @@ struct
     (* The rewind counters are fixed by the round and phase counts: on a
        dense component every failed round and every phase after the
        first start from a rewind of the network an earlier round used. *)
-    let dense = n > 0 && not use_sweep in
+    let dense = not use_sweep in
     {
       breakpoints;
       schedule_phases = List.rev !phases;
@@ -1046,11 +1143,12 @@ struct
      lists onto the global grid.  A component's event times are a
      contiguous slice of the global breakpoints (components are
      time-disjoint and every event is a component event), so its first
-     breakpoint locates the slice. *)
+     breakpoint locates the slice.  An empty job array has no component
+     and merges no run: no breakpoints, no phases, zero counters. *)
   let solve_split ~ws ~machines (jobs : job array) =
     validate ~machines jobs;
     match components jobs with
-    | [] | [ _ ] -> solve_in ~ws ~machines jobs
+    | [ _ ] -> solve_in ~ws ~machines jobs
     | comps ->
       let breakpoints = sort_uniq_times jobs in
       let k = Array.length breakpoints - 1 in

@@ -113,15 +113,22 @@ module MakeWith
       round: it is built once per component, with every job and every
       window edge, and rewound in place (flows zeroed, capacities of
       removed jobs and shrunk reservations installed) before every round.
-      From [compress_threshold] up, an earliest-deadline sweep finished by
-      blocking flows on the implicit dense residual computes a maximum
-      flow of the same network without building it, keeping O(n + m k)
-      state; no flow network exists, so the network counters of {!stats}
-      read 0.  Both give the same phase partitions, speeds, reservations,
-      busy times and energies; the [t_kj] split among a phase's
-      equal-speed members may differ (the two flows are different maximum
-      flows of the same accepting network — every member's total is its
-      demand either way).  See DESIGN.md, "The sweep oracle".
+      From [compress_threshold] up, a sweep over the intervals in time
+      order computes a maximum flow of the same network without building
+      it, keeping O(n + m k) state: in each interval every job first takes
+      the share its later intervals cannot hold (its mandatory share),
+      least laxity first, and is topped up to the interval's length, then
+      the other jobs are served least laxity first; blocking flows on the
+      implicit dense residual finish the flow to a maximum.  No flow
+      network exists, so the network counters of {!stats} read 0.  Both
+      give the same phase partitions, speeds, reservations, busy times and
+      energies; the [t_kj] split among a phase's equal-speed members may
+      differ (the two flows are different maximum flows of the same
+      accepting network — every member's total is its demand either
+      way).  See DESIGN.md, "The sweep oracle".
+
+      An empty job array gives an empty run: no breakpoints, no phases
+      and zero counters.
       @raise Invalid_argument on malformed jobs.
       @raise Stranded_job only on internal failure (valid instances are
       always schedulable). *)

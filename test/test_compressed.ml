@@ -1,7 +1,8 @@
-(* The sweep oracle (lib/core/offline.ml): an earliest-deadline sweep
-   finished by implicit-residual augmentation that answers every round of
-   a component with [n * k >= compress_threshold] with a maximum flow of
-   the dense Fig. 1 network, without building it.
+(* The sweep oracle (lib/core/offline.ml): a sweep over the intervals that
+   serves each interval's mandatory shares first and then the least-laxity
+   jobs, finished by implicit-residual augmentation, that answers every
+   round of a component with [n * k >= compress_threshold] with a maximum
+   flow of the dense Fig. 1 network, without building it.
 
    (a) Solver: runs agree with test/reference.ml's whole-instance Fig. 2
        solve (a fresh dense network and Dinic every round) on members,

@@ -138,7 +138,13 @@ let test_exact_replay_fingerprint () =
    phase's members, speed, reservations and (job, interval, time)
    allocation, pinned by value.  One set of instances per round substrate:
    below [compress_threshold] the dense Fig. 1 network answers each round,
-   above it the earliest-deadline sweep does. *)
+   above it the sweep oracle (mandatory shares, then least laxity, then
+   augmenting paths) does.  The t_kj split among a phase's equal-speed
+   members is the oracle's free choice, so a new oracle order re-records
+   these digests; phases, speeds and reservations are checked against
+   the reference solver elsewhere.  The heavy n = 1000 case is one of the
+   repository benchmark's instances, whose own digest leaves the t_kj
+   out. *)
 let run_digest (r : Ss_core.Offline.F.run) =
   let b = Buffer.create 4096 in
   let add_int n = Buffer.add_int64_le b (Int64.of_int n) in
@@ -185,16 +191,19 @@ let sweep_digest_cases =
   [
     ( "heavy s=1 n=120 m=4",
       (fun () -> G.heavy ~integral:false ~seed:1 ~machines:4 ~jobs:120 ~horizon:40. ()),
-      "fbd5840ea0cfa199dee733e16d299aa1" );
+      "6e3a8bd4a686b3b7c71c2bb67c571bdb" );
     ( "heavy s=2 n=150 m=8",
       (fun () ->
         G.heavy ~integral:false ~shape:1.1 ~seed:2 ~machines:8 ~jobs:150 ~horizon:500. ()),
-      "7bcc65136790c2c8e80d9e904e9c4cf9" );
+      "a7e21bfb775380f49519b5495429770c" );
     ( "stream s=3 n=120 m=8",
       (fun () ->
         G.stream ~integral:false ~seed:3 ~machines:8 ~jobs:120 ~rate:4. ~mean_work:2.
           ~max_laxity:8. ()),
-      "e1d50daf5fc121cfa614a3b9d6f2b655" );
+      "468670fff3e2d9bc81c87f3a7d981587" );
+    ( "heavy s=7 n=1000 m=8",
+      (fun () -> G.heavy ~shape:1.1 ~seed:7 ~machines:8 ~jobs:1000 ~horizon:500. ()),
+      "e126517d4198db7957271a539a8d38c4" );
   ]
 
 let test_run_digests ~sweep cases () =

@@ -162,6 +162,35 @@ let test_invalid_inputs () =
     (fun () ->
       ignore (Offline.F.solve ~machines:0 [| { Offline.F.release = 0.; deadline = 1.; work = 1. } |]))
 
+(* Below the instance boundary an empty job array is no error: every
+   functor entry point returns an empty run (no breakpoints, no phases,
+   zero counters), and a session that saw one still solves. *)
+let test_empty_job_array () =
+  let check name ~breakpoints ~phases counters =
+    Alcotest.(check int) (name ^ ": breakpoints") 0 breakpoints;
+    Alcotest.(check int) (name ^ ": phases") 0 phases;
+    Alcotest.(check (list int)) (name ^ ": counters") (List.map (fun _ -> 0) counters) counters
+  in
+  let check_float name (r : Offline.F.run) =
+    let s = r.stats in
+    check name ~breakpoints:(Array.length r.breakpoints) ~phases:(List.length r.schedule_phases)
+      [ s.phases; s.rounds; s.resumes; s.removals; s.grouped; s.largest_group; s.net_edges;
+        s.net_pushes; s.net_bfs_waves; s.phase_resumes ]
+  in
+  check_float "F.solve" (Offline.F.solve ~machines:2 [||]);
+  let session = Offline.F.Session.create () in
+  check_float "F.Session.solve" (Offline.F.Session.solve session ~machines:2 [||]);
+  let exact = Offline.Exact.solve ~machines:2 [||] in
+  let s = exact.stats in
+  check "Exact.solve" ~breakpoints:(Array.length exact.breakpoints)
+    ~phases:(List.length exact.schedule_phases)
+    [ s.phases; s.rounds; s.resumes; s.removals; s.grouped; s.largest_group; s.net_edges;
+      s.net_pushes; s.net_bfs_waves; s.phase_resumes ];
+  let jobs = [| { Offline.F.release = 0.; deadline = 2.; work = 3. } |] in
+  Alcotest.(check (list (float 0.))) "session solves after an empty call"
+    (Offline.F.speeds (Offline.F.solve ~machines:2 jobs))
+    (Offline.F.speeds (Offline.F.Session.solve session ~machines:2 jobs))
+
 (* Optimal for every convex power function simultaneously: the same
    schedule's energy under a different convex P still beats the FW band
    computed for that P. *)
@@ -491,6 +520,7 @@ let () =
           Alcotest.test_case "phase saturation" `Quick test_phase_allocation_saturates;
           Alcotest.test_case "run energy = schedule energy" `Quick test_energy_of_run_matches_schedule;
           Alcotest.test_case "invalid inputs" `Quick test_invalid_inputs;
+          Alcotest.test_case "empty job array" `Quick test_empty_job_array;
           Alcotest.test_case "general convex P" `Quick test_general_convex_power;
           Alcotest.test_case "scaling invariances" `Quick test_scaling_invariances;
           Alcotest.test_case "permutation invariance" `Quick test_permutation_invariance;
