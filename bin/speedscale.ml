@@ -130,13 +130,12 @@ let schedule path alpha show gantt svg certify =
   | (`Error _ as e), _ -> e
   | _, (`Error _ as e) -> e
   | `Ok inst, `Ok power ->
-    let sched, info = Ss_core.Offline.solve inst in
+    let sched, run = Ss_core.Offline.solve inst in
     let feasible = Schedule.is_feasible inst sched in
-    Printf.printf
-      "optimal schedule: energy %.6g at P(s)=s^%g (%d speed classes, %d flow runs, %d phase resumes)\n"
-      (Schedule.energy power sched) alpha info.phases info.rounds info.phase_resumes;
+    Printf.printf "optimal schedule: energy %.6g at P(s)=s^%g (%d speed classes, %d flow runs)\n"
+      (Schedule.energy power sched) alpha run.stats.phases run.stats.rounds;
     Printf.printf "speeds: %s\n"
-      (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.4g") info.speeds)));
+      (String.concat ", " (List.map (Printf.sprintf "%.4g") (Ss_core.Offline.F.speeds run)));
     Printf.printf "migrations: %d, feasible: %b\n"
       (Schedule.total_migrations ~jobs:(Job.num_jobs inst) sched)
       feasible;
@@ -147,10 +146,20 @@ let schedule path alpha show gantt svg certify =
       Ss_model.Render.save_svg file sched;
       Printf.printf "wrote SVG to %s\n" file
     | None -> ());
-    if certify then
-      Format.printf "%a@." Ss_core.Certificate.pp
-        (Ss_core.Certificate.certify ~alpha inst);
-    if feasible then `Ok () else `Error (false, "internal error: infeasible schedule")
+    let failed =
+      if certify then begin
+        let report = Ss_core.Certificate.certify ~alpha inst in
+        Format.printf "%a@." Ss_core.Certificate.pp report;
+        List.filter_map
+          (fun (c : Ss_core.Certificate.check) -> if c.passed then None else Some c.name)
+          report.checks
+      end
+      else []
+    in
+    if not feasible then `Error (false, "internal error: infeasible schedule")
+    else if failed <> [] then
+      `Error (false, "certificate failed: " ^ String.concat "; " failed)
+    else `Ok ()
 
 let schedule_cmd =
   let show = Arg.(value & flag & info [ "show" ] ~doc:"Print every schedule segment.") in

@@ -24,9 +24,9 @@ let () =
   let power = Power.cube in
 
   (* 1. Offline optimum (Section 2: phases of max-flow computations). *)
-  let sched, info = Ss_core.Offline.solve inst in
+  let sched, run = Ss_core.Offline.solve inst in
   Format.printf "optimal schedule (%d speed classes, %d max-flow runs):@.%a@."
-    info.phases info.rounds Schedule.pp sched;
+    run.stats.phases run.stats.rounds Schedule.pp sched;
   Format.printf "energy: %.4g   feasible: %b@.@."
     (Schedule.energy power sched)
     (Schedule.is_feasible inst sched);

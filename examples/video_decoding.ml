@@ -21,9 +21,9 @@ let () =
   in
   Format.printf "stream: %d frames, period 2, %d cores@.@." (Job.num_jobs inst) machines;
 
-  let sched, info = Ss_core.Offline.solve inst in
-  Format.printf "optimal plan uses %d speed levels: %s@.@." info.phases
-    (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.3g") info.speeds)));
+  let sched, run = Ss_core.Offline.solve inst in
+  Format.printf "optimal plan uses %d speed levels: %s@.@." run.stats.phases
+    (String.concat ", " (List.map (Printf.sprintf "%.3g") (Ss_core.Offline.F.speeds run)));
 
   (* Speed profile of core 0 across the first frames. *)
   Format.printf "core 0 speed at frame boundaries:@.";

@@ -27,8 +27,12 @@
    The module is a functor over an ordered field: instantiated at floats
    for speed and at exact rationals to certify the float run.  The Lemma 2
    wrap-packing that turns a run into a schedule lives here too, in the
-   same field, so the exact instance certifies the packing every float
-   schedule (offline, OA(m) and AVR(m)) is built with. *)
+   same field ([wrap_pack], laid over the grid by [pack]), so the exact
+   instance packs with the code every float schedule (offline, OA(m) and
+   AVR(m)) is built with; the tests audit its exact segments with their
+   own reference at zero tolerance.  Schedule.check is the one production
+   audit, and [F.run] the one offline result: [solve] returns it with the
+   schedule. *)
 
 (* The solver is functorized over the field AND the flow substrate: the
    float instance below plugs in [Maxflow.Float], whose hot path is
@@ -91,8 +95,11 @@ struct
 
   let validate ~machines jobs =
     if machines <= 0 then invalid_arg "Offline.solve: machines <= 0";
+    let finite x = Float.is_finite (F.to_float x) in
     Array.iter
       (fun j ->
+        if not (finite j.release && finite j.deadline && finite j.work) then
+          invalid_arg "Offline.solve: non-finite job";
         if F.compare j.release j.deadline >= 0 then
           invalid_arg "Offline.solve: release >= deadline";
         if F.compare j.work F.zero <= 0 then invalid_arg "Offline.solve: work <= 0")
@@ -1250,8 +1257,6 @@ struct
      the interval length, which is zero on the exact field: the rational
      instance certifies the very loop the float schedules run. *)
 
-  type segment = { seg_job : int; seg_proc : int; seg_t0 : F.t; seg_t1 : F.t; seg_speed : F.t }
-
   let wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit entries =
     let len = F.sub t1 t0 in
     if F.compare len F.zero <= 0 then invalid_arg "Offline.wrap_pack: empty interval";
@@ -1321,76 +1326,6 @@ struct
     if Array.exists (fun used -> used > machines) offset then
       failwith "Offline: reservations exceed machines"
 
-  let schedule_segments ~machines (run : run) =
-    let segments = ref [] in
-    pack ~machines ~first:0 ~last:(Array.length run.breakpoints - 2) run
-      ~emit:(fun seg_job seg_proc seg_t0 seg_t1 seg_speed ->
-        segments := { seg_job; seg_proc; seg_t0; seg_t1; seg_speed } :: !segments);
-    List.rev !segments
-
-  (* Zero-tolerance feasibility audit of materialized segments (exact when
-     F is the rational field).  Returns the violations found. *)
-  type violation =
-    | Wrong_work of int
-    | Outside_window of int
-    | Processor_overlap of int
-    | Self_parallel of int
-
-  let check_segments ~machines (jobs : job array) segments =
-    let n = Array.length jobs in
-    let problems = ref [] in
-    (* Work totals. *)
-    let done_ = Array.make n F.zero in
-    List.iter
-      (fun s ->
-        done_.(s.seg_job) <-
-          F.add done_.(s.seg_job) (F.mul (F.sub s.seg_t1 s.seg_t0) s.seg_speed))
-      segments;
-    for i = 0 to n - 1 do
-      if not (F.equal_approx done_.(i) jobs.(i).work) then
-        problems := Wrong_work i :: !problems
-    done;
-    (* Windows. *)
-    List.iter
-      (fun s ->
-        if
-          F.compare s.seg_t0 jobs.(s.seg_job).release < 0
-          || F.compare jobs.(s.seg_job).deadline s.seg_t1 < 0
-        then problems := Outside_window s.seg_job :: !problems)
-      segments;
-    (* Ordering checks per processor and per job. *)
-    let sorted_by f l = List.sort f l in
-    for proc = 0 to machines - 1 do
-      let own =
-        sorted_by
-          (fun a b -> F.compare a.seg_t0 b.seg_t0)
-          (List.filter (fun s -> s.seg_proc = proc) segments)
-      in
-      let rec sweep = function
-        | a :: (b :: _ as rest) ->
-          if F.compare b.seg_t0 a.seg_t1 < 0 then
-            problems := Processor_overlap proc :: !problems;
-          sweep rest
-        | _ -> ()
-      in
-      sweep own
-    done;
-    for i = 0 to n - 1 do
-      let own =
-        sorted_by
-          (fun a b -> F.compare a.seg_t0 b.seg_t0)
-          (List.filter (fun s -> s.seg_job = i) segments)
-      in
-      let rec sweep = function
-        | a :: (b :: _ as rest) ->
-          if F.compare b.seg_t0 a.seg_t1 < 0 then problems := Self_parallel i :: !problems;
-          sweep rest
-        | _ -> ()
-      in
-      sweep own
-    done;
-    List.rev !problems
-
   (* Total reserved processing time of a phase. *)
   let phase_busy_time run (phase : phase) =
     let k = Array.length run.breakpoints - 1 in
@@ -1413,15 +1348,6 @@ module Exact = MakeWith (Ss_numeric.Rational.Field) (Ss_flow.Maxflow.Exact)
 module Job = Ss_model.Job
 module Power = Ss_model.Power
 module Schedule = Ss_model.Schedule
-
-type info = {
-  phases : int;
-  rounds : int;
-  resumes : int;              (* rounds - phases per dense component *)
-  removals : int;
-  phase_resumes : int;         (* phases - 1 per dense component *)
-  speeds : float array;        (* decreasing phase speeds *)
-}
 
 let float_jobs (inst : Job.instance) =
   Array.map
@@ -1466,23 +1392,18 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
 let component_count (inst : Job.instance) =
   List.length (F.components (float_jobs inst))
 
+(* Every entry point below takes an instance [Job.validate] accepts,
+   densities included, and rejects any other with one typed error. *)
+let check_instance inst =
+  if not (Job.is_valid inst) then invalid_arg "Offline.solve: invalid instance"
+
+let run (inst : Job.instance) =
+  check_instance inst;
+  F.solve ~machines:inst.machines (float_jobs inst)
+
 let solve (inst : Job.instance) =
-  (match Job.validate inst with
-  | [] -> ()
-  | _ -> invalid_arg "Offline.solve: invalid instance");
-  let run = F.solve ~machines:inst.machines (float_jobs inst) in
-  let schedule = schedule_of_run ~machines:inst.machines run in
-  let info =
-    {
-      phases = run.stats.phases;
-      rounds = run.stats.rounds;
-      resumes = run.stats.resumes;
-      removals = run.stats.removals;
-      phase_resumes = run.stats.phase_resumes;
-      speeds = Array.of_list (List.map (fun (p : F.phase) -> p.speed) run.schedule_phases);
-    }
-  in
-  (schedule, info)
+  let run = run inst in
+  (schedule_of_run ~machines:inst.machines run, run)
 
 let optimal_schedule inst = fst (solve inst)
 
@@ -1498,8 +1419,6 @@ let energy_of_run power (run : F.run) =
          Power.eval power p.speed *. F.phase_busy_time run p)
        run.schedule_phases)
 
-let run (inst : Job.instance) = F.solve ~machines:inst.machines (float_jobs inst)
-
 (* Exact-rational replay: jobs are embedded exactly (floats are dyadic
    rationals) and the whole algorithm runs in exact arithmetic. *)
 let exact_jobs (inst : Job.instance) =
@@ -1509,4 +1428,6 @@ let exact_jobs (inst : Job.instance) =
       { Exact.release = r j.release; deadline = r j.deadline; work = r j.work })
     inst.jobs
 
-let solve_exact (inst : Job.instance) = Exact.solve ~machines:inst.machines (exact_jobs inst)
+let solve_exact (inst : Job.instance) =
+  check_instance inst;
+  Exact.solve ~machines:inst.machines (exact_jobs inst)

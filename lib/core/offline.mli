@@ -5,10 +5,12 @@
     repeated maximum-flow computations — no linear programming.
 
     The core is a functor over an ordered field; {!solve} runs it on floats
-    and materializes a {!Ss_model.Schedule.t}, {!solve_exact} replays it on
-    exact rationals for certification.  The functor also holds the one
-    Lemma 2 packer ({!MakeWith.wrap_pack}), so the exact replay certifies
-    the packing that every float schedule uses. *)
+    and returns the run with the {!Ss_model.Schedule.t} it materializes,
+    {!solve_exact} replays it on exact rationals for certification.  The
+    functor also holds the one Lemma 2 packer ({!MakeWith.wrap_pack}, laid
+    over the grid by {!MakeWith.pack}), so the exact replay packs with the
+    code every float schedule uses; the test suite audits what the exact
+    instance of {!MakeWith.pack} emits at zero tolerance. *)
 
 module MakeWith
     (F : Ss_numeric.Field.S)
@@ -129,7 +131,8 @@ module MakeWith
 
       An empty job array gives an empty run: no breakpoints, no phases
       and zero counters.
-      @raise Invalid_argument on malformed jobs.
+      @raise Invalid_argument if [machines <= 0], or a job has a
+      non-finite field, [release >= deadline] or [work <= 0].
       @raise Stranded_job only on internal failure (valid instances are
       always schedulable). *)
 
@@ -150,8 +153,7 @@ module MakeWith
 
     val solve : t -> machines:int -> job array -> run
     (** [solve ~machines] on the session's workspace.
-        @raise Invalid_argument if [machines <= 0] or on malformed
-        jobs. *)
+        @raise Invalid_argument as {!MakeWith.solve}. *)
 
     val arena_grows : t -> int
     (** Component solves that had to grow the workspace (a solve counts
@@ -160,8 +162,6 @@ module MakeWith
 
   val phase_busy_time : run -> phase -> F.t
   val speeds : run -> F.t list
-
-  type segment = { seg_job : int; seg_proc : int; seg_t0 : F.t; seg_t1 : F.t; seg_speed : F.t }
 
   val wrap_pack :
     t0:F.t ->
@@ -181,24 +181,20 @@ module MakeWith
       @raise Invalid_argument if [t1 <= t0] or a piece is longer than the
       interval beyond the slack. *)
 
-  val schedule_segments : machines:int -> run -> segment list
-  (** The whole run through {!wrap_pack}: inside each grid interval the
-      phases' blocks are stacked onto disjoint processors, fastest phase
-      lowest.  Segments come phase by phase, in interval order within a
-      phase.  On the rational instance the materialized schedule is
-      exact.
+  val pack :
+    machines:int ->
+    first:int ->
+    last:int ->
+    emit:(int -> int -> F.t -> F.t -> F.t -> unit) ->
+    run ->
+    unit
+  (** Lemma 2 over the grid intervals [\[first, last\]] of a run, through
+      {!wrap_pack}: inside each interval the phases' blocks are stacked
+      onto disjoint processors, fastest phase lowest.  Segments go to
+      [emit job proc start stop speed] phase by phase, in interval order
+      within a phase.  On the rational instance they are exact.
       @raise Failure if a phase's packing needs more processors than it
       reserved, or the reservations exceed [machines]. *)
-
-  type violation =
-    | Wrong_work of int
-    | Outside_window of int
-    | Processor_overlap of int
-    | Self_parallel of int
-
-  val check_segments : machines:int -> job array -> segment list -> violation list
-  (** Zero-tolerance feasibility audit of materialized segments (exact
-      when [F] is the rational field); empty = feasible. *)
 end
 
 module F : module type of MakeWith (Ss_numeric.Field.Float) (Ss_flow.Maxflow.Float)
@@ -209,36 +205,36 @@ module F : module type of MakeWith (Ss_numeric.Field.Float) (Ss_flow.Maxflow.Flo
 module Exact : module type of MakeWith (Ss_numeric.Rational.Field) (Ss_flow.Maxflow.Exact)
 (** The exact-rational instance, on the generic flow substrate. *)
 
-type info = {
-  phases : int;
-  rounds : int;
-  resumes : int;  (** [rounds - phases] per dense component *)
-  removals : int;
-  phase_resumes : int;  (** [phases - 1] per dense component *)
-  speeds : float array;
-}
+val float_jobs : Ss_model.Job.instance -> F.job array
+(** The instance's jobs in the float solver's record, in input order (no
+    validation). *)
 
 val component_count : Ss_model.Job.instance -> int
 (** Number of independent sub-instances the decomposition layer splits the
     instance into (1 = nothing to gain from decomposition). *)
 
-val solve : Ss_model.Job.instance -> Ss_model.Schedule.t * info
-(** Full pipeline: run the algorithm ({!MakeWith.solve}) and materialize
-    the schedule via the Lemma 2 wrap-packing.  The result is feasible and
-    optimal for every convex non-decreasing power function. *)
+val run : Ss_model.Job.instance -> F.run
+(** The algorithm ({!MakeWith.solve}) on the float field: the raw phase
+    structure, no schedule materialization.
+    @raise Invalid_argument on an instance {!Ss_model.Job.validate}
+    rejects. *)
+
+val solve : Ss_model.Job.instance -> Ss_model.Schedule.t * F.run
+(** Full pipeline: {!run}, then the schedule through the Lemma 2
+    wrap-packing ({!schedule_of_run}).  The schedule is feasible and
+    optimal for every convex non-decreasing power function; the run
+    carries the phases, their speeds ({!MakeWith.speeds}) and the round
+    counters ([stats]).
+    @raise Invalid_argument as {!run}. *)
 
 val optimal_schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 val optimal_energy : Ss_model.Power.t -> Ss_model.Job.instance -> float
-
-val run : Ss_model.Job.instance -> F.run
-(** The raw phase structure (no schedule materialization). *)
 
 val energy_of_run : Ss_model.Power.t -> F.run -> float
 (** Energy from the phase structure alone; equals the schedule energy. *)
 
 val schedule_of_run : machines:int -> F.run -> Ss_model.Schedule.t
-(** Materialize a whole run with the Lemma 2 packer ({!MakeWith.wrap_pack},
-    stacked per interval as in {!MakeWith.schedule_segments}). *)
+(** Materialize a whole run with the Lemma 2 packer ({!MakeWith.pack}). *)
 
 val slice_of_run :
   machines:int -> F.run -> lo:float -> hi:float -> Ss_model.Schedule.segment list
@@ -250,4 +246,5 @@ val slice_of_run :
     until the next arrival. *)
 
 val solve_exact : Ss_model.Job.instance -> Exact.run
-(** Exact-rational replay of the entire algorithm (floats embed exactly). *)
+(** Exact-rational replay of the entire algorithm (floats embed exactly).
+    @raise Invalid_argument as {!run}. *)

@@ -22,13 +22,14 @@ type outcome = Optimal of solution | Infeasible | Unbounded
 
 exception Infeasible_problem
 
-let default_eps = 1e-9
+(* Pivot, ratio-test and optimality tolerance. *)
+let eps = 1e-9
 
 (* One simplex run on an existing tableau.
    [tab]: (m+1) x (width) array, last row = objective in the form
    "z-row": entry j is (z_j - c_j); rhs in last column; optimality when all
    non-forbidden entries >= -eps.  Returns [`Optimal] or [`Unbounded]. *)
-let run_simplex ~eps ~forbidden tab basis =
+let run_simplex ~forbidden tab basis =
   let m = Array.length tab - 1 in
   let width = Array.length tab.(0) in
   let ncols = width - 1 in
@@ -86,7 +87,7 @@ let run_simplex ~eps ~forbidden tab basis =
   in
   iterate ()
 
-let solve ?(eps = default_eps) problem =
+let solve problem =
   let n = Array.length problem.objective in
   Array.iter
     (fun (a, _, _) ->
@@ -154,7 +155,7 @@ let solve ?(eps = default_eps) problem =
     done;
     (* Artificial columns must show reduced cost 0 in their own basis. *)
     Array.iter (fun c -> if c >= 0 then zrow.(c) <- 0.) art_cols;
-    (match run_simplex ~eps ~forbidden:no_forbidden tab basis with
+    (match run_simplex ~forbidden:no_forbidden tab basis with
     | `Unbounded -> assert false (* phase-1 objective is bounded above by 0 *)
     | `Optimal -> ());
     (* Relative threshold: residual infeasibility is judged against the
@@ -215,7 +216,7 @@ let solve ?(eps = default_eps) problem =
   for i = 0 to m - 1 do
     zrow.(basis.(i)) <- 0.
   done;
-  match run_simplex ~eps ~forbidden:is_artificial tab basis with
+  match run_simplex ~forbidden:is_artificial tab basis with
   | `Unbounded -> Unbounded
   | `Optimal ->
     let x = Array.make n 0. in
@@ -225,10 +226,10 @@ let solve ?(eps = default_eps) problem =
     let value = Ss_numeric.Kahan.sum_f n (fun j -> problem.objective.(j) *. x.(j)) in
     Optimal { x; value }
 
-let solve ?eps problem = try solve ?eps problem with Infeasible_problem -> Infeasible
+let solve problem = try solve problem with Infeasible_problem -> Infeasible
 
 (* Convenience: minimize instead of maximize. *)
-let minimize ?eps ~objective ~rows () =
-  match solve ?eps { objective = Array.map (fun c -> -.c) objective; rows } with
+let minimize ~objective ~rows () =
+  match solve { objective = Array.map (fun c -> -.c) objective; rows } with
   | Optimal { x; value } -> Optimal { x; value = -.value }
   | (Infeasible | Unbounded) as o -> o

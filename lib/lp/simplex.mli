@@ -15,14 +15,10 @@ type problem = {
 type solution = { x : float array; value : float }
 type outcome = Optimal of solution | Infeasible | Unbounded
 
-val solve : ?eps:float -> problem -> outcome
+val solve : problem -> outcome
 (** Maximize [objective . x] s.t. rows and [x >= 0].
     @raise Invalid_argument on row width mismatch. *)
 
 val minimize :
-  ?eps:float ->
-  objective:float array ->
-  rows:(float array * relation * float) array ->
-  unit ->
-  outcome
+  objective:float array -> rows:(float array * relation * float) array -> unit -> outcome
 (** Minimization convenience wrapper; the returned [value] is the minimum. *)

@@ -16,13 +16,13 @@ let width g j = g.times.(j + 1) -. g.times.(j)
 let active g j = g.active.(j)
 let active_count g j = g.active_count.(j)
 
-(* Grid over explicit breakpoints.  [extra] lets callers inject additional
-   cut points (OA(m) adds "now"). *)
-let of_breakpoints breakpoints jobs =
+let make (jobs : Job.t array) =
+  if Array.length jobs = 0 then invalid_arg "Interval.make: no jobs";
   let times =
-    List.sort_uniq Float.compare breakpoints |> Array.of_list
+    Array.fold_left (fun acc (j : Job.t) -> j.release :: j.deadline :: acc) [] jobs
+    |> List.sort_uniq Float.compare |> Array.of_list
   in
-  if Array.length times < 2 then invalid_arg "Interval.of_breakpoints: degenerate horizon";
+  if Array.length times < 2 then invalid_arg "Interval.make: degenerate horizon";
   let k = Array.length times - 1 in
   let active = Array.make k [] in
   let active_count = Array.make k 0 in
@@ -38,13 +38,6 @@ let of_breakpoints breakpoints jobs =
     active_count.(j) <- List.length active.(j)
   done;
   { times; active; active_count }
-
-let make ?(extra = []) (jobs : Job.t array) =
-  if Array.length jobs = 0 then invalid_arg "Interval.make: no jobs";
-  let breakpoints =
-    Array.fold_left (fun acc (j : Job.t) -> j.release :: j.deadline :: acc) extra jobs
-  in
-  of_breakpoints breakpoints jobs
 
 (* Index of the interval containing time [t] (intervals are half-open
    [times.(j), times.(j+1))). *)

@@ -4,10 +4,10 @@
 
 type grid
 
-val make : ?extra:float list -> Job.t array -> grid
-(** Grid from all job releases/deadlines, plus optional extra breakpoints
-    (e.g. the current time for OA(m) replanning).
-    @raise Invalid_argument when the horizon is degenerate. *)
+val make : Job.t array -> grid
+(** Grid from all job releases and deadlines.
+    @raise Invalid_argument on an empty job array or a degenerate
+    horizon. *)
 
 val length : grid -> int
 (** Number of intervals. *)

@@ -125,8 +125,11 @@ let pp_infeasibility ppf = function
   | Parallel_execution { job; time } ->
     Format.fprintf ppf "job %d on two processors near t=%.9g" job time
 
-(* Full feasibility audit against an instance.  [tol] is relative. *)
-let check ?(tol = 1e-6) (inst : Job.instance) t =
+(* Relative tolerance of the audit on times and works. *)
+let tol = 1e-6
+
+(* Full feasibility audit against an instance. *)
+let check (inst : Job.instance) t =
   let errs = ref [] in
   let n = Array.length inst.jobs in
   let push e = errs := e :: !errs in
@@ -161,7 +164,7 @@ let check ?(tol = 1e-6) (inst : Job.instance) t =
         push (Parallel_execution { job = a.job; time = b.t0 }));
   List.rev !errs
 
-let is_feasible ?tol inst t = check ?tol inst t = []
+let is_feasible inst t = check inst t = []
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>schedule m=%d (%d segments)@," t.machines (Array.length t.segments);

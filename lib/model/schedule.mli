@@ -54,13 +54,13 @@ type infeasibility =
 
 val pp_infeasibility : Format.formatter -> infeasibility -> unit
 
-val check : ?tol:float -> Job.instance -> t -> infeasibility list
+val check : Job.instance -> t -> infeasibility list
 (** Complete audit: work totals, windows, processor double-booking, no job
-    on two processors at once.  [tol] is relative (default [1e-6]).  The
-    last two compare adjacent segments, sorted by (processor, start) and
-    by (job, start); any overlap shows in an adjacent pair, so the audit
-    costs O(S log S) for S segments. *)
+    on two processors at once, each to a relative tolerance of [1e-6].
+    The last two compare adjacent segments, sorted by (processor, start)
+    and by (job, start); any overlap shows in an adjacent pair, so the
+    audit costs O(S log S) for S segments. *)
 
-val is_feasible : ?tol:float -> Job.instance -> t -> bool
+val is_feasible : Job.instance -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -121,11 +121,6 @@ let create ?(domains = Pool.default_domains ()) ?(capacity = 1024) () =
     misses = 0;
   }
 
-let solver_jobs (inst : Job.instance) =
-  Array.map
-    (fun (j : Job.t) -> { O.F.release = j.release; deadline = j.deadline; work = j.work })
-    inst.jobs
-
 (* --- inverse transforms ------------------------------------------------ *)
 
 (* Fresh arrays/lists throughout: cached entries are shared across hits,
@@ -176,7 +171,7 @@ let compute t w (q : query) canon =
   | Solve ->
     (* The worker's own session: its workspace serves every component of
        the solve, in turn, on this domain. *)
-    Run (O.F.Session.solve t.sessions.(w) ~machines:canon.Job.machines (solver_jobs canon))
+    Run (O.F.Session.solve t.sessions.(w) ~machines:canon.Job.machines (O.float_jobs canon))
   | Oa -> Sched (Ss_online.Oa.schedule canon)
   | Avr -> Sched (Ss_online.Avr.schedule canon)
 

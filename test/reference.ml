@@ -30,11 +30,20 @@
    which cannot tell -0.0 from 0.0.
 
    [schedule_of_run] is the Lemma 2 packer interval by interval, with each
-   phase's allocation filtered afresh for every interval, and [check] and
-   [total_migrations] audit a schedule one job at a time, filtering and
-   sorting the whole segment array per job.  The library buckets each
-   phase's allocation once and audits on one (job, t0) order; the tests
-   require equal segments and equal error lists by float bits. *)
+   phase's allocation filtered afresh for every interval; the library
+   buckets each phase's allocation once, and the tests require equal
+   segments by float bits.
+
+   [Audit] is the schedule audit, written once over the field: one
+   processor and one job at a time, each filtering and sorting the whole
+   segment list.  Its float instance [check] reads [Schedule.work_by_job]'s
+   totals and returns [Schedule.infeasibility] lists, and the tests
+   require them to equal [Schedule.check]'s (which audits on one
+   (job, t0) order) by float bits;
+   [check_tight] drops the slack on times.  Its rational instance
+   ([check_exact], [audit_exact]) audits what [Offline.Exact.pack] emits at
+   zero tolerance, and reports job ids and processors out of range.
+   [total_migrations] counts one job at a time. *)
 
 module Job = Ss_model.Job
 module Schedule = Ss_model.Schedule
@@ -425,7 +434,136 @@ let packing_mismatch ~machines ~seed (run : Offline.F.run) =
         else None)
       windows
 
-(* --- the schedule audit: one filter and sort per job -------------------- *)
+(* --- the schedule audit, written once over the field ------------------- *)
+
+(* What the audit reports, in the field's times and works. *)
+type 'a problem =
+  | Unknown_job of int
+  | Unknown_processor of int
+  | Outside_window of int
+  | Wrong_work of { job : int; got : 'a; want : 'a }
+  | Processor_overlap of { proc : int; time : 'a }
+  | Parallel_execution of { job : int; time : 'a }
+
+module Audit (F : Ss_numeric.Field.S) = struct
+  type segment = { job : int; proc : int; t0 : F.t; t1 : F.t; speed : F.t }
+
+  (* Work per job of [0, jobs), summed in segment order. *)
+  let work_by_job ~jobs segments =
+    let w = Array.make jobs F.zero in
+    List.iter
+      (fun s ->
+        if 0 <= s.job && s.job < jobs then
+          w.(s.job) <- F.add w.(s.job) (F.mul (F.sub s.t1 s.t0) s.speed))
+      segments;
+    w
+
+  (* [f] on each pair of consecutive segments, in start order, among the
+     segments [keep] accepts; equal starts keep list order. *)
+  let iter_pairs keep f segments =
+    let rec go = function
+      | a :: (b :: _ as rest) ->
+        f a b;
+        go rest
+      | _ -> ()
+    in
+    go (List.stable_sort (fun a b -> F.compare a.t0 b.t0) (List.filter keep segments))
+
+  (* A time may cross a bound [x] by [tol * (1 + |x|)], and job [i]'s
+     total [work.(i)] may miss its work by [work_tol * max 1 work]: the
+     windows, then the works, then each processor and each job in turn,
+     one filter and sort each. *)
+  let check ~tol ~work_tol ~machines ~work (inst : Job.instance) segments =
+    let errs = ref [] in
+    let push e = errs := e :: !errs in
+    let n = Array.length inst.jobs in
+    let slack x = F.mul tol (F.add F.one (F.abs x)) in
+    let before a b = F.compare a (F.sub b (slack b)) < 0 in
+    let after a b = F.compare a (F.add b (slack b)) > 0 in
+    List.iter
+      (fun s ->
+        if s.proc < 0 || s.proc >= machines then push (Unknown_processor s.proc);
+        if s.job < 0 || s.job >= n then push (Unknown_job s.job)
+        else begin
+          let j = inst.jobs.(s.job) in
+          if before s.t0 (F.of_float j.release) || after s.t1 (F.of_float j.deadline) then
+            push (Outside_window s.job)
+        end)
+      segments;
+    for i = 0 to n - 1 do
+      let want = F.of_float inst.jobs.(i).work in
+      (* |got - want| > bound, negated so that a NaN total, which
+         [Float.compare] orders below every number, is wrong work. *)
+      let bound = F.mul work_tol (F.max F.one want) in
+      if F.compare (F.neg (F.abs (F.sub work.(i) want))) (F.neg bound) < 0 then
+        push (Wrong_work { job = i; got = work.(i); want })
+    done;
+    for p = 0 to machines - 1 do
+      iter_pairs
+        (fun s -> s.proc = p)
+        (fun a b -> if before b.t0 a.t1 then push (Processor_overlap { proc = p; time = b.t0 }))
+        segments
+    done;
+    for i = 0 to n - 1 do
+      iter_pairs
+        (fun s -> s.job = i)
+        (fun a b -> if before b.t0 a.t1 then push (Parallel_execution { job = i; time = b.t0 }))
+        segments
+    done;
+    List.rev !errs
+end
+
+module Float_audit = Audit (Ss_numeric.Field.Float)
+module Exact_audit = Audit (Ss_numeric.Rational.Field)
+
+(* The float instance on a schedule's stored segments, with the work
+   totals [Schedule.check] reads. *)
+let float_audit ~tol ~work_tol (inst : Job.instance) t =
+  let segments =
+    Array.to_list (Schedule.segments t)
+    |> List.map (fun (s : Schedule.segment) ->
+           { Float_audit.job = s.job; proc = s.proc; t0 = s.t0; t1 = s.t1; speed = s.speed })
+  in
+  Float_audit.check ~tol ~work_tol ~machines:(Schedule.machines t)
+    ~work:(Schedule.work_by_job ~jobs:(Array.length inst.jobs) t)
+    inst segments
+
+(* [Schedule.check]'s tolerance, 1e-6 relative on times and works, and
+   its report type; [Schedule.make] keeps every processor in range. *)
+let check inst t =
+  List.map
+    (function
+      | Unknown_job j -> Schedule.Unknown_job j
+      | Unknown_processor p -> invalid_arg (Printf.sprintf "Reference.check: processor %d" p)
+      | Outside_window j -> Outside_window j
+      | Wrong_work { job; got; want } -> Wrong_work { job; got; want }
+      | Processor_overlap { proc; time } -> Processor_overlap { proc; time }
+      | Parallel_execution { job; time } -> Parallel_execution { job; time })
+    (float_audit ~tol:1e-6 ~work_tol:1e-6 inst t)
+
+(* No slack on times, and 1e-9 relative on works. *)
+let check_tight inst t = float_audit ~tol:0. ~work_tol:1e-9 inst t
+
+(* What [Offline.Exact.pack] emits for a whole exact run, in order. *)
+let exact_segments ~machines (run : Offline.Exact.run) =
+  let segments = ref [] in
+  Offline.Exact.pack ~machines ~first:0 ~last:(Array.length run.breakpoints - 2) run
+    ~emit:(fun job proc t0 t1 speed ->
+      segments := { Exact_audit.job; proc; t0; t1; speed } :: !segments);
+  List.rev !segments
+
+(* The rational instance at zero tolerance. *)
+let audit_exact (inst : Job.instance) segments =
+  let zero = Ss_numeric.Rational.zero in
+  Exact_audit.check ~tol:zero ~work_tol:zero ~machines:inst.machines
+    ~work:(Exact_audit.work_by_job ~jobs:(Array.length inst.jobs) segments)
+    inst segments
+
+(* An exact run of [inst], packed, at zero tolerance. *)
+let check_exact (inst : Job.instance) run =
+  audit_exact inst (exact_segments ~machines:inst.machines run)
+
+(* --- migrations: one filter and sort per job ---------------------------- *)
 
 (* A job's segments in start order; equal starts keep the stored
    (proc, t0, job) order, because [List.sort] is stable. *)
@@ -448,45 +586,6 @@ let total_migrations ~jobs t =
     acc := !acc + job_migrations t j
   done;
   !acc
-
-(* [Schedule.check] at its default tolerance. *)
-let check (inst : Job.instance) t =
-  let tol = 1e-6 in
-  let errs = ref [] in
-  let n = Array.length inst.jobs in
-  let push e = errs := e :: !errs in
-  let rel_tol x = tol *. (1. +. Float.abs x) in
-  let segments = Schedule.segments t in
-  Array.iter
-    (fun (s : Schedule.segment) ->
-      if s.job >= n then push (Schedule.Unknown_job s.job)
-      else begin
-        let j = inst.jobs.(s.job) in
-        if s.t0 < j.release -. rel_tol j.release || s.t1 > j.deadline +. rel_tol j.deadline
-        then push (Outside_window s.job)
-      end)
-    segments;
-  let w = Schedule.work_by_job ~jobs:n t in
-  for i = 0 to n - 1 do
-    let want = inst.jobs.(i).work in
-    if not (Float.abs (w.(i) -. want) <= tol *. Float.max 1. want) then
-      push (Wrong_work { job = i; got = w.(i); want })
-  done;
-  for i = 0 to Array.length segments - 2 do
-    let a = segments.(i) and b = segments.(i + 1) in
-    if a.proc = b.proc && b.t0 < a.t1 -. rel_tol a.t1 then
-      push (Processor_overlap { proc = a.proc; time = b.t0 })
-  done;
-  for j = 0 to n - 1 do
-    let rec sweep = function
-      | (a : Schedule.segment) :: (b :: _ as rest) ->
-        if b.t0 < a.t1 -. rel_tol a.t1 then push (Parallel_execution { job = j; time = b.t0 });
-        sweep rest
-      | _ -> ()
-    in
-    sweep (job_segments t j)
-  done;
-  List.rev !errs
 
 (* --- AVR(m): one whole-array rescan per unit interval -------------------- *)
 

@@ -22,11 +22,6 @@ module Offline = Ss_core.Offline
 module Job = Ss_model.Job
 module G = Ss_workload.Generators
 
-let float_jobs (inst : Job.instance) =
-  Array.map
-    (fun (j : Job.t) -> { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
-    inst.jobs
-
 let grid_size (inst : Job.instance) =
   let times =
     Array.to_list inst.jobs
@@ -47,15 +42,13 @@ let check_reference name inst run =
     (Reference.offline_mismatch inst run)
 
 (* The run's allocation materializes into a schedule that passes the
-   (tolerance-aware on floats) feasibility audit, and the production
-   packer's whole schedule and slices equal the reference packer's by
-   float bits. *)
-let check_segments name (inst : Job.instance) run =
-  let jobs = float_jobs inst in
-  Alcotest.(check int) (name ^ ": segment violations") 0
+   reference audit with no slack on times (1e-9 relative on works), and
+   the production packer's whole schedule and slices equal the reference
+   packer's by float bits. *)
+let check_schedule name (inst : Job.instance) run =
+  Alcotest.(check int) (name ^ ": schedule problems") 0
     (List.length
-       (Offline.F.check_segments ~machines:inst.machines jobs
-          (Offline.F.schedule_segments ~machines:inst.machines run)));
+       (Reference.check_tight inst (Offline.schedule_of_run ~machines:inst.machines run)));
   Alcotest.(check (option string)) (name ^ ": packing = reference") None
     (Reference.packing_mismatch ~machines:inst.machines ~seed:(Hashtbl.hash name) run)
 
@@ -91,7 +84,7 @@ let test_solver_matrix () =
             (fun (name, inst) ->
               let run = Offline.run inst in
               check_reference name inst run;
-              check_segments name inst run)
+              check_schedule name inst run)
             (instance_mix seed machines))
         [ 11; 12; 13 ];
       List.iter
@@ -99,7 +92,7 @@ let test_solver_matrix () =
           check_sweep_sized name inst;
           let run = Offline.run inst in
           check_reference name inst run;
-          check_segments name inst run)
+          check_schedule name inst run)
         (sweep_sized (20 + machines) machines))
     [ 1; 2; 4; 8 ]
 
@@ -133,7 +126,7 @@ let test_clustered_split () =
     (fun seed ->
       let inst = mixed_instance seed in
       let name = Printf.sprintf "mixed s=%d" seed in
-      let comps = Offline.F.components (float_jobs inst) in
+      let comps = Offline.F.components (Offline.float_jobs inst) in
       let sizes =
         List.map
           (fun ids ->
@@ -146,7 +139,7 @@ let test_clustered_split () =
         && List.exists (fun s -> s < Offline.F.compress_threshold) sizes);
       let run = Offline.run inst in
       check_reference name inst run;
-      check_segments name inst run)
+      check_schedule name inst run)
     [ 63; 64 ]
 
 let test_session_agrees () =
@@ -162,7 +155,7 @@ let test_session_agrees () =
   in
   List.iter
     (fun (name, inst) ->
-      let jobs = float_jobs inst in
+      let jobs = Offline.float_jobs inst in
       let via_session = Offline.F.Session.solve session ~machines jobs in
       Alcotest.(check bool) (name ^ " session = fresh") true
         (Reference.same_run via_session (Offline.F.solve ~machines jobs));
@@ -176,17 +169,8 @@ let test_exact_agrees () =
   let inst = G.heavy ~integral:false ~seed:1 ~machines:4 ~jobs:120 ~horizon:40. () in
   check_sweep_sized "exact" inst;
   let exact = Offline.solve_exact inst in
-  let jobs =
-    Array.map
-      (fun (j : Job.t) ->
-        let r = Ss_numeric.Rational.of_float in
-        { Offline.Exact.release = r j.release; deadline = r j.deadline; work = r j.work })
-      inst.jobs
-  in
-  Alcotest.(check int) "exact: schedule violations" 0
-    (List.length
-       (Offline.Exact.check_segments ~machines:4 jobs
-          (Offline.Exact.schedule_segments ~machines:4 exact)));
+  Alcotest.(check int) "exact: schedule problems" 0
+    (List.length (Reference.check_exact inst exact));
   let f = Offline.run inst in
   Alcotest.(check int) "exact: phase count"
     (List.length f.schedule_phases)

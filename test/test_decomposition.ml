@@ -16,12 +16,6 @@ module G = Ss_workload.Generators
 let check_bool = Alcotest.(check bool)
 let j r d w = Job.make ~release:r ~deadline:d ~work:w
 
-let fjobs (inst : Job.instance) =
-  Array.map
-    (fun (job : Job.t) ->
-      { Offline.F.release = job.release; deadline = job.deadline; work = job.work })
-    inst.jobs
-
 let check_reference name inst run =
   Alcotest.(check (option string)) (name ^ ": = reference") None
     (Reference.offline_mismatch inst run)
@@ -87,7 +81,7 @@ let test_components_partition_and_order () =
   List.iter
     (fun seed ->
       let inst = random_instance seed in
-      let jobs = fjobs inst in
+      let jobs = Offline.float_jobs inst in
       let comps = Offline.F.components jobs in
       (* A partition of 0..n-1, each component ascending... *)
       let all = List.concat_map Array.to_list comps in
@@ -129,7 +123,7 @@ let test_session_decomposed_agrees () =
   List.iter
     (fun seed ->
       let inst = clustered_instance (seed + 40) in
-      let jobs = fjobs inst in
+      let jobs = Offline.float_jobs inst in
       let session = Offline.F.Session.create () in
       let a = Offline.F.Session.solve session ~machines:inst.machines jobs in
       let b = Offline.F.solve ~machines:inst.machines jobs in
@@ -181,16 +175,15 @@ let prop_decomposed_bitwise_clustered =
       let inst = clustered_instance (seed + 200) in
       agrees_with_reference inst (Offline.run inst))
 
+(* The merged run's schedule passes the reference audit with no slack on
+   times and 1e-9 relative on works. *)
 let prop_decomposed_segments_valid =
-  QCheck.Test.make ~count:40 ~name:"decomposed segments pass check_segments"
+  QCheck.Test.make ~count:40 ~name:"decomposed segments pass tight audit"
     QCheck.small_nat
     (fun seed ->
       let inst = clustered_instance (seed + 300) in
-      let jobs = fjobs inst in
-      let run = Offline.F.solve ~machines:inst.machines jobs in
-      Offline.F.check_segments ~machines:inst.machines jobs
-        (Offline.F.schedule_segments ~machines:inst.machines run)
-      = [])
+      let run = Offline.F.solve ~machines:inst.machines (Offline.float_jobs inst) in
+      Reference.check_tight inst (Offline.schedule_of_run ~machines:inst.machines run) = [])
 
 let prop_decomposed_packing_reference =
   QCheck.Test.make ~count:40 ~name:"decomposed packing = reference, by float bits"

@@ -49,8 +49,9 @@ let test_min_peak_matches_offline_first_phase () =
         Ss_workload.Generators.uniform ~seed ~machines:3 ~jobs:10 ~horizon:14. ~max_work:5. ()
       in
       let speed = F.min_peak_speed inst in
-      let _, info = Ss_core.Offline.solve inst in
-      Alcotest.(check (float 1e-9)) (Printf.sprintf "seed %d" seed) info.speeds.(0) speed)
+      let _, run = Ss_core.Offline.solve inst in
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "seed %d" seed)
+        (List.hd (Ss_core.Offline.F.speeds run)) speed)
     [ 1; 2; 3 ]
 
 let test_guards () =

@@ -32,15 +32,15 @@ let test_generator_fingerprint () =
 
 let test_offline_fingerprint () =
   let inst = golden_instance () in
-  let sched, info = Ss_core.Offline.solve inst in
+  let sched, run = Ss_core.Offline.solve inst in
   close "optimal energy alpha=2" 18.1389727232439 (Ss_model.Schedule.energy p2 sched);
   close "optimal energy alpha=3" 13.2319658994329 (Ss_model.Schedule.energy p3 sched);
-  Alcotest.(check int) "phases" 6 info.phases;
+  Alcotest.(check int) "phases" 6 run.stats.phases;
   (* Rounds summed over the two components' round loops: 2 phases - 1
      each, so 2 * 6 - 2. *)
-  Alcotest.(check int) "rounds" 10 info.rounds;
+  Alcotest.(check int) "rounds" 10 run.stats.rounds;
   Alcotest.(check int) "components" 2 (Ss_core.Offline.component_count inst);
-  close "peak speed" 0.835800461016282 info.speeds.(0)
+  close "peak speed" 0.835800461016282 (List.hd (Ss_core.Offline.F.speeds run))
 
 (* Schedule digests: the float bits of every segment (job, processor,
    start, end, speed) in the schedule's own order. *)

@@ -85,11 +85,6 @@ let test_grid_locate () =
   Alcotest.(check (option int)) "locate 4 (end)" None (Interval.locate g 4.);
   Alcotest.(check (option int)) "locate -1" None (Interval.locate g (-1.))
 
-let test_grid_extra_breakpoints () =
-  let g = Interval.make ~extra:[ 2.5 ] [| j 0. 4. 1. |] in
-  check_int "extra splits" 2 (Interval.length g);
-  Alcotest.(check (list int)) "active both halves" [ 0 ] (Interval.active g 1)
-
 (* --- power functions ---------------------------------------------------- *)
 
 let test_power_alpha () =
@@ -214,10 +209,12 @@ let test_concat () =
     (Invalid_argument "Schedule.concat: machine count mismatch") (fun () ->
       ignore (Schedule.concat a (Schedule.empty ~machines:3)))
 
-(* Random faulty schedules against the per-job reference audit: up to 12
-   jobs on up to 4 processors, the offline optimum or nothing, plus up to
-   30 segments on a half-unit grid, so that starts tie across processors,
-   one job's segments overlap, and job ids run past the instance. *)
+(* Random faulty schedules against the float instance of the reference
+   audit (one filter and sort per processor and per job) and the per-job
+   migration count: up to 12 jobs on up to 4 processors, the offline
+   optimum or nothing, plus up to 30 segments on a half-unit grid, so
+   that starts tie across processors, one job's segments overlap, and job
+   ids run past the instance. *)
 let prop_check_matches_reference =
   QCheck.Test.make ~count:500 ~name:"check and total_migrations = per-job reference"
     QCheck.(int_range 0 1_000_000)
@@ -398,7 +395,6 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_grid_structure;
           Alcotest.test_case "locate" `Quick test_grid_locate;
-          Alcotest.test_case "extra breakpoints" `Quick test_grid_extra_breakpoints;
         ] );
       ( "power",
         [

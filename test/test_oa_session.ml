@@ -65,12 +65,7 @@ let test_session_solve_agrees_across_solves () =
      machines, even though the session reuses one arena throughout and
      the machine count changes from one solve to the next. *)
   let inst = G.poisson ~seed:23 ~machines:3 ~jobs:25 ~rate:1. ~mean_work:2. ~slack:2.5 () in
-  let jobs =
-    Array.map
-      (fun (j : Job.t) ->
-        { O.F.release = j.release; deadline = j.deadline; work = j.work })
-      inst.jobs
-  in
+  let jobs = O.float_jobs inst in
   let session = O.F.Session.create () in
   for k = 1 to Array.length jobs do
     let prefix = Array.sub jobs 0 k in

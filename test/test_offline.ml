@@ -30,29 +30,27 @@ let random_instance seed =
 (* --- unit -------------------------------------------------------------- *)
 
 let test_hand_instance () =
-  let sched, info = Offline.solve hand_instance in
+  let sched, run = Offline.solve hand_instance in
   check_bool "feasible" true (Schedule.is_feasible hand_instance sched);
   checkf "energy 38 at alpha=2" 38. (Schedule.energy (Power.alpha 2.) sched);
-  Alcotest.(check int) "two speed classes" 2 info.phases;
-  checkf "fast class speed" 3. info.speeds.(0);
-  checkf "slow class speed" 2. info.speeds.(1)
+  Alcotest.(check int) "two speed classes" 2 run.stats.phases;
+  Alcotest.(check (list (float 1e-6))) "class speeds" [ 3.; 2. ] (Offline.F.speeds run)
 
 let test_single_job () =
   let inst = Job.instance ~machines:3 [ j 2. 6. 8. ] in
-  let sched, info = Offline.solve inst in
+  let sched, run = Offline.solve inst in
   check_bool "feasible" true (Schedule.is_feasible inst sched);
   (* A single job runs at its density over its whole window. *)
-  checkf "speed = density" 2. info.speeds.(0);
+  Alcotest.(check (list (float 1e-6))) "speed = density" [ 2. ] (Offline.F.speeds run);
   (* P(2) * 4 time units at alpha = 2. *)
   checkf "energy" 16. (Schedule.energy (Power.alpha 2.) sched)
 
 let test_more_jobs_than_machines_single_interval () =
   (* 4 identical jobs, 2 machines, common window: speed = total/(m*span). *)
   let inst = Job.instance ~machines:2 (List.init 4 (fun _ -> j 0. 2. 3.)) in
-  let sched, info = Offline.solve inst in
+  let sched, run = Offline.solve inst in
   check_bool "feasible" true (Schedule.is_feasible inst sched);
-  Alcotest.(check int) "one class" 1 info.phases;
-  checkf "balanced speed" 3. info.speeds.(0)
+  Alcotest.(check (list (float 1e-6))) "one class, balanced speed" [ 3. ] (Offline.F.speeds run)
 
 let test_fewer_jobs_than_machines () =
   (* Each job gets its own processor at its own density. *)
@@ -86,16 +84,16 @@ let test_exact_replay_agrees () =
       Alcotest.(check (list int)) "members" q.members p.members)
     run.schedule_phases exact.schedule_phases
 
-let test_info_speeds_strictly_decreasing () =
+let test_speeds_strictly_decreasing () =
   List.iter
     (fun seed ->
       let inst = random_instance seed in
-      let _, info = Offline.solve inst in
-      let ok = ref true in
-      for i = 0 to Array.length info.speeds - 2 do
-        if info.speeds.(i) <= info.speeds.(i + 1) +. 1e-12 then ok := false
-      done;
-      check_bool (Printf.sprintf "seed %d decreasing" seed) true !ok)
+      let rec decreasing = function
+        | a :: (b :: _ as rest) -> a > b +. 1e-12 && decreasing rest
+        | _ -> true
+      in
+      check_bool (Printf.sprintf "seed %d decreasing" seed) true
+        (decreasing (Offline.F.speeds (snd (Offline.solve inst)))))
     [ 11; 12; 13; 14 ]
 
 (* Lemma 3: within every phase and interval, the reserved processor count
@@ -161,6 +159,35 @@ let test_invalid_inputs () =
   Alcotest.check_raises "machines" (Invalid_argument "Offline.solve: machines <= 0")
     (fun () ->
       ignore (Offline.F.solve ~machines:0 [| { Offline.F.release = 0.; deadline = 1.; work = 1. } |]))
+
+(* A non-finite deadline, release or work is a typed error at every entry
+   point, not a failure inside the round loop. *)
+let test_non_finite_jobs () =
+  let instances =
+    [
+      ("infinite deadline", [| j 0. Float.infinity 1.; j 0. 2. 1. |]);
+      ("nan release", [| j Float.nan 1. 1.; j 0. 2. 1. |]);
+      ("infinite work", [| j 0. 1. Float.infinity; j 0. 2. 1. |]);
+    ]
+  in
+  List.iter
+    (fun (name, jobs) ->
+      let inst = { Job.jobs; machines = 2 } in
+      let fjobs = Offline.float_jobs inst in
+      List.iter
+        (fun (entry, solve) ->
+          match solve () with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: %s accepted" name entry)
+        [
+          ("Offline.run", fun () -> ignore (Offline.run inst));
+          ("Offline.solve", fun () -> ignore (Offline.solve inst));
+          ("Offline.solve_exact", fun () -> ignore (Offline.solve_exact inst));
+          ("F.solve", fun () -> ignore (Offline.F.solve ~machines:2 fjobs));
+          ( "F.Session.solve",
+            fun () -> ignore (Offline.F.Session.solve (Offline.F.Session.create ()) ~machines:2 fjobs) );
+        ])
+    instances
 
 (* Below the instance boundary an empty job array is no error: every
    functor entry point returns an empty run (no breakpoints, no phases,
@@ -271,37 +298,110 @@ let test_exact_schedule_materialization () =
       let inst =
         G.uniform ~seed:(seed + 70) ~machines:3 ~jobs:8 ~horizon:12. ~max_work:4. ()
       in
-      let exact = Offline.solve_exact inst in
-      let segs = Offline.Exact.schedule_segments ~machines:inst.machines exact in
-      let jobs =
-        Array.map
-          (fun (jb : Job.t) ->
-            {
-              Offline.Exact.release = Ss_numeric.Rational.of_float jb.release;
-              deadline = Ss_numeric.Rational.of_float jb.deadline;
-              work = Ss_numeric.Rational.of_float jb.work;
-            })
-          inst.jobs
-      in
-      match Offline.Exact.check_segments ~machines:inst.machines jobs segs with
+      match Reference.check_exact inst (Offline.solve_exact inst) with
       | [] -> ()
       | problems ->
-        Alcotest.failf "seed %d: %d exact violations" seed (List.length problems))
+        Alcotest.failf "seed %d: %d exact problems" seed (List.length problems))
     [ 1; 2; 3 ]
+
+(* Uniform seed 71's exact replay, packed, with one mutation at a time:
+   the rational audit names each, including a start 2^-40 before a
+   release that a 1e-9-relative float audit lets through, and reports a
+   processor or job id out of range instead of raising. *)
+let test_exact_audit_rejections () =
+  let inst = G.uniform ~seed:71 ~machines:3 ~jobs:8 ~horizon:12. ~max_work:4. () in
+  let m = inst.machines and n = Array.length inst.jobs in
+  let segs = Reference.exact_segments ~machines:m (Offline.solve_exact inst) in
+  Alcotest.(check int) "unmutated: no problems" 0 (List.length (Reference.audit_exact inst segs));
+  let module Q = Ss_numeric.Rational in
+  let overlap (a : Reference.Exact_audit.segment) (b : Reference.Exact_audit.segment) =
+    Q.compare a.t0 b.t1 < 0 && Q.compare b.t0 a.t1 < 0
+  in
+  let busy p (s : Reference.Exact_audit.segment) =
+    List.exists (fun (o : Reference.Exact_audit.segment) -> o.proc = p && overlap o s) segs
+  in
+  let reports name mutated matches =
+    check_bool name true (List.exists matches (Reference.audit_exact inst mutated))
+  in
+  let replace s s' = List.map (fun o -> if o == s then s' else o) segs in
+  let s0 = List.hd segs in
+  reports "dropped segment: wrong work" (List.tl segs) (function
+    | Reference.Wrong_work { job; _ } -> job = s0.job
+    | _ -> false);
+  let at_release =
+    List.find
+      (fun (s : Reference.Exact_audit.segment) ->
+        Q.equal s.t0 (Q.of_float inst.jobs.(s.job).release))
+      segs
+  in
+  let early = { at_release with t0 = Q.sub at_release.t0 (Q.of_float (Float.ldexp 1. (-40))) } in
+  reports "start 2^-40 early: outside window" (replace at_release early) (function
+    | Reference.Outside_window j -> j = early.job
+    | _ -> false);
+  let as_float (s : Reference.Exact_audit.segment) =
+    { Reference.Float_audit.job = s.job; proc = s.proc; t0 = Q.to_float s.t0;
+      t1 = Q.to_float s.t1; speed = Q.to_float s.speed }
+  in
+  let float_segs = List.map as_float (replace at_release early) in
+  check_bool "start 2^-40 early: within a 1e-9 float audit's slack" false
+    (List.exists
+       (function Reference.Outside_window _ -> true | _ -> false)
+       (Reference.Float_audit.check ~tol:1e-9 ~work_tol:1e-9 ~machines:m
+          ~work:(Reference.Float_audit.work_by_job ~jobs:n float_segs)
+          inst float_segs));
+  let moved, target =
+    List.find_map
+      (fun (s : Reference.Exact_audit.segment) ->
+        List.find_map
+          (fun p -> if p <> s.proc && busy p s then Some (s, p) else None)
+          (List.init m Fun.id))
+      segs
+    |> Option.get
+  in
+  reports "moved onto a busy processor: overlap" (replace moved { moved with proc = target })
+    (function Reference.Processor_overlap { proc; _ } -> proc = target | _ -> false);
+  let copied, idle =
+    List.find_map
+      (fun (s : Reference.Exact_audit.segment) ->
+        List.find_map (fun p -> if busy p s then None else Some (s, p)) (List.init m Fun.id))
+      segs
+    |> Option.get
+  in
+  reports "copied onto an idle processor: parallel execution"
+    ({ copied with proc = idle } :: segs)
+    (function Reference.Parallel_execution { job; _ } -> job = copied.job | _ -> false);
+  reports "processor m: reported" (replace s0 { s0 with proc = m }) (function
+    | Reference.Unknown_processor p -> p = m
+    | _ -> false);
+  reports "job n: reported" (replace s0 { s0 with job = n }) (function
+    | Reference.Unknown_job j -> j = n
+    | _ -> false)
+
+(* What the float and exact packers emit for one instance, in emission
+   order. *)
+let emitted pack =
+  let segs = ref [] in
+  pack ~emit:(fun job proc t0 t1 speed -> segs := (job, proc, t0, t1, speed) :: !segs);
+  List.rev !segs
 
 (* The float and exact materializations describe the same schedule. *)
 let test_float_vs_exact_segments () =
   let inst = hand_instance in
   let machines = inst.machines in
-  let float_segs = Offline.F.schedule_segments ~machines (Offline.run inst) in
-  let exact_segs = Offline.Exact.schedule_segments ~machines (Offline.solve_exact inst) in
+  let f = Offline.run inst and e = Offline.solve_exact inst in
+  let float_segs =
+    emitted (Offline.F.pack ~machines ~first:0 ~last:(Array.length f.breakpoints - 2) f)
+  in
+  let exact_segs =
+    emitted (Offline.Exact.pack ~machines ~first:0 ~last:(Array.length e.breakpoints - 2) e)
+  in
   Alcotest.(check int) "segment count" (List.length exact_segs) (List.length float_segs);
   List.iter2
-    (fun (a : Offline.F.segment) (b : Offline.Exact.segment) ->
-      Alcotest.(check int) "job" b.seg_job a.seg_job;
-      Alcotest.(check int) "proc" b.seg_proc a.seg_proc;
-      Alcotest.(check (float 1e-9)) "t0" (Ss_numeric.Rational.to_float b.seg_t0) a.seg_t0;
-      Alcotest.(check (float 1e-9)) "t1" (Ss_numeric.Rational.to_float b.seg_t1) a.seg_t1)
+    (fun (job, proc, t0, t1, _) (job', proc', t0', t1', _) ->
+      Alcotest.(check int) "job" job' job;
+      Alcotest.(check int) "proc" proc' proc;
+      Alcotest.(check (float 1e-9)) "t0" (Ss_numeric.Rational.to_float t0') t0;
+      Alcotest.(check (float 1e-9)) "t1" (Ss_numeric.Rational.to_float t1') t1)
     float_segs exact_segs
 
 (* The segments production schedules carry ([schedule_of_run] on the float
@@ -330,9 +430,9 @@ let test_production_vs_exact_packing () =
       in
       let q = Ss_numeric.Rational.to_float in
       let exact =
-        Offline.Exact.schedule_segments ~machines (Offline.solve_exact inst)
-        |> List.map (fun (s : Offline.Exact.segment) ->
-               (s.seg_proc, q s.seg_t0, s.seg_job, q s.seg_t1, q s.seg_speed))
+        Reference.exact_segments ~machines (Offline.solve_exact inst)
+        |> List.map (fun (s : Reference.Exact_audit.segment) ->
+               (s.proc, q s.t0, s.job, q s.t1, q s.speed))
         |> List.sort (fun (p1, a1, j1, _, _) (p2, a2, j2, _, _) ->
                match Int.compare p1 p2 with
                | 0 -> (match Float.compare a1 a2 with 0 -> Int.compare j1 j2 | c -> c)
@@ -515,11 +615,12 @@ let () =
           Alcotest.test_case "fewer jobs than machines" `Quick test_fewer_jobs_than_machines;
           Alcotest.test_case "matches YDS at m=1" `Quick test_matches_yds_single_processor;
           Alcotest.test_case "exact replay" `Quick test_exact_replay_agrees;
-          Alcotest.test_case "speeds decreasing" `Quick test_info_speeds_strictly_decreasing;
+          Alcotest.test_case "speeds decreasing" `Quick test_speeds_strictly_decreasing;
           Alcotest.test_case "Lemma 3 law" `Quick test_lemma3_processor_law;
           Alcotest.test_case "phase saturation" `Quick test_phase_allocation_saturates;
           Alcotest.test_case "run energy = schedule energy" `Quick test_energy_of_run_matches_schedule;
           Alcotest.test_case "invalid inputs" `Quick test_invalid_inputs;
+          Alcotest.test_case "non-finite jobs" `Quick test_non_finite_jobs;
           Alcotest.test_case "empty job array" `Quick test_empty_job_array;
           Alcotest.test_case "general convex P" `Quick test_general_convex_power;
           Alcotest.test_case "scaling invariances" `Quick test_scaling_invariances;
@@ -528,6 +629,7 @@ let () =
           Alcotest.test_case "density bounds" `Quick test_density_lower_bounds;
           Alcotest.test_case "YDS structure" `Quick test_yds_structure;
           Alcotest.test_case "exact schedule materialization" `Quick test_exact_schedule_materialization;
+          Alcotest.test_case "exact audit rejections" `Quick test_exact_audit_rejections;
           Alcotest.test_case "float vs exact segments" `Quick test_float_vs_exact_segments;
           Alcotest.test_case "production vs exact packing" `Quick test_production_vs_exact_packing;
         ] );
