@@ -325,31 +325,33 @@ let batch path algo alpha domains capacity no_cache verbose =
     in
     (* ss_lint: allow wallclock — CLI throughput report only, never enters a schedule *)
     let t0 = Unix.gettimeofday () in
-    let outcomes = Ss_dispatch.Dispatch.batch d queries in
-    let elapsed = Unix.gettimeofday () -. t0 in (* ss_lint: allow wallclock — CLI throughput report *)
-    let s = Ss_dispatch.Dispatch.stats d in
-    let energy = function
-      | Ss_dispatch.Dispatch.Run r -> Ss_core.Offline.energy_of_run power r
-      | Ss_dispatch.Dispatch.Sched sched -> Schedule.energy power sched
-    in
-    if verbose then
-      Array.iteri
-        (fun i out ->
-          Printf.printf "instance %d: %d jobs, %d machines, energy %.6g\n" i
-            (Job.num_jobs insts.(i)) insts.(i).machines (energy out))
-        outcomes;
-    let total = Array.fold_left (fun acc out -> acc +. energy out) 0. outcomes in
-    Printf.printf
-      "%d queries (%s) in %.1f ms (%.0f q/s): total energy %.6g at P(s)=s^%g\n"
-      (Array.length outcomes) algo (elapsed *. 1e3)
-      (float_of_int (Array.length outcomes) /. Float.max 1e-9 elapsed)
-      total alpha;
-    Printf.printf
-      "cache: %d hits / %d queries (%.0f%%), %d resident, %d evictions; %d domains\n"
-      s.hits s.queries
-      (100. *. Ss_dispatch.Dispatch.hit_rate s)
-      s.resident s.evictions s.domains;
-    `Ok ()
+    match Ss_dispatch.Dispatch.batch d queries with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | outcomes ->
+      let elapsed = Unix.gettimeofday () -. t0 in (* ss_lint: allow wallclock — CLI throughput report *)
+      let s = Ss_dispatch.Dispatch.stats d in
+      let energy = function
+        | Ss_dispatch.Dispatch.Run r -> Ss_core.Offline.energy_of_run power r
+        | Ss_dispatch.Dispatch.Sched sched -> Schedule.energy power sched
+      in
+      if verbose then
+        Array.iteri
+          (fun i out ->
+            Printf.printf "instance %d: %d jobs, %d machines, energy %.6g\n" i
+              (Job.num_jobs insts.(i)) insts.(i).machines (energy out))
+          outcomes;
+      let total = Array.fold_left (fun acc out -> acc +. energy out) 0. outcomes in
+      Printf.printf
+        "%d queries (%s) in %.1f ms (%.0f q/s): total energy %.6g at P(s)=s^%g\n"
+        (Array.length outcomes) algo (elapsed *. 1e3)
+        (float_of_int (Array.length outcomes) /. Float.max 1e-9 elapsed)
+        total alpha;
+      Printf.printf
+        "cache: %d hits / %d queries (%.0f%%), %d resident, %d evictions; %d domains\n"
+        s.hits s.queries
+        (100. *. Ss_dispatch.Dispatch.hit_rate s)
+        s.resident s.evictions s.domains;
+      `Ok ()
 
 let batch_cmd =
   let algo =

@@ -102,7 +102,11 @@ struct
           invalid_arg "Offline.solve: non-finite job";
         if F.compare j.release j.deadline >= 0 then
           invalid_arg "Offline.solve: release >= deadline";
-        if F.compare j.work F.zero <= 0 then invalid_arg "Offline.solve: work <= 0")
+        if F.compare j.work F.zero <= 0 then invalid_arg "Offline.solve: work <= 0";
+        (* The density in floats, as [Job.validate] computes it. *)
+        let d = F.to_float j.work /. (F.to_float j.deadline -. F.to_float j.release) in
+        if not (d > 0. && Float.is_finite d) then
+          invalid_arg "Offline.solve: density not a positive finite float")
       jobs
 
   (* --- reusable solver workspace ---------------------------------------
@@ -136,9 +140,9 @@ struct
     mutable sweep_prio : float array; (* per job: laxity, the heap key *)
     mutable sweep_heap : int array; (* active-job min-heap on (laxity, deadline, id) *)
     mutable sweep_tmp : int array;  (* jobs served in the current interval *)
-    (* The pair store: one slot per positive (job, interval) pair of the
-       sweep's flow, threaded into its interval's supporter list and found
-       through an open-addressed index on [i * k + j]. *)
+    (* The pair store: one slot per (job, interval) pair the sweep's flow
+       has made positive, threaded into its interval's supporter list and
+       found through an open-addressed index on [i * k + j]. *)
     mutable pair_key : int array;   (* per slot: i * k + j *)
     mutable pair_flow : F.t array;  (* per slot: routed time *)
     mutable pair_next : int array;  (* per slot: next supporter of its interval *)
@@ -147,9 +151,10 @@ struct
     mutable index_slot : int array; (* power-of-two cells: a slot id *)
     mutable index_stamp : int array;(* a cell is live iff stamped [index_gen] *)
     mutable index_gen : int;
-    mutable aug_level : int array;  (* BFS levels over n job + k interval nodes *)
-    mutable aug_visited : bool array;
-    mutable aug_queue : int array;
+    (* Stage 2's searches, over n job then k interval nodes. *)
+    mutable aug_visited : bool array;(* per node: reached *)
+    mutable aug_pred : int array;   (* per node: predecessor on its path *)
+    mutable aug_queue : int array;  (* BFS queue *)
     mutable aug_next : int array;   (* jump pointers: next unvisited interval *)
   }
 
@@ -184,8 +189,8 @@ struct
       index_slot = [||];
       index_stamp = [||];
       index_gen = 0;
-      aug_level = [||];
       aug_visited = [||];
+      aug_pred = [||];
       aug_queue = [||];
       aug_next = [||];
     }
@@ -227,7 +232,8 @@ struct
   (* --- the pair store ----------------------------------------------------
      The sweep's flow is sparse: Stage 1 leaves at most n + (m + 1) k
      positive pairs (see [sweep]), and the augmenting stage adds few.
-     Each positive pair owns one slot; a cleared index (a new stamp
+     Each pair a sweep makes positive owns one slot for the rest of the
+     sweep, drained or refilled in place; a cleared index (a new stamp
      generation) empties the store in O(1) at the start of every sweep. *)
 
   let pair_hash key mask =
@@ -249,7 +255,7 @@ struct
     let t = pair_find ws key in
     if t < 0 then F.zero else ws.pair_flow.(t)
 
-  (* Point [key]'s index cell at slot [t], claiming a cell for a new key. *)
+  (* Claim an index cell for [key], held in slot [t]; a key has one slot. *)
   let index_set ws key t =
     let mask = Array.length ws.index_slot - 1 in
     let rec probe c =
@@ -257,13 +263,12 @@ struct
         ws.index_stamp.(c) <- ws.index_gen;
         ws.index_slot.(c) <- t
       end
-      else if ws.pair_key.(ws.index_slot.(c)) = key then ws.index_slot.(c) <- t
       else probe ((c + 1) land mask)
     in
     probe (pair_hash key mask)
 
   (* Size the index for [slots] slots at load factor <= 1/2; re-indexes the
-     live slots (later slots win, as in [pair_add]) when it has to grow. *)
+     live slots when it has to grow. *)
   let index_fit ws slots =
     if 2 * slots > Array.length ws.index_slot then begin
       let cells = ref 16 in
@@ -303,20 +308,10 @@ struct
     ws.pairs <- t + 1;
     index_set ws key t
 
-  (* Augment pair [key] by [b].  A pair at zero (absent, or drained by an
-     earlier augmentation) is refilled in a fresh slot at the head of its
-     supporter list, its old slot left at zero: supporter lists stay
-     ordered newest-filled first, which fixes the traversal order and so
-     the flow the oracle returns. *)
+  (* Augment pair [key] by [b] in its slot, or in a new one if it has none. *)
   let pair_push ws ~key ~ivl b =
     let t = pair_find ws key in
-    if t >= 0 && F.sign ws.pair_flow.(t) <> 0 then
-      ws.pair_flow.(t) <- F.add ws.pair_flow.(t) b
-    else begin
-      let f = F.add (if t < 0 then F.zero else ws.pair_flow.(t)) b in
-      if t >= 0 then ws.pair_flow.(t) <- F.zero;
-      pair_add ws ~key ~ivl f
-    end
+    if t >= 0 then ws.pair_flow.(t) <- F.add ws.pair_flow.(t) b else pair_add ws ~key ~ivl b
 
   (* Per-solve sweep precomputation: array sizing and the sweep's job order
      (counting sort by first interval, stable, so ties stay in index order
@@ -336,9 +331,9 @@ struct
     if Array.length ws.sup_head < k then ws.sup_head <- Array.make k (-1);
     ws.pairs <- 0;
     grow_pairs ws (n + ((machines + 1) * k) + 8);
-    if Array.length ws.aug_level < n + k then begin
-      ws.aug_level <- Array.make (n + k) (-1);
+    if Array.length ws.aug_visited < n + k then begin
       ws.aug_visited <- Array.make (n + k) false;
+      ws.aug_pred <- Array.make (n + k) 0;
       ws.aug_queue <- Array.make (n + k) 0
     end;
     if Array.length ws.aug_next < k + 1 then ws.aug_next <- Array.make (k + 1) 0;
@@ -395,16 +390,20 @@ struct
      O((n + m k) log n).
 
      Stage 2 — shortest augmenting paths on the *implicit* dense residual
-     graph: BFS alternates job and interval nodes, where a job's forward
+     graph, one per search.  A search is a BFS from every candidate with
+     demand left that alternates job and interval nodes: a job's forward
      arcs are the unvisited intervals of its contiguous window with pair
-     slack (enumerated through path-compressed jump pointers, so each BFS
-     costs O((n + k + live pairs) alpha)) and an interval's backward arcs
-     come from its supporter list.  Augmenting along shortest paths until
-     the sink is unreachable makes the flow maximum — Edmonds–Karp
-     termination needs no integrality — so the oracle's value answers the
-     accept test exactly, and the final BFS, which found the sink
-     unreachable, leaves [aug_visited] marking the jobs reachable from the
-     source: the removal set of a failed round (see [certify]).  Stage 1
+     slack (enumerated through path-compressed jump pointers), an
+     interval's backward arcs come from its supporter list.  It stops at
+     the first interval with sink slack, which BFS order makes the end of
+     a shortest path, and augments that path by its bottleneck.
+     Augmenting along shortest paths until the sink is unreachable makes
+     the flow maximum — Edmonds–Karp termination needs no integrality — so
+     the oracle's value answers the accept test exactly, and the last
+     search, which finds no interval with sink slack, leaves [aug_visited]
+     marking the jobs reachable from the source: the removal set of a
+     failed round (see [certify]).  A search costs O((n + span + live
+     pairs) alpha), the span being the candidates' intervals.  Stage 1
      leaves little to repair: no augmenting path at all on heavy
      n = 1000 instances (m = 8, Pareto shape 1.1), and 43 over the 351
      rounds of a stream n = 1000 solve (DESIGN.md section 4). *)
@@ -568,199 +567,120 @@ struct
         done
       end
     done;
-    (* Stage 2: finish to a maximum flow with Dinic-style blocking flows on
-       the implicit residual graph.  Node ids: job i -> i, interval j ->
-       n + j.  Each pass levels the residual by BFS (path-compressed jump
-       pointers enumerate a job's unvisited window intervals, supporter
-       lists give an interval's backward arcs), then a depth-first blocking
-       flow with current-arc pointers sends every shortest augmenting path
-       of that length at once.  The loop exits only when BFS proves the
-       sink unreachable, so the result is maximum whatever the pass count;
-       tolerance-gated arcs make every bottleneck positive beyond
-       tolerance, so passes terminate. *)
-    let level = ws.aug_level
-    and visited = ws.aug_visited
+    (* Stage 2, one shortest augmenting path per search.  Node ids: job
+       i -> i, interval j -> n + j.  Each reached node records its
+       predecessor: an interval its job, a job its pair slot, a source -1.
+       The candidates' windows lie in [lo, hi], so a search resets only
+       that span and the job flags.  Tolerance-gated arcs make every
+       bottleneck positive beyond tolerance, so the searches terminate. *)
+    let visited = ws.aug_visited
     and queue = ws.aug_queue
-    and nextiv = ws.aug_next
-    and cur_job = ws.sweep_heap (* free after the sweep: current arc *)
-    and cur_sup = ws.sweep_bucket (* free after the sort: current arc *) in
+    and pred = ws.aug_pred
+    and nextiv = ws.aug_next in
     let iv j = n + j in
-    let slack u j = F.sign (F.sub widths.(j) (pair_flow ws ((u * k) + j))) > 0 in
+    let pair_slack u j = F.sub widths.(j) (pair_flow ws ((u * k) + j)) in
+    let sink_slack j = F.sub (F.mul (F.of_int procs.(j)) widths.(j)) ssink.(j) in
     (* Path-compressed "next possibly-unvisited interval >= j". *)
     let rec find_next j =
-      if j >= k || not visited.(iv j) then j
+      if j > hi || not visited.(iv j) then j
       else begin
         let r = find_next nextiv.(j) in
         nextiv.(j) <- r;
         r
       end
     in
+    (* Every search's queue starts with the sources, the candidates with
+       demand left, in index order; each search drops the drained ones. *)
+    let sources = ref 0 in
+    for i = 0 to n - 1 do
+      if candidate.(i) then begin
+        queue.(!sources) <- i;
+        incr sources
+      end
+    done;
     let exhausted = ref false in
     while not !exhausted do
-      Array.fill visited 0 (n + k) false;
-      for j = 0 to k - 1 do
+      Array.fill visited 0 n false;
+      for j = lo to hi do
         (* A procs-free interval carries no arc at all. *)
-        if procs.(j) = 0 then visited.(iv j) <- true;
+        visited.(iv j) <- procs.(j) = 0;
         nextiv.(j) <- j + 1
       done;
-      nextiv.(k) <- k;
       let head = ref 0 and tail = ref 0 in
-      for i = 0 to n - 1 do
-        if candidate.(i) && F.sign rem.(i) > 0 then begin
+      for q = 0 to !sources - 1 do
+        let i = queue.(q) in
+        if F.sign rem.(i) > 0 then begin
           visited.(i) <- true;
-          level.(i) <- 0;
+          pred.(i) <- -1;
           queue.(!tail) <- i;
           incr tail
         end
       done;
-      (* [dist] = length of a shortest augmenting path: the level of the
-         nearest interval with sink slack, plus its sink arc.  BFS
-         discovers in level order, so the first exit found fixes it;
-         deeper nodes are not expanded. *)
-      let dist = ref max_int in
-      while !head < !tail do
+      sources := !tail;
+      let found = ref (-1) in
+      while !found < 0 && !head < !tail do
         let u = queue.(!head) in
         incr head;
-        if level.(u) + 1 < !dist then
-          if u < n then begin
-            let j = ref (find_next first_ivl.(u)) in
-            while !j <= last_ivl.(u) do
-              let jj = !j in
-              if slack u jj then begin
-                visited.(iv jj) <- true;
-                level.(iv jj) <- level.(u) + 1;
-                let cap = F.mul (F.of_int procs.(jj)) widths.(jj) in
-                if F.sign (F.sub cap ssink.(jj)) > 0 then begin
-                  if level.(iv jj) + 1 < !dist then dist := level.(iv jj) + 1
-                end
-                else begin
-                  queue.(!tail) <- iv jj;
-                  incr tail
-                end
-              end;
-              j := find_next (jj + 1)
-            done
-          end
-          else begin
-            let t = ref ws.sup_head.(u - n) in
-            while !t >= 0 do
-              let i = ws.pair_key.(!t) / k in
-              if (not visited.(i)) && F.sign ws.pair_flow.(!t) > 0 then begin
-                visited.(i) <- true;
-                level.(i) <- level.(u) + 1;
-                queue.(!tail) <- i;
-                incr tail
-              end;
-              t := ws.pair_next.(!t)
-            done
-          end
-      done;
-      if !dist = max_int then exhausted := true
-      else begin
-        let exit_level = !dist - 1 in
-        for i = 0 to n - 1 do
-          cur_job.(i) <- first_ivl.(i)
-        done;
-        for j = 0 to k - 1 do
-          cur_sup.(j) <- ws.sup_head.(j)
-        done;
-        (* The BFS queue is spent; reuse it as the DFS path stack
-           (alternating job, interval, job, ... nodes). *)
-        let stack = queue in
-        for src = 0 to n - 1 do
-          if candidate.(src) && visited.(src) && level.(src) = 0 then begin
-            let depth = ref 0 in
-            stack.(0) <- src;
-            let active = ref (F.sign rem.(src) > 0) in
-            while !active do
-              let u = stack.(!depth) in
-              if u >= n && level.(u) = exit_level then begin
-                let j0 = u - n in
-                let sink_res =
-                  F.sub (F.mul (F.of_int procs.(j0)) widths.(j0)) ssink.(j0)
-                in
-                if F.sign sink_res > 0 then begin
-                  (* Complete shortest path: augment by the bottleneck
-                     (positive beyond tolerance by the arc gating); in exact
-                     float arithmetic the tight constraint drops to zero,
-                     closing at least one arc per path. *)
-                  let bot = ref (F.min sink_res rem.(src)) in
-                  for d = 0 to !depth - 1 do
-                    let a = stack.(d) and b = stack.(d + 1) in
-                    if a < n then
-                      bot := F.min !bot (F.sub widths.(b - n) (pair_flow ws ((a * k) + (b - n))))
-                    else bot := F.min !bot (pair_flow ws ((b * k) + (a - n)))
-                  done;
-                  let b = !bot in
-                  ssink.(j0) <- F.add ssink.(j0) b;
-                  rem.(src) <- F.sub rem.(src) b;
-                  value := F.add !value b;
-                  for d = 0 to !depth - 1 do
-                    let a = stack.(d) and dst = stack.(d + 1) in
-                    if a < n then pair_push ws ~key:((a * k) + (dst - n)) ~ivl:(dst - n) b
-                    else begin
-                      let t = pair_find ws ((dst * k) + (a - n)) in
-                      ws.pair_flow.(t) <- F.sub ws.pair_flow.(t) b
-                    end
-                  done;
-                  (* Restart from the source: saturated arcs now fail their
-                     residual checks and advance the pointers. *)
-                  depth := 0;
-                  if F.sign rem.(src) <= 0 then active := false
-                end
-                else begin
-                  (* Drained exit: paths through it would be longer than
-                     [dist], so retreat. *)
-                  decr depth;
-                  let p = stack.(!depth) in
-                  cur_job.(p) <- cur_job.(p) + 1
-                end
-              end
-              else if u < n then begin
-                let lj = last_ivl.(u) in
-                let nl = level.(u) + 1 in
-                let j = ref cur_job.(u) in
-                let stop = ref false in
-                while (not !stop) && !j <= lj do
-                  let jj = !j in
-                  if visited.(iv jj) && level.(iv jj) = nl && slack u jj then stop := true
-                  else incr j
-                done;
-                cur_job.(u) <- !j;
-                if !stop then begin
-                  incr depth;
-                  stack.(!depth) <- iv !j
-                end
-                else if !depth = 0 then active := false
-                else begin
-                  decr depth;
-                  let p = stack.(!depth) in
-                  cur_sup.(p - n) <- ws.pair_next.(cur_sup.(p - n))
-                end
-              end
+        if u < n then begin
+          let j = ref (find_next first_ivl.(u)) in
+          while !found < 0 && !j <= last_ivl.(u) do
+            let jj = !j in
+            if F.sign (pair_slack u jj) > 0 then begin
+              visited.(iv jj) <- true;
+              pred.(iv jj) <- u;
+              if F.sign (sink_slack jj) > 0 then found := jj
               else begin
-                let j = u - n in
-                let nl = level.(u) + 1 in
-                let t = ref cur_sup.(j) in
-                let stop = ref false in
-                while (not !stop) && !t >= 0 do
-                  let i = ws.pair_key.(!t) / k in
-                  if visited.(i) && level.(i) = nl && F.sign ws.pair_flow.(!t) > 0 then
-                    stop := true
-                  else t := ws.pair_next.(!t)
-                done;
-                cur_sup.(j) <- !t;
-                if !stop then begin
-                  incr depth;
-                  stack.(!depth) <- ws.pair_key.(!t) / k
-                end
-                else begin
-                  decr depth;
-                  let p = stack.(!depth) in
-                  cur_job.(p) <- cur_job.(p) + 1
-                end
+                queue.(!tail) <- iv jj;
+                incr tail
               end
-            done
+            end;
+            j := find_next (jj + 1)
+          done
+        end
+        else begin
+          let t = ref ws.sup_head.(u - n) in
+          while !t >= 0 do
+            let i = ws.pair_key.(!t) / k in
+            if (not visited.(i)) && F.sign ws.pair_flow.(!t) > 0 then begin
+              visited.(i) <- true;
+              pred.(i) <- !t;
+              queue.(!tail) <- i;
+              incr tail
+            end;
+            t := ws.pair_next.(!t)
+          done
+        end
+      done;
+      if !found < 0 then exhausted := true
+      else begin
+        (* The path runs back from the found interval through its job,
+           that job's pair slot (whose interval comes next), and so on to
+           a source.  First its bottleneck, then the augmentation; in
+           exact arithmetic the tight arc drops to zero. *)
+        let bot = ref (sink_slack !found) and j = ref !found and src = ref (-1) in
+        while !src < 0 do
+          let u = pred.(iv !j) in
+          bot := F.min !bot (pair_slack u !j);
+          let t = pred.(u) in
+          if t < 0 then src := u
+          else begin
+            bot := F.min !bot ws.pair_flow.(t);
+            j := ws.pair_key.(t) mod k
+          end
+        done;
+        let b = F.min !bot rem.(!src) in
+        ssink.(!found) <- F.add ssink.(!found) b;
+        rem.(!src) <- F.sub rem.(!src) b;
+        value := F.add !value b;
+        j := !found;
+        while !j >= 0 do
+          let u = pred.(iv !j) in
+          pair_push ws ~key:((u * k) + !j) ~ivl:!j b;
+          let t = pred.(u) in
+          if t < 0 then j := -1
+          else begin
+            ws.pair_flow.(t) <- F.sub ws.pair_flow.(t) b;
+            j := ws.pair_key.(t) mod k
           end
         done
       end

@@ -120,8 +120,9 @@ module MakeWith
       it, keeping O(n + m k) state: in each interval every job first takes
       the share its later intervals cannot hold (its mandatory share),
       least laxity first, and is topped up to the interval's length, then
-      the other jobs are served least laxity first; blocking flows on the
-      implicit dense residual finish the flow to a maximum.  No flow
+      the other jobs are served least laxity first; shortest augmenting
+      paths on the implicit dense residual, one per search, finish the
+      flow to a maximum.  No flow
       network exists, so the network counters of {!stats} read 0.  Both
       give the same phase partitions, speeds, reservations, busy times and
       energies; the [t_kj] split among a phase's equal-speed members may
@@ -132,7 +133,9 @@ module MakeWith
       An empty job array gives an empty run: no breakpoints, no phases
       and zero counters.
       @raise Invalid_argument if [machines <= 0], or a job has a
-      non-finite field, [release >= deadline] or [work <= 0].
+      non-finite field, [release >= deadline], [work <= 0] or a density
+      that is not a positive finite float (computed in floats, as
+      [Job.validate] does).
       @raise Stranded_job only on internal failure (valid instances are
       always schedulable). *)
 

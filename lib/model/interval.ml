@@ -10,8 +10,6 @@ type grid = {
 }
 
 let length g = Array.length g.times - 1
-let start g j = g.times.(j)
-let stop g j = g.times.(j + 1)
 let width g j = g.times.(j + 1) -. g.times.(j)
 let active g j = g.active.(j)
 let active_count g j = g.active_count.(j)
@@ -60,7 +58,7 @@ let total_width g =
 let pp ppf g =
   Format.fprintf ppf "@[<v>grid (%d intervals)@," (length g);
   for j = 0 to length g - 1 do
-    Format.fprintf ppf "  I%d [%g,%g) active={%s}@," j (start g j) (stop g j)
+    Format.fprintf ppf "  I%d [%g,%g) active={%s}@," j g.times.(j) g.times.(j + 1)
       (String.concat "," (List.map string_of_int (active g j)))
   done;
   Format.fprintf ppf "@]"

@@ -12,8 +12,6 @@ val make : Job.t array -> grid
 val length : grid -> int
 (** Number of intervals. *)
 
-val start : grid -> int -> float
-val stop : grid -> int -> float
 val width : grid -> int -> float
 
 val active : grid -> int -> int list

@@ -19,11 +19,10 @@ type info = {
   peeled : int;            (* dedicated-processor assignments, total *)
 }
 
-(* The core step shared by the unit-interval algorithm (the paper's
-   Fig. 3) and the grid generalization: schedule density * |interval| work
-   for each active job inside [t0, t1), peeling over-dense jobs onto
-   dedicated processors.  Emits segments through [emit]; returns the peel
-   count. *)
+(* One step of the unit-interval algorithm (the paper's Fig. 3): schedule
+   density * |interval| work for each active job inside [t0, t1), peeling
+   over-dense jobs onto dedicated processors.  Emits segments through
+   [emit]; returns the peel count. *)
 let schedule_interval ~machines ~density ~emit ~t0 ~t1 active =
   (* Same compensated adds in the same list order as
      [Kahan.sum_list (List.map ...)], minus the intermediate list — this
@@ -66,31 +65,6 @@ let schedule_interval ~machines ~density ~emit ~t0 ~t1 active =
     if used > !free then failwith "Avr: packing exceeded free processors"
   end;
   !peeled
-
-(* Grid generalization: the paper assumes integral times wlog; replacing
-   the unit intervals with the release/deadline grid (inside which the
-   active set is constant) yields the same speeds on integral instances
-   (the peeling decisions are scale-invariant within an interval) and
-   extends AVR(m) to arbitrary real times. *)
-let run_on_grid (inst : Job.instance) =
-  (match Job.validate inst with
-  | [] -> ()
-  | _ -> invalid_arg "Avr.run_on_grid: invalid instance");
-  let grid = Ss_model.Interval.make inst.jobs in
-  let n = Array.length inst.jobs in
-  let density = Array.init n (fun i -> Job.density inst.jobs.(i)) in
-  let segments = ref [] in
-  let emit s = segments := s :: !segments in
-  let peeled_total = ref 0 in
-  for jv = 0 to Ss_model.Interval.length grid - 1 do
-    let t0 = Ss_model.Interval.start grid jv and t1 = Ss_model.Interval.stop grid jv in
-    let active = Ss_model.Interval.active grid jv in
-    peeled_total :=
-      !peeled_total
-      + schedule_interval ~machines:inst.machines ~density ~emit ~t0 ~t1 active
-  done;
-  let schedule = Schedule.make ~machines:inst.machines !segments in
-  (schedule, { intervals = Ss_model.Interval.length grid; peeled = !peeled_total })
 
 (* The sweep over the unit grid: one pass over the shared event calendar
    keeps the active set incrementally (enter at the release event, leave

@@ -21,8 +21,8 @@ val schedule_interval :
     [density.(i) * (t1 - t0)] work inside [\[t0, t1)], peeling over-dense
     jobs onto dedicated processors and wrap-packing the rest at the
     balanced speed with {!Ss_core.Offline.F.wrap_pack}.  Segments go to
-    [emit]; returns the number of peeled jobs.  Shared by {!run} and
-    {!run_on_grid}. *)
+    [emit]; returns the number of peeled jobs.  {!run} calls it once per
+    unit interval. *)
 
 val run :
   ?stats:Engine.counters ->
@@ -35,11 +35,6 @@ val run :
     place.
     @raise Invalid_argument on invalid instances or non-integral
     release/deadline times. *)
-
-val run_on_grid : Ss_model.Job.instance -> Ss_model.Schedule.t * info
-(** Grid generalization: unit intervals replaced by the release/deadline
-    grid, lifting the integral-times precondition.  Coincides with {!run}
-    on integral instances (peeling is scale-invariant per interval). *)
 
 val schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 val energy : Ss_model.Power.t -> Ss_model.Job.instance -> float

@@ -162,27 +162,37 @@ let test_session_agrees () =
       check_reference (name ^ " session") inst via_session)
     cases
 
-(* The exact-rational replay on a sweep-sized instance: the same phase
+(* The exact-rational replay on sweep-sized instances: the same phase
    partition as the float run, and a schedule that passes the
-   zero-tolerance audit. *)
+   zero-tolerance audit.  The heavy instance's rounds need no augmenting
+   path; the stream instance's rational solve takes 14 over its 41
+   rounds, two accepting rounds among them, so the rational field runs
+   both stages. *)
 let test_exact_agrees () =
-  let inst = G.heavy ~integral:false ~seed:1 ~machines:4 ~jobs:120 ~horizon:40. () in
-  check_sweep_sized "exact" inst;
-  let exact = Offline.solve_exact inst in
-  Alcotest.(check int) "exact: schedule problems" 0
-    (List.length (Reference.check_exact inst exact));
-  let f = Offline.run inst in
-  Alcotest.(check int) "exact: phase count"
-    (List.length f.schedule_phases)
-    (List.length exact.schedule_phases);
-  List.iter2
-    (fun (a : Offline.F.phase) (b : Offline.Exact.phase) ->
-      Alcotest.(check (list int)) "exact: members" a.members b.members;
-      Alcotest.(check (array int)) "exact: procs" a.procs b.procs;
-      let s = Ss_numeric.Rational.to_float b.speed in
-      Alcotest.(check bool) "exact: speed" true
-        (Float.abs (s -. a.speed) <= 1e-9 *. Float.max 1. (Float.abs s)))
-    f.schedule_phases exact.schedule_phases
+  List.iter
+    (fun (name, inst) ->
+      check_sweep_sized name inst;
+      let exact = Offline.solve_exact inst in
+      Alcotest.(check int) (name ^ ": schedule problems") 0
+        (List.length (Reference.check_exact inst exact));
+      let f = Offline.run inst in
+      Alcotest.(check int) (name ^ ": phase count")
+        (List.length f.schedule_phases)
+        (List.length exact.schedule_phases);
+      List.iter2
+        (fun (a : Offline.F.phase) (b : Offline.Exact.phase) ->
+          Alcotest.(check (list int)) (name ^ ": members") a.members b.members;
+          Alcotest.(check (array int)) (name ^ ": procs") a.procs b.procs;
+          let s = Ss_numeric.Rational.to_float b.speed in
+          Alcotest.(check bool) (name ^ ": speed") true
+            (Float.abs (s -. a.speed) <= 1e-9 *. Float.max 1. (Float.abs s)))
+        f.schedule_phases exact.schedule_phases)
+    [
+      ("exact heavy s=1", G.heavy ~integral:false ~seed:1 ~machines:4 ~jobs:120 ~horizon:40. ());
+      ( "exact stream s=5",
+        G.stream ~integral:false ~seed:5 ~machines:4 ~jobs:150 ~rate:4. ~mean_work:2.
+          ~max_laxity:8. () );
+    ]
 
 (* --- (b) counters ------------------------------------------------------ *)
 

@@ -144,7 +144,10 @@ let test_exact_replay_fingerprint () =
    these digests; phases, speeds and reservations are checked against
    the reference solver elsewhere.  The heavy n = 1000 case is one of the
    repository benchmark's instances, whose own digest leaves the t_kj
-   out. *)
+   out.  The first four sweep cases need no augmenting path, so they pin
+   the sweep's first stage; the stream n = 150 m = 4 case takes 14 over
+   its 41 rounds, two of its accepting rounds among them, so its t_kj
+   pin the second. *)
 let run_digest (r : Ss_core.Offline.F.run) =
   let b = Buffer.create 4096 in
   let add_int n = Buffer.add_int64_le b (Int64.of_int n) in
@@ -204,6 +207,11 @@ let sweep_digest_cases =
     ( "heavy s=7 n=1000 m=8",
       (fun () -> G.heavy ~shape:1.1 ~seed:7 ~machines:8 ~jobs:1000 ~horizon:500. ()),
       "e126517d4198db7957271a539a8d38c4" );
+    ( "stream s=5 n=150 m=4",
+      (fun () ->
+        G.stream ~integral:false ~seed:5 ~machines:4 ~jobs:150 ~rate:4. ~mean_work:2.
+          ~max_laxity:8. ()),
+      "5145a850959e1414fe5c5db4da72f2cf" );
   ]
 
 let test_run_digests ~sweep cases () =

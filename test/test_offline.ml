@@ -160,14 +160,17 @@ let test_invalid_inputs () =
     (fun () ->
       ignore (Offline.F.solve ~machines:0 [| { Offline.F.release = 0.; deadline = 1.; work = 1. } |]))
 
-(* A non-finite deadline, release or work is a typed error at every entry
-   point, not a failure inside the round loop. *)
+(* A non-finite deadline, release or work, or a density that overflows
+   or underflows, is a typed error at every entry point, not a failure
+   inside the round loop. *)
 let test_non_finite_jobs () =
   let instances =
     [
       ("infinite deadline", [| j 0. Float.infinity 1.; j 0. 2. 1. |]);
       ("nan release", [| j Float.nan 1. 1.; j 0. 2. 1. |]);
       ("infinite work", [| j 0. 1. Float.infinity; j 0. 2. 1. |]);
+      ("overflowing density", [| j 0. 1e-300 1e300; j 0. 2. 1. |]);
+      ("underflowing density", [| j 0. 1e300 1e-300; j 0. 2. 1. |]);
     ]
   in
   List.iter
@@ -186,6 +189,13 @@ let test_non_finite_jobs () =
           ("F.solve", fun () -> ignore (Offline.F.solve ~machines:2 fjobs));
           ( "F.Session.solve",
             fun () -> ignore (Offline.F.Session.solve (Offline.F.Session.create ()) ~machines:2 fjobs) );
+          ( "Exact.solve",
+            fun () ->
+              let r = Ss_numeric.Rational.of_float in
+              let exact (x : Job.t) =
+                { Offline.Exact.release = r x.release; deadline = r x.deadline; work = r x.work }
+              in
+              ignore (Offline.Exact.solve ~machines:2 (Array.map exact jobs)) );
         ])
     instances
 

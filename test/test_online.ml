@@ -236,32 +236,6 @@ let test_avr_single_processor_energy () =
     (Avr.single_processor_energy p inst)
     (Avr.energy p inst)
 
-let test_avr_grid_generalization () =
-  (* Non-integral times work on the grid variant. *)
-  let inst = Job.instance ~machines:2 [ j 0.5 2.75 3.; j 1.25 4. 2.; j 0. 3.5 1. ] in
-  let sched, _ = Avr.run_on_grid inst in
-  check_bool "feasible on non-integral times" true (Schedule.is_feasible inst sched)
-
-let prop_avr_grid_equals_unit_on_integral =
-  QCheck.Test.make ~count:30 ~name:"grid AVR = unit AVR on integral instances"
-    QCheck.small_nat
-    (fun seed ->
-      let inst = random_instance (seed + 3000) in
-      let p = Power.alpha 2.5 in
-      let unit_energy = Schedule.energy p (fst (Avr.run inst)) in
-      let grid_energy = Schedule.energy p (fst (Avr.run_on_grid inst)) in
-      Float.abs (unit_energy -. grid_energy) <= 1e-6 *. (1. +. unit_energy))
-
-let prop_avr_grid_feasible_nonintegral =
-  QCheck.Test.make ~count:30 ~name:"grid AVR feasible on real-valued times"
-    QCheck.small_nat
-    (fun seed ->
-      let inst =
-        Ss_workload.Generators.poisson ~integral:false ~seed:(seed + 13) ~machines:3
-          ~jobs:9 ~rate:1.2 ~mean_work:2. ~slack:2. ()
-      in
-      Schedule.is_feasible inst (fst (Avr.run_on_grid inst)))
-
 (* The calendar/active-set sweep must reproduce the reference's
    per-interval rescan exactly — same ids in the same ascending order — so
    the two give bitwise-equal schedules and identical peel counts. *)
@@ -484,7 +458,6 @@ let () =
           Alcotest.test_case "density per interval" `Quick test_avr_density_per_interval;
           Alcotest.test_case "single processor energy" `Quick test_avr_single_processor_energy;
           Alcotest.test_case "bound values" `Quick test_avr_bound_values;
-          Alcotest.test_case "grid generalization" `Quick test_avr_grid_generalization;
         ] );
       ( "nonmigratory",
         [
@@ -515,12 +488,10 @@ let () =
             prop_oa1_matches_reference;
             prop_avr_feasible;
             prop_avr_within_bound;
-            prop_avr_grid_equals_unit_on_integral;
-            prop_avr_grid_feasible_nonintegral;
             prop_avr_sweep_equals_rescan;
-            prop_theorem3_inequality_chain;
             prop_nonmigratory_feasible;
             prop_nonmig_opt_sandwich;
+            prop_theorem3_inequality_chain;
             prop_bkp_residue_shrinks;
           ] );
     ]
