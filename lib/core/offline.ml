@@ -24,6 +24,14 @@
    speeds and t_kj are the paper's; a component takes 2 phases - 1
    rounds.
 
+   Theorem 1 counts max-flow calls, and the bookkeeping around each call
+   stays linear: the Lemma 3 counts n_j move by range updates on a
+   difference array, so a phase start costs O(n + k) and a failed round's
+   removals O(n + span of its victims) ([certify]); the sweep's t_kj come
+   out of a counting sort by job ([sweep_alloc]); and the packer walks the
+   grid interval by interval, so [schedule_of_run] collects each
+   processor's segments already in the schedule's stored order.
+
    The module is a functor over an ordered field: instantiated at floats
    for speed and at exact rationals to certify the float run.  The Lemma 2
    wrap-packing that turns a run into a schedule lives here too, in the
@@ -129,6 +137,7 @@ struct
     mutable candidate : bool array;
     mutable nj : int array;
     mutable procs : int array;
+    mutable delta : int array;      (* k+1 range updates of [nj]; zero between uses *)
     mutable grows : int;            (* component solves that grew the arena *)
     (* Sweep-oracle state, touched only by solves on the sweep substrate. *)
     mutable sweep_order : int array;(* jobs sorted by (first_ivl, index) *)
@@ -156,6 +165,9 @@ struct
     mutable aug_pred : int array;   (* per node: predecessor on its path *)
     mutable aug_queue : int array;  (* BFS queue *)
     mutable aug_next : int array;   (* jump pointers: next unvisited interval *)
+    (* [sweep_alloc]'s counting sort of the live slots by job. *)
+    mutable alloc_start : int array;(* bucket bounds, n+1 at most *)
+    mutable alloc_slots : int array;(* live slot ids, sorted by key *)
   }
 
   let make_workspace () =
@@ -171,6 +183,7 @@ struct
       candidate = [||];
       nj = [||];
       procs = [||];
+      delta = [||];
       grows = 0;
       sweep_order = [||];
       sweep_bucket = [||];
@@ -193,6 +206,8 @@ struct
       aug_pred = [||];
       aug_queue = [||];
       aug_next = [||];
+      alloc_start = [||];
+      alloc_slots = [||];
     }
 
   (* Grow (never shrink) the workspace to fit an [n]-job, [k]-interval
@@ -217,6 +232,7 @@ struct
       ws.used <- Array.make k' 0;
       ws.nj <- Array.make k' 0;
       ws.procs <- Array.make k' 0;
+      ws.delta <- Array.make (k' + 1) 0;
       ws.kslots <- k';
       grew := true
     end;
@@ -329,8 +345,10 @@ struct
     if Array.length ws.sweep_heap < n then ws.sweep_heap <- Array.make n 0;
     if Array.length ws.sweep_tmp < n then ws.sweep_tmp <- Array.make n 0;
     if Array.length ws.sup_head < k then ws.sup_head <- Array.make k (-1);
+    if Array.length ws.alloc_start < n + 1 then ws.alloc_start <- Array.make (n + 1) 0;
     ws.pairs <- 0;
-    grow_pairs ws (n + ((machines + 1) * k) + 8);
+    (* No interval reserves more processors than it has jobs. *)
+    grow_pairs ws (n + ((min machines n + 1) * k) + 8);
     if Array.length ws.aug_visited < n + k then begin
       ws.aug_visited <- Array.make (n + k) false;
       ws.aug_pred <- Array.make (n + k) 0;
@@ -688,26 +706,57 @@ struct
     !value
 
   (* The sweep's positive pairs as (job, interval, time), in ascending
-     (job, interval) order. *)
+     (job, interval) order.  A counting sort over the live slots' range of
+     job ids buckets them by job, each bucket in slot order; Stage 1
+     creates a job's slots in interval order, so one insertion pass over
+     the buckets moves only the slots Stage 2 appended, each within its
+     own job's bucket.  The cost is O(pairs + range), not a sort. *)
   let sweep_alloc ws ~k =
-    let live = ref 0 in
+    let start = ws.alloc_start and key = ws.pair_key and flow = ws.pair_flow in
+    let lo = ref max_int and hi = ref (-1) in
     for t = 0 to ws.pairs - 1 do
-      if F.sign ws.pair_flow.(t) > 0 then incr live
-    done;
-    let slots = Array.make !live 0 in
-    let next = ref 0 in
-    for t = 0 to ws.pairs - 1 do
-      if F.sign ws.pair_flow.(t) > 0 then begin
-        slots.(!next) <- t;
-        incr next
+      if F.sign flow.(t) > 0 then begin
+        lo := Int.min !lo (key.(t) / k);
+        hi := Int.max !hi (key.(t) / k)
       end
     done;
-    Array.sort (fun a b -> Int.compare ws.pair_key.(a) ws.pair_key.(b)) slots;
-    Array.fold_right
-      (fun t acc ->
-        let key = ws.pair_key.(t) in
-        (key / k, key mod k, ws.pair_flow.(t)) :: acc)
-      slots []
+    let lo = !lo and range = Int.max 0 (!hi - !lo + 1) in
+    Array.fill start 0 (range + 1) 0;
+    for t = 0 to ws.pairs - 1 do
+      if F.sign flow.(t) > 0 then begin
+        let b = (key.(t) / k) - lo + 1 in
+        start.(b) <- start.(b) + 1
+      end
+    done;
+    for b = 1 to range do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    let live = start.(range) in
+    if Array.length ws.alloc_slots < live then
+      ws.alloc_slots <- Array.make (Array.length key) 0;
+    let slots = ws.alloc_slots in
+    for t = 0 to ws.pairs - 1 do
+      if F.sign flow.(t) > 0 then begin
+        let b = (key.(t) / k) - lo in
+        slots.(start.(b)) <- t;
+        start.(b) <- start.(b) + 1
+      end
+    done;
+    for s = 1 to live - 1 do
+      let t = slots.(s) in
+      let p = ref s in
+      while !p > 0 && key.(slots.(!p - 1)) > key.(t) do
+        slots.(!p) <- slots.(!p - 1);
+        decr p
+      done;
+      slots.(!p) <- t
+    done;
+    let alloc = ref [] in
+    for s = live - 1 downto 0 do
+      let t = slots.(s) in
+      alloc := (key.(t) / k, key.(t) mod k, flow.(t)) :: !alloc
+    done;
+    !alloc
 
   (* --- the dense substrate -----------------------------------------------
      The Fig. 1 network of a component is laid out by arithmetic: 0 =
@@ -764,21 +813,35 @@ struct
      certificate.  More: the reach is exactly the candidates' classes
      faster than the conjectured speed, so the victims are a union of
      whole classes, all slower than every class the phase has left to
-     find.  Returns the number removed. *)
+     find.  Each victim marks its window on the difference array [delta]
+     (-1 at its first interval, +1 past its last); one pass over the
+     victims' span applies the changes to [nj] and [procs] and zeroes
+     [delta] again, so a round costs O(n + span), not the sum of its
+     victims' windows.  Returns the number removed. *)
   let certify ws ~n ~machines ~reached ~tag =
-    let removed = ref 0 in
+    let delta = ws.delta and nj = ws.nj and procs = ws.procs and used = ws.used in
+    let removed = ref 0 and lo = ref max_int and hi = ref 0 in
     for i = 0 to n - 1 do
       if ws.candidate.(i) && not (reached i) then begin
         ws.candidate.(i) <- false;
         ws.pending.(i) <- tag;
         incr removed;
-        for j = ws.first_ivl.(i) to ws.last_ivl.(i) do
-          ws.nj.(j) <- ws.nj.(j) - 1;
-          ws.procs.(j) <- min ws.nj.(j) (machines - ws.used.(j))
-        done
+        let a = ws.first_ivl.(i) and b = ws.last_ivl.(i) + 1 in
+        delta.(a) <- delta.(a) - 1;
+        delta.(b) <- delta.(b) + 1;
+        lo := Int.min !lo a;
+        hi := Int.max !hi b
       end
     done;
     if !removed = 0 then failwith "Offline.solve: flow deficit without unreachable candidate";
+    let change = ref 0 in
+    for j = !lo to !hi - 1 do
+      change := !change + delta.(j);
+      delta.(j) <- 0;
+      nj.(j) <- nj.(j) + !change;
+      procs.(j) <- min nj.(j) (machines - used.(j))
+    done;
+    delta.(!hi) <- 0;
     !removed
 
   (* The round loop.  Each phase conjectures a pending set as the next
@@ -857,31 +920,33 @@ struct
     let largest_group = ref 0 in
     let g = ws.g in
     Flow.reset_counters g;
-    let candidate = ws.candidate and nj = ws.nj and procs = ws.procs in
+    let candidate = ws.candidate and nj = ws.nj and procs = ws.procs and delta = ws.delta in
     while !height > 0 do
       incr phase_count;
       decr height;
+      (* Lemma 3 reservation state: n_j counts the candidates whose window
+         holds j, built through [delta] in O(n + k) and maintained by
+         [certify] over the victims' span. *)
       let cand_count = ref 0 in
       for i = 0 to n - 1 do
         let c = pending.(i) = !height in
         candidate.(i) <- c;
         if c then begin
           pending.(i) <- -1;
-          incr cand_count
+          incr cand_count;
+          let a = first_ivl.(i) and b = last_ivl.(i) + 1 in
+          delta.(a) <- delta.(a) + 1;
+          delta.(b) <- delta.(b) - 1
         end
       done;
-      (* Lemma 3 reservation state, maintained incrementally: n_j only
-         changes on a removed victim's active range. *)
-      Array.fill nj 0 k 0;
-      for i = 0 to n - 1 do
-        if candidate.(i) then
-          for j = first_ivl.(i) to last_ivl.(i) do
-            nj.(j) <- nj.(j) + 1
-          done
-      done;
+      let count = ref 0 in
       for j = 0 to k - 1 do
-        procs.(j) <- min nj.(j) (machines - used.(j))
+        count := !count + delta.(j);
+        delta.(j) <- 0;
+        nj.(j) <- !count;
+        procs.(j) <- min !count (machines - used.(j))
       done;
+      delta.(k) <- 0;
       (* Full resummation each round (not delta updates) keeps the float
          rounding independent of the removal history. *)
       let total_time = ref F.zero and speed = ref F.zero in
@@ -1215,36 +1280,61 @@ struct
       (full @ partial);
     if F.compare !pos eps > 0 then !proc - proc_offset + 1 else !proc - proc_offset
 
-  (* Lemma 2 over the grid intervals [first..last]: inside each, stack the
-     phases' wrap-packed blocks onto disjoint processors, fastest phase
-     lowest.  Each phase's [alloc] is bucketed by interval once, in alloc
-     order, so the pass costs O(k + |alloc|) per phase and emits phase by
-     phase; [Schedule.make] and [slice_of_run] sort what it emits. *)
+  (* Lemma 2 over the grid intervals [first..last], interval by interval:
+     inside each, stack the phases' wrap-packed blocks onto disjoint
+     processors, fastest phase lowest, checking the stack against
+     [machines] before a block is emitted and the block against its
+     reservation after.  A phase-major pass lists, per interval, the phases
+     that reserve processors there, and buckets each phase's [alloc] by
+     interval once, in alloc order, over the span its pieces cover; the
+     interval-major pass then visits only those blocks.  A block emits its
+     processors in ascending order and each processor's pieces in start
+     order, so one processor's segments arrive in start order. *)
   let pack ~machines ~first ~last ~emit (run : run) =
-    let width = last - first + 1 in
-    let buckets = Array.make width [] and offset = Array.make width 0 in
-    List.iter
-      (fun (phase : phase) ->
-        List.fold_right
-          (fun (i, j, t) () ->
-            if first <= j && j <= last then buckets.(j - first) <- (i, t) :: buckets.(j - first))
-          phase.alloc ();
-        for j = first to last do
-          let b = j - first in
-          let procs = phase.procs.(j) in
-          if procs > 0 then begin
-            let used =
-              wrap_pack ~t0:run.breakpoints.(j) ~t1:run.breakpoints.(j + 1)
-                ~proc_offset:offset.(b) ~speed:phase.speed ~emit buckets.(b)
-            in
-            if used > procs then failwith "Offline: packing exceeded reservation";
-            offset.(b) <- offset.(b) + procs
-          end;
-          buckets.(b) <- []
-        done)
-      run.schedule_phases;
-    if Array.exists (fun used -> used > machines) offset then
-      failwith "Offline: reservations exceed machines"
+    let phases = Array.of_list run.schedule_phases in
+    let bucketed (phase : phase) =
+      let lo = ref (last + 1) and hi = ref (first - 1) in
+      List.iter
+        (fun (_, j, _) ->
+          if first <= j && j <= last then begin
+            lo := Int.min !lo j;
+            hi := Int.max !hi j
+          end)
+        phase.alloc;
+      let lo = !lo in
+      let buckets = Array.make (Int.max 0 (!hi - lo + 1)) [] in
+      List.fold_right
+        (fun (i, j, t) () ->
+          if first <= j && j <= last then buckets.(j - lo) <- (i, t) :: buckets.(j - lo))
+        phase.alloc ();
+      (lo, buckets)
+    in
+    let pieces = Array.map bucketed phases in
+    let reserving = Array.make (Int.max 0 (last - first + 1)) [] in
+    for p = Array.length phases - 1 downto 0 do
+      let procs = phases.(p).procs in
+      for j = first to last do
+        if procs.(j) > 0 then reserving.(j - first) <- p :: reserving.(j - first)
+      done
+    done;
+    let rec stack j offset = function
+      | [] -> ()
+      | p :: rest ->
+        let phase = phases.(p) and lo, buckets = pieces.(p) in
+        let procs = phase.procs.(j) in
+        if offset + procs > machines then failwith "Offline: reservations exceed machines";
+        let b = j - lo in
+        let used =
+          wrap_pack ~t0:run.breakpoints.(j) ~t1:run.breakpoints.(j + 1) ~proc_offset:offset
+            ~speed:phase.speed ~emit
+            (if 0 <= b && b < Array.length buckets then buckets.(b) else [])
+        in
+        if used > procs then failwith "Offline: packing exceeded reservation";
+        stack j (offset + procs) rest
+    in
+    for j = first to last do
+      stack j 0 reserving.(j - first)
+    done
 
   (* Total reserved processing time of a phase. *)
   let phase_busy_time run (phase : phase) =
@@ -1274,11 +1364,24 @@ let float_jobs (inst : Job.instance) =
     (fun (j : Job.t) -> { F.release = j.release; deadline = j.deadline; work = j.work })
     inst.jobs
 
+(* [F.pack] emits each processor's segments in start order, so collecting
+   them per processor hands [Schedule.make] its stored (proc, t0, job)
+   order.  The collection doubles up to the highest processor emitted
+   (at most min(m, n) of them) and never past [machines]. *)
 let schedule_of_run ~machines (run : F.run) =
-  let segments = ref [] in
+  let by_proc = ref [||] in
   F.pack ~machines ~first:0 ~last:(Array.length run.breakpoints - 2) run
     ~emit:(fun job proc t0 t1 speed ->
-      segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
+      let a = !by_proc in
+      if proc >= Array.length a then begin
+        by_proc := Array.make (Int.max (proc + 1) (Int.min machines (2 * Array.length a))) [];
+        Array.blit a 0 !by_proc 0 (Array.length a)
+      end;
+      !by_proc.(proc) <- { Schedule.job; proc; t0; t1; speed } :: !by_proc.(proc));
+  let segments = ref [] in
+  for p = Array.length !by_proc - 1 downto 0 do
+    segments := List.rev_append !by_proc.(p) !segments
+  done;
   Schedule.make ~machines !segments
 
 (* Materialize only the part of a run that overlaps [lo, hi): wrap-pack

@@ -194,10 +194,15 @@ module MakeWith
   (** Lemma 2 over the grid intervals [\[first, last\]] of a run, through
       {!wrap_pack}: inside each interval the phases' blocks are stacked
       onto disjoint processors, fastest phase lowest.  Segments go to
-      [emit job proc start stop speed] phase by phase, in interval order
-      within a phase.  On the rational instance they are exact.
-      @raise Failure if a phase's packing needs more processors than it
-      reserved, or the reservations exceed [machines]. *)
+      [emit job proc start stop speed] interval by interval, and inside an
+      interval block by block, each block's processors in ascending order
+      and each processor's pieces in start order; so the segments of any
+      one processor arrive in start order.  On the rational instance they
+      are exact.
+      @raise Failure ["Offline: reservations exceed machines"] before
+      emitting a block that would stack past [machines], and
+      ["Offline: packing exceeded reservation"] after a block that needed
+      more processors than its phase reserved. *)
 end
 
 module F : module type of MakeWith (Ss_numeric.Field.Float) (Ss_flow.Maxflow.Float)
@@ -237,7 +242,13 @@ val energy_of_run : Ss_model.Power.t -> F.run -> float
 (** Energy from the phase structure alone; equals the schedule energy. *)
 
 val schedule_of_run : machines:int -> F.run -> Ss_model.Schedule.t
-(** Materialize a whole run with the Lemma 2 packer ({!MakeWith.pack}). *)
+(** Materialize a whole run with the Lemma 2 packer ({!MakeWith.pack}).
+    The segments are collected per processor, in the order the packer
+    emits them, which is the schedule's stored order, so
+    {!Ss_model.Schedule.make} does not sort them.  The collection grows
+    with the processors the packer uses (at most [min m n]), so its cost
+    does not grow with [machines].
+    @raise Failure as {!MakeWith.pack}. *)
 
 val slice_of_run :
   machines:int -> F.run -> lo:float -> hi:float -> Ss_model.Schedule.segment list

@@ -40,7 +40,14 @@ let make ~machines segments =
       if s.speed <= 0. then invalid_arg "Schedule.make: non-positive speed";
       if s.job < 0 then invalid_arg "Schedule.make: negative job id")
     arr;
-  Array.sort compare_segment arr;
+  (* Input already in the stored order, as the offline packer hands it
+     over, is kept as it is; one pair out of order sorts the whole. *)
+  let n = Array.length arr in
+  let i = ref 1 in
+  while !i < n && compare_segment arr.(!i - 1) arr.(!i) <= 0 do
+    incr i
+  done;
+  if !i < n then Array.sort compare_segment arr;
   { machines; segments = arr }
 
 let empty ~machines = { machines; segments = [||] }

@@ -18,7 +18,11 @@ val compare_segment : segment -> segment -> int
 (** The stored order: by processor, then start, then job. *)
 
 val make : machines:int -> segment list -> t
-(** Sorts segments by {!compare_segment}.
+(** Stores the segments in {!compare_segment} order.  Input already in
+    that order, as the offline solver's [schedule_of_run] hands it over, is
+    kept after one pass; any other input is sorted.  The key is unique in
+    a feasible schedule, so the stored array does not depend on the input
+    order.
     @raise Invalid_argument on malformed segments, including a
     non-finite [t0], [t1] or [speed]. *)
 

@@ -136,8 +136,9 @@ end
 
 module Arena = struct
   (* Growable segment store (amortized O(1) emission, doubling growth).
-     [Schedule.make] sorts its input by (proc, t0, job), a key unique in a
-     feasible schedule, so the one conversion's order is immaterial. *)
+     [Schedule.make] stores its input in (proc, t0, job) order, a key
+     unique in a feasible schedule, so the one conversion's order is
+     immaterial. *)
   type t = {
     mutable buf : Schedule.segment array;
     mutable len : int;

@@ -8,6 +8,7 @@ module Power = Ss_model.Power
 module Schedule = Ss_model.Schedule
 module Offline = Ss_core.Offline
 module Q = Ss_numeric.Rational
+module G = Ss_workload.Generators
 
 let checkf msg = Alcotest.(check (float 1e-9)) msg
 let check_bool = Alcotest.(check bool)
@@ -382,6 +383,49 @@ let prop_wrap_pack_no_machine_overlap =
       in
       ok sorted && exact_ok exact_sorted)
 
+(* --- Schedule.make keeps the stored order -------------------------------- *)
+
+(* Schedules from the offline solver on the dense path and on the sweep,
+   and from OA(m) and AVR(m). *)
+let stored_order_schedules =
+  lazy
+    (let dense = G.uniform ~seed:5 ~machines:3 ~jobs:20 ~horizon:20. ~max_work:5. () in
+     let sweep = G.heavy ~shape:1.1 ~seed:7 ~machines:8 ~jobs:200 ~horizon:500. () in
+     let k = Array.length (Offline.run sweep).breakpoints - 1 in
+     assert (200 * k >= Offline.F.compress_threshold);
+     let online = G.stream ~seed:41 ~machines:4 ~jobs:60 ~rate:4. ~mean_work:2. ~max_laxity:8. () in
+     [
+       ("offline dense", fst (Offline.solve dense));
+       ("offline sweep", fst (Offline.solve sweep));
+       ("OA(m)", fst (Ss_online.Oa.run online));
+       ("AVR(m)", fst (Ss_online.Avr.run online));
+     ])
+
+let shuffle seed l =
+  let a = Array.of_list l in
+  let rng = Ss_workload.Rng.create ~seed in
+  for i = Array.length a - 1 downto 1 do
+    let j = Ss_workload.Rng.int rng ~bound:(i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let prop_make_stored_order =
+  QCheck.Test.make ~count:20
+    ~name:"Schedule.make: stored, reversed and shuffled input give the same segments"
+    QCheck.small_nat (fun seed ->
+      List.for_all
+        (fun (name, s) ->
+          let stored = Array.to_list (Schedule.segments s) in
+          List.for_all
+            (fun (order, input) ->
+              Reference.same_schedule s (Schedule.make ~machines:(Schedule.machines s) input)
+              || QCheck.Test.fail_reportf "%s, %s input (seed %d)" name order seed)
+            [ ("stored", stored); ("reversed", List.rev stored); ("shuffled", shuffle seed stored) ])
+        (Lazy.force stored_order_schedules))
+
 let () =
   Alcotest.run "model"
     [
@@ -423,5 +467,6 @@ let () =
             prop_check_matches_reference;
             prop_wrap_pack_conserves_time;
             prop_wrap_pack_no_machine_overlap;
+            prop_make_stored_order;
           ] );
     ]

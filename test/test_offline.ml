@@ -414,6 +414,75 @@ let test_float_vs_exact_segments () =
       Alcotest.(check (float 1e-9)) "t1" (Ss_numeric.Rational.to_float t1') t1)
     float_segs exact_segs
 
+(* A hand-built run on the one-interval grid [0, 1): each phase is its
+   speed, its reserved processors and its pieces (job, time). *)
+let hand_run phases =
+  {
+    (Offline.run hand_instance) with
+    Offline.F.breakpoints = [| 0.; 1. |];
+    schedule_phases =
+      List.map
+        (fun (speed, procs, pieces) ->
+          {
+            Offline.F.members = List.map fst pieces;
+            speed;
+            procs = [| procs |];
+            alloc = List.map (fun (i, t) -> (i, 0, t)) pieces;
+          })
+        phases;
+  }
+
+(* The packer refuses a block that outgrows its reservation and a stack of
+   reservations taller than the machine count, through [F.pack] and through
+   [schedule_of_run]'s per-processor collection alike. *)
+let test_packer_failures () =
+  let fails msg ~machines run =
+    let expect name f =
+      match f () with
+      | exception Failure m when m = msg -> ()
+      | exception e -> Alcotest.failf "%s: raised %s, expected Failure %S" name (Printexc.to_string e) msg
+      | () -> Alcotest.failf "%s: returned, expected Failure %S" name msg
+    in
+    expect "F.pack" (fun () ->
+        Offline.F.pack ~machines ~first:0 ~last:0 ~emit:(fun _ _ _ _ _ -> ()) run);
+    expect "schedule_of_run" (fun () -> ignore (Offline.schedule_of_run ~machines run))
+  in
+  (* Two full-length pieces need two processors; the phase reserved one. *)
+  fails "Offline: packing exceeded reservation" ~machines:2
+    (hand_run [ (1., 1, [ (0, 1.); (1, 1.) ]) ]);
+  (* Two blocks of two processors each, on three machines. *)
+  fails "Offline: reservations exceed machines" ~machines:3
+    (hand_run [ (2., 2, [ (0, 1.); (1, 1.) ]); (1., 2, [ (2, 1.); (3, 1.) ]) ])
+
+(* Nothing on the offline path allocates per machine.  With more machines
+   than jobs no reservation reaches m, so every job runs alone at its
+   density, and a sweep-sized instance solves as it does at m = n. *)
+let test_huge_machine_count () =
+  let machines = 1 lsl 40 in
+  let inst = Job.instance ~machines [ j 0. 4. 8.; j 0. 2. 6.; j 1. 3. 2. ] in
+  let sched, _ = Offline.solve inst in
+  check_bool "feasible" true (Schedule.is_feasible inst sched);
+  let seg job proc t0 t1 speed = { Schedule.job; proc; t0; t1; speed } in
+  check_bool "segments" true
+    (Reference.same_segments
+       [
+         seg 1 0 0. 1. 3.; seg 1 0 1. 2. 3.; seg 0 0 2. 3. 2.; seg 0 0 3. 4. 2.;
+         seg 0 1 0. 1. 2.; seg 0 1 1. 2. 2.; seg 2 1 2. 3. 1.; seg 2 2 1. 2. 1.;
+       ]
+       (Array.to_list (Schedule.segments sched)));
+  let n = 150 in
+  let at_n = G.heavy ~shape:1.1 ~seed:7 ~machines:n ~jobs:n ~horizon:500. () in
+  let run = Offline.run at_n in
+  check_bool "sweep-sized" true
+    (n * (Array.length run.breakpoints - 1) >= Offline.F.compress_threshold);
+  let huge = { at_n with machines } in
+  let sched, _ = Offline.solve huge in
+  check_bool "sweep-sized: feasible" true (Schedule.is_feasible huge sched);
+  check_bool "sweep-sized: segments of m = n" true
+    (Reference.same_segments
+       (Array.to_list (Schedule.segments (Offline.schedule_of_run ~machines:n run)))
+       (Array.to_list (Schedule.segments sched)))
+
 (* The segments production schedules carry ([schedule_of_run] on the float
    run) against the exact packing of the exact replay, both in
    (proc, t0, job) order. *)
@@ -642,6 +711,8 @@ let () =
           Alcotest.test_case "exact audit rejections" `Quick test_exact_audit_rejections;
           Alcotest.test_case "float vs exact segments" `Quick test_float_vs_exact_segments;
           Alcotest.test_case "production vs exact packing" `Quick test_production_vs_exact_packing;
+          Alcotest.test_case "packer failures" `Quick test_packer_failures;
+          Alcotest.test_case "huge machine count" `Quick test_huge_machine_count;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
