@@ -41,7 +41,9 @@ let check ~speed_cap (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Feasibility.check: invalid instance");
-  if speed_cap <= 0. then invalid_arg "Feasibility.check: speed_cap <= 0";
+  (* Written so that a NaN cap fails too; +infinity passes and answers
+     [Feasible]. *)
+  if not (speed_cap > 0.) then invalid_arg "Feasibility.check: speed_cap <= 0";
   let grid = Interval.make inst.jobs in
   let k = Interval.length grid in
   let n = Array.length inst.jobs in

@@ -12,7 +12,9 @@ type witness = {
 type verdict = Feasible | Infeasible of witness
 
 val check : speed_cap:float -> Ss_model.Job.instance -> verdict
-(** @raise Invalid_argument on invalid instances or non-positive cap. *)
+(** A cap of [infinity] is accepted and answers [Feasible].
+    @raise Invalid_argument on invalid instances or a cap that is not
+    positive (zero, negative or NaN). *)
 
 val feasible : speed_cap:float -> Ss_model.Job.instance -> bool
 

@@ -5,8 +5,9 @@
    this type, so one feasibility checker and one energy accountant serve
    them all.  The Lemma 2 wrap-packing that builds the offline, OA(m)
    and AVR(m) schedules lives with the solver
-   (Ss_core.Offline.MakeWith.wrap_pack), in its field arithmetic, so the
-   exact-rational replay certifies the code that production runs.  The
+   (Ss_core.Offline.F.wrap_pack), in its field arithmetic, and the
+   exact-rational replay (Offline.Exact) is compiled from the same source,
+   so it certifies the code that production runs.  The
    audit compares adjacent segments in the stored (proc, t0, job) order
    and in one stable sort by (job, t0): O(S log S) for S segments. *)
 

@@ -1,8 +1,10 @@
 (* Ordered-field abstraction shared by the max-flow substrate and the offline
    scheduler.  Two instances exist: [Float] (fast path) and
    [Rational.Field] (exact certification path).  Algorithms that must decide
-   saturation of capacities are written against this signature so that the
-   same code runs both approximately and exactly. *)
+   saturation of capacities are written once against this signature, in
+   templates that dune compiles once per instance (lib/flow/flow_body.ml,
+   lib/core/offline_solver.ml), so the same code runs both approximately
+   and exactly, and the float copy inlines [Float]'s operations. *)
 
 module type S = sig
   type t
@@ -67,17 +69,19 @@ module Float : S with type t = float = struct
   let compare = Float.compare
   let equal = Float.equal
 
-  (* Inlined so that [tol] allocates no more than the formula written out. *)
+  (* The one-line tolerance tests are inlined, so that at a call site
+     that knows this module they allocate no more than the formula
+     written out: no boxed argument, no boxed intermediate. *)
   let[@inline] slack x = float_rel_tolerance *. Float.max 1. (Float.abs x)
-  let tol a b = slack (Float.max (Float.abs a) (Float.abs b))
+  let[@inline] tol a b = slack (Float.max (Float.abs a) (Float.abs b))
 
-  let leq_approx a b = a <= b +. tol a b
-  let equal_approx a b = Float.abs (a -. b) <= tol a b
+  let[@inline] leq_approx a b = a <= b +. tol a b
+  let[@inline] equal_approx a b = Float.abs (a -. b) <= tol a b
   let min = Float.min
   let max = Float.max
-  let is_zero x = Float.abs x <= float_rel_tolerance
+  let[@inline] is_zero x = Float.abs x <= float_rel_tolerance
 
-  let sign x =
+  let[@inline] sign x =
     if is_zero x then 0 else if x > 0. then 1 else -1
 
   let pp ppf x = Format.fprintf ppf "%.12g" x

@@ -1,9 +1,9 @@
 (** Ordered-field abstraction.
 
-    The offline scheduler and the max-flow substrate are functorized over
-    this signature so that the same algorithm can run on floats (fast) and
-    on exact rationals (certification).  See {!Rational.Field} for the exact
-    instance. *)
+    The offline scheduler and the max-flow substrate are each written once
+    against this signature and compiled once per instance, so that the
+    same algorithm runs on floats (fast) and on exact rationals
+    (certification).  See {!Rational.Field} for the exact instance. *)
 
 module type S = sig
   type t

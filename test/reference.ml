@@ -2,8 +2,10 @@
 
    [offline] is the paper's Fig. 2 written out plainly: the whole
    instance, no decomposition, no sweep oracle and no workspace, and a
-   fresh Fig. 1 network per round on the generic flow functor.  Every
-   phase starts from all remaining jobs.  A failed round removes, by
+   fresh Fig. 1 network per round on [Maxflow.Float].  It runs the
+   library's Dinic; what keeps it independent is the network it builds
+   from scratch each round, not a second max-flow code.  Every phase
+   starts from all remaining jobs.  A failed round removes, by
    default, every Lemma 4-certified job, found by a direct scan over all
    (job, interval) edges; with [~rule:Unreachable] it removes every
    candidate outside [Net.min_cut]'s source side, found by a depth-first
@@ -109,7 +111,7 @@ let same_run (a : Offline.F.run) (b : Offline.F.run) =
 (* --- offline (Fig. 2): a fresh network per round ------------------------- *)
 
 module Fl = Ss_numeric.Field.Float
-module Net = Ss_flow.Maxflow.Make (Fl)
+module Net = Ss_flow.Maxflow.Float
 
 (* The removal rule of a failed round. *)
 type rule =

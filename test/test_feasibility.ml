@@ -54,10 +54,25 @@ let test_min_peak_matches_offline_first_phase () =
         (List.hd (Ss_core.Offline.F.speeds run)) speed)
     [ 1; 2; 3 ]
 
+(* Every cap that is not positive, NaN included, is rejected with one
+   typed error by both entry points; an infinite cap admits everything. *)
 let test_guards () =
-  let inst = Job.instance ~machines:1 [ j 0. 1. 1. ] in
-  Alcotest.check_raises "cap" (Invalid_argument "Feasibility.check: speed_cap <= 0")
-    (fun () -> ignore (F.check ~speed_cap:0. inst))
+  let rejected = Invalid_argument "Feasibility.check: speed_cap <= 0" in
+  Alcotest.check_raises "cap" rejected (fun () ->
+      ignore (F.check ~speed_cap:0. (Job.instance ~machines:1 [ j 0. 1. 1. ])));
+  let inst =
+    Ss_workload.Generators.uniform ~seed:3 ~machines:2 ~jobs:12 ~horizon:20. ~max_work:5. ()
+  in
+  List.iter
+    (fun (name, cap) ->
+      Alcotest.check_raises (name ^ " check") rejected (fun () ->
+          ignore (F.check ~speed_cap:cap inst));
+      Alcotest.check_raises (name ^ " feasible") rejected (fun () ->
+          ignore (F.feasible ~speed_cap:cap inst)))
+    [ ("NaN", Float.nan); ("0", 0.); ("-1", -1.) ];
+  check_bool "infinite cap: check" true
+    (match F.check ~speed_cap:Float.infinity inst with F.Feasible -> true | F.Infeasible _ -> false);
+  check_bool "infinite cap: feasible" true (F.feasible ~speed_cap:Float.infinity inst)
 
 (* The bracketing property around the optimum's peak speed. *)
 let prop_min_peak_is_threshold =

@@ -1,11 +1,10 @@
 (* Max-flow substrate tests: hand-built networks, cross-checks of Dinic
    against Edmonds-Karp, push-relabel, the LP encoding and min-cut, the
    in-place rewind and the residual reachability the offline solver relies
-   on, plus random-graph properties and the exact-rational
-   instantiation. *)
+   on, plus random-graph properties, run on both compiled instances (the
+   exact one on the same networks, capacities embedded exactly). *)
 
 module MF = Ss_flow.Maxflow.Float
-module MG = Ss_flow.Maxflow.Make (Ss_numeric.Field.Float)
 module MQ = Ss_flow.Maxflow.Exact
 module Q = Ss_numeric.Rational
 
@@ -73,11 +72,21 @@ let test_zero_capacity () =
 let test_bad_edges () =
   let g = MF.create ~n:2 in
   Alcotest.check_raises "negative cap"
-    (Invalid_argument "Maxflow.add_edge: negative capacity") (fun () ->
+    (Invalid_argument "Maxflow.add_edge: negative or NaN capacity") (fun () ->
       ignore (MF.add_edge g ~src:0 ~dst:1 ~cap:(-1.)));
+  Alcotest.check_raises "NaN cap"
+    (Invalid_argument "Maxflow.add_edge: negative or NaN capacity") (fun () ->
+      ignore (MF.add_edge g ~src:0 ~dst:1 ~cap:Float.nan));
   Alcotest.check_raises "bad vertex"
     (Invalid_argument "Maxflow.add_edge: vertex out of range") (fun () ->
-      ignore (MF.add_edge g ~src:0 ~dst:7 ~cap:1.))
+      ignore (MF.add_edge g ~src:0 ~dst:7 ~cap:1.));
+  let e = MF.add_edge g ~src:0 ~dst:1 ~cap:1. in
+  Alcotest.check_raises "NaN set_capacity"
+    (Invalid_argument "Maxflow.set_capacity: negative or NaN capacity") (fun () ->
+      MF.set_capacity g e ~cap:Float.nan);
+  Alcotest.check_raises "negative set_capacity"
+    (Invalid_argument "Maxflow.set_capacity: negative or NaN capacity") (fun () ->
+      MF.set_capacity g e ~cap:(-1.))
 
 let test_reset () =
   let g, ids = build clrs_edges 6 in
@@ -117,6 +126,107 @@ let random_network seed =
   done;
   (n, !edges)
 
+(* The properties both instances must satisfy, on one random network each:
+   [of_float] embeds a float capacity, [same] compares by value bits and
+   [close] within the float instance's round-off. *)
+module type NET = sig
+  type num
+  type t
+  type violation
+  val create : n:int -> t
+  val add_edge : t -> src:int -> dst:int -> cap:num -> int
+  val set_capacity : t -> int -> cap:num -> unit
+  val reset_flows : t -> unit
+  val dinic : t -> source:int -> sink:int -> num
+  val edmonds_karp : t -> source:int -> sink:int -> num
+  val flow_on : t -> int -> num
+  val min_cut : t -> source:int -> bool array
+  val reached : t -> int -> bool
+  val audit : t -> source:int -> sink:int -> violation list
+end
+
+module Props
+    (M : NET)
+    (C : sig
+      val of_float : float -> M.num
+      val same : M.num -> M.num -> bool
+      val close : M.num -> M.num -> bool
+    end) =
+struct
+  let build edges n =
+    let g = M.create ~n in
+    (g, List.map (fun (src, dst, cap) -> M.add_edge g ~src ~dst ~cap:(C.of_float cap)) edges)
+
+  let dinic_equals_ek seed =
+    let n, edges = random_network seed in
+    let (g1, _), (g2, _) = (build edges n, build edges n) in
+    C.close (M.dinic g1 ~source:0 ~sink:(n - 1)) (M.edmonds_karp g2 ~source:0 ~sink:(n - 1))
+
+  let flow_audits_clean seed =
+    let n, edges = random_network seed in
+    let g, _ = build edges n in
+    ignore (M.dinic g ~source:0 ~sink:(n - 1));
+    M.audit g ~source:0 ~sink:(n - 1) = []
+
+  (* The offline solver builds one Fig. 1 network per component and
+     rewinds it in place between rounds: [reset_flows], then
+     [set_capacity] to zero removed jobs' edges and to shrink
+     reservations.  Dinic on the rewound network must answer exactly as
+     on a fresh build without the zeroed edges: same value and same flow
+     on every live edge, by value bits. *)
+  let rewound_equals_fresh seed =
+    let n, edges = random_network (seed + 6000) in
+    let g, ids = build edges n in
+    ignore (M.dinic g ~source:0 ~sink:(n - 1));
+    let rng = Ss_workload.Rng.create ~seed:(seed + 7000) in
+    let rewound =
+      List.map
+        (fun (s, d, c) ->
+          let u = Ss_workload.Rng.float rng in
+          (s, d, if u < 0.2 then 0. else if u < 0.4 then c /. 2. else c))
+        edges
+    in
+    M.reset_flows g;
+    List.iter2 (fun e (_, _, cap) -> M.set_capacity g e ~cap:(C.of_float cap)) ids rewound;
+    let v = M.dinic g ~source:0 ~sink:(n - 1) in
+    let live = List.filter (fun (_, _, c) -> c > 0.) rewound in
+    let fresh, fresh_ids = build live n in
+    let v' = M.dinic fresh ~source:0 ~sink:(n - 1) in
+    let live_ids =
+      List.filter_map (fun (e, (_, _, c)) -> if c > 0. then Some e else None)
+        (List.combine ids rewound)
+    in
+    C.same v v'
+    && List.for_all2 (fun e e' -> C.same (M.flow_on g e) (M.flow_on fresh e')) live_ids fresh_ids
+    && M.audit g ~source:0 ~sink:(n - 1) = []
+
+  (* A failed offline round removes the candidates Dinic's last BFS left
+     unlabelled ([reached]); they must be exactly the vertices outside the
+     source side [min_cut] finds by its own depth-first search. *)
+  let reached_is_min_cut seed =
+    let n, edges = random_network (seed + 8000) in
+    let g, _ = build edges n in
+    ignore (M.dinic g ~source:0 ~sink:(n - 1));
+    let side = M.min_cut g ~source:0 in
+    List.for_all (fun v -> M.reached g v = side.(v)) (List.init n Fun.id)
+end
+
+module PF =
+  Props (MF)
+    (struct
+      let of_float x = x
+      let same = Reference.same_float
+      let close v1 v2 = Float.abs (v1 -. v2) <= 1e-6 *. (1. +. v1)
+    end)
+
+module PQ =
+  Props (MQ)
+    (struct
+      let of_float = Q.of_float
+      let same = Q.equal
+      let close = Q.equal
+    end)
+
 let prop_dinic_equals_push_relabel =
   QCheck.Test.make ~count:100 ~name:"dinic = push-relabel" QCheck.small_nat (fun seed ->
       let n, edges = random_network (seed + 300) in
@@ -133,54 +243,17 @@ let prop_push_relabel_flow_feasible =
       ignore (MF.push_relabel g ~source:0 ~sink:(n - 1));
       MF.audit g ~source:0 ~sink:(n - 1) = [])
 
-(* The offline solver builds one Fig. 1 network per component and rewinds
-   it in place between rounds: [reset_flows], then [set_capacity] to zero
-   removed jobs' edges and to shrink reservations.  Dinic on the rewound
-   network must answer exactly as on a fresh build without the zeroed
-   edges: same value and same flow on every live edge, by float bits. *)
 let prop_rewound_equals_fresh =
   QCheck.Test.make ~count:100 ~name:"rewound network = fresh build" QCheck.small_nat
-    (fun seed ->
-      let n, edges = random_network (seed + 6000) in
-      let g, ids = build edges n in
-      ignore (MF.dinic g ~source:0 ~sink:(n - 1));
-      let rng = Ss_workload.Rng.create ~seed:(seed + 7000) in
-      let rewound =
-        List.map
-          (fun (s, d, c) ->
-            let u = Ss_workload.Rng.float rng in
-            (s, d, if u < 0.2 then 0. else if u < 0.4 then c /. 2. else c))
-          edges
-      in
-      MF.reset_flows g;
-      List.iter2 (fun e (_, _, cap) -> MF.set_capacity g e ~cap) ids rewound;
-      let v = MF.dinic g ~source:0 ~sink:(n - 1) in
-      let live = List.filter (fun (_, _, c) -> c > 0.) rewound in
-      let fresh, fresh_ids = build live n in
-      let v' = MF.dinic fresh ~source:0 ~sink:(n - 1) in
-      let live_ids =
-        List.filter_map (fun (e, (_, _, c)) -> if c > 0. then Some e else None)
-          (List.combine ids rewound)
-      in
-      let same = Reference.same_float in
-      same v v'
-      && List.for_all2 (fun e e' -> same (MF.flow_on g e) (MF.flow_on fresh e')) live_ids fresh_ids
-      && MF.audit g ~source:0 ~sink:(n - 1) = [])
+    (fun seed -> PF.rewound_equals_fresh seed && PQ.rewound_equals_fresh seed)
 
 let prop_dinic_equals_ek =
   QCheck.Test.make ~count:100 ~name:"dinic = edmonds-karp" QCheck.small_nat (fun seed ->
-      let n, edges = random_network seed in
-      let g1, _ = build edges n and g2, _ = build edges n in
-      let v1 = MF.dinic g1 ~source:0 ~sink:(n - 1) in
-      let v2 = MF.edmonds_karp g2 ~source:0 ~sink:(n - 1) in
-      Float.abs (v1 -. v2) <= 1e-6 *. (1. +. v1))
+      PF.dinic_equals_ek seed && PQ.dinic_equals_ek seed)
 
 let prop_flow_audits_clean =
   QCheck.Test.make ~count:100 ~name:"dinic flow is feasible" QCheck.small_nat (fun seed ->
-      let n, edges = random_network seed in
-      let g, _ = build edges n in
-      ignore (MF.dinic g ~source:0 ~sink:(n - 1));
-      MF.audit g ~source:0 ~sink:(n - 1) = [])
+      PF.flow_audits_clean seed && PQ.flow_audits_clean seed)
 
 let prop_maxflow_mincut =
   QCheck.Test.make ~count:100 ~name:"max flow = min cut" QCheck.small_nat (fun seed ->
@@ -190,24 +263,9 @@ let prop_maxflow_mincut =
       let cut = MF.cut_capacity g (MF.min_cut g ~source:0) in
       Float.abs (v -. cut) <= 1e-6 *. (1. +. v))
 
-(* A failed offline round removes the candidates Dinic's last BFS left
-   unlabelled ([reached]); they must be exactly the vertices outside the
-   source side [min_cut] finds by its own depth-first search, on the
-   generic functor and on the float shadow's Dinic alike. *)
 let prop_reached_is_min_cut =
   QCheck.Test.make ~count:100 ~name:"reached = min_cut source side" QCheck.small_nat
-    (fun seed ->
-      let n, edges = random_network (seed + 8000) in
-      let g, _ = build edges n in
-      ignore (MF.dinic g ~source:0 ~sink:(n - 1));
-      let side = MF.min_cut g ~source:0 in
-      let gg = MG.create ~n in
-      List.iter (fun (src, dst, cap) -> ignore (MG.add_edge gg ~src ~dst ~cap)) edges;
-      ignore (MG.dinic gg ~source:0 ~sink:(n - 1));
-      let side' = MG.min_cut gg ~source:0 in
-      List.for_all
-        (fun v -> MF.reached g v = side.(v) && MG.reached gg v = side'.(v))
-        (List.init n Fun.id))
+    (fun seed -> PF.reached_is_min_cut seed && PQ.reached_is_min_cut seed)
 
 let prop_integral_capacities_integral_flow =
   QCheck.Test.make ~count:50 ~name:"dinic matches LP oracle" QCheck.small_nat (fun seed ->

@@ -200,7 +200,7 @@ let test_non_finite_jobs () =
     instances
 
 (* Below the instance boundary an empty job array is no error: every
-   functor entry point returns an empty run (no breakpoints, no phases,
+   solver entry point returns an empty run (no breakpoints, no phases,
    zero counters), and a session that saw one still solves. *)
 let test_empty_job_array () =
   let check name ~breakpoints ~phases counters =
