@@ -20,32 +20,22 @@ let float_jobs (inst : Job.instance) =
     (fun (j : Job.t) -> { F.release = j.release; deadline = j.deadline; work = j.work })
     inst.jobs
 
-(* [F.pack] emits each processor's segments in start order, so collecting
-   them per processor hands [Schedule.make] its stored (proc, t0, job)
-   order.  The collection doubles up to the highest processor emitted
-   (at most min(m, n) of them) and never past [machines]. *)
+(* [F.pack] emits interval by interval and, inside an interval, each
+   processor's pieces in start order, so [Schedule.make] finds every
+   processor's segments in start order and buckets them without sorting. *)
 let schedule_of_run ~machines (run : F.run) =
-  let by_proc = ref [||] in
+  let segments = ref [] in
   F.pack ~machines ~first:0 ~last:(Array.length run.breakpoints - 2) run
     ~emit:(fun job proc t0 t1 speed ->
-      let a = !by_proc in
-      if proc >= Array.length a then begin
-        by_proc := Array.make (Int.max (proc + 1) (Int.min machines (2 * Array.length a))) [];
-        Array.blit a 0 !by_proc 0 (Array.length a)
-      end;
-      !by_proc.(proc) <- { Schedule.job; proc; t0; t1; speed } :: !by_proc.(proc));
-  let segments = ref [] in
-  for p = Array.length !by_proc - 1 downto 0 do
-    segments := List.rev_append !by_proc.(p) !segments
-  done;
-  Schedule.make ~machines !segments
+      segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
+  Schedule.make ~machines (List.rev !segments)
 
 (* Materialize only the part of a run that overlaps [lo, hi): wrap-pack
    just the grid intervals meeting the window and clip the result.  Equal
    to clipping the full [schedule_of_run] output to the window — same
-   segments in the same order — but skips packing everything outside,
-   which is the common case in online replanning where a plan is only
-   followed until the next arrival. *)
+   segments in the same stored order — but skips packing everything
+   outside, which is the common case in online replanning where a plan is
+   only followed until the next arrival. *)
 let slice_of_run ~machines (run : F.run) ~lo ~hi =
   let b = run.breakpoints in
   let k = Array.length b - 1 in
@@ -62,9 +52,7 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
     ~emit:(fun job proc t0 t1 speed ->
       let t0 = Float.max t0 lo and t1 = Float.min t1 hi in
       if t1 > t0 then segments := { Schedule.job; proc; t0; t1; speed } :: !segments);
-  (* The order [Schedule.make] installs, so a slice equals the clipped
-     full schedule segment for segment, in sequence. *)
-  List.sort Schedule.compare_segment !segments
+  Schedule.stored_order (List.rev !segments)
 
 (* Number of independent sub-instances the decomposition layer splits the
    instance into (1 = nothing to gain from decomposition). *)

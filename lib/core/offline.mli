@@ -51,12 +51,11 @@ val energy_of_run : Ss_model.Power.t -> F.run -> float
 (** Energy from the phase structure alone; equals the schedule energy. *)
 
 val schedule_of_run : machines:int -> F.run -> Ss_model.Schedule.t
-(** Materialize a whole run with the Lemma 2 packer ({!F.pack}).
-    The segments are collected per processor, in the order the packer
-    emits them, which is the schedule's stored order, so
-    {!Ss_model.Schedule.make} does not sort them.  The collection grows
-    with the processors the packer uses (at most [min m n]), so its cost
-    does not grow with [machines].
+(** Materialize a whole run with the Lemma 2 packer ({!F.pack}).  The
+    packer emits each processor's segments in start order, and
+    {!Ss_model.Schedule.make} buckets them by processor without sorting;
+    neither allocates per machine, so the cost does not grow with
+    [machines].
     @raise Failure as {!F.pack}. *)
 
 val slice_of_run :
@@ -64,9 +63,9 @@ val slice_of_run :
 (** Materialize only the part of a run overlapping [\[lo, hi)]: wrap-packs
     just the grid intervals meeting the window and clips the result.
     Equals clipping the full {!schedule_of_run} segments to the window,
-    in the same (proc, t0) order, but skips packing everything outside —
-    the hot path of online replanning, where each plan is only followed
-    until the next arrival. *)
+    in the same stored order ({!Ss_model.Schedule.stored_order}), but skips
+    packing everything outside — the hot path of online replanning, where
+    each plan is only followed until the next arrival. *)
 
 val solve_exact : Ss_model.Job.instance -> Exact.run
 (** Exact-rational replay of the entire algorithm (floats embed exactly).

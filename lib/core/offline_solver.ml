@@ -29,8 +29,8 @@
    difference array, so a phase start costs O(n + k) and a failed round's
    removals O(n + span of its victims) ([certify]); the sweep's t_kj come
    out of a counting sort by job ([sweep_alloc]); and the packer walks the
-   grid interval by interval, so Offline.schedule_of_run collects each
-   processor's segments already in the schedule's stored order.
+   grid interval by interval, so each processor's segments arrive in start
+   order and Schedule.make buckets them by processor without sorting.
 
    This file is a template, not a module of ss_core: a dune rule
    (lib/core/dune) compiles it once per field.  Each instance is a header

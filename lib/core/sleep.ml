@@ -30,14 +30,12 @@ let device ~idle_power ~wake_energy =
 
 let break_even d = d.wake_energy /. d.idle_power
 
-(* Idle gaps of one processor inside [lo, hi), from its sorted segments.
-   Gaps at the horizon edges are included: a processor idle before its
-   first job (or after its last) can sleep there too. *)
+(* Idle gaps of one processor inside [lo, hi), from its segments in start
+   order (the stored order of one processor).  Gaps at the horizon edges
+   are included: a processor idle before its first job (or after its last)
+   can sleep there too. *)
 let gaps_of_proc ~lo ~hi segments =
-  let busy =
-    List.filter (fun (s : Schedule.segment) -> s.t1 > lo && s.t0 < hi) segments
-    |> List.sort (fun (a : Schedule.segment) b -> Float.compare a.t0 b.t0)
-  in
+  let busy = List.filter (fun (s : Schedule.segment) -> s.t1 > lo && s.t0 < hi) segments in
   let rec walk cursor acc = function
     | [] -> if hi > cursor then (hi -. cursor) :: acc else acc
     | (s : Schedule.segment) :: rest ->

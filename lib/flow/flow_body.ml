@@ -52,6 +52,7 @@ type t = {
   mutable level : int array;
   mutable iter_ : int array;
   mutable queue : int array;
+  mutable path : int array;       (* Dinic's current augmenting path, by arc *)
   (* Work counters, accumulated across runs on this arena and cleared only
      by [reset_counters] — so a round loop can report per-solve totals. *)
   mutable pushes : int;     (* edge-flow updates *)
@@ -71,6 +72,7 @@ let create ~n =
     level = [||];
     iter_ = [||];
     queue = [||];
+    path = [||];
     pushes = 0;
     bfs_waves = 0;
   }
@@ -201,16 +203,22 @@ let fit_scratch g =
     let len = max g.n (2 * Array.length g.level) in
     g.level <- Array.make len 0;
     g.iter_ <- Array.make len 0;
-    g.queue <- Array.make len 0
+    g.queue <- Array.make len 0;
+    g.path <- Array.make len 0
   end
 
 (* Dinic: BFS level graph, then DFS blocking flow with arc pointers.
    Augments the *installed* flow (which is zero on a fresh network) and
-   returns the amount added. *)
+   returns the amount added.
+
+   The DFS keeps its path on a stack of arcs ([path]) rather than the
+   call stack, so no float is boxed per step.  A cursor moves past an arc
+   that is not admissible or whose search dead-ends; at the sink the
+   path's bottleneck is pushed along every arc of it. *)
 let dinic g ~source ~sink =
   if source = sink then invalid_arg "Maxflow.dinic: source = sink";
   fit_scratch g;
-  let level = g.level and iter = g.iter_ and queue = g.queue in
+  let level = g.level and iter = g.iter_ and queue = g.queue and path = g.path in
   let cap = g.cap and flow = g.flow and dst = g.dst and head_ = g.head and next = g.next in
   let bfs () =
     g.bfs_waves <- g.bfs_waves + 1;
@@ -235,29 +243,6 @@ let dinic g ~source ~sink =
     done;
     level.(sink) >= 0
   in
-  let rec dfs u limit =
-    if u = sink then limit
-    else begin
-      let result = ref F.zero in
-      let continue = ref true in
-      while !continue && iter.(u) >= 0 do
-        let e = iter.(u) in
-        let v = dst.(e) in
-        let r = residual cap flow e in
-        if level.(v) = level.(u) + 1 && positive r then begin
-          let pushed = dfs v (F.min limit r) in
-          if positive pushed then begin
-            push g flow e pushed;
-            result := pushed;
-            continue := false
-          end
-          else iter.(u) <- next.(e)
-        end
-        else iter.(u) <- next.(e)
-      done;
-      !result
-    end
-  in
   (* An upper bound on any augmentation: total capacity out of source. *)
   let infinity_ =
     let acc = ref F.one in
@@ -271,14 +256,40 @@ let dinic g ~source ~sink =
   let total = ref F.zero in
   while bfs () do
     Array.blit head_ 0 iter 0 g.n;
-    let rec drain () =
-      let f = dfs source infinity_ in
-      if positive f then begin
-        total := F.add !total f;
-        drain ()
+    let u = ref source and depth = ref 0 and blocked = ref false in
+    while not !blocked do
+      if !u = sink then begin
+        let f = ref infinity_ in
+        for i = 0 to !depth - 1 do
+          f := F.min !f (residual cap flow path.(i))
+        done;
+        for i = !depth - 1 downto 0 do
+          push g flow path.(i) !f
+        done;
+        total := F.add !total !f;
+        u := source;
+        depth := 0
       end
-    in
-    drain ()
+      else begin
+        let e = iter.(!u) in
+        if e < 0 then begin
+          (* Dead end: back over the last arc and move its cursor on. *)
+          if !depth = 0 then blocked := true
+          else begin
+            decr depth;
+            let e = path.(!depth) in
+            u := dst.(e lxor 1);
+            iter.(!u) <- next.(e)
+          end
+        end
+        else if level.(dst.(e)) = level.(!u) + 1 && positive (residual cap flow e) then begin
+          path.(!depth) <- e;
+          incr depth;
+          u := dst.(e)
+        end
+        else iter.(!u) <- next.(e)
+      end
+    done
   done;
   !total
 

@@ -7,9 +7,13 @@
    and AVR(m) schedules lives with the solver
    (Ss_core.Offline.F.wrap_pack), in its field arithmetic, and the
    exact-rational replay (Offline.Exact) is compiled from the same source,
-   so it certifies the code that production runs.  The
-   audit compares adjacent segments in the stored (proc, t0, job) order
-   and in one stable sort by (job, t0): O(S log S) for S segments. *)
+   so it certifies the code that production runs.
+
+   This module owns the segment order: one routine, [arrange], buckets
+   segments by processor for storage and by job for the audit.  Every
+   producer builds its schedule left to right, so each processor's
+   segments arrive in start order and storing them sorts nothing.  The
+   audit compares adjacent segments in both orders. *)
 
 type segment = {
   job : int;
@@ -21,13 +25,67 @@ type segment = {
 
 type t = {
   machines : int;
-  segments : segment array;    (* sorted by (proc, t0, job) *)
+  segments : segment array;    (* by (proc, t0, job) *)
 }
 
-let compare_segment a b =
-  match Int.compare a.proc b.proc with
-  | 0 -> (match Float.compare a.t0 b.t0 with 0 -> Int.compare a.job b.job | c -> c)
-  | c -> c
+(* --- the one segment order ----------------------------------------------
+   [arrange ~key ~cmp a]: [a] in order of [key], a non-negative int, then
+   of [cmp] within one key; [a] itself when it already is.  Otherwise the
+   segments are bucketed by key, stably, into a fresh array, and a bucket
+   is sorted, stably, only when it arrived out of [cmp] order.  Buckets
+   run up to the highest key present.  Keys as sparse as the segments (the
+   highest not below their count, as a random assignment over many
+   machines gives) make one bucket, so no id sizes an allocation. *)
+
+let in_order cmp a lo hi =
+  let i = ref (lo + 1) in
+  while !i < hi && cmp a.(!i - 1) a.(!i) <= 0 do
+    incr i
+  done;
+  !i >= hi
+
+let arrange ~key ~cmp a =
+  let n = Array.length a in
+  let order x y = match Int.compare (key x) (key y) with 0 -> cmp x y | c -> c in
+  if in_order order a 0 n then a
+  else begin
+    let top = Array.fold_left (fun m s -> Int.max m (key s)) 0 a in
+    let b = Array.copy a in
+    if top >= n then Array.stable_sort order b
+    else begin
+      (* [next.(k)]: the next free slot of bucket [k]; after the fill, the
+         end of bucket [k]. *)
+      let next = Array.make (top + 2) 0 in
+      Array.iter (fun s -> next.(key s + 1) <- next.(key s + 1) + 1) a;
+      for k = 1 to top do
+        next.(k) <- next.(k) + next.(k - 1)
+      done;
+      Array.iter
+        (fun s ->
+          let k = key s in
+          b.(next.(k)) <- s;
+          next.(k) <- next.(k) + 1)
+        a;
+      for k = 0 to top do
+        let lo = if k = 0 then 0 else next.(k - 1) and hi = next.(k) in
+        if not (in_order cmp b lo hi) then begin
+          let bucket = Array.sub b lo (hi - lo) in
+          Array.stable_sort cmp bucket;
+          Array.blit bucket 0 b lo (hi - lo)
+        end
+      done
+    end;
+    b
+  end
+
+let by_start a b = Float.compare a.t0 b.t0
+
+(* The stored order: by processor, then start, then job. *)
+let by_proc =
+  arrange ~key:(fun s -> s.proc) ~cmp:(fun a b ->
+      match by_start a b with 0 -> Int.compare a.job b.job | c -> c)
+
+let stored_order segments = Array.to_list (by_proc (Array.of_list segments))
 
 let make ~machines segments =
   if machines <= 0 then invalid_arg "Schedule.make: machines <= 0";
@@ -41,15 +99,7 @@ let make ~machines segments =
       if s.speed <= 0. then invalid_arg "Schedule.make: non-positive speed";
       if s.job < 0 then invalid_arg "Schedule.make: negative job id")
     arr;
-  (* Input already in the stored order, as the offline packer hands it
-     over, is kept as it is; one pair out of order sorts the whole. *)
-  let n = Array.length arr in
-  let i = ref 1 in
-  while !i < n && compare_segment arr.(!i - 1) arr.(!i) <= 0 do
-    incr i
-  done;
-  if !i < n then Array.sort compare_segment arr;
-  { machines; segments = arr }
+  { machines; segments = by_proc arr }
 
 let empty ~machines = { machines; segments = [||] }
 
@@ -59,9 +109,7 @@ let num_segments t = Array.length t.segments
 
 let concat a b =
   if a.machines <> b.machines then invalid_arg "Schedule.concat: machine count mismatch";
-  let arr = Array.append a.segments b.segments in
-  Array.sort compare_segment arr;
-  { machines = a.machines; segments = arr }
+  { machines = a.machines; segments = by_proc (Array.append a.segments b.segments) }
 
 let duration s = s.t1 -. s.t0
 let seg_work s = duration s *. s.speed
@@ -98,22 +146,20 @@ let speeds_at t time =
     t.segments;
   v
 
-(* [f a b] on each pair of consecutive segments of one job, in (job, t0)
-   order.  The sort is stable over the stored (proc, t0, job) order, so
-   equal starts keep processor order. *)
-let iter_job_pairs t f =
-  let by_job = Array.copy t.segments in
-  Array.stable_sort
-    (fun a b -> match Int.compare a.job b.job with 0 -> Float.compare a.t0 b.t0 | c -> c)
-    by_job;
+(* [f a b] on each pair of consecutive segments of one of the first
+   [jobs] jobs, in (job, t0) order; equal starts keep the stored order, as
+   a stable sort would.  Ids from [jobs] on share one bucket, so the
+   buckets are sized by the job count, never by an id. *)
+let iter_job_pairs ~jobs t f =
+  let by_job = arrange ~key:(fun s -> Int.min s.job jobs) ~cmp:by_start t.segments in
   for i = 0 to Array.length by_job - 2 do
     let a = by_job.(i) and b = by_job.(i + 1) in
-    if a.job = b.job then f a b
+    if a.job = b.job && a.job < jobs then f a b
   done
 
 let total_migrations ~jobs t =
   let acc = ref 0 in
-  iter_job_pairs t (fun a b -> if a.job < jobs && a.proc <> b.proc then incr acc);
+  iter_job_pairs ~jobs t (fun a b -> if a.proc <> b.proc then incr acc);
   !acc
 
 type infeasibility =
@@ -167,8 +213,8 @@ let check (inst : Job.instance) t =
       push (Processor_overlap { proc = a.proc; time = b.t0 })
   done;
   (* No job running on two processors at once. *)
-  iter_job_pairs t (fun a b ->
-      if a.job < n && b.t0 < a.t1 -. rel_tol a.t1 then
+  iter_job_pairs ~jobs:n t (fun a b ->
+      if b.t0 < a.t1 -. rel_tol a.t1 then
         push (Parallel_execution { job = a.job; time = b.t0 }));
   List.rev !errs
 

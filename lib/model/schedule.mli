@@ -14,17 +14,17 @@ type segment = {
 
 type t
 
-val compare_segment : segment -> segment -> int
-(** The stored order: by processor, then start, then job. *)
-
 val make : machines:int -> segment list -> t
-(** Stores the segments in {!compare_segment} order.  Input already in
-    that order, as the offline solver's [schedule_of_run] hands it over, is
-    kept after one pass; any other input is sorted.  The key is unique in
-    a feasible schedule, so the stored array does not depend on the input
-    order.
+(** Stores the segments by processor, then start, then job, bucketing
+    them by processor: a processor is sorted only if its segments arrive
+    out of start order, which no producer's emission order does.  The key
+    is unique in a feasible schedule, so the stored array does not depend
+    on the input order.
     @raise Invalid_argument on malformed segments, including a
     non-finite [t0], [t1] or [speed]. *)
+
+val stored_order : segment list -> segment list
+(** Segments {!make} accepts, in its stored order, by the same bucketing. *)
 
 val empty : machines:int -> t
 val machines : t -> int
@@ -61,9 +61,10 @@ val pp_infeasibility : Format.formatter -> infeasibility -> unit
 val check : Job.instance -> t -> infeasibility list
 (** Complete audit: work totals, windows, processor double-booking, no job
     on two processors at once, each to a relative tolerance of [1e-6].
-    The last two compare adjacent segments, sorted by (processor, start)
-    and by (job, start); any overlap shows in an adjacent pair, so the
-    audit costs O(S log S) for S segments. *)
+    The last two compare adjacent segments in the stored order and in
+    (job, start) order, which buckets the stored array by job, one bucket
+    per job of [inst], and sorts only a job stored out of start order;
+    any overlap shows in an adjacent pair. *)
 
 val is_feasible : Job.instance -> t -> bool
 

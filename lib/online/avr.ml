@@ -86,8 +86,8 @@ let run ?stats (inst : Job.instance) =
   let cal = Engine.Calendar.make inst in
   let num_events = Engine.Calendar.num_events cal in
   let active = Engine.Active.create () in
-  let arena = Engine.Arena.create () in
-  let emit s = Engine.Arena.emit arena s in
+  let emitted = ref [] in
+  let emit s = emitted := s :: !emitted in
   let peeled_total = ref 0 in
   let intervals_scheduled = ref 0 in
   let ev = ref 0 in
@@ -119,8 +119,8 @@ let run ?stats (inst : Job.instance) =
   Engine.record stats (fun c ->
       c.events <- c.events + !intervals_scheduled;
       c.set_ops <- c.set_ops + Engine.Active.ops active);
-  Engine.record_arena stats arena;
-  let schedule = Schedule.make ~machines:inst.machines (Engine.Arena.to_list_rev arena) in
+  let schedule = Schedule.make ~machines:inst.machines (List.rev !emitted) in
+  Engine.record_schedule stats schedule;
   (schedule, { intervals = t_end - t_start; peeled = !peeled_total })
 
 let schedule inst = fst (run inst)

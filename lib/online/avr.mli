@@ -29,8 +29,9 @@ val run :
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
 (** Runs on the shared event calendar and incremental active set
-    ({!Engine.Calendar} / {!Engine.Active}), emitting segments into an
-    arena — O((n + g) log n + output) for g unit intervals, with idle
+    ({!Engine.Calendar} / {!Engine.Active}), handing its segments to
+    {!Ss_model.Schedule.make} in emission order —
+    O((n + g) log n + output) for g unit intervals, with idle
     stretches skipped in O(1).  [stats] accumulates {!Engine.counters} in
     place.
     @raise Invalid_argument on invalid instances or non-integral

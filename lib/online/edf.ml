@@ -24,8 +24,8 @@ type outcome = {
 (* [slices]: ascending time points cutting the horizon; [speed_at t] is
    held constant on each [a, b) slice, sampled at [a].  A release-sorted
    feed and a deadline-ordered heap give O(log n) per job transition;
-   segments go to the shared arena ([Engine.Arena], amortized O(1)
-   emission). *)
+   segments are emitted in time order, the order [Schedule.make] stores
+   them in on one processor. *)
 let run ~slices ~speed_at (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
@@ -34,8 +34,8 @@ let run ~slices ~speed_at (inst : Job.instance) =
   let n = Array.length inst.jobs in
   let remaining = Array.map (fun (j : Job.t) -> j.work) inst.jobs in
   let unfinished = ref [] in
-  let arena = Engine.Arena.create () in
-  let emit s = Engine.Arena.emit arena s in
+  let emitted = ref [] in
+  let emit (s : Schedule.segment) = if s.t1 > s.t0 then emitted := s :: !emitted in
   (* Jobs sorted by release; fed into the live heap as time passes. *)
   let by_release =
     List.init n Fun.id
@@ -104,10 +104,6 @@ let run ~slices ~speed_at (inst : Job.instance) =
   Ss_numeric.Heap.iter_unordered live (fun i ->
       if remaining.(i) > 1e-9 then unfinished := (i, remaining.(i)) :: !unfinished);
   {
-    schedule =
-      Schedule.make ~machines:1
-        (List.filter
-           (fun (s : Schedule.segment) -> s.t1 > s.t0)
-           (Engine.Arena.to_list_rev arena));
+    schedule = Schedule.make ~machines:1 (List.rev !emitted);
     unfinished = List.rev !unfinished;
   }

@@ -17,6 +17,4 @@ val run :
   speed_at:(float -> float) ->
   Ss_model.Job.instance ->
   outcome
-(** Segments are emitted into the shared {!Engine.Arena} (amortized
-    O(1)).
-    @raise Invalid_argument on invalid instances or [machines <> 1]. *)
+(** @raise Invalid_argument on invalid instances or [machines <> 1]. *)

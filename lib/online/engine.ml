@@ -10,9 +10,10 @@
    simulation pays O(log n + output) per event: arrivals and expiries are
    bucketed by interned event id (no float-equality scans), the active set
    is maintained incrementally ([Active]: add on release, remove on
-   deadline or completion), and segments land in a growable arena
-   ([Arena]) instead of repeated list concatenation over the emerging
-   schedule.  AVR(m), OA(m), BKP and EDF all run on this layer;
+   deadline or completion), and segments are prepended to one list and
+   handed to [Schedule.make] in the order they were emitted, which buckets
+   them by processor without sorting.  AVR(m), OA(m), BKP and EDF all run
+   on this layer;
    test/reference.ml re-derives their outputs with naive whole-array
    rescans and the tests compare the two by float bits. *)
 
@@ -132,64 +133,24 @@ module Active = struct
   let ops t = t.ops
 end
 
-(* --- the segment arena ------------------------------------------------- *)
-
-module Arena = struct
-  (* Growable segment store (amortized O(1) emission, doubling growth).
-     [Schedule.make] stores its input in (proc, t0, job) order, a key
-     unique in a feasible schedule, so the one conversion's order is
-     immaterial. *)
-  type t = {
-    mutable buf : Schedule.segment array;
-    mutable len : int;
-    mutable high_water : int;       (* largest capacity ever allocated *)
-  }
-
-  let dummy = { Schedule.job = 0; proc = 0; t0 = 0.; t1 = 1.; speed = 1. }
-
-  let create ?(capacity = 256) () =
-    let capacity = max capacity 1 in
-    { buf = Array.make capacity dummy; len = 0; high_water = capacity }
-
-  let length t = t.len
-  let high_water t = t.high_water
-
-  let emit t s =
-    if t.len = Array.length t.buf then begin
-      let bigger = Array.make (2 * t.len) dummy in
-      Array.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger;
-      t.high_water <- 2 * t.len
-    end;
-    t.buf.(t.len) <- s;
-    t.len <- t.len + 1
-
-  (* Reverse emission order: [e0; e1; e2] -> [e2; e1; e0]. *)
-  let to_list_rev t =
-    let acc = ref [] in
-    for i = 0 to t.len - 1 do
-      acc := t.buf.(i) :: !acc
-    done;
-    !acc
-end
-
 (* --- per-simulation counters ------------------------------------------- *)
 
 type counters = {
   mutable events : int;           (* calendar events / intervals processed *)
   mutable set_ops : int;          (* active-set insertions + removals *)
   mutable emitted : int;          (* segments emitted *)
-  mutable arena_high_water : int; (* largest arena capacity reached *)
+  mutable arena_high_water : int; (* most segments one simulation held *)
 }
 
 let counters () = { events = 0; set_ops = 0; emitted = 0; arena_high_water = 0 }
 
 let record stats f = match stats with Some c -> f c | None -> ()
 
-let record_arena stats (arena : Arena.t) =
+let record_schedule stats schedule =
+  let held = Schedule.num_segments schedule in
   record stats (fun c ->
-      c.emitted <- c.emitted + Arena.length arena;
-      c.arena_high_water <- max c.arena_high_water (Arena.high_water arena))
+      c.emitted <- c.emitted + held;
+      c.arena_high_water <- Int.max c.arena_high_water held)
 
 (* --- shared helpers ----------------------------------------------------- *)
 
@@ -232,7 +193,7 @@ let replan_fold ?stats ~tol ~plan (inst : Job.instance) =
   let arrivals = Calendar.arrival_events cal in
   let num_arrivals = Array.length arrivals in
   let active = Active.create () in
-  let arena = Arena.create () in
+  let emitted = ref [] in
   for e = 0 to num_arrivals - 1 do
     let ev = arrivals.(e) in
     let now = Calendar.time cal ev in
@@ -261,10 +222,11 @@ let replan_fold ?stats ~tol ~plan (inst : Job.instance) =
     | live ->
       let slice = plan ~now ~upto (Array.of_list (List.rev live)) in
       charge_work done_work slice;
-      List.iter (Arena.emit arena) slice)
+      emitted := List.rev_append slice !emitted)
   done;
   record stats (fun c ->
       c.events <- c.events + num_arrivals;
       c.set_ops <- c.set_ops + Active.ops active);
-  record_arena stats arena;
-  Schedule.make ~machines:inst.machines (Arena.to_list_rev arena)
+  let schedule = Schedule.make ~machines:inst.machines (List.rev !emitted) in
+  record_schedule stats schedule;
+  schedule

@@ -1,7 +1,8 @@
 (** Shared helpers for event-driven online simulation.
 
-    {!Calendar}, {!Active} and {!Arena} give the simulators
-    O(log n + output)-per-event cost on a calendar built once. *)
+    {!Calendar} and {!Active} give the simulators O(log n + output)-per-event
+    cost on a calendar built once.  Segments reach
+    {!Ss_model.Schedule.make} in emission order, which it stores unsorted. *)
 
 (** One pre-sorted event calendar: distinct releases and deadlines interned
     into dense event ids, with arrival/expiry job buckets per event. *)
@@ -51,31 +52,13 @@ module Active : sig
   (** Insertions plus removals so far. *)
 end
 
-(** Growable segment arena: amortized O(1) emission instead of list
-    concatenation over the emerging schedule. *)
-module Arena : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  val emit : t -> Ss_model.Schedule.segment -> unit
-  val length : t -> int
-
-  val high_water : t -> int
-  (** Largest capacity ever allocated. *)
-
-  val to_list_rev : t -> Ss_model.Schedule.segment list
-  (** Reverse emission order — the order per-segment prepending
-      ([seg :: acc]) accumulates.  Every simulator hands this to
-      {!Ss_model.Schedule.make}, which sorts it. *)
-end
-
 (** Per-simulation work counters, updated in place by the simulators'
     [?stats] parameters. *)
 type counters = {
   mutable events : int;
   mutable set_ops : int;
   mutable emitted : int;
-  mutable arena_high_water : int;
+  mutable arena_high_water : int;  (** most segments one simulation held *)
 }
 
 val counters : unit -> counters
@@ -85,9 +68,8 @@ val record : counters option -> (counters -> unit) -> unit
 (** Apply [f] to the counters when present — the simulators' no-cost way
     of supporting an optional [?stats]. *)
 
-val record_arena : counters option -> Arena.t -> unit
-(** Fold an arena's totals (segments emitted, high-water mark) into the
-    counters when present. *)
+val record_schedule : counters option -> Ss_model.Schedule.t -> unit
+(** Count a simulation's segments into [emitted] and [arena_high_water]. *)
 
 val event_times : Ss_model.Job.instance -> float list
 (** Distinct releases and deadlines, ascending — the base grid of the
@@ -112,6 +94,6 @@ val replan_fold :
     time, collect the live jobs, call [plan] for the schedule slice on
     [\[now, upto)] (in original job ids), charge it against remaining work
     and append it.  Returns the assembled schedule.  The loop walks the
-    calendar's arrival events with an incremental live set and an arena,
-    O(|live| + slice) per event.
+    calendar's arrival events with an incremental live set, O(|live| +
+    slice) per event.
     @raise Failure if a live job is still unfinished at its deadline. *)

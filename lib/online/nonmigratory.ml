@@ -48,11 +48,13 @@ let assign strategy (inst : Job.instance) =
   (match strategy with
   | Round_robin -> Array.iteri (fun pos i -> assignment.(i) <- pos mod m) order
   | Least_work ->
-    let load = Array.make m 0. in
+    (* One of the first n processors is empty at every pick. *)
+    let width = Int.min m n in
+    let load = Array.make width 0. in
     Array.iter
       (fun i ->
         let best = ref 0 in
-        for l = 1 to m - 1 do
+        for l = 1 to width - 1 do
           if load.(l) < load.(!best) then best := l
         done;
         assignment.(i) <- !best;
@@ -68,27 +70,28 @@ let assign strategy (inst : Job.instance) =
 
 let schedule_of_assignment (inst : Job.instance) assignment =
   let n = Array.length inst.jobs in
-  (* One pass buckets jobs by processor (descending ids prepend, so each
-     bucket is ascending — the order the per-processor rescan produced),
-     O(n + m) instead of O(n·m). *)
-  let buckets = Array.make inst.machines [] in
-  for i = n - 1 downto 0 do
-    buckets.(assignment.(i)) <- i :: buckets.(assignment.(i))
-  done;
+  (* The jobs grouped by processor, ascending ids within one group: only
+     the processors the assignment uses, however many machines there are. *)
+  let by_proc = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare assignment.(a) assignment.(b)) by_proc;
   let segments = ref [] in
-  for proc = 0 to inst.machines - 1 do
-    match buckets.(proc) with
-    | [] -> ()
-    | ids ->
-      let sub = Job.instance ~machines:1 (List.map (fun i -> inst.jobs.(i)) ids) in
-      let sched = Ss_core.Offline.optimal_schedule sub in
-      let remap = Array.of_list ids in
-      Array.iter
-        (fun (s : Schedule.segment) ->
-          segments := { s with proc; job = remap.(s.job) } :: !segments)
-        (Schedule.segments sched)
+  let first = ref 0 in
+  while !first < n do
+    let proc = assignment.(by_proc.(!first)) in
+    let last = ref !first in
+    while !last + 1 < n && assignment.(by_proc.(!last + 1)) = proc do
+      incr last
+    done;
+    let ids = Array.sub by_proc !first (!last - !first + 1) in
+    let sub = Job.instance ~machines:1 (Array.to_list (Array.map (fun i -> inst.jobs.(i)) ids)) in
+    (* One processor's optimum, in start order: the processors in
+       ascending order hand [Schedule.make] its stored order. *)
+    Array.iter
+      (fun (s : Schedule.segment) -> segments := { s with proc; job = ids.(s.job) } :: !segments)
+      (Schedule.segments (Ss_core.Offline.optimal_schedule sub));
+    first := !last + 1
   done;
-  Schedule.make ~machines:inst.machines !segments
+  Schedule.make ~machines:inst.machines (List.rev !segments)
 
 let solve strategy (inst : Job.instance) =
   schedule_of_assignment inst (assign strategy inst)

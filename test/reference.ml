@@ -26,10 +26,10 @@
    fresh offline solve plus a full materialization clipped to the followed
    slice for every OA replan, and BKP's v(t) rebuilt from the job array at
    every speed sample.  The library runs each simulator on one
-   event-driven path (calendar, incremental active set, arena, solver
-   session); the tests require that path to equal these functions by
-   float bits ([same_schedule], [same_plans]), not by polymorphic [=],
-   which cannot tell -0.0 from 0.0.
+   event-driven path (calendar, incremental active set, solver session);
+   the tests require that path to equal these functions by float bits
+   ([same_schedule], [same_plans]), not by polymorphic [=], which cannot
+   tell -0.0 from 0.0.
 
    [schedule_of_run] is the Lemma 2 packer interval by interval, with each
    phase's allocation filtered afresh for every interval; the library

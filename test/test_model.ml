@@ -210,6 +210,36 @@ let test_concat () =
     (Invalid_argument "Schedule.concat: machine count mismatch") (fun () ->
       ignore (Schedule.concat a (Schedule.empty ~machines:3)))
 
+(* No processor or job id sizes an allocation: on 2^40 machines, with a
+   segment of job 2^40 and one on the last processor, each given out of
+   the stored order, [make], [concat], [check] and [total_migrations]
+   answer as on a small schedule. *)
+let test_huge_ids () =
+  let machines = 1 lsl 40 and big = 1 lsl 40 in
+  let last = machines - 1 in
+  let inst = Job.instance ~machines [ j 0. 4. 4.; j 0. 4. 4. ] in
+  let a =
+    Schedule.make ~machines
+      [ seg 1 1 2. 4. 1.; seg 0 0 2. 4. 1.; seg big 1 0. 1. 1.; seg 0 0 0. 2. 1. ]
+  in
+  check_bool "make" true
+    (Reference.same_segments
+       [ seg 0 0 0. 2. 1.; seg 0 0 2. 4. 1.; seg big 1 0. 1. 1.; seg 1 1 2. 4. 1. ]
+       (Array.to_list (Schedule.segments a)));
+  let b = Schedule.make ~machines [ seg 1 last 0. 2. 1. ] in
+  let s = Schedule.concat b a in
+  check_bool "concat" true
+    (Reference.same_segments
+       [
+         seg 0 0 0. 2. 1.; seg 0 0 2. 4. 1.; seg big 1 0. 1. 1.; seg 1 1 2. 4. 1.;
+         seg 1 last 0. 2. 1.;
+       ]
+       (Array.to_list (Schedule.segments s)));
+  check_bool "check" true
+    (Reference.same_infeasibilities [ Schedule.Unknown_job big ] (Schedule.check inst s));
+  check_int "migrations of the instance's jobs" 1 (Schedule.total_migrations ~jobs:2 s);
+  check_int "migrations up to job 2^40" 1 (Schedule.total_migrations ~jobs:(big + 1) s)
+
 (* Random faulty schedules against the float instance of the reference
    audit (one filter and sort per processor and per job) and the per-job
    migration count: up to 12 jobs on up to 4 processors, the offline
@@ -412,18 +442,28 @@ let shuffle seed l =
   done;
   Array.to_list a
 
+(* Time-major is the order the producers hand over: every processor's
+   segments in start order, the processors interleaved. *)
 let prop_make_stored_order =
   QCheck.Test.make ~count:20
-    ~name:"Schedule.make: stored, reversed and shuffled input give the same segments"
+    ~name:"Schedule.make: stored, reversed and shuffled input, and time-major input, give the same segments"
     QCheck.small_nat (fun seed ->
       List.for_all
         (fun (name, s) ->
           let stored = Array.to_list (Schedule.segments s) in
+          let time_major =
+            List.stable_sort (fun (a : Schedule.segment) b -> Float.compare a.t0 b.t0) stored
+          in
           List.for_all
             (fun (order, input) ->
               Reference.same_schedule s (Schedule.make ~machines:(Schedule.machines s) input)
               || QCheck.Test.fail_reportf "%s, %s input (seed %d)" name order seed)
-            [ ("stored", stored); ("reversed", List.rev stored); ("shuffled", shuffle seed stored) ])
+            [
+              ("stored", stored);
+              ("reversed", List.rev stored);
+              ("shuffled", shuffle seed stored);
+              ("time-major", time_major);
+            ])
         (Lazy.force stored_order_schedules))
 
 let () =
@@ -454,6 +494,7 @@ let () =
           Alcotest.test_case "constructor guards" `Quick test_schedule_constructor_guards;
           Alcotest.test_case "migrations/preemptions" `Quick test_migration_and_preemption;
           Alcotest.test_case "concat" `Quick test_concat;
+          Alcotest.test_case "huge processor and job ids" `Quick test_huge_ids;
         ] );
       ( "wrap_pack",
         [

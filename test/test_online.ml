@@ -305,6 +305,24 @@ let test_nonmigratory_no_migration () =
   Alcotest.(check int) "zero migrations" 0
     (Schedule.total_migrations ~jobs:(Array.length inst.Job.jobs) sched)
 
+(* The baselines allocate per used processor, not per machine: on 2^40
+   machines round-robin and least-work give every job its own processor,
+   as at m = n, and random stays feasible. *)
+let test_nonmigratory_huge_machine_count () =
+  let inst = random_instance 23 in
+  let n = Array.length inst.Job.jobs in
+  let at_n = { inst with machines = n } and huge = { inst with machines = 1 lsl 40 } in
+  List.iter
+    (fun strat ->
+      let segments m = Array.to_list (Schedule.segments (Ss_online.Nonmigratory.solve strat m)) in
+      check_bool
+        (Ss_online.Nonmigratory.strategy_name strat ^ ": segments of m = n")
+        true
+        (Reference.same_segments (segments at_n) (segments huge)))
+    [ Ss_online.Nonmigratory.Round_robin; Least_work ];
+  check_bool "random: feasible" true
+    (Schedule.is_feasible huge (Ss_online.Nonmigratory.solve (Random 1) huge))
+
 let test_best_random () =
   let inst = random_instance ~machines:2 11 in
   let p = Power.alpha 2. in
@@ -463,6 +481,7 @@ let () =
         [
           Alcotest.test_case "assignment partition" `Quick test_nonmigratory_assignment_partition;
           Alcotest.test_case "no migration" `Quick test_nonmigratory_no_migration;
+          Alcotest.test_case "huge machine count" `Quick test_nonmigratory_huge_machine_count;
           Alcotest.test_case "best random" `Quick test_best_random;
         ] );
       ( "nonmig-opt",

@@ -1,13 +1,13 @@
 (* Tests for the streaming simulation layer.
 
-   The event engine (event calendar + incremental active set + segment
-   arena) must be an *invisible* optimization: every simulator has to
+   The event engine (event calendar + incremental active set) must be an
+   *invisible* optimization: every simulator has to
    produce the schedule that the pre-streaming loops produced.  Those
    loops — whole-array rescans per unit interval or per arrival, OA's
    scratch planner and BKP's per-sample deadline rebuild — now live only
    in test/reference.ml, and the agreement properties below compare each
    simulator with them by float bits.  These tests also pin the
-   calendar/arena structures directly, the metamorphic time-shift
+   calendar structure directly, the metamorphic time-shift
    property and the stream workload generator. *)
 
 module Job = Ss_model.Job
@@ -100,22 +100,6 @@ let test_calendar_event_times_sorted_distinct () =
     (fun e -> check_bool "arrival event non-empty" true
         (Engine.Calendar.arrivals_at cal e <> []))
     arrs
-
-(* --- Arena -------------------------------------------------------------- *)
-
-let seg i = { Schedule.job = i; proc = 0; t0 = float_of_int i; t1 = float_of_int (i + 1); speed = 1. }
-
-let test_arena_reverse_emission_order () =
-  (* [to_list_rev] must equal what [s :: acc] accumulation builds. *)
-  let arena = Engine.Arena.create ~capacity:2 () in
-  let reference = ref [] in
-  for i = 0 to 9 do
-    Engine.Arena.emit arena (seg i);
-    reference := seg i :: !reference
-  done;
-  check_bool "reverse emission" true (Engine.Arena.to_list_rev arena = !reference);
-  check_int "length" 10 (Engine.Arena.length arena);
-  check_bool "grew past initial capacity" true (Engine.Arena.high_water arena >= 10)
 
 (* --- Bitwise agreement with the reference --------------------------------
 
@@ -218,7 +202,7 @@ let test_counters_populated () =
     (stats.set_ops >= Array.length inst.jobs && stats.set_ops <= 2 * Array.length inst.jobs);
   (* [Schedule.make] keeps every emitted segment. *)
   check_int "emitted = schedule segments" (Schedule.num_segments s1) stats.emitted;
-  check_bool "arena high-water positive" true (stats.arena_high_water > 0)
+  check_int "high-water = segments held" (Schedule.num_segments s1) stats.arena_high_water
 
 let test_oa_counters_populated () =
   let inst = uniform_instance 17 in
@@ -238,10 +222,6 @@ let () =
             test_calendar_distinguishes_float_noise;
           Alcotest.test_case "sorted distinct events" `Quick
             test_calendar_event_times_sorted_distinct;
-        ] );
-      ( "arena",
-        [
-          Alcotest.test_case "reverse emission order" `Quick test_arena_reverse_emission_order;
         ] );
       ( "generator",
         [ Alcotest.test_case "parameter guards" `Quick test_stream_generator_guards ] );

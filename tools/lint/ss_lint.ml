@@ -602,21 +602,31 @@ let read_lines file =
 
 let selected : rule list ref = ref all_rules
 
+(* A file that dune writes from a template (lib/core/offline_solver.ml,
+   lib/flow/flow_body.ml) carries a line directive back to it; the
+   template itself is linted, so its instances, which a build leaves next
+   to it under _build, are skipped and not counted. *)
+let generated source =
+  List.exists (String.starts_with ~prefix:"# 1 \"") (String.split_on_char '\n' source)
+
 let lint_file file =
   let source = In_channel.with_open_bin file In_channel.input_all in
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf file;
-  match Parse.implementation lexbuf with
-  | exception _ ->
-    incr parse_errors;
-    Printf.eprintf "ss_lint: %s: syntax error (file skipped)\n" file;
-    0
-  | str ->
-    let ctx =
-      { file; hot = hot_path file; clocks = not (wallclock_exempt file); sorted = false }
-    in
-    walk_structure empty_env ctx str;
-    1
+  if generated source then 0
+  else begin
+    let lexbuf = Lexing.from_string source in
+    Location.init lexbuf file;
+    match Parse.implementation lexbuf with
+    | exception _ ->
+      incr parse_errors;
+      Printf.eprintf "ss_lint: %s: syntax error (file skipped)\n" file;
+      0
+    | str ->
+      let ctx =
+        { file; hot = hot_path file; clocks = not (wallclock_exempt file); sorted = false }
+      in
+      walk_structure empty_env ctx str;
+      1
+  end
 
 let rec collect acc path =
   if Sys.is_directory path then
