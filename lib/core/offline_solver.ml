@@ -25,12 +25,18 @@
    rounds.
 
    Theorem 1 counts max-flow calls, and the bookkeeping around each call
-   stays linear: the Lemma 3 counts n_j move by range updates on a
-   difference array, so a phase start costs O(n + k) and a failed round's
-   removals O(n + span of its victims) ([certify]); the sweep's t_kj come
-   out of a counting sort by job ([sweep_alloc]); and the packer walks the
-   grid interval by interval, so each processor's segments arrive in start
-   order and Schedule.make buckets them by processor without sorting.
+   stays linear.  A solve sorts its 2n release and deadline times once
+   ([sort_grid]) and reads the breakpoints, every job's window and the
+   components off the ranks ([cut_components]), so each component solves
+   on its slice of the grid without a sort or search of its own.  The
+   Lemma 3 counts n_j move by range updates on a difference array, so a
+   phase start costs O(n + k) and a failed round's removals O(n + span
+   of its victims) ([certify]); the sweep's t_kj come out of a counting
+   sort by job ([sweep_alloc]); and the packer lays the (interval, phase)
+   blocks out in flat arrays with two counting sorts and walks the grid
+   interval by interval ([pack]), so each processor's segments arrive in
+   start order and Schedule.make buckets them by processor without
+   sorting.
 
    This file is a template, not a module of ss_core: a dune rule
    (lib/core/dune) compiles it once per field.  Each instance is a header
@@ -84,25 +90,83 @@ exception Stranded_job of int
    in its window.  Cannot happen for valid instances (speeds are
    unbounded); it would indicate a bug, so we fail loudly. *)
 
-let sort_uniq_times jobs =
-  let all =
-    Array.to_list jobs
-    |> List.concat_map (fun j -> [ j.release; j.deadline ])
-    |> List.sort_uniq F.compare
-  in
-  Array.of_list all
+(* --- the endpoint sort ---------------------------------------------------
+   Endpoint e of a solve is job e/2's release (e even) or deadline (e
+   odd), the order in which List.concat_map (fun j -> [j.release;
+   j.deadline]) lists them.  A merge sort orders the ids by [time], once
+   per solve, and splits as List.sort_uniq does: halves of [len asr 1]
+   and the rest, leaves of two and three.  Ties take the left run first,
+   and a three-leaf whose first two times are equal puts its second
+   first, because that is the one List.sort_uniq keeps there.  So the
+   first id of every run of equal times is the one whose time
+   List.sort_uniq F.compare keeps; on floats the two could otherwise
+   differ in the sign of a zero. *)
 
-(* Position of time [t] in the sorted breakpoint array. *)
-let index_of breakpoints t =
-  let lo = ref 0 and hi = ref (Array.length breakpoints - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if F.compare breakpoints.(mid) t < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* src.(lo .. lo+len-1), len 2 or 3, sorted into dst (which may be src). *)
+let sort_leaf (time : num array) src dst lo len =
+  let x1 = src.(lo) and x2 = src.(lo + 1) in
+  let c = F.compare time.(x2) time.(x1) in
+  let a = if c < 0 || (c = 0 && len = 3) then x2 else x1 in
+  let b = if a = x1 then x2 else x1 in
+  if len = 2 then begin
+    dst.(lo) <- a;
+    dst.(lo + 1) <- b
+  end
+  else begin
+    let x3 = src.(lo + 2) in
+    if F.compare time.(x3) time.(b) >= 0 then begin
+      dst.(lo) <- a;
+      dst.(lo + 1) <- b;
+      dst.(lo + 2) <- x3
+    end
+    else if F.compare time.(x3) time.(a) >= 0 then begin
+      dst.(lo) <- a;
+      dst.(lo + 1) <- x3;
+      dst.(lo + 2) <- b
+    end
+    else begin
+      dst.(lo) <- x3;
+      dst.(lo + 1) <- a;
+      dst.(lo + 2) <- b
+    end
+  end
 
-let validate ~machines jobs =
-  if machines <= 0 then invalid_arg "Offline.solve: machines <= 0";
+(* The sorted runs src.(lo .. mid-1) and src.(mid .. hi-1) merged into
+   dst.(lo .. hi-1), the left run first on ties. *)
+let merge_ends (time : num array) src dst lo mid hi =
+  let i = ref lo and j = ref mid in
+  for d = lo to hi - 1 do
+    if !i < mid && (!j >= hi || F.compare time.(src.(!j)) time.(src.(!i)) >= 0) then begin
+      dst.(d) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(d) <- src.(!j);
+      incr j
+    end
+  done
+
+(* src.(lo .. lo+len-1), len >= 2, sorted into dst ([sort_into]) or in
+   place ([sort_in]), the other array's range serving as scratch. *)
+let rec sort_into time src dst lo len =
+  if len <= 3 then sort_leaf time src dst lo len
+  else begin
+    let h = len asr 1 in
+    sort_in time src dst lo h;
+    sort_in time src dst (lo + h) (len - h);
+    merge_ends time src dst lo (lo + h) (lo + len)
+  end
+
+and sort_in time src dst lo len =
+  if len <= 3 then sort_leaf time src src lo len
+  else begin
+    let h = len asr 1 in
+    sort_into time src dst lo h;
+    sort_into time src dst (lo + h) (len - h);
+    merge_ends time dst src lo (lo + h) (lo + len)
+  end
+
+let validate_jobs jobs =
   let finite x = Float.is_finite (F.to_float x) in
   Array.iter
     (fun j ->
@@ -116,6 +180,10 @@ let validate ~machines jobs =
       if not (d > 0. && Float.is_finite d) then
         invalid_arg "Offline.solve: density not a positive finite float")
     jobs
+
+let validate ~machines jobs =
+  if machines <= 0 then invalid_arg "Offline.solve: machines <= 0";
+  validate_jobs jobs
 
 (* --- reusable solver workspace ---------------------------------------
    Everything a solve allocates per call — the Lemma 3 reservation state,
@@ -139,6 +207,13 @@ type workspace = {
   mutable procs : int array;
   mutable delta : int array;      (* k+1 range updates of [nj]; zero between uses *)
   mutable grows : int;            (* component solves that grew the arena *)
+  (* The whole instance's grid and components (see [sort_grid]). *)
+  mutable ends : int array;       (* 2n endpoint ids, sorted by time *)
+  mutable ends_tmp : int array;   (* merge scratch, then each run's first id *)
+  mutable end_time : num array;   (* per endpoint id: its time *)
+  mutable win_first : int array;  (* per job: first grid interval of its window *)
+  mutable win_last : int array;   (* per job: last grid interval of its window *)
+  mutable stretch : int array;    (* per grid interval: its stretch between cuts *)
   (* Sweep-oracle state, touched only by solves on the sweep substrate. *)
   mutable sweep_order : int array;(* jobs sorted by (first_ivl, index) *)
   mutable sweep_bucket : int array;(* counting-sort scratch, k+1 *)
@@ -185,6 +260,12 @@ let make_workspace () =
     procs = [||];
     delta = [||];
     grows = 0;
+    ends = [||];
+    ends_tmp = [||];
+    end_time = [||];
+    win_first = [||];
+    win_last = [||];
+    stretch = [||];
     sweep_order = [||];
     sweep_bucket = [||];
     sweep_rem = [||];
@@ -885,23 +966,25 @@ let certify ws ~n ~machines ~reached ~tag =
    sweep's last Stage-2 search): accept decisions, removals, phase
    partitions, speeds, reservations and energies agree, while the t_kj
    split among a phase's equal-speed members may differ between the two
-   (every member's total is its demand either way). *)
-let solve_in ~ws ~machines (jobs : job array) =
+   (every member's total is its demand either way).
+
+   A component is the jobs [ids] (ascending ids into the instance, [jobs]
+   their records) on the [k] grid intervals from [lo] of the instance's
+   [breakpoints]; [sort_grid] has left every job's window in [win_first]
+   and [win_last].  Returns the phases, on component job and interval
+   indices, and the counters. *)
+let solve_in ~ws ~machines ~breakpoints ~ids ~lo ~k (jobs : job array) =
   let n = Array.length jobs in
-  let breakpoints = sort_uniq_times jobs in
-  let k = Array.length breakpoints - 1 in
   let use_sweep = n * k >= compress_threshold in
   ws_fit ws ~n ~k ~dense:(not use_sweep);
   let widths = ws.widths in
   for j = 0 to k - 1 do
-    widths.(j) <- F.sub breakpoints.(j + 1) breakpoints.(j)
+    widths.(j) <- F.sub breakpoints.(lo + j + 1) breakpoints.(lo + j)
   done;
-  (* Every release and deadline is a breakpoint, so job i is active on
-     the contiguous interval range [index(release), index(deadline) - 1]. *)
   let first_ivl = ws.first_ivl and last_ivl = ws.last_ivl in
   for i = 0 to n - 1 do
-    first_ivl.(i) <- index_of breakpoints jobs.(i).release;
-    last_ivl.(i) <- index_of breakpoints jobs.(i).deadline - 1
+    first_ivl.(i) <- ws.win_first.(ids.(i)) - lo;
+    last_ivl.(i) <- ws.win_last.(ids.(i)) - lo
   done;
   if use_sweep then sweep_fit ws ~n ~k ~machines else build_dense ws ~n ~k;
   (* Processors already reserved by earlier (faster) phases. *)
@@ -1034,32 +1117,31 @@ let solve_in ~ws ~machines (jobs : job array) =
      dense component every failed round and every phase after the
      first start from a rewind of the network an earlier round used. *)
   let dense = not use_sweep in
-  {
-    breakpoints;
-    schedule_phases = List.rev !phases;
-    stats =
-      {
-        phases = !phase_count;
-        rounds = !rounds;
-        resumes = (if dense then !rounds - !phase_count else 0);
-        removals = !removals;
-        grouped = !grouped;
-        largest_group = !largest_group;
-        net_edges = (if use_sweep then 0 else Flow.num_edges g);
-        net_pushes = fc.Flow.pushes;
-        net_bfs_waves = fc.Flow.bfs_waves;
-        phase_resumes = (if dense then !phase_count - 1 else 0);
-      };
-  }
+  ( List.rev !phases,
+    {
+      phases = !phase_count;
+      rounds = !rounds;
+      resumes = (if dense then !rounds - !phase_count else 0);
+      removals = !removals;
+      grouped = !grouped;
+      largest_group = !largest_group;
+      net_edges = (if use_sweep then 0 else Flow.num_edges g);
+      net_pushes = fc.Flow.pushes;
+      net_bfs_waves = fc.Flow.bfs_waves;
+      phase_resumes = (if dense then !phase_count - 1 else 0);
+    } )
 
-(* --- instance decomposition (zero-coverage cuts) ----------------------
-   A grid point crossed by no job window is a cut: the Fig. 1 network has
-   no job->interval edge across it, so the max-flow questions — and with
-   them Lemmas 1-4 and the whole phase construction — factor into the
-   connected components of the job-window interval graph.  Solving the
-   components one after another and concatenating their phase lists
-   yields the global optimum; re-sorting by decreasing speed restores
-   the paper's presentation order.
+(* --- the grid and its components ---------------------------------------
+   One endpoint sort per solve gives the grid: the breakpoints are the
+   distinct release and deadline times, and every job's window, the
+   interval range [rank(release), rank(deadline) - 1], is read off the
+   ranks.  A grid point crossed by no job window is a cut: the Fig. 1
+   network has no job->interval edge across it, so the max-flow
+   questions — and with them Lemmas 1-4 and the whole phase construction
+   — factor into the connected components of the job-window interval
+   graph.  Solving the components one after another and concatenating
+   their phase lists yields the global optimum; re-sorting by decreasing
+   speed restores the paper's presentation order.
 
    The per-component solves are bit-identical to what the global solver
    produces for the same classes whenever no speed class spans two
@@ -1077,79 +1159,152 @@ let solve_in ~ws ~machines (jobs : job array) =
    the whole instance without decomposition, and the tests compare the
    two by float bits. *)
 
-(* Split jobs into independent components: sweep in release order,
-   cutting whenever the next release is at or past the furthest deadline
-   seen (touching at a point is a cut — no window strictly contains it).
-   Returns the components in time order, each an ascending array of
-   indices into [jobs], so per-component solves visit jobs in the same
-   order as the global solver. *)
-let components (jobs : job array) =
-  let n = Array.length jobs in
-  if n = 0 then []
-  else begin
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun a b ->
-        match F.compare jobs.(a).release jobs.(b).release with
-        | 0 -> Int.compare a b
-        | c -> c)
-      order;
-    let comps = ref [] in
-    let current = ref [ order.(0) ] in
-    let cur_end = ref jobs.(order.(0)).deadline in
-    for idx = 1 to n - 1 do
-      let i = order.(idx) in
-      if F.compare jobs.(i).release !cur_end >= 0 then begin
-        comps := !current :: !comps;
-        current := [ i ];
-        cur_end := jobs.(i).deadline
-      end
-      else begin
-        current := i :: !current;
-        cur_end := F.max !cur_end jobs.(i).deadline
-      end
-    done;
-    comps := !current :: !comps;
-    List.rev_map
-      (fun ids ->
-        let a = Array.of_list ids in
-        Array.sort Int.compare a;
-        a)
-      !comps
+let grid_fit ws ~n =
+  if Array.length ws.win_first < n then begin
+    let n' = max n (2 * Array.length ws.win_first) in
+    ws.ends <- Array.make (2 * n') 0;
+    ws.ends_tmp <- Array.make (2 * n') 0;
+    ws.end_time <- Array.make (2 * n') F.zero;
+    ws.win_first <- Array.make n' 0;
+    ws.win_last <- Array.make n' 0;
+    ws.stretch <- Array.make (2 * n') 0
   end
 
+(* The breakpoints of [jobs] from one sort of their 2n endpoints: the
+   distinct times, each the one List.sort_uniq F.compare keeps.  Leaves
+   job i's window in [win_first.(i)] and [win_last.(i)]. *)
+let sort_grid ws (jobs : job array) =
+  let n = Array.length jobs in
+  grid_fit ws ~n;
+  let time = ws.end_time and ends = ws.ends and heads = ws.ends_tmp in
+  for i = 0 to n - 1 do
+    time.(2 * i) <- jobs.(i).release;
+    time.((2 * i) + 1) <- jobs.(i).deadline;
+    ends.(2 * i) <- 2 * i;
+    ends.((2 * i) + 1) <- (2 * i) + 1
+  done;
+  if n > 0 then sort_in time ends heads 0 (2 * n);
+  (* [heads], the merge scratch until now, takes each run's first id. *)
+  let k = ref (-1) in
+  for q = 0 to (2 * n) - 1 do
+    let e = ends.(q) in
+    if q = 0 || F.compare time.(e) time.(ends.(q - 1)) <> 0 then begin
+      incr k;
+      heads.(!k) <- e
+    end;
+    if e land 1 = 0 then ws.win_first.(e lsr 1) <- !k else ws.win_last.(e lsr 1) <- !k - 1
+  done;
+  let breakpoints = Array.make (!k + 1) F.zero in
+  for b = 0 to !k do
+    breakpoints.(b) <- time.(heads.(b))
+  done;
+  breakpoints
+
+(* The components of the [n] jobs on a grid of [k] intervals, in time
+   order: each one's jobs (ascending ids), first interval and interval
+   count.  The grid point p is a cut iff no window straddles it, i.e. no
+   job has first < p <= last (touching at a point is a cut); a difference
+   array counts those jobs at every point in one pass.  Between two cuts
+   lies either a stretch that windows cover throughout or a single
+   interval that no window covers, which holds no job and is skipped.  So
+   a component's event times are exactly the breakpoints of its stretch,
+   and it solves on that slice of the grid.  One counting sort by stretch
+   lists every component's jobs in ascending order, the order the whole
+   instance visits them in. *)
+let cut_components ws ~n ~k =
+  if n = 0 then []
+  else begin
+    let first = ws.win_first and last = ws.win_last and stretch = ws.stretch in
+    Array.fill stretch 0 (k + 1) 0;
+    for i = 0 to n - 1 do
+      stretch.(first.(i) + 1) <- stretch.(first.(i) + 1) + 1;
+      stretch.(last.(i) + 1) <- stretch.(last.(i) + 1) - 1
+    done;
+    let cover = ref 0 and stretches = ref 1 in
+    for j = 0 to k - 1 do
+      cover := !cover + stretch.(j);
+      if j > 0 && !cover = 0 then incr stretches;
+      stretch.(j) <- !stretches - 1
+    done;
+    (* The endpoint arrays are free again: [bound] counts the jobs per
+       stretch, [order] lists them. *)
+    let bound = ws.ends_tmp and order = ws.ends in
+    Array.fill bound 0 (!stretches + 1) 0;
+    for i = 0 to n - 1 do
+      let p = stretch.(first.(i)) + 1 in
+      bound.(p) <- bound.(p) + 1
+    done;
+    for p = 1 to !stretches do
+      bound.(p) <- bound.(p) + bound.(p - 1)
+    done;
+    for i = 0 to n - 1 do
+      let p = stretch.(first.(i)) in
+      order.(bound.(p)) <- i;
+      bound.(p) <- bound.(p) + 1
+    done;
+    (* Stretch p's jobs now end at bound.(p), where stretch p + 1's start. *)
+    let comps = ref [] in
+    for p = !stretches - 1 downto 0 do
+      let a = if p = 0 then 0 else bound.(p - 1) in
+      if bound.(p) > a then begin
+        let ids = Array.sub order a (bound.(p) - a) in
+        let lo = ref k and hi = ref 0 in
+        for q = 0 to Array.length ids - 1 do
+          lo := Int.min !lo first.(ids.(q));
+          hi := Int.max !hi last.(ids.(q))
+        done;
+        comps := (ids, !lo, !hi - !lo + 1) :: !comps
+      end
+    done;
+    !comps
+  end
+
+let grid (jobs : job array) =
+  validate_jobs jobs;
+  let ws = make_workspace () in
+  let breakpoints = sort_grid ws jobs in
+  (breakpoints, Array.init (Array.length jobs) (fun i -> (ws.win_first.(i), ws.win_last.(i))))
+
+let components (jobs : job array) =
+  validate_jobs jobs;
+  let ws = make_workspace () in
+  let breakpoints = sort_grid ws jobs in
+  List.map
+    (fun (ids, _, _) -> ids)
+    (cut_components ws ~n:(Array.length jobs) ~k:(Array.length breakpoints - 1))
+
 (* Remap a component phase onto the global grid: job indices through the
-   component's [ids], interval indices shifted by the component's offset
-   into the global breakpoint array. *)
-let stitch_phase ~k ~off ~(ids : int array) (p : phase) =
+   component's [ids], interval indices shifted by its first interval
+   [lo]. *)
+let stitch_phase ~k ~lo ~(ids : int array) (p : phase) =
   let procs = Array.make k 0 in
-  Array.blit p.procs 0 procs off (Array.length p.procs);
+  Array.blit p.procs 0 procs lo (Array.length p.procs);
   {
     members = List.map (fun i -> ids.(i)) p.members;
     speed = p.speed;
     procs;
-    alloc = List.map (fun (i, j, t) -> (ids.(i), j + off, t)) p.alloc;
+    alloc = List.map (fun (i, j, t) -> (ids.(i), j + lo, t)) p.alloc;
   }
 
-(* Solve each component in turn on the one workspace and merge the phase
-   lists onto the global grid.  A component's event times are a
-   contiguous slice of the global breakpoints (components are
-   time-disjoint and every event is a component event), so its first
-   breakpoint locates the slice.  An empty job array has no component
-   and merges no run: no breakpoints, no phases, zero counters. *)
+(* Solve each component in turn on the one workspace, on its slice of the
+   grid, and merge the phase lists onto the global grid.  An empty job
+   array has no component and merges no run: no breakpoints, no phases,
+   zero counters. *)
 let solve_split ~ws ~machines (jobs : job array) =
   validate ~machines jobs;
-  match components jobs with
-  | [ _ ] -> solve_in ~ws ~machines jobs
+  let breakpoints = sort_grid ws jobs in
+  let k = Array.length breakpoints - 1 in
+  match cut_components ws ~n:(Array.length jobs) ~k with
+  | [ (ids, lo, kc) ] ->
+    let schedule_phases, stats = solve_in ~ws ~machines ~breakpoints ~ids ~lo ~k:kc jobs in
+    { breakpoints; schedule_phases; stats }
   | comps ->
-    let breakpoints = sort_uniq_times jobs in
-    let k = Array.length breakpoints - 1 in
     let runs =
       List.map
-        (fun ids ->
+        (fun (ids, lo, kc) ->
           let sub = Array.map (fun i -> jobs.(i)) ids in
-          match solve_in ~ws ~machines sub with
-          | r -> (ids, r)
+          match solve_in ~ws ~machines ~breakpoints ~ids ~lo ~k:kc sub with
+          | phases, stats -> (ids, lo, phases, stats)
           | exception Stranded_job local -> raise (Stranded_job ids.(local)))
         comps
     in
@@ -1160,9 +1315,7 @@ let solve_split ~ws ~machines (jobs : job array) =
        solver's speed-class partition would contain. *)
     let all =
       List.concat_map
-        (fun (ids, (r : run)) ->
-          let off = index_of breakpoints r.breakpoints.(0) in
-          List.map (stitch_phase ~k ~off ~ids) r.schedule_phases)
+        (fun (ids, lo, phases, _) -> List.map (stitch_phase ~k ~lo ~ids) phases)
         runs
     in
     let sorted =
@@ -1191,8 +1344,8 @@ let solve_split ~ws ~machines (jobs : job array) =
        one and removes at least one job), so rounds = 2 phases -
        components and phases <= rounds <= phases + removals survive the
        merge even if a bitwise tie coalesced two classes above. *)
-    let sum f = List.fold_left (fun acc (_, (r : run)) -> acc + f r.stats) 0 runs in
-    let peak f = List.fold_left (fun acc (_, (r : run)) -> max acc (f r.stats)) 0 runs in
+    let sum f = List.fold_left (fun acc (_, _, _, s) -> acc + f s) 0 runs in
+    let peak f = List.fold_left (fun acc (_, _, _, s) -> max acc (f s)) 0 runs in
     {
       breakpoints;
       schedule_phases;
@@ -1242,98 +1395,143 @@ end
    the interval length, which is zero on the exact field: the rational
    instance certifies the very loop the float schedules run. *)
 
-let wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit entries =
-  let len = F.sub t1 t0 in
-  if F.compare len F.zero <= 0 then invalid_arg "Offline.wrap_pack: empty interval";
-  let eps = F.slack len in
-  let len_lo = F.sub len eps and len_hi = F.add len eps in
-  List.iter
-    (fun (_, dur) ->
-      if F.compare dur len_hi > 0 then
-        invalid_arg "Offline.wrap_pack: piece longer than interval")
-    entries;
-  let entries = List.filter (fun (_, dur) -> F.compare dur eps > 0) entries in
-  let full, partial = List.partition (fun (_, dur) -> F.compare dur len_lo >= 0) entries in
-  let proc = ref proc_offset and pos = ref F.zero in
-  let place job a b =
-    if F.compare (F.sub b a) eps > 0 then emit job !proc (F.add t0 a) (F.add t0 b) speed
-  in
-  List.iter
-    (fun (job, dur) ->
-      let dur = F.min dur len in
-      if F.compare (F.add !pos dur) len_hi <= 0 then begin
-        place job !pos (F.min (F.add !pos dur) len);
-        pos := F.add !pos dur
+let wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit (jobs : int array) (durs : num array) ~pos
+    ~len =
+  let width = F.sub t1 t0 in
+  if F.compare width F.zero <= 0 then invalid_arg "Offline.wrap_pack: empty interval";
+  let eps = F.slack width in
+  let width_lo = F.sub width eps and width_hi = F.add width eps in
+  for q = pos to pos + len - 1 do
+    if F.compare durs.(q) width_hi > 0 then
+      invalid_arg "Offline.wrap_pack: piece longer than interval"
+  done;
+  let proc = ref proc_offset and at = ref F.zero in
+  (* The full-width pieces in the first pass, the partial ones in the
+     second, each pass in slice order; pieces no longer than [eps] are
+     dropped.  A segment is emitted only if longer than [eps]. *)
+  for pass = 0 to 1 do
+    for q = pos to pos + len - 1 do
+      let dur = durs.(q) in
+      if F.compare dur eps > 0 && (F.compare dur width_lo >= 0) = (pass = 0) then begin
+        let job = jobs.(q) and dur = F.min dur width in
+        if F.compare (F.add !at dur) width_hi <= 0 then begin
+          let stop = F.min (F.add !at dur) width in
+          if F.compare (F.sub stop !at) eps > 0 then
+            emit job !proc (F.add t0 !at) (F.add t0 stop) speed;
+          at := F.add !at dur
+        end
+        else begin
+          (* Split across the window boundary. *)
+          let first = F.sub width !at in
+          if F.compare (F.sub width !at) eps > 0 then
+            emit job !proc (F.add t0 !at) (F.add t0 width) speed;
+          incr proc;
+          at := F.sub dur first;
+          if F.compare (F.sub !at F.zero) eps > 0 then
+            emit job !proc (F.add t0 F.zero) (F.add t0 !at) speed
+        end;
+        if F.compare !at width_lo >= 0 then begin
+          incr proc;
+          at := F.zero
+        end
       end
-      else begin
-        (* Split across the window boundary. *)
-        let first = F.sub len !pos in
-        place job !pos len;
-        incr proc;
-        pos := F.sub dur first;
-        place job F.zero !pos
-      end;
-      if F.compare !pos len_lo >= 0 then begin
-        incr proc;
-        pos := F.zero
-      end)
-    (full @ partial);
-  if F.compare !pos eps > 0 then !proc - proc_offset + 1 else !proc - proc_offset
+    done
+  done;
+  if F.compare !at eps > 0 then !proc - proc_offset + 1 else !proc - proc_offset
 
 (* Lemma 2 over the grid intervals [first..last], interval by interval:
    inside each, stack the phases' wrap-packed blocks onto disjoint
    processors, fastest phase lowest, checking the stack against
    [machines] before a block is emitted and the block against its
-   reservation after.  A phase-major pass lists, per interval, the phases
-   that reserve processors there, and buckets each phase's [alloc] by
-   interval once, in alloc order, over the span its pieces cover; the
-   interval-major pass then visits only those blocks.  A block emits its
-   processors in ascending order and each processor's pieces in start
-   order, so one processor's segments arrive in start order. *)
+   reservation after.  Two counting sorts by interval lay the blocks out
+   flat, each filled phase by phase: every phase's in-range [alloc]
+   pieces, so an interval's pieces sit in phase order and each phase's in
+   alloc order, and every interval's reserving phases, in phase order.
+   The interval-major pass then reads both left to right.  A block emits
+   its processors in ascending order and each processor's pieces in
+   start order, so one processor's segments arrive in start order. *)
 let pack ~machines ~first ~last ~emit (run : run) =
   let phases = Array.of_list run.schedule_phases in
-  let bucketed (phase : phase) =
-    let lo = ref (last + 1) and hi = ref (first - 1) in
-    List.iter
-      (fun (_, j, _) ->
-        if first <= j && j <= last then begin
-          lo := Int.min !lo j;
-          hi := Int.max !hi j
-        end)
-      phase.alloc;
-    let lo = !lo in
-    let buckets = Array.make (Int.max 0 (!hi - lo + 1)) [] in
-    List.fold_right
-      (fun (i, j, t) () ->
-        if first <= j && j <= last then buckets.(j - lo) <- (i, t) :: buckets.(j - lo))
-      phase.alloc ();
-    (lo, buckets)
-  in
-  let pieces = Array.map bucketed phases in
-  let reserving = Array.make (Int.max 0 (last - first + 1)) [] in
-  for p = Array.length phases - 1 downto 0 do
-    let procs = phases.(p).procs in
-    for j = first to last do
-      if procs.(j) > 0 then reserving.(j - first) <- p :: reserving.(j - first)
+  let span = Int.max 0 (last - first + 1) in
+  let in_span j = first <= j && j <= last in
+  (* Each sort counts into [ends.(b + 1)] for interval [first + b] and
+     fills from the prefix sums, after which [ends.(b)] is where that
+     interval's entries end and the next one's start. *)
+  let prefix ends =
+    for b = 1 to span do
+      ends.(b) <- ends.(b) + ends.(b - 1)
     done
-  done;
-  let rec stack j offset = function
-    | [] -> ()
-    | p :: rest ->
-      let phase = phases.(p) and lo, buckets = pieces.(p) in
+  in
+  let piece_end = Array.make (span + 1) 0 in
+  Array.iter
+    (fun (ph : phase) ->
+      List.iter
+        (fun (_, j, _) ->
+          if in_span j then piece_end.(j - first + 1) <- piece_end.(j - first + 1) + 1)
+        ph.alloc)
+    phases;
+  prefix piece_end;
+  let pieces = piece_end.(span) in
+  let piece_job = Array.make pieces 0
+  and piece_dur = Array.make pieces F.zero
+  and piece_phase = Array.make pieces 0 in
+  Array.iteri
+    (fun p (ph : phase) ->
+      List.iter
+        (fun (i, j, t) ->
+          if in_span j then begin
+            let c = piece_end.(j - first) in
+            piece_job.(c) <- i;
+            piece_dur.(c) <- t;
+            piece_phase.(c) <- p;
+            piece_end.(j - first) <- c + 1
+          end)
+        ph.alloc)
+    phases;
+  let reserving_end = Array.make (span + 1) 0 in
+  Array.iter
+    (fun (ph : phase) ->
+      for j = first to last do
+        if ph.procs.(j) > 0 then reserving_end.(j - first + 1) <- reserving_end.(j - first + 1) + 1
+      done)
+    phases;
+  prefix reserving_end;
+  let reserving = Array.make reserving_end.(span) 0 in
+  Array.iteri
+    (fun p (ph : phase) ->
+      for j = first to last do
+        if ph.procs.(j) > 0 then begin
+          let c = reserving_end.(j - first) in
+          reserving.(c) <- p;
+          reserving_end.(j - first) <- c + 1
+        end
+      done)
+    phases;
+  let c = ref 0 and r = ref 0 in
+  for j = first to last do
+    let b = j - first and offset = ref 0 in
+    while !r < reserving_end.(b) do
+      let p = reserving.(!r) in
+      incr r;
+      let phase = phases.(p) in
       let procs = phase.procs.(j) in
-      if offset + procs > machines then failwith "Offline: reservations exceed machines";
-      let b = j - lo in
+      if !offset + procs > machines then failwith "Offline: reservations exceed machines";
+      (* Pieces of phases that reserve nothing here are skipped. *)
+      while !c < piece_end.(b) && piece_phase.(!c) < p do
+        incr c
+      done;
+      let pos = !c in
+      while !c < piece_end.(b) && piece_phase.(!c) = p do
+        incr c
+      done;
       let used =
-        wrap_pack ~t0:run.breakpoints.(j) ~t1:run.breakpoints.(j + 1) ~proc_offset:offset
-          ~speed:phase.speed ~emit
-          (if 0 <= b && b < Array.length buckets then buckets.(b) else [])
+        wrap_pack ~t0:run.breakpoints.(j) ~t1:run.breakpoints.(j + 1) ~proc_offset:!offset
+          ~speed:phase.speed ~emit piece_job piece_dur ~pos ~len:(!c - pos)
       in
       if used > procs then failwith "Offline: packing exceeded reservation";
-      stack j (offset + procs) rest
-  in
-  for j = first to last do
-    stack j 0 reserving.(j - first)
+      offset := !offset + procs
+    done;
+    c := piece_end.(b)
   done
 
 (* Total reserved processing time of a phase. *)

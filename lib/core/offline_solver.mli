@@ -62,12 +62,21 @@ type run = {
 
 exception Stranded_job of int
 
+val grid : job array -> num array * (int * int) array
+(** The grid {!solve} works on, from one sort of the release and
+    deadline times: the breakpoints, the distinct times in increasing
+    order (of times that compare equal, the one [List.sort_uniq compare]
+    keeps), and every job's window, its first and last grid interval.
+    @raise Invalid_argument on a job {!solve} rejects. *)
+
 val components : job array -> int array list
 (** Split the jobs at zero-coverage grid points — points crossed by no
     job window — into independent sub-instances (the Fig. 1 network has
     no edge across such a cut, so Lemmas 1–4 apply per component).
     Components are returned in time order, each an ascending array of
-    indices into the input. *)
+    indices into the input.  The grid comes from one sort of the
+    release and deadline times, as in {!solve}.
+    @raise Invalid_argument on a job {!solve} rejects. *)
 
 val compress_threshold : int
 (** Grid size ([n * k]) from which a component is solved on the sweep
@@ -90,10 +99,11 @@ val solve : machines:int -> job array -> run
     and round counters by the instance and the loop: a component takes
     [2 phases - 1] rounds.
 
-    The instance is first split at zero-coverage grid points (see
+    One sort of the release and deadline times gives the grid (see
+    {!grid}), and the instance is split at its zero-coverage points (see
     {!components}).  The components are solved one after another on one
-    workspace, and their phase lists are merged back onto the global
-    grid in decreasing-speed order.  The merged run is what the round
+    workspace, each on its slice of the grid, and their phase lists are
+    merged back onto the global grid in decreasing-speed order.  The merged run is what the round
     loop computes on the whole instance with the same oracle — same
     breakpoints, speeds, members, reservations and allocations — except
     in the measure-zero case of a bitwise speed tie across components
@@ -165,17 +175,22 @@ val wrap_pack :
   proc_offset:int ->
   speed:num ->
   emit:(int -> int -> num -> num -> num -> unit) ->
-  (int * num) list ->
+  int array ->
+  num array ->
+  pos:int ->
+  len:int ->
   int
-(** The Lemma 2 construction: pack [(job, duration)] pieces
-    sequentially at [speed] into processor-sized windows of [\[t0, t1)]
-    starting at processor [proc_offset], full-interval pieces first.
-    Each segment goes to [emit job proc start stop speed]; returns the
-    number of processors used.  Every tolerance is the field's
-    [slack (t1 - t0)] (zero on exact fields); pieces and cuts no longer
-    than it are dropped.
+(** The Lemma 2 construction: [wrap_pack jobs durs ~pos ~len] packs the
+    block of pieces [(jobs.(q), durs.(q))], [q] from [pos] to
+    [pos + len - 1], sequentially at [speed] into processor-sized windows
+    of [\[t0, t1)] starting at processor [proc_offset]: the full-interval
+    pieces first, then the partial ones, each in block order.  Each
+    segment goes to [emit job proc start stop speed]; returns the number
+    of processors used.  Every tolerance is the field's [slack (t1 - t0)]
+    (zero on exact fields); pieces and cuts no longer than it are
+    dropped.
     @raise Invalid_argument if [t1 <= t0] or a piece is longer than the
-    interval beyond the slack. *)
+    interval beyond the slack, before any segment is emitted. *)
 
 val pack :
   machines:int ->

@@ -44,18 +44,27 @@ let gaps_of_proc ~lo ~hi segments =
   in
   List.rev (walk lo [] busy)
 
+(* One pass over the stored (proc, t0, job) order, in which every
+   processor's segments form one run in start order. *)
 let gaps ?horizon (sched : Schedule.t) =
-  let segments = Array.to_list (Schedule.segments sched) in
+  let segments = Schedule.segments sched in
   let lo, hi =
     match horizon with
     | Some (lo, hi) -> (lo, hi)
     | None ->
-      ( List.fold_left (fun acc (s : Schedule.segment) -> Float.min acc s.t0) infinity segments,
-        List.fold_left (fun acc (s : Schedule.segment) -> Float.max acc s.t1) neg_infinity segments )
+      ( Array.fold_left (fun acc (s : Schedule.segment) -> Float.min acc s.t0) infinity segments,
+        Array.fold_left (fun acc (s : Schedule.segment) -> Float.max acc s.t1) neg_infinity segments )
   in
-  List.init (Schedule.machines sched) (fun proc ->
-      let own = List.filter (fun (s : Schedule.segment) -> s.proc = proc) segments in
-      (proc, gaps_of_proc ~lo ~hi own))
+  let next = ref 0 and per_proc = ref [] in
+  for proc = 0 to Schedule.machines sched - 1 do
+    let start = !next in
+    while !next < Array.length segments && segments.(!next).proc = proc do
+      incr next
+    done;
+    let own = Array.to_list (Array.sub segments start (!next - start)) in
+    per_proc := (proc, gaps_of_proc ~lo ~hi own) :: !per_proc
+  done;
+  List.rev !per_proc
 
 type policy = Always_on | Optimal | Ski_rental
 

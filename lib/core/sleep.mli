@@ -19,7 +19,9 @@ val break_even : device -> float
 
 val gaps : ?horizon:float * float -> Ss_model.Schedule.t -> (int * float list) list
 (** Per-processor idle gap lengths over the horizon (default: the
-    schedule's extent), including edge gaps. *)
+    schedule's extent), including edge gaps, one entry per processor.
+    One pass over the stored segment order, [O(S + machines)] for [S]
+    segments. *)
 
 type policy = Always_on | Optimal | Ski_rental
 

@@ -68,20 +68,19 @@ let canonicalize ?(shift = true) ?(sort = true) (inst : Job.instance) =
   if sort then begin
     (* Sort by the canonical triple; the shift and scale are monotone, so
        comparing original fields gives the same order.  The index
-       tiebreak makes the sort a stable, deterministic permutation. *)
-    let key i =
-      let (j : Job.t) = inst.jobs.(i) in
-      (j.release, j.deadline, j.work, i)
-    in
-    let compare_key (r1, d1, w1, i1) (r2, d2, w2, i2) =
-      match Float.compare r1 r2 with
+       tiebreak makes the sort a stable, deterministic permutation.  The
+       fields are compared in place, with no key built per comparison. *)
+    let jobs = inst.jobs in
+    let compare_jobs a b =
+      let (x : Job.t) = jobs.(a) and (y : Job.t) = jobs.(b) in
+      match Float.compare x.release y.release with
       | 0 -> (
-        match Float.compare d1 d2 with
-        | 0 -> ( match Float.compare w1 w2 with 0 -> Int.compare i1 i2 | c -> c)
+        match Float.compare x.deadline y.deadline with
+        | 0 -> ( match Float.compare x.work y.work with 0 -> Int.compare a b | c -> c)
         | c -> c)
       | c -> c
     in
-    Array.sort (fun a b -> compare_key (key a) (key b)) perm
+    Array.sort compare_jobs perm
   end;
   let tf = { dt; wexp; perm } in
   (apply tf inst, tf)

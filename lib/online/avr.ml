@@ -57,9 +57,14 @@ let schedule_interval ~machines ~density ~emit ~t0 ~t1 active =
     let delta' = density_sum !rest in
     let speed = delta' /. float_of_int !free in
     (* Each job runs density/speed fraction of the interval. *)
-    let entries = List.map (fun i -> (i, (t1 -. t0) *. density.(i) /. speed)) !rest in
+    let ids = Array.of_list !rest in
+    let len = Array.length ids in
+    let durs = Array.make len 0. in
+    for q = 0 to len - 1 do
+      durs.(q) <- (t1 -. t0) *. density.(ids.(q)) /. speed
+    done;
     let used =
-      Ss_core.Offline.F.wrap_pack ~t0 ~t1 ~proc_offset:!proc ~speed entries
+      Ss_core.Offline.F.wrap_pack ~t0 ~t1 ~proc_offset:!proc ~speed ids durs ~pos:0 ~len
         ~emit:(fun job proc t0 t1 speed -> emit { Schedule.job; proc; t0; t1; speed })
     in
     if used > !free then failwith "Avr: packing exceeded free processors"

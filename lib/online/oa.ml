@@ -61,15 +61,14 @@ let run_detailed ?stats (inst : Job.instance) =
     let run = Offline.F.Session.solve session ~machines:inst.machines sub_jobs in
     total_rounds := !total_rounds + run.stats.rounds;
     grouped_rounds := !grouped_rounds + run.stats.grouped;
-    (* Planned speed of every live job (its class speed). *)
-    let job_speeds =
-      List.concat_map
-        (fun (ph : Offline.F.phase) ->
-          List.map (fun local -> (ids.(local), ph.speed)) ph.members)
-        run.schedule_phases
-      |> List.sort (fun (i1, s1) (i2, s2) ->
-             match Int.compare i1 i2 with 0 -> Float.compare s1 s2 | c -> c)
-    in
+    (* Planned speed of every live job (its class speed).  The phases'
+       members partition the live jobs, which come in ascending id order,
+       so listing the speeds by local index lists them by id. *)
+    let speed = Array.make (Array.length live) 0. in
+    List.iter
+      (fun (ph : Offline.F.phase) -> List.iter (fun local -> speed.(local) <- ph.speed) ph.members)
+      run.schedule_phases;
+    let job_speeds = List.init (Array.length live) (fun local -> (ids.(local), speed.(local))) in
     plans := { at = now; upto; job_speeds } :: !plans;
     (* Follow the plan until the next arrival: materialize only that
        slice, then remap to original ids. *)

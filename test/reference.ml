@@ -32,9 +32,19 @@
    tell -0.0 from 0.0.
 
    [schedule_of_run] is the Lemma 2 packer interval by interval, with each
-   phase's allocation filtered afresh for every interval; the library
-   buckets each phase's allocation once, and the tests require equal
-   segments by float bits.
+   phase's allocation filtered afresh for every interval into a list that
+   [List_packer]'s [wrap_pack] packs; the library counting-sorts every
+   phase's allocation once into flat arrays and packs array slices, and
+   the tests require equal segments by float bits.  [List_packer] (in
+   both fields) and [Sorted_grid] are the block packer and the solver's
+   grid as they were first written: a list per block, and the
+   breakpoints by [List.sort_uniq], each window by binary search and the
+   components by a sort of the jobs by release.  The library reads the
+   grid off one sort of the endpoints; the tests require equal blocks,
+   breakpoints by float bits, windows and components.
+
+   [sleep_gaps] filters the whole schedule once per processor, where
+   [Sleep.gaps] walks the stored order once.
 
    [Audit] is the schedule audit, written once over the field: one
    processor and one job at a time, each filtering and sorting the whole
@@ -376,6 +386,125 @@ let clip_segments ~lo ~hi segments =
       if t1 > t0 then Some { s with t0; t1 } else None)
     segments
 
+(* --- the grid and the Lemma 2 block packer, sort- and list-based --------- *)
+
+(* The solver's grid as it was first written: the breakpoints by
+   [List.sort_uniq], each window by binary search, and the components by
+   a sort of the jobs by release.  The library reads all three off one
+   sort of the endpoints; the tests require equal breakpoints by float
+   bits, equal windows and equal components. *)
+module Sorted_grid = struct
+  module F = Ss_numeric.Field.Float
+
+  type job = Offline.F.job = { release : float; deadline : float; work : float }
+
+  let sort_uniq_times jobs =
+    let all =
+      Array.to_list jobs
+      |> List.concat_map (fun j -> [ j.release; j.deadline ])
+      |> List.sort_uniq F.compare
+    in
+    Array.of_list all
+
+  (* Position of time [t] in the sorted breakpoint array. *)
+  let index_of breakpoints t =
+    let lo = ref 0 and hi = ref (Array.length breakpoints - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if F.compare breakpoints.(mid) t < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* Every job's window: its first and last grid interval. *)
+  let windows breakpoints (jobs : job array) =
+    Array.map
+      (fun j -> (index_of breakpoints j.release, index_of breakpoints j.deadline - 1))
+      jobs
+
+  let components (jobs : job array) =
+    let n = Array.length jobs in
+    if n = 0 then []
+    else begin
+      let order = Array.init n Fun.id in
+      Array.sort
+        (fun a b ->
+          match F.compare jobs.(a).release jobs.(b).release with
+          | 0 -> Int.compare a b
+          | c -> c)
+        order;
+      let comps = ref [] in
+      let current = ref [ order.(0) ] in
+      let cur_end = ref jobs.(order.(0)).deadline in
+      for idx = 1 to n - 1 do
+        let i = order.(idx) in
+        if F.compare jobs.(i).release !cur_end >= 0 then begin
+          comps := !current :: !comps;
+          current := [ i ];
+          cur_end := jobs.(i).deadline
+        end
+        else begin
+          current := i :: !current;
+          cur_end := F.max !cur_end jobs.(i).deadline
+        end
+      done;
+      comps := !current :: !comps;
+      List.rev_map
+        (fun ids ->
+          let a = Array.of_list ids in
+          Array.sort Int.compare a;
+          a)
+        !comps
+    end
+end
+
+(* The Lemma 2 block packer as it was first written, on a list of
+   (job, duration) pieces, in either field.  The library's packer reads a
+   block as a slice of two flat arrays; the tests require the same
+   segments, by float bits on floats and exactly on rationals, the same
+   processor count and the same exceptions. *)
+module List_packer (F : Ss_numeric.Field.S) = struct
+  let wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit entries =
+    let len = F.sub t1 t0 in
+    if F.compare len F.zero <= 0 then invalid_arg "Offline.wrap_pack: empty interval";
+    let eps = F.slack len in
+    let len_lo = F.sub len eps and len_hi = F.add len eps in
+    List.iter
+      (fun (_, dur) ->
+        if F.compare dur len_hi > 0 then
+          invalid_arg "Offline.wrap_pack: piece longer than interval")
+      entries;
+    let entries = List.filter (fun (_, dur) -> F.compare dur eps > 0) entries in
+    let full, partial = List.partition (fun (_, dur) -> F.compare dur len_lo >= 0) entries in
+    let proc = ref proc_offset and pos = ref F.zero in
+    let place job a b =
+      if F.compare (F.sub b a) eps > 0 then emit job !proc (F.add t0 a) (F.add t0 b) speed
+    in
+    List.iter
+      (fun (job, dur) ->
+        let dur = F.min dur len in
+        if F.compare (F.add !pos dur) len_hi <= 0 then begin
+          place job !pos (F.min (F.add !pos dur) len);
+          pos := F.add !pos dur
+        end
+        else begin
+          (* Split across the window boundary. *)
+          let first = F.sub len !pos in
+          place job !pos len;
+          incr proc;
+          pos := F.sub dur first;
+          place job F.zero !pos
+        end;
+        if F.compare !pos len_lo >= 0 then begin
+          incr proc;
+          pos := F.zero
+        end)
+      (full @ partial);
+    if F.compare !pos eps > 0 then !proc - proc_offset + 1 else !proc - proc_offset
+end
+
+module Float_packer = List_packer (Ss_numeric.Field.Float)
+module Exact_packer = List_packer (Ss_numeric.Rational.Field)
+
 (* --- the Lemma 2 packer: one allocation scan per (interval, phase) ------- *)
 
 (* Interval by interval, the phases' wrap-packed blocks stacked fastest
@@ -395,7 +524,7 @@ let schedule_of_run ~machines (run : Offline.F.run) =
             List.filter_map (fun (i, j', t) -> if j' = j then Some (i, t) else None) phase.alloc
           in
           if
-            Offline.F.wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed ~emit entries
+            Float_packer.wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed ~emit entries
             > procs
           then failwith "Reference.schedule_of_run: packing exceeded reservation";
           offset := !offset + procs
@@ -588,6 +717,34 @@ let total_migrations ~jobs t =
     acc := !acc + job_migrations t j
   done;
   !acc
+
+(* --- sleep gaps: one filter of the whole schedule per processor ------------ *)
+
+(* [Sleep.gaps] as it was first written: every processor's segments
+   filtered out of the whole stored list, then walked in start order.
+   The library walks the stored (proc, t0, job) order once. *)
+let sleep_gaps ?horizon (sched : Schedule.t) =
+  let gaps_of_proc ~lo ~hi segments =
+    let busy = List.filter (fun (s : Schedule.segment) -> s.t1 > lo && s.t0 < hi) segments in
+    let rec walk cursor acc = function
+      | [] -> if hi > cursor then (hi -. cursor) :: acc else acc
+      | (s : Schedule.segment) :: rest ->
+        let acc = if s.t0 > cursor then (s.t0 -. cursor) :: acc else acc in
+        walk (Float.max cursor s.t1) acc rest
+    in
+    List.rev (walk lo [] busy)
+  in
+  let segments = Array.to_list (Schedule.segments sched) in
+  let lo, hi =
+    match horizon with
+    | Some (lo, hi) -> (lo, hi)
+    | None ->
+      ( List.fold_left (fun acc (s : Schedule.segment) -> Float.min acc s.t0) infinity segments,
+        List.fold_left (fun acc (s : Schedule.segment) -> Float.max acc s.t1) neg_infinity segments )
+  in
+  List.init (Schedule.machines sched) (fun proc ->
+      let own = List.filter (fun (s : Schedule.segment) -> s.proc = proc) segments in
+      (proc, gaps_of_proc ~lo ~hi own))
 
 (* --- AVR(m): one whole-array rescan per unit interval -------------------- *)
 

@@ -159,6 +159,71 @@ let test_stats_invariant_decomposed () =
         r.stats.rounds)
     [ 1; 2; 3; 4 ]
 
+(* --- the grid against the sort-based one ----------------------------------- *)
+
+(* [Offline.F.grid] and [Offline.F.components], read off one sort of the
+   endpoints, against test/reference.ml's sort-based versions: the
+   breakpoints by float bits, every window and every component equal. *)
+let grid_mismatch (jobs : Offline.F.job array) =
+  let module R = Reference.Sorted_grid in
+  let breakpoints, windows = Offline.F.grid jobs in
+  let want = R.sort_uniq_times jobs in
+  if
+    not
+      (Array.length breakpoints = Array.length want
+      && Array.for_all2 Reference.same_float breakpoints want)
+  then Some "breakpoints"
+  else if windows <> R.windows want jobs then Some "windows"
+  else if Offline.F.components jobs <> R.components jobs then Some "components"
+  else None
+
+(* Touching windows, a gap, duplicate endpoints, and zeros of both signs:
+   a deadline at 0.0 and a release at -0.0 compare equal, and which of
+   the two the grid keeps depends on where they fall in the endpoint
+   sort's leaves, so every order of each set of jobs is tried; the
+   solver must also keep the reference's breakpoint bits. *)
+let test_grid_hand_cases () =
+  let rec orders = function
+    | [] -> [ [] ]
+    | xs ->
+      List.concat_map
+        (fun x -> List.map (fun rest -> x :: rest) (orders (List.filter (( != ) x) xs)))
+        xs
+  in
+  let cases =
+    [ [ j 0. 1. 1.; j 1. 2. 1. ]; [ j 0. 1. 1.; j 3. 5. 2. ];
+      [ j 0. 2. 1.; j 0. 2. 3.; j 1. 2. 1.; j 0. 1. 2.; j 1. 3. 1. ] ]
+    @ orders [ j (-1.) 0. 1.; j (-0.) 1. 1.; j (-3.) (-2.) 1. ]
+    @ orders [ j (-1.) (-0.) 1.; j 0. 2. 1.; j (-1.) 1. 2.; j (-2.) 0. 1. ]
+  in
+  List.iteri
+    (fun c jobs ->
+      let inst = Job.instance ~machines:2 jobs in
+      Alcotest.(check (option string))
+        (Printf.sprintf "case %d: grid = sort-based" c)
+        None
+        (grid_mismatch (Offline.float_jobs inst));
+      check_reference (Printf.sprintf "case %d" c) inst (Offline.run inst))
+    cases
+
+let prop_grid_matches_sorted =
+  QCheck.Test.make ~count:300 ~name:"grid and components = sort-based (uniform, poisson, clustered)"
+    QCheck.(pair small_nat (int_range 0 2))
+    (fun (seed, family) ->
+      let inst =
+        match family with
+        | 0 ->
+          G.uniform ~integral:(seed mod 2 = 0) ~seed:(seed + 7) ~machines:2
+            ~jobs:(1 + (seed mod 40)) ~horizon:30. ~max_work:4. ()
+        | 1 ->
+          G.poisson ~integral:(seed mod 2 = 0) ~seed:(seed + 11) ~machines:2
+            ~jobs:(1 + (seed mod 40)) ~rate:0.5 ~mean_work:2. ~slack:2. ()
+        | _ -> clustered_instance (seed + 500)
+      in
+      match grid_mismatch (Offline.float_jobs inst) with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
 (* --- properties --------------------------------------------------------- *)
 
 let prop_decomposed_bitwise_random =
@@ -211,6 +276,7 @@ let () =
           Alcotest.test_case "session decomposed solves agree" `Quick
             test_session_decomposed_agrees;
           Alcotest.test_case "merged stats invariant" `Quick test_stats_invariant_decomposed;
+          Alcotest.test_case "grid hand cases = sort-based" `Quick test_grid_hand_cases;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -219,5 +285,6 @@ let () =
             prop_decomposed_bitwise_clustered;
             prop_decomposed_segments_valid;
             prop_decomposed_packing_reference;
+            prop_grid_matches_sorted;
           ] );
     ]

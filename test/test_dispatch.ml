@@ -119,6 +119,43 @@ let test_canon_roundtrip_property () =
        QCheck.(triple (int_range 1 30) (int_range 0 1000) (int_range (-3) 3))
        prop)
 
+(* The sort compares the job fields in place; its permutation must be the
+   one a sort on (release, deadline, work, index) tuples gives, on
+   instances whose jobs tie in every field, zeros of both signs included. *)
+let test_canon_sort_matches_tuple_sort () =
+  let prop (seed, n) =
+    let rng = Ss_workload.Rng.create ~seed in
+    let pick xs = xs.(Ss_workload.Rng.int rng ~bound:(Array.length xs)) in
+    let inst =
+      Job.instance ~machines:2
+        (List.init n (fun _ ->
+             let release = pick [| -0.; 0.; 1.; 2. |] in
+             Job.make ~release ~deadline:(release +. pick [| 1.; 2. |]) ~work:(pick [| 1.; 2. |])))
+    in
+    let tuple_perm =
+      let perm = Array.init n Fun.id in
+      let key i =
+        let (j : Job.t) = inst.jobs.(i) in
+        (j.release, j.deadline, j.work, i)
+      in
+      let compare_key (r1, d1, w1, i1) (r2, d2, w2, i2) =
+        match Float.compare r1 r2 with
+        | 0 -> (
+          match Float.compare d1 d2 with
+          | 0 -> ( match Float.compare w1 w2 with 0 -> Int.compare i1 i2 | c -> c)
+          | c -> c)
+        | c -> c
+      in
+      Array.sort (fun a b -> compare_key (key a) (key b)) perm;
+      perm
+    in
+    (snd (Canon.canonicalize inst)).perm = tuple_perm
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"canonical sort = tuple sort"
+       QCheck.(pair small_nat (int_range 1 24))
+       prop)
+
 let test_cached_answer_equals_fresh_solve () =
   (* Solve an instance, then query shifted/scaled copies: each copy is
      answered from the cache, and the transformed answer must equal the
@@ -336,6 +373,7 @@ let () =
       ( "canonicalization",
         [
           Alcotest.test_case "roundtrip property" `Quick test_canon_roundtrip_property;
+          Alcotest.test_case "sort = tuple sort" `Quick test_canon_sort_matches_tuple_sort;
           Alcotest.test_case "cached answer == fresh solve of the disguise" `Quick
             test_cached_answer_equals_fresh_solve;
         ] );

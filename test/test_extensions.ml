@@ -217,6 +217,46 @@ let test_gaps () =
     Alcotest.(check (list (float 1e-9))) "proc 1 gaps" [] gaps1
   | _ -> Alcotest.fail "shape"
 
+(* One pass over the stored order against the per-processor filter, by
+   float bits: offline, OA(m) and AVR(m) schedules, and random segments
+   that overlap, leave processors idle and arrive out of order, over the
+   schedule's extent and over a random window. *)
+let prop_gaps_match_filter =
+  QCheck.Test.make ~count:100 ~name:"Sleep.gaps = per-processor filter"
+    QCheck.(pair small_nat (int_range 0 3))
+    (fun (seed, kind) ->
+      let inst = sample_instance (seed + 1) in
+      let rng = Ss_workload.Rng.create ~seed:(seed + 77) in
+      let sched =
+        match kind with
+        | 0 -> Ss_core.Offline.optimal_schedule inst
+        | 1 -> Ss_online.Oa.schedule inst
+        | 2 -> Ss_online.Avr.schedule inst
+        | _ ->
+          let machines = 1 + Ss_workload.Rng.int rng ~bound:5 in
+          Schedule.make ~machines
+            (List.init (Ss_workload.Rng.int rng ~bound:12) (fun job ->
+                 let t0 = Ss_workload.Rng.uniform rng ~lo:0. ~hi:10. in
+                 {
+                   Schedule.job;
+                   proc = Ss_workload.Rng.int rng ~bound:machines;
+                   t0;
+                   t1 = t0 +. Ss_workload.Rng.uniform rng ~lo:0.1 ~hi:4.;
+                   speed = 1.;
+                 }))
+      in
+      let a = Ss_workload.Rng.uniform rng ~lo:(-1.) ~hi:8. in
+      let horizon = (a, a +. Ss_workload.Rng.uniform rng ~lo:0. ~hi:10.) in
+      let same x y =
+        List.length x = List.length y
+        && List.for_all2
+             (fun (p, g) (q, h) ->
+               p = q && List.length g = List.length h && List.for_all2 Reference.same_float g h)
+             x y
+      in
+      same (Sleep.gaps sched) (Reference.sleep_gaps sched)
+      && same (Sleep.gaps ~horizon sched) (Reference.sleep_gaps ~horizon sched))
+
 let test_gap_costs () =
   let d = Sleep.device ~idle_power:2. ~wake_energy:4. in
   checkf "break even" 2. (Sleep.break_even d);
@@ -342,5 +382,6 @@ let () =
             prop_quantize_penalty_decreases_with_levels;
             prop_lemma7_speed_monotone;
             prop_potential_holds;
+            prop_gaps_match_filter;
           ] );
     ]

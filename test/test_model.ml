@@ -282,7 +282,10 @@ let prop_check_matches_reference =
 let wrap_pack ~t0 ~t1 ~proc_offset ~speed entries =
   let segs = ref [] in
   let used =
-    Offline.F.wrap_pack ~t0 ~t1 ~proc_offset ~speed entries
+    Offline.F.wrap_pack ~t0 ~t1 ~proc_offset ~speed
+      (Array.of_list (List.map fst entries))
+      (Array.of_list (List.map snd entries))
+      ~pos:0 ~len:(List.length entries)
       ~emit:(fun job proc t0 t1 speed -> segs := { Schedule.job; proc; t0; t1; speed } :: !segs)
   in
   (List.rev !segs, used)
@@ -294,7 +297,9 @@ let exact_wrap_pack ~len entries =
   let segs = ref [] in
   let used =
     Offline.Exact.wrap_pack ~t0:Q.zero ~t1:(Q.of_float len) ~proc_offset:0 ~speed:Q.one
-      (List.map (fun (i, dur) -> (i, Q.of_float dur)) entries)
+      (Array.of_list (List.map fst entries))
+      (Array.of_list (List.map (fun (_, dur) -> Q.of_float dur) entries))
+      ~pos:0 ~len:(List.length entries)
       ~emit:(fun job proc t0 t1 _ -> segs := (job, proc, t0, t1) :: !segs)
   in
   (!segs, used)
@@ -413,6 +418,73 @@ let prop_wrap_pack_no_machine_overlap =
       in
       ok sorted && exact_ok exact_sorted)
 
+(* The array packer against test/reference.ml's list packer, on both
+   fields: the same segments (by float bits on floats, exactly on
+   rationals), the same processor count and the same exceptions.  A
+   third of the pieces sit within the slack of zero or of the interval
+   length, or just past it, so both guards and every drop fire; some
+   intervals are empty; and the block is a slice of longer arrays whose
+   other entries would trip the length guard if the packer read them. *)
+let prop_wrap_pack_matches_list_packer =
+  QCheck.Test.make ~count:500 ~name:"wrap_pack = the list packer, both fields"
+    QCheck.(pair small_nat (int_range 0 10))
+    (fun (seed, njobs) ->
+      let rng = Ss_workload.Rng.create ~seed:(seed + 4242) in
+      let uniform lo hi = Ss_workload.Rng.uniform rng ~lo ~hi in
+      let pick bound = Ss_workload.Rng.int rng ~bound in
+      let t0 = uniform (-4.) 4. in
+      let t1 = if pick 15 = 0 then t0 -. float_of_int (pick 2) else t0 +. uniform 0.25 4. in
+      let w = t1 -. t0 in
+      let eps = Ss_numeric.Field.Float.slack w in
+      let near =
+        [| 0.; eps /. 2.; eps; 2. *. eps; w -. (2. *. eps); w -. eps; w -. (eps /. 2.); w;
+           w +. (eps /. 2.); w +. eps; w +. (2. *. eps) |]
+      in
+      let entries =
+        List.init njobs (fun i ->
+            (i, if pick 3 = 0 then near.(pick (Array.length near)) else uniform 0. (Float.max w 0.)))
+      in
+      let pad = pick 3 and proc_offset = pick 4 and speed = uniform 0.5 3. in
+      let padded xs junk = Array.of_list (List.init pad (fun _ -> junk) @ xs @ [ junk ]) in
+      let jobs = padded (List.map fst entries) (-1) in
+      (* The segments a packer emits and the processors it used, or the
+         message it raised. *)
+      let run pack =
+        let segs = ref [] in
+        match pack (fun job proc a b v -> segs := (job, proc, a, b, v) :: !segs) with
+        | used -> Ok (List.rev !segs, used)
+        | exception Invalid_argument m -> Error m
+      in
+      let same eq got want =
+        match (got, want) with
+        | Ok (a, u), Ok (b, v) ->
+          u = v
+          && List.length a = List.length b
+          && List.for_all2
+               (fun (j, p, s, e, x) (j', p', s', e', x') ->
+                 j = j' && p = p' && eq s s' && eq e e' && eq x x')
+               a b
+        | Error m, Error m' -> String.equal m m'
+        | _ -> false
+      in
+      let junk = (3. *. Float.abs w) +. 1. and q = Q.of_float in
+      let exact_entries = List.map (fun (i, d) -> (i, q d)) entries in
+      same Reference.same_float
+        (run (fun emit ->
+             Offline.F.wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit jobs
+               (padded (List.map snd entries) junk)
+               ~pos:pad ~len:njobs))
+        (run (fun emit -> Reference.Float_packer.wrap_pack ~t0 ~t1 ~proc_offset ~speed ~emit entries))
+      && same Q.equal
+           (run (fun emit ->
+                Offline.Exact.wrap_pack ~t0:(q t0) ~t1:(q t1) ~proc_offset ~speed:(q speed) ~emit
+                  jobs
+                  (padded (List.map snd exact_entries) (q junk))
+                  ~pos:pad ~len:njobs))
+           (run (fun emit ->
+                Reference.Exact_packer.wrap_pack ~t0:(q t0) ~t1:(q t1) ~proc_offset
+                  ~speed:(q speed) ~emit exact_entries)))
+
 (* --- Schedule.make keeps the stored order -------------------------------- *)
 
 (* Schedules from the offline solver on the dense path and on the sweep,
@@ -508,6 +580,7 @@ let () =
             prop_check_matches_reference;
             prop_wrap_pack_conserves_time;
             prop_wrap_pack_no_machine_overlap;
+            prop_wrap_pack_matches_list_packer;
             prop_make_stored_order;
           ] );
     ]
